@@ -31,34 +31,15 @@ from .errors import (
     SingularityError,
     SupportError,
 )
-from .harness import SUITES, SuiteConfig, run_suite
-from .lens import BayesLens, apply_channel, instance_of
+from .harness import SUITE_DEFAULTS, SUITES, SuiteConfig, check_suite, run_suite
+from .lens import BayesLens, apply_channel, exact_lens, instance_of
 from .loss import (
     LossModel,
     energy_entropy_decomp,
-    kl_loss,
     loss_for,
     mle_loss,
 )
 from .modelio import load_json, parse_channel, parse_lens, parse_state
-
-#: per-suite defaults: trial counts sized so the default run is the full
-#: certification, tolerances as tight as the arithmetic supports
-SUITE_DEFAULTS = {
-    "buco": dict(trials=500, max_dim=5, tolerance=1e-9),
-    "chain-rule": dict(trials=500, max_dim=4, tolerance=1e-9),
-    "kl-strict": dict(trials=200, max_dim=4, tolerance=1e-9),
-    "mle-lax": dict(trials=200, max_dim=4, tolerance=1e-9),
-    "fe-sum": dict(trials=100, max_dim=4, tolerance=1e-12),
-    "fe-joint": dict(trials=100, max_dim=4, tolerance=1e-9),
-    "thermo": dict(trials=100, max_dim=4, tolerance=1e-9),
-    "laplace": dict(trials=100, max_dim=4, tolerance=1e-8),
-    "laxators": dict(trials=200, max_dim=3, tolerance=1e-8),
-    "lax-naturality": dict(trials=100, max_dim=3, tolerance=1e-8),
-    "bilinear": dict(trials=500, max_dim=4, tolerance=1e-12),
-    "stochasticity": dict(trials=200, max_dim=4, tolerance=1e-12),
-}
-GAUSSIAN_BUCO_DEFAULTS = dict(trials=100, max_dim=3, tolerance=1e-8)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--max-dim", type=int, default=None)
     v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--instance", choices=["discrete", "gaussian"], default=None)
+    v.add_argument("--instance", choices=["discrete", "gaussian"], default="discrete")
     v.add_argument("--report", default=None, help="write a combined JSON report here")
 
     e = sub.add_parser("eval-loss", help="evaluate a loss on a JSON model")
@@ -102,29 +83,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _suite_config(name: str, args) -> SuiteConfig:
-    defaults = dict(SUITE_DEFAULTS[name])
-    instance = args.instance or "discrete"
-    if name == "buco" and instance == "gaussian":
-        defaults = dict(GAUSSIAN_BUCO_DEFAULTS)
+    defaults = SUITE_DEFAULTS[name][args.instance]
+    given = dict(trials=args.trials, max_dim=args.max_dim, tolerance=args.tol)
     return SuiteConfig(
         suite=name,
-        trials=args.trials if args.trials is not None else defaults["trials"],
         seed=args.seed,
-        max_dim=args.max_dim if args.max_dim is not None else defaults["max_dim"],
-        tolerance=args.tol if args.tol is not None else defaults["tolerance"],
-        instance=instance,
+        instance=args.instance,
+        **{k: defaults[k] if v is None else v for k, v in given.items()},
     )
 
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
-        if name not in SUITES:
-            print(
-                f"unknown suite {name!r}; registered suites: "
-                + ", ".join(sorted(SUITES)),
-                file=sys.stderr,
-            )
+        try:
+            check_suite(name, args.instance)
+        except ShapeError as e:
+            print(e, file=sys.stderr)
             return 2
     report_dir = os.environ.get("STATGAMES_REPORT_DIR", "reports")
     reports = []
@@ -221,20 +196,10 @@ DEMO_FD_STEP = 1e-5
 DEMO_MAX_REJECTS = 50
 
 
-def _demo_lens(params: np.ndarray) -> BayesLens:
+def _demo_posterior(params, y) -> gs.GaussState:
+    """The approximate posterior at ``y``: ``N(gain * y + offset, exp(logvar))``."""
     gain, offset, logvar = (float(v) for v in params)
-    fwd = gs.GaussChannel([[1.0]], [0.0], [[1.0]])
-    bwd = lambda pi: gs.GaussChannel(
-        [[gain]], [offset], [[math.exp(logvar)]], 0, "right"
-    )
-    return BayesLens(fwd=fwd, bwd=bwd, simple=True)
-
-
-def _demo_terms(params, prior, y) -> tuple[float, float, float]:
-    lens = _demo_lens(params)
-    kl = kl_loss(lens)(prior, y)
-    mle = mle_loss(lens)(prior, y)
-    return kl + mle, kl, mle
+    return gs.g_apply(gs.GaussChannel([[gain]], [offset], [[math.exp(logvar)]]), y)
 
 
 def cmd_demo(args) -> int:
@@ -242,9 +207,15 @@ def cmd_demo(args) -> int:
     y = np.array([DEMO_OBSERVATION])
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     params = rng.uniform(-0.1, 0.1, size=3)
+    # the forward channel and the prior are fixed, so the exact posterior
+    # and the observation's code length are computed once
+    lens = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
+    exact = apply_channel(lens.bwd(prior), y)
+    neg_log_evidence = mle_loss(lens)(prior, y)
 
-    def objective(p):
-        return _demo_terms(p, prior, y)[0]
+    def terms(p) -> tuple[float, float, float]:
+        kl = float(gs.g_kl(_demo_posterior(p, y), exact))
+        return kl + neg_log_evidence, kl, neg_log_evidence
 
     def gradient(p):
         g = np.zeros_like(p)
@@ -252,17 +223,17 @@ def cmd_demo(args) -> int:
             up, down = p.copy(), p.copy()
             up[i] += DEMO_FD_STEP
             down[i] -= DEMO_FD_STEP
-            g[i] = (objective(up) - objective(down)) / (2 * DEMO_FD_STEP)
+            g[i] = (terms(up)[0] - terms(down)[0]) / (2 * DEMO_FD_STEP)
         return g
 
     rows = []
-    fe, kl, mle = _demo_terms(params, prior, y)
+    fe, kl, mle = terms(params)
     rows.append((0, fe, kl, mle, *params))
     rejects = 0
     step = 0
     while step < args.steps:
         candidate = params - args.lr * gradient(params)
-        cand_fe, cand_kl, cand_mle = _demo_terms(candidate, prior, y)
+        cand_fe, cand_kl, cand_mle = terms(candidate)
         if cand_fe <= fe + DEMO_SLACK:
             params = candidate
             fe, kl, mle = cand_fe, cand_kl, cand_mle
@@ -281,11 +252,9 @@ def cmd_demo(args) -> int:
                 return 1
 
     _write_demo_csv(args.out, rows)
-    # closed-form target: code length of the observation under the evidence
-    exact = mle_loss(_demo_lens(params))(prior, y)
     print(
         f"final fe={fe!r} kl_term={kl!r} mle_term={mle!r} "
-        f"neg_log_evidence={exact!r}",
+        f"neg_log_evidence={neg_log_evidence!r}",
         file=sys.stderr,
     )
     return 0

@@ -48,7 +48,6 @@ __all__ = [
     "copy_compose",
     "copy_compose_copar",
     "discard_coparam",
-    "drop_unit_factors",
     "tensor",
     "tensor_dist",
     "marginal_dist",
@@ -282,10 +281,6 @@ class CoparKernel:
 Kernelish = Union[FiniteKernel, CoparKernel]
 
 
-def _rows_of(k: Kernelish) -> np.ndarray:
-    return k.rows
-
-
 # ---------------------------------------------------------------------------
 # constructors for common channels
 # ---------------------------------------------------------------------------
@@ -314,10 +309,6 @@ def discard_kernel(s: FiniteSpace) -> FiniteKernel:
 def lift_kernel(k: FiniteKernel) -> CoparKernel:
     """Embed a plain channel as a coparameterized one with unit coparameter."""
     return CoparKernel(k.dom, unit_space(), k.cod, k.rows, copar_side="left")
-
-
-def const_kernel(dom: FiniteSpace, out: Dist) -> FiniteKernel:
-    return FiniteKernel(dom, out.space, np.tile(out.mass, (dom.size, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +384,6 @@ def discard_coparam(f: CoparKernel) -> FiniteKernel:
     if f.copar_side == "left":
         return FiniteKernel(f.dom, f.out, r.sum(axis=1))
     return FiniteKernel(f.dom, f.out, r.sum(axis=2))
-
-
-def drop_unit_factors(f: CoparKernel) -> CoparKernel:
-    """Remove size-1 factors from the coparameter (pure re-bracketing).
-
-    If every coparameter factor is trivial the result keeps a single unit
-    factor so the value remains a valid ``CoparKernel``.
-    """
-    kept = tuple(fl for fl in f.copar.factor_labels if len(fl) > 1)
-    copar = FiniteSpace(kept) if kept else unit_space()
-    return CoparKernel(f.dom, copar, f.out, f.rows, f.copar_side)
 
 
 def tensor(k1: FiniteKernel, k2: FiniteKernel) -> FiniteKernel:
@@ -590,12 +570,12 @@ def almost_sure_eq(
     reference mass.  Rows over null sets are ignored."""
     if k1.dom != k2.dom:
         raise ShapeError("kernels have different domains")
-    if _rows_of(k1).shape != _rows_of(k2).shape:
+    if k1.rows.shape != k2.rows.shape:
         raise ShapeError("kernels have different codomain sizes")
     if ref.space != k1.dom:
         raise ShapeError("reference state is not on the common domain")
     rows = ref.mass > 0
-    diff = np.abs(_rows_of(k1)[rows] - _rows_of(k2)[rows])
+    diff = np.abs(k1.rows[rows] - k2.rows[rows])
     return bool(diff.size == 0 or diff.max() <= tol)
 
 

@@ -26,7 +26,7 @@ import math
 
 from .errors import CompositionError, ShapeError, SingularityError, SupportError
 from .lens import BayesLens, lens_compose
-from .loss import LossFn, LossModel, loss_compose, loss_for
+from .loss import LossFn, LossModel, _lens_doms, loss_compose, loss_for
 
 __all__ = [
     "Game",
@@ -41,12 +41,6 @@ __all__ = [
 STRICT_TOL = 1e-9
 #: witnesses below this are genuine negativity, not roundoff
 NONNEG_FLOOR = -1e-12
-
-
-def _lens_doms(l: BayesLens):
-    if l.instance == "discrete":
-        return l.fwd.dom, l.fwd.out
-    return l.fwd.dom_dim, l.fwd.out_dim
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,10 @@
 """Seeded instance generation and the verification-suite driver.
 
-Every compositional law in this package has a registered suite here that
-draws random instances, evaluates both sides of the law, and reports the
-worst deviation.  Oracle sides are computed with plain index loops in this
-module, sharing nothing with the operations under test beyond primitive
-arithmetic.
+Every compositional law in this package has a registered suite here: a
+trial function that draws one random instance and evaluates both sides of
+the law, run by one driver that seeds each trial and builds its record.
+Oracle sides are computed with plain index loops in this module, sharing
+nothing with the operations under test beyond primitive arithmetic.
 
 Trials are keyed by ``(seed, trial_index)`` through a splittable seed
 sequence, so they are order-independent and a report is reproducible
@@ -13,12 +13,13 @@ byte-for-byte (wall time aside) from its configuration.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,11 +55,13 @@ __all__ = [
     "SuiteConfig",
     "SuiteReport",
     "SUITES",
+    "SUITE_DEFAULTS",
     "gen_kernel",
     "gen_copar_kernel",
     "gen_dist",
     "gen_gauss_channel",
     "gen_gauss_state",
+    "check_suite",
     "run_suite",
 ]
 
@@ -258,23 +261,6 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _record(suite, trial, digest, lhs, rhs, tol) -> dict:
-    lhs, rhs = float(lhs), float(rhs)
-    if math.isinf(lhs) or math.isinf(rhs):
-        err = 0.0 if lhs == rhs else math.inf
-    else:
-        err = abs(lhs - rhs)
-    return {
-        "suite": suite,
-        "trial": trial,
-        "inputs-digest": digest,
-        "lhs": lhs,
-        "rhs": rhs,
-        "abs_err": err,
-        "pass": bool(err <= tol),
-    }
-
-
 # ---------------------------------------------------------------------------
 # oracle helpers (plain loops only)
 # ---------------------------------------------------------------------------
@@ -298,81 +284,66 @@ def _oracle_pushforward(rows: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return out
 
 
+def _oracle_mle_witness(c: BayesLens, d: BayesLens, pi: ds.Dist, z: int) -> float:
+    """Expected inner code length under ``d``'s backward at the pushed
+    prior: the MLE laxness witness, everything including the Bayes rule by
+    explicit loops."""
+    cr = c.fwd.rows
+    sy = c.fwd.out.size
+    smd = c.fwd.copar.size
+    push_mid = _oracle_pushforward(cr, pi.mass)
+    mid_mass = np.zeros(sy)
+    for b in range(sy):
+        for m in range(smd):
+            mid_mass[b] += push_mid[m * sy + b]
+    dr = d.fwd.rows
+    sn = d.fwd.copar.size
+    szd = d.fwd.out.size
+    evidence = 0.0
+    for b in range(sy):
+        for n in range(sn):
+            evidence += dr[b, n * szd + z] * mid_mass[b]
+    want = 0.0
+    for b in range(sy):
+        wb = 0.0
+        for n in range(sn):
+            wb += dr[b, n * szd + z] * mid_mass[b] / evidence
+        if wb > 0:
+            want += wb * (-math.log(mid_mass[b]))
+    return want
+
+
 # ---------------------------------------------------------------------------
-# suites
+# trials: each draws one instance from its rng and evaluates both sides
 # ---------------------------------------------------------------------------
+
+
+class Outcome(NamedTuple):
+    """One trial: the digest of its inputs and the two sides of its law.
+
+    A trial passes when ``|lhs - rhs| <= tolerance`` and ``ok`` holds;
+    ``abs_err``, when given, is reported in place of ``|lhs - rhs|``.
+    """
+
+    digest: str
+    lhs: float
+    rhs: float
+    ok: bool = True
+    abs_err: float | None = None
+
+
+def _worst_pair(pairs) -> tuple[float, float]:
+    """The ``(lhs, rhs)`` pair of largest ``|lhs - rhs|``; ties go to the
+    later pair."""
+    worst, pair = 0.0, (0.0, 0.0)
+    for lhs, rhs in pairs:
+        if abs(lhs - rhs) >= worst:
+            worst, pair = abs(lhs - rhs), (lhs, rhs)
+    return pair
 
 
 def _sizes(rng, cfg: SuiteConfig, n: int):
     return tuple(int(v) for v in rng.integers(1, cfg.max_dim + 1, size=n))
-
-
-def _suite_buco(cfg: SuiteConfig):
-    records = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        if cfg.instance == "discrete":
-            sx, sm, sy, sn, sz = _sizes(rng, cfg, 5)
-            c = exact_lens(
-                _copar_from_rng(rng, _space("x", sx), _space("m", sm), _space("y", sy))
-            )
-            d = exact_lens(
-                _copar_from_rng(rng, _space("y", sy), _space("n", sn), _space("z", sz))
-            )
-            pi = _dist_from_rng(rng, c.fwd.dom)
-            digest = _digest(c.fwd.rows, d.fwd.rows, pi.mass)
-        else:
-            dims = [max(1, v) for v in _sizes(rng, cfg, 5)]
-            dx, dm, dy, dn, dz = dims
-            c = exact_lens(_gauss_channel_from_rng(rng, dx, dm + dy, dm))
-            d = exact_lens(_gauss_channel_from_rng(rng, dy, dn + dz, dn))
-            pi = _gauss_state_from_rng(rng, dx)
-            digest = _digest(c.fwd.A, d.fwd.A, pi.mean, pi.cov)
-        res = buco_residual(c, d, pi)
-        records.append(_record("buco", t, digest, res, 0.0, cfg.tolerance))
-    return records
-
-
-def _suite_chain_rule(cfg: SuiteConfig):
-    records = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        sa, sb, sc = _sizes(rng, cfg, 3)
-        A, B, C = _space("a", sa), _space("b", sb), _space("c", sc)
-        alpha = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
-        alpha2 = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
-        beta = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
-        beta2 = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
-        # law side: divergence between copy-composites
-        lhs_eff = ds.relative_entropy_effect(
-            ds.copy_compose(beta, alpha).as_kernel(),
-            ds.copy_compose(beta2, alpha2).as_kernel(),
-        )
-        worst = 0.0
-        worst_pair = (0.0, 0.0)
-        for a in range(sa):
-            # oracle side: chain-rule form by explicit loops
-            inner = 0.0
-            for b in range(sb):
-                inner += alpha.rows[a, b] * _oracle_kl_rows(
-                    beta.rows[b], beta2.rows[b]
-                )
-            rhs = inner + _oracle_kl_rows(alpha.rows[a], alpha2.rows[a])
-            err = abs(lhs_eff.values[a] - rhs)
-            if err >= worst:
-                worst = err
-                worst_pair = (lhs_eff.values[a], rhs)
-        records.append(
-            _record(
-                "chain-rule",
-                t,
-                _digest(alpha.rows, alpha2.rows, beta.rows, beta2.rows),
-                worst_pair[0],
-                worst_pair[1],
-                cfg.tolerance,
-            )
-        )
-    return records
 
 
 def _exact_pair_from_rng(rng, cfg):
@@ -386,84 +357,68 @@ def _exact_pair_from_rng(rng, cfg):
     return c, d, sz
 
 
-def _suite_kl_strict(cfg: SuiteConfig):
-    records = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        c, d, sz = _exact_pair_from_rng(rng, cfg)
-        worst = 0.0
-        for _ in range(PROBES_PER_PAIR):
-            pi = _dist_from_rng(rng, c.fwd.dom)
-            z = int(rng.integers(0, sz))
-            k = laxness_witness(LossModel.KL, d, c, pi, z)
-            worst = max(worst, abs(k))
-        records.append(
-            _record(
-                "kl-strict",
-                t,
-                _digest(c.fwd.rows, d.fwd.rows),
-                worst,
-                0.0,
-                cfg.tolerance,
-            )
-        )
-    return records
+def _probes(rng, c, sz):
+    """Priors and final observations at which a lens pair is probed."""
+    for _ in range(PROBES_PER_PAIR):
+        pi = _dist_from_rng(rng, c.fwd.dom)
+        yield pi, int(rng.integers(0, sz))
 
 
-def _suite_mle_lax(cfg: SuiteConfig):
+def _buco_trial(rng, cfg: SuiteConfig) -> Outcome:
+    if cfg.instance == "discrete":
+        c, d, _ = _exact_pair_from_rng(rng, cfg)
+        pi = _dist_from_rng(rng, c.fwd.dom)
+        digest = _digest(c.fwd.rows, d.fwd.rows, pi.mass)
+    else:
+        dx, dm, dy, dn, dz = _sizes(rng, cfg, 5)
+        c = exact_lens(_gauss_channel_from_rng(rng, dx, dm + dy, dm))
+        d = exact_lens(_gauss_channel_from_rng(rng, dy, dn + dz, dn))
+        pi = _gauss_state_from_rng(rng, dx)
+        digest = _digest(c.fwd.A, d.fwd.A, pi.mean, pi.cov)
+    return Outcome(digest, buco_residual(c, d, pi), 0.0)
+
+
+def _chain_rule_trial(rng, cfg: SuiteConfig) -> Outcome:
+    sa, sb, sc = _sizes(rng, cfg, 3)
+    A, B, C = _space("a", sa), _space("b", sb), _space("c", sc)
+    alpha = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
+    alpha2 = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
+    beta = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
+    beta2 = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
+    # law side: divergence between copy-composites
+    lhs_eff = ds.relative_entropy_effect(
+        ds.copy_compose(beta, alpha).as_kernel(),
+        ds.copy_compose(beta2, alpha2).as_kernel(),
+    )
+    pairs = []
+    for a in range(sa):
+        # oracle side: chain-rule form by explicit loops
+        inner = 0.0
+        for b in range(sb):
+            inner += alpha.rows[a, b] * _oracle_kl_rows(beta.rows[b], beta2.rows[b])
+        rhs = inner + _oracle_kl_rows(alpha.rows[a], alpha2.rows[a])
+        pairs.append((lhs_eff.values[a], rhs))
+    digest = _digest(alpha.rows, alpha2.rows, beta.rows, beta2.rows)
+    return Outcome(digest, *_worst_pair(pairs))
+
+
+def _kl_strict_trial(rng, cfg: SuiteConfig) -> Outcome:
+    c, d, sz = _exact_pair_from_rng(rng, cfg)
+    worst = 0.0
+    for pi, z in _probes(rng, c, sz):
+        worst = max(worst, abs(laxness_witness(LossModel.KL, d, c, pi, z)))
+    return Outcome(_digest(c.fwd.rows, d.fwd.rows), worst, 0.0)
+
+
+def _mle_lax_trial(rng, cfg: SuiteConfig) -> Outcome:
     floor = -1e-12
-    records = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        c, d, sz = _exact_pair_from_rng(rng, cfg)
-        worst_err = 0.0
-        worst_pair = (0.0, 0.0)
-        nonneg_ok = True
-        for _ in range(PROBES_PER_PAIR):
-            pi = _dist_from_rng(rng, c.fwd.dom)
-            z = int(rng.integers(0, sz))
-            k = laxness_witness(LossModel.MLE, d, c, pi, z)
-            if k < floor:
-                nonneg_ok = False
-            # oracle: expected inner code length under d's backward,
-            # everything by explicit loops including the Bayes rule
-            cr = c.fwd.rows
-            sy = c.fwd.out.size
-            smd = c.fwd.copar.size
-            push_mid = _oracle_pushforward(cr, pi.mass)
-            mid_mass = np.zeros(sy)
-            for b in range(sy):
-                for m in range(smd):
-                    mid_mass[b] += push_mid[m * sy + b]
-            dr = d.fwd.rows
-            sn = d.fwd.copar.size
-            szd = d.fwd.out.size
-            evidence = 0.0
-            for b in range(sy):
-                for n in range(sn):
-                    evidence += dr[b, n * szd + z] * mid_mass[b]
-            want = 0.0
-            for b in range(sy):
-                wb = 0.0
-                for n in range(sn):
-                    wb += dr[b, n * szd + z] * mid_mass[b] / evidence
-                if wb > 0:
-                    want += wb * (-math.log(mid_mass[b]))
-            err = abs(k - want)
-            if err >= worst_err:
-                worst_err = err
-                worst_pair = (k, want)
-        rec = _record(
-            "mle-lax",
-            t,
-            _digest(c.fwd.rows, d.fwd.rows),
-            worst_pair[0],
-            worst_pair[1],
-            cfg.tolerance,
-        )
-        rec["pass"] = bool(rec["pass"] and nonneg_ok)
-        records.append(rec)
-    return records
+    c, d, sz = _exact_pair_from_rng(rng, cfg)
+    pairs = [
+        (laxness_witness(LossModel.MLE, d, c, pi, z), _oracle_mle_witness(c, d, pi, z))
+        for pi, z in _probes(rng, c, sz)
+    ]
+    nonneg_ok = not any(k < floor for k, _ in pairs)
+    return Outcome(_digest(c.fwd.rows, d.fwd.rows), *_worst_pair(pairs), ok=nonneg_ok)
 
 
 def _random_simple_lens(rng, cfg):
@@ -472,55 +427,29 @@ def _random_simple_lens(rng, cfg):
     return _perturbed_lens_from_rng(rng, fwd), sy
 
 
-def _suite_fe_sum(cfg: SuiteConfig):
-    records = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        lens, sy = _random_simple_lens(rng, cfg)
-        pi = _dist_from_rng(rng, lens.fwd.dom)
-        y = int(rng.integers(0, sy))
-        lhs = fe_loss(lens)(pi, y)
-        rhs = kl_loss(lens)(pi, y) + mle_loss(lens)(pi, y)
-        records.append(
-            _record("fe-sum", t, _digest(lens.fwd.rows, pi.mass), lhs, rhs, cfg.tolerance)
-        )
-    return records
+def _fe_sum_trial(rng, cfg: SuiteConfig) -> Outcome:
+    lens, sy = _random_simple_lens(rng, cfg)
+    pi = _dist_from_rng(rng, lens.fwd.dom)
+    y = int(rng.integers(0, sy))
+    lhs = fe_loss(lens)(pi, y)
+    rhs = kl_loss(lens)(pi, y) + mle_loss(lens)(pi, y)
+    return Outcome(_digest(lens.fwd.rows, pi.mass), lhs, rhs)
 
 
-def _suite_fe_joint(cfg: SuiteConfig):
-    records = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        lens, sy = _random_simple_lens(rng, cfg)
-        pi = _dist_from_rng(rng, lens.fwd.dom)
-        worst = (0.0, 0.0, 0.0)
-        for y in range(sy):
-            lhs = fe_joint_form(lens)(pi, y)
-            rhs = fe_loss(lens)(pi, y)
-            if abs(lhs - rhs) >= worst[0]:
-                worst = (abs(lhs - rhs), lhs, rhs)
-        records.append(
-            _record(
-                "fe-joint", t, _digest(lens.fwd.rows, pi.mass), worst[1], worst[2], cfg.tolerance
-            )
-        )
-    return records
+def _fe_joint_trial(rng, cfg: SuiteConfig) -> Outcome:
+    lens, sy = _random_simple_lens(rng, cfg)
+    pi = _dist_from_rng(rng, lens.fwd.dom)
+    joint, fe = fe_joint_form(lens), fe_loss(lens)
+    pairs = [(joint(pi, y), fe(pi, y)) for y in range(sy)]
+    return Outcome(_digest(lens.fwd.rows, pi.mass), *_worst_pair(pairs))
 
 
-def _suite_thermo(cfg: SuiteConfig):
-    records = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        lens, sy = _random_simple_lens(rng, cfg)
-        pi = _dist_from_rng(rng, lens.fwd.dom)
-        y = int(rng.integers(0, sy))
-        energy, entropy = energy_entropy_decomp(lens, pi, y)
-        lhs = energy - entropy
-        rhs = fe_loss(lens)(pi, y)
-        records.append(
-            _record("thermo", t, _digest(lens.fwd.rows, pi.mass), lhs, rhs, cfg.tolerance)
-        )
-    return records
+def _thermo_trial(rng, cfg: SuiteConfig) -> Outcome:
+    lens, sy = _random_simple_lens(rng, cfg)
+    pi = _dist_from_rng(rng, lens.fwd.dom)
+    y = int(rng.integers(0, sy))
+    energy, entropy = energy_entropy_decomp(lens, pi, y)
+    return Outcome(_digest(lens.fwd.rows, pi.mass), energy - entropy, fe_loss(lens)(pi, y))
 
 
 def _laplace_style_lens(fwd, cov):
@@ -531,48 +460,42 @@ def _laplace_style_lens(fwd, cov):
     return BayesLens(fwd=fwd, bwd=bwd, simple=True)
 
 
-def _suite_laplace(cfg: SuiteConfig):
-    records = []
+def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
     max_dim = min(cfg.max_dim, 4)
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        dx, dm, dy = (
-            int(rng.integers(1, max_dim)),
-            int(rng.integers(0, 2)),
-            int(rng.integers(1, max_dim)),
-        )
-        # conditioning: the gap identity is checked at an absolute
-        # tolerance, so keep precision-matrix magnitudes moderate here
-        fwd = _gauss_channel_from_rng(rng, dx, dm + dy, dm, noise_floor=0.05)
-        pi = _gauss_state_from_rng(rng, dx)
-        y = rng.uniform(-1.0, 1.0, size=dy)
-        nz = dx + dm
-        l = rng.uniform(-1.0, 1.0, size=(nz, nz))
-        cov = l @ l.T + 0.1 * np.eye(nz)
-        digest = _digest(fwd.A, pi.mean, cov, y)
-        # gap equals half the trace of (cov x Hessian)
+    dx, dm, dy = (
+        int(rng.integers(1, max_dim)),
+        int(rng.integers(0, 2)),
+        int(rng.integers(1, max_dim)),
+    )
+    # conditioning: the gap identity is checked at an absolute
+    # tolerance, so keep precision-matrix magnitudes moderate here
+    fwd = _gauss_channel_from_rng(rng, dx, dm + dy, dm, noise_floor=0.05)
+    pi = _gauss_state_from_rng(rng, dx)
+    y = rng.uniform(-1.0, 1.0, size=dy)
+    nz = dx + dm
+    l = rng.uniform(-1.0, 1.0, size=(nz, nz))
+    cov = l @ l.T + 0.1 * np.eye(nz)
+
+    def gap(cov):
         lens = _laplace_style_lens(fwd, cov)
-        gap = fe_loss(lens)(pi, y) - lfe_loss(lens)(pi, y)
-        want = 0.5 * float(np.trace(np.linalg.solve(laplace_sigma(lens, pi, y), cov)))
-        err1 = abs(gap - want)
-        # scaling: one decade in covariance scales the gap by ten
-        gaps = []
-        for eps in (1e-1, 1e-2, 1e-3):
-            lens_eps = _laplace_style_lens(fwd, eps * cov)
-            gaps.append(fe_loss(lens_eps)(pi, y) - lfe_loss(lens_eps)(pi, y))
-        ratio_err = max(
-            abs(gaps[0] / gaps[1] - 10.0), abs(gaps[1] / gaps[2] - 10.0)
-        )
-        scaling_ok = ratio_err <= 0.1
-        # the self-consistent covariance makes the gap exactly dim/2
-        lens_star = _laplace_style_lens(fwd, laplace_sigma(lens, pi, y))
-        gap_star = fe_loss(lens_star)(pi, y) - lfe_loss(lens_star)(pi, y)
-        err3 = abs(gap_star - nz / 2.0)
-        rec = _record("laplace", t, digest, gap, want, cfg.tolerance)
-        rec["pass"] = bool(rec["pass"] and scaling_ok and err3 <= 1e-9)
-        rec["abs_err"] = max(err1, err3)
-        records.append(rec)
-    return records
+        return fe_loss(lens)(pi, y) - lfe_loss(lens)(pi, y)
+
+    # gap equals half the trace of (cov x Hessian)
+    sigma = laplace_sigma(_laplace_style_lens(fwd, cov), pi, y)
+    want = 0.5 * float(np.trace(np.linalg.solve(sigma, cov)))
+    gap0 = gap(cov)
+    # scaling: one decade in covariance scales the gap by ten
+    gaps = [gap(eps * cov) for eps in (1e-1, 1e-2, 1e-3)]
+    ratio_err = max(abs(gaps[0] / gaps[1] - 10.0), abs(gaps[1] / gaps[2] - 10.0))
+    # the self-consistent covariance makes the gap exactly dim/2
+    err3 = abs(gap(sigma) - nz / 2.0)
+    return Outcome(
+        _digest(fwd.A, pi.mean, cov, y),
+        gap0,
+        want,
+        ok=ratio_err <= 0.1 and err3 <= 1e-9,
+        abs_err=max(abs(gap0 - want), err3),
+    )
 
 
 def _tensor_pair_from_rng(rng, cfg, instance):
@@ -632,207 +555,229 @@ def _laxator_contract_err(model, c, d, omega, y, y2):
     return lhs, rhs
 
 
-def _suite_laxators(cfg: SuiteConfig):
-    records = []
+def _laxators_trial(rng, cfg: SuiteConfig) -> Outcome:
     product_tol = 1e-12
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        worst = (0.0, 0.0, 0.0)
-        ok = True
-        # discrete models on a correlated and a product prior
-        c, d = _tensor_pair_from_rng(rng, cfg, "discrete")
-        omega = _correlated_prior(rng, c, d, "discrete", product=False)
-        prod = _correlated_prior(rng, c, d, "discrete", product=True)
-        y, y2 = _random_obs(rng, c, "discrete"), _random_obs(rng, d, "discrete")
-        digest = _digest(c.fwd.rows, d.fwd.rows, omega.mass)
-        for model in (LossModel.KL, LossModel.MLE, LossModel.FE):
-            lhs, rhs = _laxator_contract_err(model, c, d, omega, y, y2)
-            if abs(lhs - rhs) >= worst[0]:
-                worst = (abs(lhs - rhs), lhs, rhs)
-            lam0 = laxator(model, c, d, prod, y, y2)
-            ok = ok and abs(lam0) <= product_tol
-        # Gaussian instance carries the Laplace model
-        cg, dg = _tensor_pair_from_rng(rng, cfg, "gaussian")
-        omega_g = _correlated_prior(rng, cg, dg, "gaussian", product=False)
-        prod_g = _correlated_prior(rng, cg, dg, "gaussian", product=True)
-        yg, yg2 = _random_obs(rng, cg, "gaussian"), _random_obs(rng, dg, "gaussian")
-        lhs, rhs = _laxator_contract_err(LossModel.LFE, cg, dg, omega_g, yg, yg2)
-        if abs(lhs - rhs) >= worst[0]:
-            worst = (abs(lhs - rhs), lhs, rhs)
-        lam0 = laxator(LossModel.LFE, cg, dg, prod_g, yg, yg2)
-        ok = ok and abs(lam0) <= product_tol
-        rec = _record("laxators", t, digest, worst[1], worst[2], cfg.tolerance)
-        rec["pass"] = bool(rec["pass"] and ok)
-        records.append(rec)
-    return records
+    pairs, product_defects = [], []
+    # discrete models on a correlated and a product prior; the Gaussian
+    # instance carries the Laplace model
+    for instance, models in (
+        ("discrete", (LossModel.KL, LossModel.MLE, LossModel.FE)),
+        ("gaussian", (LossModel.LFE,)),
+    ):
+        c, d = _tensor_pair_from_rng(rng, cfg, instance)
+        omega = _correlated_prior(rng, c, d, instance, product=False)
+        prod = _correlated_prior(rng, c, d, instance, product=True)
+        y, y2 = _random_obs(rng, c, instance), _random_obs(rng, d, instance)
+        if instance == "discrete":
+            digest = _digest(c.fwd.rows, d.fwd.rows, omega.mass)
+        for model in models:
+            pairs.append(_laxator_contract_err(model, c, d, omega, y, y2))
+            product_defects.append(laxator(model, c, d, prod, y, y2))
+    ok = all(abs(lam0) <= product_tol for lam0 in product_defects)
+    return Outcome(digest, *_worst_pair(pairs), ok=ok)
 
 
-def _suite_lax_naturality(cfg: SuiteConfig):
-    records = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        # two composable columns: c then e, and d then f
-        sizes = [int(v) for v in rng.integers(2, 3 + 1, size=4)]
-        sx, sy, sz, sm = sizes
-        c = exact_lens(
-            _copar_from_rng(rng, _space("x", sx), _space("m", 2), _space("y", sy))
+def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
+    # two composable columns: c then e, and d then f
+    sizes = [int(v) for v in rng.integers(2, 3 + 1, size=4)]
+    sx, sy, sz, sm = sizes
+    c = exact_lens(
+        _copar_from_rng(rng, _space("x", sx), _space("m", 2), _space("y", sy))
+    )
+    e = exact_lens(
+        _copar_from_rng(rng, _space("y", sy), _space("n", 2), _space("z", sz))
+    )
+    d = exact_lens(
+        _copar_from_rng(rng, _space("u", 2), _space("v", 2), _space("w", sm))
+    )
+    f = exact_lens(
+        _copar_from_rng(rng, _space("w", sm), _space("q", 2), _space("r", 2))
+    )
+    omega = _dist_from_rng(rng, c.fwd.dom.product(d.fwd.dom))
+    z = int(rng.integers(0, sz))
+    z2 = int(rng.integers(0, 2))
+    digest = _digest(c.fwd.rows, d.fwd.rows, e.fwd.rows, f.fwd.rows, omega.mass)
+    w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+    cd = lens_tensor(c, d)
+    ef = lens_tensor(e, f)
+    pushed = prior_pushforward(cd.fwd)(omega)
+    sz2 = f.fwd.out.size
+    joint_obs = z * sz2 + z2
+    pairs = []
+    for model in (LossModel.KL, LossModel.MLE, LossModel.FE):
+        lhs = laxator(
+            model, lens_compose(e, c), lens_compose(f, d), omega, z, z2
+        ) + laxness_witness(model, ef, cd, omega, joint_obs)
+        # middle term: expected first-stage laxator over the second
+        # stage's backward at the pushed prior
+        back = discard(ef.bwd(pushed))
+        weights = back.rows[joint_obs]
+        sy2 = f.fwd.dom.size
+        mid = 0.0
+        for yy in range(e.fwd.dom.size):
+            for yy2 in range(sy2):
+                wgt = weights[yy * sy2 + yy2]
+                if wgt > 0:
+                    mid += wgt * laxator(model, c, d, omega, yy, yy2)
+        rhs = (
+            laxator(model, e, f, pushed, z, z2)
+            + mid
+            + laxness_witness(model, e, c, w1, z)
+            + laxness_witness(model, f, d, w2, z2)
         )
-        e = exact_lens(
-            _copar_from_rng(rng, _space("y", sy), _space("n", 2), _space("z", sz))
-        )
-        d = exact_lens(
-            _copar_from_rng(rng, _space("u", 2), _space("v", 2), _space("w", sm))
-        )
-        f = exact_lens(
-            _copar_from_rng(rng, _space("w", sm), _space("q", 2), _space("r", 2))
-        )
-        omega = _dist_from_rng(rng, c.fwd.dom.product(d.fwd.dom))
-        z = int(rng.integers(0, sz))
-        z2 = int(rng.integers(0, 2))
-        digest = _digest(c.fwd.rows, d.fwd.rows, e.fwd.rows, f.fwd.rows, omega.mass)
-        w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-        cd = lens_tensor(c, d)
-        ef = lens_tensor(e, f)
-        pushed = prior_pushforward(cd.fwd)(omega)
-        sz2 = f.fwd.out.size
-        joint_obs = z * sz2 + z2
-        worst = (0.0, 0.0, 0.0)
-        for model in (LossModel.KL, LossModel.MLE, LossModel.FE):
-            lhs = laxator(
-                model, lens_compose(e, c), lens_compose(f, d), omega, z, z2
-            ) + laxness_witness(model, ef, cd, omega, joint_obs)
-            # middle term: expected first-stage laxator over the second
-            # stage's backward at the pushed prior
-            back = discard(ef.bwd(pushed))
-            weights = back.rows[joint_obs]
-            sy2 = f.fwd.dom.size
-            mid = 0.0
-            for yy in range(e.fwd.dom.size):
-                for yy2 in range(sy2):
-                    wgt = weights[yy * sy2 + yy2]
-                    if wgt > 0:
-                        mid += wgt * laxator(model, c, d, omega, yy, yy2)
-            rhs = (
-                laxator(model, e, f, pushed, z, z2)
-                + mid
-                + laxness_witness(model, e, c, w1, z)
-                + laxness_witness(model, f, d, w2, z2)
-            )
-            if abs(lhs - rhs) >= worst[0]:
-                worst = (abs(lhs - rhs), lhs, rhs)
-        records.append(
-            _record("lax-naturality", t, digest, worst[1], worst[2], cfg.tolerance)
-        )
-    return records
+        pairs.append((lhs, rhs))
+    return Outcome(digest, *_worst_pair(pairs))
 
 
 def _dyadic(rng, size, scale=2**20):
     return rng.integers(0, 3 * scale, size=size).astype(float) / scale
 
 
-def _suite_bilinear(cfg: SuiteConfig):
-    records = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        sa, sb = _sizes(rng, cfg, 2)
-        A, B = _space("a", sa), _space("b", sb)
-        f = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
-        g = ds.Effect(B, rng.uniform(0.0, 3.0, size=sb))
-        g2 = ds.Effect(B, rng.uniform(0.0, 3.0, size=sb))
-        lhs_eff = ds.effect_precompose(ds.effect_add(g, g2), f)
-        rhs_eff = ds.effect_add(
-            ds.effect_precompose(g, f), ds.effect_precompose(g2, f)
+def _bilinear_trial(rng, cfg: SuiteConfig) -> Outcome:
+    sa, sb = _sizes(rng, cfg, 2)
+    A, B = _space("a", sa), _space("b", sb)
+    f = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
+    g = ds.Effect(B, rng.uniform(0.0, 3.0, size=sb))
+    g2 = ds.Effect(B, rng.uniform(0.0, 3.0, size=sb))
+    lhs_eff = ds.effect_precompose(ds.effect_add(g, g2), f)
+    rhs_eff = ds.effect_add(ds.effect_precompose(g, f), ds.effect_precompose(g2, f))
+    err = float(np.max(np.abs(lhs_eff.values - rhs_eff.values)))
+    # monoid laws, exact: dyadic values make float addition lossless
+    h1 = ds.Effect(B, _dyadic(rng, sb))
+    h2 = ds.Effect(B, _dyadic(rng, sb))
+    h3 = ds.Effect(B, _dyadic(rng, sb))
+    zero = ds.Effect(B, np.zeros(sb))
+    monoid_ok = (
+        np.array_equal(ds.effect_add(h1, zero).values, h1.values)
+        and np.array_equal(
+            ds.effect_add(h1, h2).values, ds.effect_add(h2, h1).values
         )
-        err = float(np.max(np.abs(lhs_eff.values - rhs_eff.values)))
-        worst_lhs = float(lhs_eff.values[0])
-        worst_rhs = float(rhs_eff.values[0])
-        # monoid laws, exact: dyadic values make float addition lossless
-        h1 = ds.Effect(B, _dyadic(rng, sb))
-        h2 = ds.Effect(B, _dyadic(rng, sb))
-        h3 = ds.Effect(B, _dyadic(rng, sb))
-        zero = ds.Effect(B, np.zeros(sb))
-        ok = (
-            np.array_equal(ds.effect_add(h1, zero).values, h1.values)
-            and np.array_equal(
-                ds.effect_add(h1, h2).values, ds.effect_add(h2, h1).values
-            )
-            and np.array_equal(
-                ds.effect_add(ds.effect_add(h1, h2), h3).values,
-                ds.effect_add(h1, ds.effect_add(h2, h3)).values,
-            )
+        and np.array_equal(
+            ds.effect_add(ds.effect_add(h1, h2), h3).values,
+            ds.effect_add(h1, ds.effect_add(h2, h3)).values,
         )
-        rec = _record(
-            "bilinear", t, _digest(f.rows, g.values, g2.values), worst_lhs, worst_rhs, cfg.tolerance
-        )
-        rec["abs_err"] = err
-        rec["pass"] = bool(err <= cfg.tolerance and ok)
-        records.append(rec)
-    return records
+    )
+    return Outcome(
+        _digest(f.rows, g.values, g2.values),
+        float(lhs_eff.values[0]),
+        float(rhs_eff.values[0]),
+        ok=err <= cfg.tolerance and monoid_ok,
+        abs_err=err,
+    )
 
 
-def _suite_stochasticity(cfg: SuiteConfig):
+def _stochasticity_trial(rng, cfg: SuiteConfig) -> Outcome:
+    sa, sb, sc, sm = _sizes(rng, cfg, 4)
+    A, B, C, M = (
+        _space("a", sa),
+        _space("b", sb),
+        _space("c", sc),
+        _space("m", sm),
+    )
+    c = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
+    d = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
+    fcop = _copar_from_rng(rng, A, M, B)
+    pi = _dist_from_rng(rng, A)
+    arrays = [
+        ds.push(c, pi).mass[None, :],
+        ds.compose(d, c).rows,
+        ds.copy_compose(d, c).rows,
+        ds.tensor(c, d).rows,
+        ds.bayes_invert(fcop, pi)[0].rows,
+    ]
+    worst = max(float(np.max(np.abs(a.sum(axis=1) - 1.0))) for a in arrays)
+    return Outcome(_digest(c.rows, d.rows, fcop.rows, pi.mass), worst, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# registry and driver
+# ---------------------------------------------------------------------------
+
+#: defaults per suite and per instance it supports: trial counts sized so
+#: the default run is the full certification, tolerances as tight as the
+#: arithmetic supports.  A suite runs only on the instances listed here.
+SUITE_DEFAULTS: dict[str, dict[str, dict]] = {
+    "buco": {
+        "discrete": dict(trials=500, max_dim=5, tolerance=1e-9),
+        "gaussian": dict(trials=100, max_dim=3, tolerance=1e-8),
+    },
+    "chain-rule": {"discrete": dict(trials=500, max_dim=4, tolerance=1e-9)},
+    "kl-strict": {"discrete": dict(trials=200, max_dim=4, tolerance=1e-9)},
+    "mle-lax": {"discrete": dict(trials=200, max_dim=4, tolerance=1e-9)},
+    "fe-sum": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-12)},
+    "fe-joint": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-9)},
+    "thermo": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-9)},
+    "laplace": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-8)},
+    "laxators": {"discrete": dict(trials=200, max_dim=3, tolerance=1e-8)},
+    "lax-naturality": {"discrete": dict(trials=100, max_dim=3, tolerance=1e-8)},
+    "bilinear": {"discrete": dict(trials=500, max_dim=4, tolerance=1e-12)},
+    "stochasticity": {"discrete": dict(trials=200, max_dim=4, tolerance=1e-12)},
+}
+
+
+def _run_trials(suite: str, trial: Callable, cfg: SuiteConfig) -> list[dict]:
+    """The one trial loop: trial ``t`` draws from its own ``(seed, t)``
+    stream, so a longer run extends a shorter one record for record."""
     records = []
     for t in range(cfg.trials):
-        rng = _rng(cfg.seed, t)
-        sa, sb, sc, sm = _sizes(rng, cfg, 4)
-        A, B, C, M = (
-            _space("a", sa),
-            _space("b", sb),
-            _space("c", sc),
-            _space("m", sm),
-        )
-        c = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
-        d = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
-        fcop = _copar_from_rng(rng, A, M, B)
-        pi = _dist_from_rng(rng, A)
-        arrays = [
-            ds.push(c, pi).mass[None, :],
-            ds.compose(d, c).rows,
-            ds.copy_compose(d, c).rows,
-            ds.tensor(c, d).rows,
-            ds.bayes_invert(fcop, pi)[0].rows,
-        ]
-        worst = max(float(np.max(np.abs(a.sum(axis=1) - 1.0))) for a in arrays)
-        records.append(
-            _record(
-                "stochasticity",
-                t,
-                _digest(c.rows, d.rows, fcop.rows, pi.mass),
-                worst,
-                0.0,
-                cfg.tolerance,
-            )
-        )
+        out = trial(_rng(cfg.seed, t), cfg)
+        lhs, rhs = float(out.lhs), float(out.rhs)
+        if math.isinf(lhs) or math.isinf(rhs):
+            err = 0.0 if lhs == rhs else math.inf
+        else:
+            err = abs(lhs - rhs)
+        records.append({
+            "suite": suite,
+            "trial": t,
+            "inputs-digest": out.digest,
+            "lhs": lhs,
+            "rhs": rhs,
+            "abs_err": err if out.abs_err is None else out.abs_err,
+            "pass": bool(err <= cfg.tolerance and out.ok),
+        })
     return records
 
 
 SUITES: dict[str, Callable] = {
-    "buco": _suite_buco,
-    "chain-rule": _suite_chain_rule,
-    "kl-strict": _suite_kl_strict,
-    "mle-lax": _suite_mle_lax,
-    "fe-sum": _suite_fe_sum,
-    "fe-joint": _suite_fe_joint,
-    "thermo": _suite_thermo,
-    "laplace": _suite_laplace,
-    "laxators": _suite_laxators,
-    "lax-naturality": _suite_lax_naturality,
-    "bilinear": _suite_bilinear,
-    "stochasticity": _suite_stochasticity,
+    name: functools.partial(_run_trials, name, trial)
+    for name, trial in {
+        "buco": _buco_trial,
+        "chain-rule": _chain_rule_trial,
+        "kl-strict": _kl_strict_trial,
+        "mle-lax": _mle_lax_trial,
+        "fe-sum": _fe_sum_trial,
+        "fe-joint": _fe_joint_trial,
+        "thermo": _thermo_trial,
+        "laplace": _laplace_trial,
+        "laxators": _laxators_trial,
+        "lax-naturality": _lax_naturality_trial,
+        "bilinear": _bilinear_trial,
+        "stochasticity": _stochasticity_trial,
+    }.items()
 }
+
+
+def check_suite(suite: str, instance: str) -> None:
+    """Raise ``ShapeError`` unless ``suite`` is registered for ``instance``."""
+    if suite not in SUITES:
+        known = ", ".join(sorted(SUITES))
+        raise ShapeError(f"unknown suite {suite!r}; registered suites: {known}")
+    if instance not in SUITE_DEFAULTS[suite]:
+        having = sorted(s for s, rows in SUITE_DEFAULTS.items() if instance in rows)
+        raise ShapeError(
+            f"suite {suite!r} has no {instance} instance; suites with one: "
+            + ", ".join(having)
+        )
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Execute one registered suite and collect its records."""
-    if cfg.suite not in SUITES:
-        known = ", ".join(sorted(SUITES))
-        raise ShapeError(f"unknown suite {cfg.suite!r}; registered: {known}")
+    check_suite(cfg.suite, cfg.instance)
     start = time.perf_counter()
     records = SUITES[cfg.suite](cfg)
-    report = SuiteReport(
+    return SuiteReport(
         suite=cfg.suite,
         config=cfg,
         records=records,
         wall_time_s=time.perf_counter() - start,
     )
-    return report

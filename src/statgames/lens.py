@@ -110,13 +110,6 @@ def channel_tensor(ch1: Channel, ch2: Channel) -> Channel:
     return gs.g_tensor_channel(ch1, ch2)
 
 
-def _dom_arity(ch: Channel):
-    """(factor count, coordinate count) of the domain, instance-appropriate."""
-    if isinstance(ch, ds.CoparKernel):
-        return ch.dom.n_factors
-    return ch.dom_dim
-
-
 def prior_marginals(omega: State, ch1: Channel, ch2: Channel):
     """Split a joint prior on ``dom(ch1) (x) dom(ch2)`` into its marginals."""
     if instance_of(omega) == "discrete":

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import discrete as ds
 from . import gaussian as gs
-from .errors import InstanceError, ShapeError
+from .errors import InstanceError, ShapeError, SingularityError
 from .lens import (
     BayesLens,
     apply_channel,

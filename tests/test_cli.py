@@ -70,6 +70,22 @@ class TestVerify:
         )
         assert rc == 0
 
+    def test_gaussian_buco_defaults(self, report_dir, capsys):
+        assert main(["verify", "--suite", "buco", "--instance", "gaussian"]) == 0
+        body = json.loads((report_dir / "buco.json").read_text())
+        assert body["n_trials"] == 100
+        assert body["config"]["max_dim"] == 3
+        assert body["config"]["tolerance"] == 1e-8
+        assert body["config"]["instance"] == "gaussian"
+
+    @pytest.mark.parametrize("suite", ["kl-strict", "all"])
+    def test_unsupported_instance_exits_2(self, report_dir, capsys, suite):
+        rc = main(["verify", "--suite", suite, "--instance", "gaussian"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "buco" in captured.err and captured.out == ""
+        assert not report_dir.exists()
+
     def test_reports_are_reproducible(self, report_dir):
         args = ["verify", "--suite", "bilinear", "--trials", "10", "--seed", "3"]
         main(args)

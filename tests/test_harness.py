@@ -7,6 +7,7 @@ import pytest
 
 from statgames.errors import ShapeError
 from statgames.harness import (
+    SUITE_DEFAULTS,
     SUITES,
     SuiteConfig,
     gen_copar_kernel,
@@ -104,17 +105,23 @@ class TestRunSuite:
     def test_registry_is_complete(self):
         assert set(SUITES) == REGISTERED
 
+    def test_every_suite_has_discrete_defaults(self):
+        assert set(SUITE_DEFAULTS) == REGISTERED
+        for rows in SUITE_DEFAULTS.values():
+            assert set(rows["discrete"]) == {"trials", "max_dim", "tolerance"}
+
+    def test_unsupported_instance_rejected(self):
+        with pytest.raises(ShapeError, match="buco"):
+            run_suite(SuiteConfig("kl-strict", instance="gaussian"))
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ShapeError, match="registered"):
             run_suite(SuiteConfig(suite="nonsense"))
 
     @pytest.mark.parametrize("name", sorted(REGISTERED))
     def test_each_suite_passes_smoke(self, name):
-        tol = {"fe-sum": 1e-12, "bilinear": 1e-12, "stochasticity": 1e-12,
-               "laplace": 1e-8, "laxators": 1e-8, "lax-naturality": 1e-8}
-        cfg = SuiteConfig(
-            suite=name, trials=5, seed=7, max_dim=3, tolerance=tol.get(name, 1e-9)
-        )
+        tol = SUITE_DEFAULTS[name]["discrete"]["tolerance"]
+        cfg = SuiteConfig(suite=name, trials=5, seed=7, max_dim=3, tolerance=tol)
         report = run_suite(cfg)
         assert report.passed, report.summary_line()
         assert len(report.records) == 5

@@ -12,7 +12,8 @@ import pytest
 
 from statgames import discrete as ds
 from statgames import gaussian as gs
-from statgames.errors import InstanceError, SupportError
+from statgames import loss as loss_module
+from statgames.errors import InstanceError, SingularityError, SupportError
 from statgames.lens import (
     BayesLens,
     exact_inversion,
@@ -356,6 +357,15 @@ class TestLaplace:
         (X,) = spaces(2)
         with pytest.raises(InstanceError):
             lfe_loss(exact_lens(ds.identity_kernel(X)))
+
+    def test_singular_hessian_raises_singularity_error(self, monkeypatch):
+        monkeypatch.setattr(
+            loss_module, "_gauss_energy_hessian", lambda fwd, pi: np.zeros((2, 2))
+        )
+        fwd = gs.GaussChannel([[1.0]], [0.0], [[1.0]])
+        pi = gs.GaussState([0.0], [[1.0]])
+        with pytest.raises(SingularityError):
+            laplace_sigma(exact_lens(fwd), pi, [0.7])
 
 
 class TestLossCompose:
