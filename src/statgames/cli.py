@@ -96,16 +96,14 @@ def _suite_config(name: str, args) -> SuiteConfig:
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
-        try:
-            check_suite(name, args.instance)
-        except ShapeError as e:
-            print(e, file=sys.stderr)
-            return 2
+        check_suite(name, args.instance)
+    # every configuration is checked before any suite runs or writes
+    configs = [_suite_config(name, args) for name in names]
     report_dir = os.environ.get("STATGAMES_REPORT_DIR", "reports")
     reports = []
     all_pass = True
-    for name in names:
-        report = run_suite(_suite_config(name, args))
+    for name, cfg in zip(names, configs):
+        report = run_suite(cfg)
         reports.append(report)
         print(report.summary_line())
         all_pass = all_pass and report.passed
@@ -354,6 +352,9 @@ def main(argv=None) -> int:
         return cmd_inspect(args)
     except ModelParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
+        return 2
+    except ShapeError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
     except (SupportError, SingularityError, InstanceError) as e:
         print(f"error: {e}", file=sys.stderr)

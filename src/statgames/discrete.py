@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ShapeError, SupportError
+from .errors import ShapeError
 
 __all__ = [
     "FiniteSpace",
@@ -55,6 +55,8 @@ __all__ = [
     "effect_add",
     "effect_precompose",
     "expectation",
+    "rows_expectation",
+    "rows_relative_entropy",
     "relative_entropy_effect",
     "entropy",
     "almost_sure_eq",
@@ -167,8 +169,9 @@ def _is_unit(s: FiniteSpace) -> bool:
 
 
 def _check_simplex(vec: np.ndarray, what: str, atol: float) -> None:
-    if np.any(vec < 0):
-        raise ShapeError(f"{what} has a negative entry")
+    # ``not min >= 0`` also holds for NaN, in the same single pass
+    if not vec.min() >= 0:
+        raise ShapeError(f"{what} has a negative or NaN entry")
     total = float(vec.sum())
     if abs(total - 1.0) > atol:
         raise ShapeError(f"{what} sums to {total!r}, not 1")
@@ -228,8 +231,8 @@ class FiniteKernel:
                 f"rows have shape {r.shape}, expected "
                 f"({self.dom.size}, {self.cod.size})"
             )
-        if np.any(r < 0):
-            raise ShapeError("kernel has a negative entry")
+        if not r.min() >= 0:
+            raise ShapeError("kernel has a negative or NaN entry")
         sums = r.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > self.atol)[0]
         if bad.size:
@@ -475,7 +478,7 @@ def bayes_invert(f: CoparKernel, pi: Dist) -> tuple[CoparKernel, SupportMask]:
     evidence = joint.sum(axis=(0, 1))  # p(b)
     supported = evidence > 0
     # backward rows: (b, a, m)
-    back = np.transpose(joint, (2, 0, 1)).reshape(b, a * m).copy()
+    back = np.transpose(joint, (2, 0, 1)).reshape(b, a * m)  # joint is ours to overwrite
     back[supported] /= evidence[supported, None]
     back[~supported] = 1.0 / (a * m)
     inv = CoparKernel(f.out, f.copar, pi.space, back, copar_side="right")
@@ -499,7 +502,7 @@ class Effect:
         object.__setattr__(self, "values", v)
         if v.shape != (self.space.size,):
             raise ShapeError("effect length does not match space size")
-        if np.any(np.isnan(v)) or np.any(v < 0):
+        if not v.min() >= 0:
             raise ShapeError("effect entries must be in [0, +inf]")
         v.setflags(write=False)
 
@@ -511,16 +514,24 @@ def effect_add(g: Effect, g2: Effect) -> Effect:
     return Effect(g.space, g.values + g2.values)
 
 
-def expectation(values: np.ndarray, probs: np.ndarray) -> float:
-    """Expectation with the ``0 * inf = 0`` convention.
+def rows_expectation(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Expectation of ``values`` under each row of ``probs``, with the
+    ``0 * inf = 0`` convention.
 
-    ``values`` may contain ``+inf``; such entries contribute only where the
-    probability is strictly positive.
+    ``values`` may contain ``+inf`` (or NaN); such entries count only in
+    rows that give them strictly positive probability, where an infinite
+    entry makes the expectation ``+inf``.
     """
     pos = probs > 0
-    if np.any(np.isinf(values[pos])):
-        return float("inf")
-    return float(np.dot(probs[pos], values[pos]))
+    out = probs @ np.where(np.isfinite(values), values, 0.0)
+    out[(pos & np.isnan(values)).any(axis=1)] = np.nan
+    out[(pos & np.isinf(values)).any(axis=1)] = np.inf
+    return out
+
+
+def expectation(values: np.ndarray, probs: np.ndarray) -> float:
+    """``rows_expectation`` for a single probability vector."""
+    return float(rows_expectation(values, probs[None])[0])
 
 
 def effect_precompose(g: Effect, k: Kernelish) -> Effect:
@@ -528,17 +539,15 @@ def effect_precompose(g: Effect, k: Kernelish) -> Effect:
     cod = k.cod
     if cod != g.space:
         raise ShapeError("effect space does not match kernel codomain")
-    out = np.array([expectation(g.values, row) for row in k.rows])
-    return Effect(k.dom, out)
+    return Effect(k.dom, rows_expectation(g.values, k.rows))
 
 
-def _row_relative_entropy(p: np.ndarray, q: np.ndarray) -> float:
-    """Relative entropy between two mass vectors; ``0 log 0 = 0`` and
-    ``p > 0, q = 0`` gives ``+inf``."""
-    pos = p > 0
-    if np.any(q[pos] == 0):
-        return float("inf")
-    return float(np.dot(p[pos], np.log(p[pos] / q[pos])))
+def rows_relative_entropy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Relative entropy of each row of ``p`` from the same row of ``q``;
+    ``0 log 0 = 0`` and ``p > 0, q = 0`` gives ``+inf``."""
+    with np.errstate(divide="ignore"):
+        ratio = np.divide(p, q, out=np.ones_like(p), where=p > 0)
+    return np.einsum("ij,ij->i", p, np.log(ratio))
 
 
 def relative_entropy_effect(k1: Kernelish, k2: Kernelish) -> Effect:
@@ -546,10 +555,7 @@ def relative_entropy_effect(k1: Kernelish, k2: Kernelish) -> Effect:
     on their common domain."""
     if k1.dom != k2.dom or k1.cod != k2.cod:
         raise ShapeError("channels are not parallel")
-    vals = np.array(
-        [_row_relative_entropy(p, q) for p, q in zip(k1.rows, k2.rows)]
-    )
-    return Effect(k1.dom, vals)
+    return Effect(k1.dom, rows_relative_entropy(k1.rows, k2.rows))
 
 
 def entropy(p: np.ndarray) -> float:
@@ -577,10 +583,3 @@ def almost_sure_eq(
     rows = ref.mass > 0
     diff = np.abs(k1.rows[rows] - k2.rows[rows])
     return bool(diff.size == 0 or diff.max() <= tol)
-
-
-def require_support(p: Dist, index: int) -> None:
-    """Raise unless the observation has strictly positive mass."""
-    if p.mass[index] <= 0:
-        label = p.space.labels[index]
-        raise SupportError(f"observation {label!r} has zero probability")

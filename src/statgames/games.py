@@ -34,6 +34,7 @@ __all__ = [
     "game_hcompose",
     "game_vcompose",
     "laxness_witness",
+    "laxness_witnesses",
     "section_check",
 ]
 
@@ -101,11 +102,18 @@ def game_vcompose(w2: TwoCellWitness, w1: TwoCellWitness) -> TwoCellWitness:
     if w1.to_game != w2.from_game:
         raise CompositionError("witness chain endpoints do not match")
     k1, k2 = w1.K, w2.K
+
+    def vec(pi, sel):
+        v1, defined1 = k1.values(pi, sel)
+        v2, defined2 = k2.values(pi, sel)
+        return v1 + v2, defined1 & defined2
+
     summed = LossFn(
         fn=lambda pi, obs: k1.fn(pi, obs) + k2.fn(pi, obs),
         prior_dom=k1.prior_dom,
         obs_dom=k1.obs_dom,
         instance=k1.instance,
+        vec=vec if k1.instance == "discrete" else None,
     )
     probes = tuple(w1.probes) + tuple(w2.probes)
     return TwoCellWitness(
@@ -118,12 +126,23 @@ def game_vcompose(w2: TwoCellWitness, w1: TwoCellWitness) -> TwoCellWitness:
     )
 
 
-def laxness_witness(model: LossModel, d: BayesLens, c: BayesLens, pi, obs) -> float:
-    """Composition defect of a loss model on one composable pair at one
-    probe: composed losses minus the loss of the composite."""
+def _witness_losses(model: LossModel, d: BayesLens, c: BayesLens) -> tuple[LossFn, LossFn]:
+    """The composed losses of a pair and the loss of its composite."""
     composed = loss_compose(loss_for(model, d), loss_for(model, c), d, c)
-    direct = loss_for(model, lens_compose(d, c))
-    return composed(pi, obs) - direct(pi, obs)
+    return composed, loss_for(model, lens_compose(d, c))
+
+
+def laxness_witnesses(model: LossModel, d: BayesLens, c: BayesLens, probes) -> list[float]:
+    """Composition defect of a loss model on one composable pair at each
+    probe ``(prior, observation)``: composed losses minus the loss of the
+    composite.  The losses are built once for all probes."""
+    composed, direct = _witness_losses(model, d, c)
+    return [composed(pi, obs) - direct(pi, obs) for pi, obs in probes]
+
+
+def laxness_witness(model: LossModel, d: BayesLens, c: BayesLens, pi, obs) -> float:
+    """``laxness_witnesses`` at a single probe."""
+    return laxness_witnesses(model, d, c, [(pi, obs)])[0]
 
 
 def section_check(
@@ -151,10 +170,7 @@ def section_check(
     any_below_floor = False
     for (d, c), probe_list in zip(pairs, probes):
         try:
-            ld = loss_for(model, d)
-            lc = loss_for(model, c)
-            composed = loss_compose(ld, lc, d, c)
-            direct = loss_for(model, lens_compose(d, c))
+            composed, direct = _witness_losses(model, d, c)
         except (SupportError, SingularityError):
             skipped += len(probe_list)
             continue

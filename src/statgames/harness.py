@@ -26,7 +26,7 @@ import numpy as np
 from . import discrete as ds
 from . import gaussian as gs
 from .errors import ShapeError
-from .games import laxness_witness
+from .games import laxness_witness, laxness_witnesses
 from .lens import (
     BayesLens,
     buco_residual,
@@ -46,6 +46,7 @@ from .loss import (
     kl_loss,
     laplace_sigma,
     laxator,
+    laxator_values,
     lfe_loss,
     loss_for,
     mle_loss,
@@ -404,18 +405,18 @@ def _chain_rule_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 def _kl_strict_trial(rng, cfg: SuiteConfig) -> Outcome:
     c, d, sz = _exact_pair_from_rng(rng, cfg)
-    worst = 0.0
-    for pi, z in _probes(rng, c, sz):
-        worst = max(worst, abs(laxness_witness(LossModel.KL, d, c, pi, z)))
+    witnesses = laxness_witnesses(LossModel.KL, d, c, list(_probes(rng, c, sz)))
+    worst = max(0.0, *(abs(k) for k in witnesses))
     return Outcome(_digest(c.fwd.rows, d.fwd.rows), worst, 0.0)
 
 
 def _mle_lax_trial(rng, cfg: SuiteConfig) -> Outcome:
     floor = -1e-12
     c, d, sz = _exact_pair_from_rng(rng, cfg)
+    probes = list(_probes(rng, c, sz))
+    witnesses = laxness_witnesses(LossModel.MLE, d, c, probes)
     pairs = [
-        (laxness_witness(LossModel.MLE, d, c, pi, z), _oracle_mle_witness(c, d, pi, z))
-        for pi, z in _probes(rng, c, sz)
+        (k, _oracle_mle_witness(c, d, pi, z)) for k, (pi, z) in zip(witnesses, probes)
     ]
     nonneg_ok = not any(k < floor for k, _ in pairs)
     return Outcome(_digest(c.fwd.rows, d.fwd.rows), *_worst_pair(pairs), ok=nonneg_ok)
@@ -610,15 +611,8 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
         ) + laxness_witness(model, ef, cd, omega, joint_obs)
         # middle term: expected first-stage laxator over the second
         # stage's backward at the pushed prior
-        back = discard(ef.bwd(pushed))
-        weights = back.rows[joint_obs]
-        sy2 = f.fwd.dom.size
-        mid = 0.0
-        for yy in range(e.fwd.dom.size):
-            for yy2 in range(sy2):
-                wgt = weights[yy * sy2 + yy2]
-                if wgt > 0:
-                    mid += wgt * laxator(model, c, d, omega, yy, yy2)
+        weights = discard(ef.bwd(pushed)).rows[joint_obs]
+        mid = ds.expectation(laxator_values(model, c, d, omega), weights)
         rhs = (
             laxator(model, e, f, pushed, z, z2)
             + mid

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import discrete as ds
 from . import gaussian as gs
-from .errors import InstanceError, ShapeError, SingularityError
+from .errors import InstanceError, ShapeError, SingularityError, SupportError
 from .lens import (
     BayesLens,
     apply_channel,
@@ -62,6 +62,7 @@ __all__ = [
     "loss_compose",
     "zero_loss",
     "laxator",
+    "laxator_values",
 ]
 
 
@@ -72,31 +73,63 @@ class LossModel(Enum):
     LFE = "lfe"
 
 
+#: selects every observation in a loss's vector form
+ALL = slice(None)
+
+
 @dataclass(frozen=True, eq=False)
 class LossFn:
     """A deterministic map ``(prior, observation) -> value in [0, +inf]``.
 
     ``prior_dom`` and ``obs_dom`` are a finite space (discrete) or a
     dimension (Gaussian); they make composability checkable.
+
+    A discrete loss may also carry its vector form ``vec(prior, sel) ->
+    (values, defined)``: float arrays over the observations ``sel`` indexes
+    (``ALL``, or a list of indices), where ``values[i]`` is the loss at the
+    ``i``-th of them wherever ``defined[i]`` holds, and the scalar call
+    raises ``SupportError`` elsewhere.  Without one, ``values`` tabulates
+    ``fn``.
     """
 
     fn: Callable
     prior_dom: object
     obs_dom: object
     instance: str
+    vec: Callable | None = None
 
     def __call__(self, prior, obs) -> float:
         return float(self.fn(prior, obs))
+
+    def values(self, prior, sel=ALL) -> tuple[np.ndarray, np.ndarray]:
+        """The vector form at ``prior``: ``(values, defined)`` over the
+        observations ``sel`` indexes.  Discrete losses only."""
+        if self.vec is not None:
+            return self.vec(prior, sel)
+        if self.instance != "discrete":
+            raise InstanceError("only discrete losses have a vector form")
+        obs = np.arange(self.obs_dom.size)[sel]
+        vals, defined = np.zeros(obs.size), np.ones(obs.size, dtype=bool)
+        for i, y in enumerate(obs):
+            try:
+                vals[i] = self.fn(prior, int(y))
+            except SupportError:
+                defined[i] = False
+        return vals, defined
 
     def reindex(self, ch) -> "LossFn":
         """Pre-compose the prior argument with a forward channel."""
         onto = prior_pushforward(ch)
         dom = ch.dom if self.instance == "discrete" else ch.dom_dim
+        vec = None
+        if self.instance == "discrete":
+            vec = lambda pi, sel: self.values(onto(pi), sel)
         return LossFn(
             fn=lambda pi, obs: self.fn(onto(pi), obs),
             prior_dom=dom,
             obs_dom=self.obs_dom,
             instance=self.instance,
+            vec=vec,
         )
 
 
@@ -109,6 +142,22 @@ def _lens_doms(l: BayesLens):
 def _make_loss(l: BayesLens, fn) -> LossFn:
     prior_dom, obs_dom = _lens_doms(l)
     return LossFn(fn=fn, prior_dom=prior_dom, obs_dom=obs_dom, instance=l.instance)
+
+
+def _discrete_loss(prior_dom, obs_dom, rows) -> LossFn:
+    """A discrete loss from its vector form ``rows(pi, sel)``; the scalar
+    call evaluates the one observation it is given."""
+
+    def fn(pi, y):
+        vals, defined = rows(pi, [y])
+        if not defined[0]:
+            raise SupportError(
+                f"the loss is undefined at observation {obs_dom.labels[y]!r}: it has "
+                "zero probability (or, in a composite, an observation it weights has)"
+            )
+        return float(vals[0])
+
+    return LossFn(fn, prior_dom, obs_dom, "discrete", vec=rows)
 
 
 def zero_loss(l: BayesLens) -> LossFn:
@@ -125,14 +174,17 @@ def kl_loss(l: BayesLens) -> LossFn:
     if not l.simple:
         raise ShapeError("loss models apply to simple lenses")
     fwd = l.fwd
+    if l.instance == "discrete":
+
+        def rows(pi, sel):
+            approx = l.bwd(pi).rows[sel]
+            exact, mask = ds.bayes_invert(fwd, pi)
+            return ds.rows_relative_entropy(approx, exact.rows[sel]), mask.supported[sel]
+
+        return _discrete_loss(fwd.dom, fwd.out, rows)
 
     def fn(pi, y):
         approx = l.bwd(pi)
-        if instance_of(pi) == "discrete":
-            evidence = prior_pushforward(fwd)(pi)
-            ds.require_support(evidence, y)
-            exact = exact_inversion(fwd, pi)
-            return ds._row_relative_entropy(approx.rows[y], exact.rows[y])
         exact = exact_inversion(fwd, pi)
         return gs.g_kl(apply_channel(approx, y), apply_channel(exact, y))
 
@@ -144,23 +196,29 @@ def mle_loss(l: BayesLens) -> LossFn:
 
     Zero-probability observations give ``+inf`` (a value, not an error).
     """
-    fwd = l.fwd
-    onto = prior_pushforward(fwd)
+    onto = prior_pushforward(l.fwd)
+    if l.instance == "discrete":
 
-    def fn(pi, y):
-        evidence = onto(pi)
-        if instance_of(pi) == "discrete":
-            mass = evidence.mass[y]
-            return -math.log(mass) if mass > 0 else math.inf
-        return -gs.g_logpdf(evidence, y)
+        def rows(pi, sel):
+            mass = onto(pi).mass[sel]
+            with np.errstate(divide="ignore"):
+                return -np.log(mass), np.ones(mass.shape, dtype=bool)
 
-    return _make_loss(l, fn)
+        return _discrete_loss(l.fwd.dom, l.fwd.out, rows)
+    return _make_loss(l, lambda pi, y: -gs.g_logpdf(onto(pi), y))
 
 
 def fe_loss(l: BayesLens) -> LossFn:
     """Free energy: divergence-to-exact plus observation code length."""
     kl = kl_loss(l)
     mle = mle_loss(l)
+    if l.instance == "discrete":
+
+        def rows(pi, sel):
+            kl_vals, defined = kl.vec(pi, sel)
+            return kl_vals + mle.vec(pi, sel)[0], defined
+
+        return _discrete_loss(l.fwd.dom, l.fwd.out, rows)
     return _make_loss(l, lambda pi, y: kl.fn(pi, y) + mle.fn(pi, y))
 
 
@@ -291,35 +349,46 @@ def laplace_sigma(l: BayesLens, pi, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _expect_defined(weights, vals, defined):
+    """``(E[vals], defined)`` under each row of ``weights``, for ``vals``
+    defined only where ``defined`` holds.  Scanning the weighted entries in
+    order, the first that is undefined or infinite decides: an undefined one
+    leaves the row undefined, an infinite one makes it ``+inf``."""
+    bad = (weights > 0) & ~(defined & np.isfinite(vals))
+    first = bad.argmax(axis=1)
+    row_defined = ~bad.any(axis=1) | defined[first]
+    return ds.rows_expectation(np.where(defined, vals, 0.0), weights), row_defined
+
+
 def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
     """Loss of a composite game: the second loss at the pushed prior, plus
-    the first loss averaged over the second's backward channel."""
+    the first loss averaged over the second's backward channel.
+
+    Discrete losses compose in their vector form, so the first loss is
+    evaluated once per prior for every observation it is averaged over;
+    Gaussian ones average by Gauss-Hermite quadrature."""
     if Ld.instance != Lc.instance:
         raise ShapeError("losses live in different instances")
     mid = prior_pushforward(c.fwd)
+    if Ld.instance == "discrete":
+
+        def rows(pi, sel):
+            mid_prior = mid(pi)
+            first, first_defined = Ld.values(mid_prior, sel)
+            back = discard(d.bwd(mid_prior)).rows[sel]
+            second, second_defined = _expect_defined(back, *Lc.values(pi))
+            return first + second, first_defined & second_defined
+
+        return _discrete_loss(Lc.prior_dom, Ld.obs_dom, rows)
 
     def fn(pi, z):
         mid_prior = mid(pi)
         first = Ld.fn(mid_prior, z)
         back = discard(d.bwd(mid_prior))
-        if instance_of(pi) == "discrete":
-            weights = back.rows[z]
-            total = 0.0
-            for y, w in enumerate(weights):
-                if w <= 0:
-                    continue
-                v = Lc.fn(pi, y)
-                if math.isinf(v):
-                    return math.inf
-                total += w * v
-            return first + total
         ystate = gs.g_apply(back, z)
-        second = gs.gauss_hermite_expect(ystate, lambda y: Lc.fn(pi, y))
-        return first + second
+        return first + gs.gauss_hermite_expect(ystate, lambda y: Lc.fn(pi, y))
 
-    prior_dom = Lc.prior_dom
-    obs_dom = Ld.obs_dom
-    return LossFn(fn=fn, prior_dom=prior_dom, obs_dom=obs_dom, instance=Ld.instance)
+    return LossFn(fn=fn, prior_dom=Lc.prior_dom, obs_dom=Ld.obs_dom, instance=Ld.instance)
 
 
 def loss_for(model: LossModel, l: BayesLens) -> LossFn:
@@ -337,18 +406,25 @@ def loss_for(model: LossModel, l: BayesLens) -> LossFn:
 # ---------------------------------------------------------------------------
 
 
-def _combine_obs(c: BayesLens, d: BayesLens, y, y2):
-    if c.instance == "discrete":
-        return y * d.fwd.out.size + y2
-    return np.concatenate(
-        [np.atleast_1d(np.asarray(y, float)), np.atleast_1d(np.asarray(y2, float))]
-    )
-
-
-def _discrete_log_ratio(prod_mass, joint_mass):
-    with np.errstate(divide="ignore"):
-        out = np.log(prod_mass) - np.log(joint_mass)
-    return out
+def _discrete_laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, sel):
+    """The discrete defects at the joint observations ``sel`` indexes."""
+    w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+    tensored = lens_tensor(c, d)
+    prod = ds.tensor_dist(w1, w2)
+    if model is LossModel.MLE or model is LossModel.KL:
+        onto = prior_pushforward(tensored.fwd)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mle_term = np.log(onto(prod).mass[sel]) - np.log(onto(omega).mass[sel])
+        if model is LossModel.MLE:
+            return mle_term
+    back = discard(tensored.bwd(omega)).rows[sel]  # (z, z2) -> (x, x2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.log(prod.mass) - np.log(omega.mass)
+    expect_term = ds.rows_expectation(ratio, back)
+    if model is LossModel.FE:
+        return expect_term
+    with np.errstate(invalid="ignore"):
+        return expect_term - mle_term
 
 
 def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float:
@@ -367,35 +443,15 @@ def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float
     """
     if model is LossModel.LFE and c.instance != "gaussian":
         raise InstanceError("the Laplace model needs Gaussian lenses")
+    if c.instance == "discrete":
+        obs = y * d.fwd.out.size + y2
+        return float(_discrete_laxator(model, c, d, omega, [obs])[0])
+
     w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
     tensored = lens_tensor(c, d)
-    obs = _combine_obs(c, d, y, y2)
-
-    if c.instance == "discrete":
-        prod = ds.tensor_dist(w1, w2)
-        if model is LossModel.MLE or model is LossModel.KL:
-            onto = prior_pushforward(tensored.fwd)
-            pj = onto(omega).mass[obs]
-            pp = onto(prod).mass[obs]
-            with np.errstate(divide="ignore"):
-                mle_term = (math.log(pp) if pp > 0 else -math.inf) - (
-                    math.log(pj) if pj > 0 else -math.inf
-                )
-            if model is LossModel.MLE:
-                return float(mle_term)
-        back = discard(tensored.bwd(omega))  # (z, z2) -> (x, x2)
-        q = back.rows[obs]
-        ratio = _discrete_log_ratio(prod.mass, omega.mass)
-        pos = q > 0
-        if np.any(np.isinf(ratio[pos])):
-            expect_term = math.inf
-        else:
-            expect_term = float(np.dot(q[pos], ratio[pos]))
-        if model is LossModel.FE:
-            return expect_term
-        return expect_term - float(mle_term)
-
-    # Gaussian
+    obs = np.concatenate(
+        [np.atleast_1d(np.asarray(y, float)), np.atleast_1d(np.asarray(y2, float))]
+    )
     prod = gs.g_tensor_state(w1, w2)
     if model is LossModel.MLE or model is LossModel.KL:
         onto = prior_pushforward(tensored.fwd)
@@ -414,3 +470,12 @@ def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float
     if model is LossModel.FE:
         return float(expect_term)
     return float(expect_term - mle_term)
+
+
+def laxator_values(model: LossModel, c: BayesLens, d: BayesLens, omega) -> np.ndarray:
+    """Every tensoring defect of a discrete pair at one joint prior: the
+    vector form of ``laxator``, indexed by the joint observation
+    ``y * |Y2| + y2``.  Signed, and defined at every observation."""
+    if c.instance != "discrete" or model is LossModel.LFE:
+        raise InstanceError("laxator_values needs discrete lenses and a discrete model")
+    return _discrete_laxator(model, c, d, omega, ALL)

@@ -80,9 +80,10 @@ def _rows(obj, n_rows, n_cols):
         raise ModelParseError(
             f"'rows' has shape {arr.shape}, expected ({n_rows}, {n_cols})"
         )
-    if np.any(arr < 0):
-        bad = int(np.nonzero((arr < 0).any(axis=1))[0][0])
-        raise ModelParseError(f"row {bad} of 'rows' has a negative entry")
+    # ``not min >= 0`` also holds for NaN, in the same single pass
+    if not arr.min() >= 0:
+        bad = int(np.nonzero(~(arr >= 0).all(axis=1))[0][0])
+        raise ModelParseError(f"row {bad} of 'rows' has a negative or NaN entry")
     sums = arr.sum(axis=1)
     off = np.abs(sums - 1.0) > ROW_SUM_ATOL
     if off.any():

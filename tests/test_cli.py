@@ -86,6 +86,19 @@ class TestVerify:
         assert "buco" in captured.err and captured.out == ""
         assert not report_dir.exists()
 
+    @pytest.mark.parametrize(
+        "flag", [["--trials", "0"], ["--max-dim", "1"], ["--tol", "0"]]
+    )
+    @pytest.mark.parametrize("suite", ["buco", "all"])
+    def test_bad_config_is_a_usage_error(self, report_dir, capsys, suite, flag):
+        rc = main(["verify", "--suite", suite, *flag])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not report_dir.exists()
+
     def test_reports_are_reproducible(self, report_dir):
         args = ["verify", "--suite", "bilinear", "--trials", "10", "--seed", "3"]
         main(args)
@@ -156,6 +169,20 @@ class TestEvalLoss:
         )
         assert rc == 1
         assert "y1" in capsys.readouterr().err
+
+    def test_nan_row_entry_is_a_parse_error(self, tmp_path, capsys):
+        nan_row = dict(KERNEL, rows=[[float("nan"), 1.0], [0.75, 0.25]])
+        model = write(tmp_path, "m.json", {"fwd": nan_row, "bwd": "exact"})
+        prior = write(
+            tmp_path, "p.json", {"space": ["x0", "x1"], "mass": [0.5, 0.5]}
+        )
+        rc = main(
+            ["eval-loss", "--model", model, "--loss", "mle",
+             "--prior", prior, "--obs", "y0"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and "row 0" in captured.err
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

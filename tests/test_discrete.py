@@ -32,6 +32,8 @@ from statgames.discrete import (
     point_mass,
     push,
     product_space,
+    rows_expectation,
+    rows_relative_entropy,
     space,
     tensor,
     tensor_copar,
@@ -417,6 +419,59 @@ class TestEffects:
             effect_precompose(g, f).values + effect_precompose(g2, f).values
         )
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+class TestValidation:
+    """Constructors reject NaN entries: a NaN row or mass sums to NaN, which
+    no tolerance comparison catches, so the sign check has to."""
+
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ShapeError, match="NaN"):
+            Dist(X2, [np.nan, 1.0])
+
+    def test_nan_kernel_row_rejected(self):
+        with pytest.raises(ShapeError, match="NaN"):
+            FiniteKernel(X2, Y2, [[0.5, 0.5], [np.nan, 1.0]])
+
+    def test_nan_copar_kernel_row_rejected(self):
+        with pytest.raises(ShapeError, match="NaN"):
+            CoparKernel(X2, unit_space(), Y2, [[np.nan, 0.5], [0.5, 0.5]])
+
+    def test_infinite_entries_rejected(self):
+        with pytest.raises(ShapeError):
+            Dist(X2, [np.inf, 1.0])
+        with pytest.raises(ShapeError):
+            FiniteKernel(X2, Y2, [[0.5, 0.5], [-np.inf, np.inf]])
+
+    def test_negative_entry_still_rejected(self):
+        with pytest.raises(ShapeError, match="negative"):
+            FiniteKernel(X2, Y2, [[1.5, -0.5], [0.5, 0.5]])
+
+
+class TestRowHelpers:
+    def test_rows_expectation_matches_loop_and_skips_null_infinities(self):
+        rng = rng_for(21)
+        values = np.array([1.0, np.inf, 2.5, np.nan])
+        probs = np.array(
+            [[0.2, 0.0, 0.8, 0.0], [0.1, 0.3, 0.6, 0.0], [0.0, 0.0, 0.5, 0.5]]
+        )
+        got = rows_expectation(values, probs)
+        assert got[0] == pytest.approx(0.2 * 1.0 + 0.8 * 2.5, abs=1e-15)
+        assert got[1] == np.inf
+        assert np.isnan(got[2])
+        k = random_kernel(rng, X2, space(["b0", "b1", "b2"]))
+        vals = rng.uniform(0, 3, size=3)
+        want = [sum(k.rows[a, b] * vals[b] for b in range(3)) for a in range(2)]
+        assert np.allclose(rows_expectation(vals, k.rows), want, atol=1e-15)
+
+    def test_rows_relative_entropy_conventions(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+        q = np.array([[0.25, 0.75, 0.0], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+        got = rows_relative_entropy(p, q)
+        want = 0.5 * np.log(0.5 / 0.25) + 0.5 * np.log(0.5 / 0.75)
+        assert got[0] == pytest.approx(want, abs=1e-15)
+        assert got[1] == np.inf
+        assert got[2] == 0.0
 
 
 class TestAlmostSureEq:

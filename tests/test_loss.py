@@ -14,6 +14,7 @@ from statgames import discrete as ds
 from statgames import gaussian as gs
 from statgames import loss as loss_module
 from statgames.errors import InstanceError, SingularityError, SupportError
+from statgames.games import Game, TwoCellWitness, game_vcompose
 from statgames.lens import (
     BayesLens,
     exact_inversion,
@@ -591,3 +592,240 @@ class TestLaxators:
         for model in (LossModel.KL, LossModel.MLE, LossModel.FE, LossModel.LFE):
             val = laxator(model, c, d, omega, [0.4], [-0.2])
             assert val == pytest.approx(0.0, abs=1e-10)
+
+
+def degenerate_copar(rng, dom, copar, out, dead_output=False):
+    """Random kernel with support gaps: about a third of the entries are
+    zero, every row keeping at least one positive entry.  ``dead_output``
+    also makes the last output unreachable."""
+    r = rng.gamma(1.0, size=(dom.size, copar.size, out.size))
+    r[rng.random(size=r.shape) < 0.35] = 0.0
+    live = out.size - 1 if dead_output else out.size
+    r[:, :, live:] = 0.0
+    r[np.arange(dom.size), 0, rng.integers(0, live, size=dom.size)] += 1.0
+    r = r.reshape(dom.size, -1)
+    return ds.CoparKernel(dom, copar, out, r / r.sum(axis=1, keepdims=True))
+
+
+def degenerate_dist(rng, s):
+    m = rng.gamma(1.0, size=s.size)
+    m[rng.random(size=s.size) < 0.35] = 0.0
+    m[rng.integers(0, s.size)] += 1.0
+    return ds.Dist(s, m / m.sum())
+
+
+def assert_same_value(got, want):
+    if math.isinf(want) or math.isnan(want):
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def assert_vector_matches_scalar(loss, pi):
+    """``loss.values(pi)`` agrees with the scalar call everywhere it is
+    defined, and the scalar call raises ``SupportError`` elsewhere."""
+    vals, defined = loss.values(pi)
+    assert vals.shape == defined.shape == (loss.obs_dom.size,)
+    for y in range(loss.obs_dom.size):
+        if defined[y]:
+            assert_same_value(loss(pi, y), vals[y])
+        else:
+            with pytest.raises(SupportError):
+                loss(pi, y)
+    return vals, defined
+
+
+def loop_compose(Ld, Lc, d, c, pi, z):
+    """The composite loss at one observation by a loop of scalar calls."""
+    mid = prior_pushforward(c.fwd)(pi)
+    first = Ld(mid, z)
+    weights = ds.discard_coparam(d.bwd(mid)).rows[z]
+    total = 0.0
+    for y, w in enumerate(weights):
+        if w > 0:
+            v = Lc(pi, y)
+            if math.isinf(v):
+                return math.inf
+            total += w * v
+    return first + total
+
+
+DISCRETE_MODELS = [LossModel.KL, LossModel.MLE, LossModel.FE]
+
+
+class TestVectorForm:
+    def lenses(self, rng, X, M, Y):
+        """Exact, perturbed and support-gapped lenses on the same spaces."""
+        return [
+            exact_lens(random_copar(rng, X, M, Y)),
+            perturbed_lens(rng, random_copar(rng, X, M, Y)),
+            exact_lens(degenerate_copar(rng, X, M, Y)),
+            perturbed_lens(rng, degenerate_copar(rng, X, M, Y, dead_output=True)),
+        ]
+
+    @pytest.mark.parametrize("model", DISCRETE_MODELS)
+    def test_models_match_scalar_calls(self, model):
+        rng = rng_for(30)
+        undefined = 0
+        for _ in range(6):
+            X, M, Y = spaces(*(int(v) for v in rng.integers(2, 5, size=3)))
+            for lens in self.lenses(rng, X, M, Y):
+                for pi in (random_dist(rng, X), degenerate_dist(rng, X)):
+                    _, defined = assert_vector_matches_scalar(loss_for(model, lens), pi)
+                    undefined += int((~defined).sum())
+        if model is not LossModel.MLE:
+            assert undefined > 0  # the gapped kernels do leave observations unsupported
+
+    def test_mle_infinity_and_kl_support_error(self):
+        fwd = ds.lift_kernel(ds.FiniteKernel(X2, Y2, [[1.0, 0.0], [1.0, 0.0]]))
+        lens = exact_lens(fwd)
+        pi = ds.uniform(X2)
+        vals, defined = assert_vector_matches_scalar(mle_loss(lens), pi)
+        assert vals[1] == math.inf and defined.all()
+        for loss in (kl_loss(lens), fe_loss(lens)):
+            _, defined = assert_vector_matches_scalar(loss, pi)
+            assert defined.tolist() == [True, False]
+
+    @pytest.mark.parametrize("model", DISCRETE_MODELS)
+    def test_composites_match_loop_oracle(self, model):
+        rng = rng_for(31)
+        seen = {"finite": 0, "inf": 0, "undefined": 0}
+        for _ in range(8):
+            sx, sm, sy, sn, sz = (int(v) for v in rng.integers(2, 4, size=5))
+            X, M, Y, N, Z = spaces(sx, sm, sy, sn, sz)
+            for c, d in zip(self.lenses(rng, X, M, Y), self.lenses(rng, Y, N, Z)):
+                Ld, Lc = loss_for(model, d), loss_for(model, c)
+                comp = loss_compose(Ld, Lc, d, c)
+                for pi in (random_dist(rng, X), degenerate_dist(rng, X)):
+                    vals, defined = assert_vector_matches_scalar(comp, pi)
+                    for z in range(sz):
+                        if not defined[z]:
+                            seen["undefined"] += 1
+                            with pytest.raises(SupportError):
+                                loop_compose(Ld, Lc, d, c, pi, z)
+                            continue
+                        want = loop_compose(Ld, Lc, d, c, pi, z)
+                        seen["inf" if math.isinf(want) else "finite"] += 1
+                        assert_same_value(vals[z], want)
+        assert seen["finite"] > 0
+        if model is not LossModel.MLE:
+            assert seen["undefined"] > 0
+
+    def test_nested_composites_match_loop_oracle(self):
+        rng = rng_for(32)
+        X, M, Y, N, Z, P, W = spaces(3, 2, 3, 2, 3, 2, 2)
+        c = perturbed_lens(rng, degenerate_copar(rng, X, M, Y))
+        d = exact_lens(random_copar(rng, Y, N, Z))
+        e = perturbed_lens(rng, random_copar(rng, Z, P, W))
+        dc = lens_compose(d, c)
+        inner = loss_compose(fe_loss(d), fe_loss(c), d, c)
+        outer = loss_compose(fe_loss(e), inner, e, dc)
+        pi = random_dist(rng, X)
+        vals, _ = assert_vector_matches_scalar(outer, pi)
+        for w in range(2):
+            assert_same_value(vals[w], loop_compose(fe_loss(e), inner, e, dc, pi, w))
+
+    def test_loss_from_fn_alone_composes(self):
+        rng = rng_for(33)
+        X, M, Y, N, Z = spaces(3, 2, 3, 2, 3)
+        c = perturbed_lens(rng, degenerate_copar(rng, X, M, Y))
+        d = exact_lens(random_copar(rng, Y, N, Z))
+        for model in DISCRETE_MODELS:
+            Lc = loss_for(model, c)
+            bare = loss_module.LossFn(Lc.fn, Lc.prior_dom, Lc.obs_dom, "discrete")
+            assert bare.vec is None
+            pi = degenerate_dist(rng, X)
+            assert_vector_matches_scalar(bare, pi)
+            with_vec = loss_compose(loss_for(model, d), Lc, d, c)
+            tabulated = loss_compose(loss_for(model, d), bare, d, c)
+            want, want_defined = with_vec.values(pi)
+            got, got_defined = assert_vector_matches_scalar(tabulated, pi)
+            assert got_defined.tolist() == want_defined.tolist()
+            for z in np.nonzero(got_defined)[0]:
+                assert_same_value(got[z], want[z])
+
+    def test_reindex_and_vertical_composite_carry_the_vector_form(self):
+        rng = rng_for(34)
+        X, M, Y, N, Z = spaces(3, 2, 3, 2, 3)
+        c = exact_lens(random_copar(rng, X, M, Y))
+        d = exact_lens(random_copar(rng, Y, N, Z))
+        pi = random_dist(rng, X)
+        reindexed = mle_loss(d).reindex(c.fwd)
+        assert reindexed.vec is not None
+        assert_vector_matches_scalar(reindexed, pi)
+        game = Game(lens=c, loss=mle_loss(c))
+        w = TwoCellWitness(game, game, zero_loss(c))
+        summed = game_vcompose(w, w).K
+        assert summed.vec is not None
+        vals, defined = assert_vector_matches_scalar(summed, pi)
+        assert defined.all() and not vals.any()
+
+    def test_gaussian_losses_have_no_vector_form(self):
+        lens = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
+        with pytest.raises(InstanceError):
+            mle_loss(lens).values(gs.GaussState([0.0], [[1.0]]))
+
+
+class TestLaxatorVectorForm:
+    @pytest.mark.parametrize("model", DISCRETE_MODELS)
+    def test_matches_scalar_laxator(self, model):
+        rng = rng_for(35)
+        for _ in range(8):
+            X, M, Y, U, V, W = spaces(*(int(v) for v in rng.integers(2, 4, size=6)))
+            c = exact_lens(degenerate_copar(rng, X, M, Y))
+            d = perturbed_lens(rng, random_copar(rng, U, V, W))
+            for omega in (random_dist(rng, X.product(U)), degenerate_dist(rng, X.product(U))):
+                vals = loss_module.laxator_values(model, c, d, omega)
+                assert vals.shape == (Y.size * W.size,)
+                for y in range(Y.size):
+                    for y2 in range(W.size):
+                        want = laxator(model, c, d, omega, y, y2)
+                        assert_same_value(vals[y * W.size + y2], want)
+
+    def test_gaussian_and_laplace_rejected(self):
+        c = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
+        omega = gs.GaussState([0.0, 0.0], np.eye(2))
+        with pytest.raises(InstanceError):
+            loss_module.laxator_values(LossModel.KL, c, c, omega)
+        lens = exact_lens(ds.identity_kernel(X2))
+        with pytest.raises(InstanceError):
+            loss_module.laxator_values(LossModel.LFE, lens, lens, ds.uniform(X2.product(X2)))
+
+
+class TestFoldedDepth:
+    def chain(self, rng, depth):
+        sp = [ds.space([f"s{i}_{k}" for k in range(2)]) for i in range(depth + 1)]
+        copar = ds.space(["m0", "m1"])
+        return [exact_lens(random_copar(rng, sp[i], copar, sp[i + 1])) for i in range(depth)]
+
+    def folded_kl(self, stages):
+        folded, before = kl_loss(stages[0]), stages[0]
+        for stage in stages[1:]:
+            folded = loss_compose(kl_loss(stage), folded, stage, before)
+            before = lens_compose(stage, before)
+        return folded, before
+
+    def test_inversions_grow_linearly_with_depth(self, monkeypatch):
+        # the folded loss evaluates each stage's loss once per prior; a
+        # per-observation expectation re-evaluates the inner stages for
+        # every intermediate observation, exponentially in depth
+        counted = {"n": 0}
+        invert = ds.bayes_invert
+
+        def counting(f, pi):
+            counted["n"] += 1
+            return invert(f, pi)
+
+        monkeypatch.setattr(ds, "bayes_invert", counting)
+        rng = rng_for(36)
+        calls = {}
+        for depth in (3, 6):
+            stages = self.chain(rng, depth)
+            folded, composite = self.folded_kl(stages)
+            pi = random_dist(rng, stages[0].fwd.dom)
+            counted["n"] = 0
+            value = folded(pi, 1)
+            calls[depth] = counted["n"]
+            assert value == pytest.approx(kl_loss(composite)(pi, 1), abs=1e-9)
+        assert calls[6] <= 3 * 6
+        assert calls[6] - calls[3] <= 3 * (6 - 3)

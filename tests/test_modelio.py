@@ -60,6 +60,18 @@ class TestChannels:
         with pytest.raises(ModelParseError, match="row 0"):
             parse_channel(bad)
 
+    def test_nan_entry_named(self):
+        bad = dict(KERNEL, rows=[[0.25, 0.75], [float("nan"), 1.0]])
+        with pytest.raises(ModelParseError, match="row 1.*NaN"):
+            parse_channel(bad)
+
+    def test_nan_entry_rejected_from_file(self, tmp_path):
+        # JSON as Python writes it: a bare NaN literal
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(dict(KERNEL, rows=[[float("nan"), 1.0], [0.5, 0.5]])))
+        with pytest.raises(ModelParseError, match="row 0"):
+            parse_channel(load_json(str(path)))
+
     def test_wrong_row_count(self):
         bad = dict(KERNEL, rows=[[0.25, 0.75]])
         with pytest.raises(ModelParseError):
@@ -94,6 +106,10 @@ class TestStates:
     def test_bad_mass_rejected(self):
         with pytest.raises(ModelParseError, match="sums"):
             parse_state({"space": ["a", "b"], "mass": [0.3, 0.8]})
+
+    def test_nan_mass_rejected(self):
+        with pytest.raises(ModelParseError, match="NaN"):
+            parse_state({"space": ["a", "b"], "mass": [float("nan"), 1.0]})
 
     def test_round_trip(self):
         s = parse_state({"space": ["a", "b"], "mass": [0.3, 0.7]})
