@@ -283,7 +283,7 @@ def _describe_space(s: ds.FiniteSpace) -> str:
 def _audit_rows(rows: np.ndarray) -> str:
     sums = rows.sum(axis=1)
     return (
-        f"row sums in [{sums.min()!r}, {sums.max()!r}], "
+        f"row sums in [{float(sums.min())!r}, {float(sums.max())!r}], "
         f"max deviation {np.abs(sums - 1.0).max():.3e}"
     )
 
@@ -325,7 +325,7 @@ def cmd_inspect(args) -> int:
         if isinstance(state, ds.Dist):
             print("discrete state")
             print(f"  space: {_describe_space(state.space)}")
-            print(f"  mass sums to {state.mass.sum()!r}")
+            print(f"  mass sums to {float(state.mass.sum())!r}")
         else:
             print("gaussian state")
             print(f"  dim: {state.dim}")

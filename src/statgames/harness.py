@@ -388,8 +388,8 @@ def _chain_rule_trial(rng, cfg: SuiteConfig) -> Outcome:
     beta2 = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
     # law side: divergence between copy-composites
     lhs_eff = ds.relative_entropy_effect(
-        ds.copy_compose(beta, alpha).as_kernel(),
-        ds.copy_compose(beta2, alpha2).as_kernel(),
+        ds.copy_compose(beta, alpha),
+        ds.copy_compose(beta2, alpha2),
     )
     pairs = []
     for a in range(sa):

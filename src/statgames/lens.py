@@ -53,7 +53,7 @@ State = Union[ds.Dist, gs.GaussState]
 
 
 def instance_of(obj) -> str:
-    if isinstance(obj, (ds.CoparKernel, ds.FiniteKernel, ds.Dist)):
+    if isinstance(obj, (ds.CoparKernel, ds.Dist)):
         return "discrete"
     if isinstance(obj, (gs.GaussChannel, gs.GaussState)):
         return "gaussian"
@@ -82,7 +82,7 @@ def push_state(k, pi: State) -> State:
 
 def apply_channel(ch: Channel, obs):
     """The channel's distribution at one input point."""
-    if isinstance(ch, ds.CoparKernel) or isinstance(ch, ds.FiniteKernel):
+    if isinstance(ch, ds.CoparKernel):
         return ds.Dist(ch.cod, ch.rows[obs])
     return gs.g_apply(ch, obs)
 
@@ -170,8 +170,6 @@ def reindex(statefn: Callable, ch: Channel) -> Callable:
 
 def exact_lens(ch) -> BayesLens:
     """The lens whose backward family is exact Bayesian inversion."""
-    if isinstance(ch, ds.FiniteKernel):
-        ch = ds.lift_kernel(ch)
     if isinstance(ch, gs.GaussChannel) and ch.copar_side != "left":
         raise ShapeError("forward channel must carry its coparameter leading")
     return BayesLens(fwd=ch, bwd=lambda pi: exact_inversion(ch, pi), simple=True)

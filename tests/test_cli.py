@@ -226,7 +226,25 @@ class TestInspect:
         rc = main(["inspect", "--model", model])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "discrete channel" in out and "row sums" in out
+        assert "discrete channel" in out
+        assert "row sums in [1.0, 1.0]" in out and "np." not in out
+
+    def test_state_mass_sum_printed_as_a_plain_float(self, tmp_path, capsys):
+        model = write(tmp_path, "s.json", {"space": ["a", "b"], "mass": [0.25, 0.75]})
+        rc = main(["inspect", "--model", model])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "mass sums to 1.0" in out and "np." not in out
+
+    def test_ten_digit_rows_are_a_parse_error_with_a_plain_sum(self, tmp_path, capsys):
+        # 3 x 0.3333333333 sums to 1 - 1e-10: off by more than the 1e-12
+        # the constructors allow
+        thirds = {"dom": ["x0"], "cod": ["y0", "y1", "y2"], "rows": [[0.3333333333] * 3]}
+        model = write(tmp_path, "k.json", thirds)
+        rc = main(["inspect", "--model", model])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "row 0 sums to 0.9999999999, not 1" in err and "np." not in err
 
     def test_non_stochastic_exits_2(self, tmp_path, capsys):
         bad = dict(KERNEL, rows=[[0.75, 0.25], [0.9, 0.2]])

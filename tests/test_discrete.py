@@ -27,7 +27,6 @@ from statgames.discrete import (
     effect_add,
     effect_precompose,
     identity_kernel,
-    lift_kernel,
     marginal_dist,
     point_mass,
     push,
@@ -172,21 +171,45 @@ class TestCopyCompose:
             assert np.allclose(got, want, atol=1e-12)
 
 
+class TestUnitCoparameter:
+    """A plain channel is the coparameterized one with the one-point
+    coparameter, the empty product, which adds no factor to its codomain."""
+
+    def test_plain_kernel_is_a_unit_coparameter_kernel(self):
+        k = FiniteKernel(X2, Y2, [[0.5, 0.5], [0.25, 0.75]])
+        assert isinstance(k, CoparKernel)
+        assert k.copar.size == 1 and k.copar_side == "left"
+        assert k.out == Y2 and k.cod == Y2
+        assert unit_space().product(Y2) == Y2 == Y2.product(unit_space())
+
+    def test_operations_keep_their_spaces(self):
+        rng = rng_for(31)
+        c, d = random_kernel(rng, X2, Y2), random_kernel(rng, Y2, Z2)
+        assert push(c, random_dist(rng, X2)).space == Y2
+        joint = copy_compose(d, c)
+        assert (joint.dom, joint.copar, joint.out) == (X2, Y2, Z2)
+        assert joint.cod == Y2.product(Z2)
+        t = tensor(c, d)
+        assert (t.dom, t.cod) == (X2.product(Y2), Y2.product(Z2))
+        assert compose(d, c).cod == Z2
+        assert discard_kernel(X2).cod == unit_space()
+
+
 class TestCoparCompose:
     def test_unit_coparameters_reduce_to_copy_compose(self):
         rng = rng_for(6)
         c = random_kernel(rng, X2, Y2)
         d = random_kernel(rng, Y2, Z2)
-        lifted = copy_compose_copar(lift_kernel(d), lift_kernel(c))
         plain = copy_compose(d, c)
-        assert np.allclose(lifted.rows, plain.rows, atol=1e-12)
+        assert np.array_equal(copy_compose_copar(d, c).rows, plain.rows)
 
     def test_identity_lift_is_weak_unit(self):
         rng = rng_for(7)
         M = space(["m0", "m1", "m2"])
         f = random_copar(rng, X2, M, Y2)
-        comp = copy_compose_copar(lift_kernel(identity_kernel(Y2)), f)
-        assert comp.copar.factor_sizes == (3, 2, 1)
+        comp = copy_compose_copar(identity_kernel(Y2), f)
+        # the identity's unit coparameter adds no factor
+        assert comp.copar.factor_sizes == (3, 2)
         assert np.allclose(
             discard_coparam(comp).rows, discard_coparam(f).rows, atol=1e-12
         )
@@ -227,7 +250,7 @@ class TestDiscard:
     def test_unit_coparameter_is_noop(self):
         rng = rng_for(10)
         k = random_kernel(rng, X2, Y2)
-        assert np.allclose(discard_coparam(lift_kernel(k)).rows, k.rows)
+        assert np.allclose(discard_coparam(k).rows, k.rows)
 
     def test_copy_then_discard_is_identity(self):
         joint = copy_compose(identity_kernel(X2), identity_kernel(X2))
@@ -269,6 +292,7 @@ class TestTensor:
         k1 = random_kernel(rng, X2, Y2)
         k2 = random_kernel(rng, Z2, X2)
         t = tensor(k1, k2)
+        assert np.array_equal(t.rows, np.kron(k1.rows, k2.rows))
         r = t.rows.reshape(2, 2, 2, 2)
         for a, a2, b, b2 in itertools.product(range(2), repeat=4):
             assert r[a, a2, b, b2] == pytest.approx(
@@ -306,7 +330,7 @@ class TestMarginal:
 
 class TestBayesInvert:
     def test_identity_lift_uniform_prior(self):
-        f = lift_kernel(identity_kernel(X2))
+        f = identity_kernel(X2)
         inv, mask = bayes_invert(f, uniform(X2))
         assert mask.supported.all()
         # backward at b is a point mass at (b, unit)
@@ -430,11 +454,11 @@ class TestValidation:
             Dist(X2, [np.nan, 1.0])
 
     def test_nan_kernel_row_rejected(self):
-        with pytest.raises(ShapeError, match="NaN"):
+        with pytest.raises(ShapeError, match="row 1 .*NaN"):
             FiniteKernel(X2, Y2, [[0.5, 0.5], [np.nan, 1.0]])
 
     def test_nan_copar_kernel_row_rejected(self):
-        with pytest.raises(ShapeError, match="NaN"):
+        with pytest.raises(ShapeError, match="row 0 .*NaN"):
             CoparKernel(X2, unit_space(), Y2, [[np.nan, 0.5], [0.5, 0.5]])
 
     def test_infinite_entries_rejected(self):
@@ -444,8 +468,33 @@ class TestValidation:
             FiniteKernel(X2, Y2, [[0.5, 0.5], [-np.inf, np.inf]])
 
     def test_negative_entry_still_rejected(self):
-        with pytest.raises(ShapeError, match="negative"):
+        with pytest.raises(ShapeError, match="row 0 .*negative"):
             FiniteKernel(X2, Y2, [[1.5, -0.5], [0.5, 0.5]])
+        with pytest.raises(ShapeError, match="row 1 .*negative"):
+            CoparKernel(X2, Y2, Y2, [[0.25] * 4, [0.5, 0.5, 0.5, -0.5]])
+
+    def test_row_sum_error_prints_a_plain_float(self):
+        with pytest.raises(ShapeError, match=r"^row 1 sums to 0\.9, not 1$"):
+            FiniteKernel(X2, Y2, [[0.5, 0.5], [0.5, 0.4]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rows: CoparKernel(X2, unit_space(), Y2, rows),
+            lambda rows: FiniteKernel(X2, Y2, rows),
+        ],
+        ids=["CoparKernel", "FiniteKernel"],
+    )
+    def test_one_validation_per_kernel(self, monkeypatch, build):
+        calls = []
+        for owner in (CoparKernel, FiniteKernel):
+            def counted(self, check=owner.__dict__["__post_init__"]):
+                calls.append(check)
+                check(self)
+
+            monkeypatch.setattr(owner, "__post_init__", counted)
+        build([[0.5, 0.5], [0.25, 0.75]])
+        assert len(calls) == 1
 
 
 class TestRowHelpers:

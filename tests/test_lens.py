@@ -127,14 +127,14 @@ class TestLensCompose:
 
     def test_weak_unitality(self):
         # composing with the identity retains a redundant copy of the
-        # intermediate plus a unit factor; marginalizing them recovers the
-        # original lens exactly
+        # intermediate (the identity's unit coparameter adds no factor);
+        # marginalizing it recovers the original lens exactly
         rng = rng_for(7)
         X, M, Y = spaces(3, 2, 3)
         c = exact_lens(random_copar(rng, X, M, Y))
         comp = lens_compose(identity_lens(Y), c)
-        assert comp.fwd.copar.factor_sizes == (2, 3, 1)
-        r = comp.fwd.rows.reshape(3, 2, 3, 1, 3).sum(axis=3)  # drop unit
+        assert comp.fwd.copar.factor_sizes == (2, 3)
+        r = comp.fwd.rows.reshape(3, 2, 3, 3)
         marg = r.sum(axis=2)  # drop the retained copy of Y
         assert np.allclose(marg, c.fwd.rows.reshape(3, 2, 3), atol=1e-12)
         # the retained copy is a genuine copy: off-diagonal entries vanish
@@ -223,9 +223,8 @@ class TestReindex:
         (X,) = spaces(3)
         seen = []
         fam = lambda pi: seen.append(pi) or pi.mass.copy()
-        lifted = ds.lift_kernel(ds.identity_kernel(X))
         pi = random_dist(rng, X)
-        out = reindex(fam, lifted)(pi)
+        out = reindex(fam, ds.identity_kernel(X))(pi)
         assert np.allclose(out, pi.mass, atol=1e-15)
 
     def test_contravariant_functoriality(self):

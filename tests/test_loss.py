@@ -123,9 +123,7 @@ class TestKLLoss:
         # fwd [[0.75, 0.25], [0.25, 0.75]], uniform prior: exact posterior
         # at y0 is (0.75, 0.25); a constant (0.5, 0.5) backward gives
         # 0.5 ln 2 + 0.5 ln(2/3)
-        fwd = ds.lift_kernel(
-            ds.FiniteKernel(X2, Y2, [[0.75, 0.25], [0.25, 0.75]])
-        )
+        fwd = ds.FiniteKernel(X2, Y2, [[0.75, 0.25], [0.25, 0.75]])
         bwd = lambda pi: ds.CoparKernel(
             Y2, ds.unit_space(), X2, [[0.5, 0.5], [0.5, 0.5]], "right"
         )
@@ -143,7 +141,7 @@ class TestKLLoss:
         assert kl_loss(lens)(prior, [0.3]) == pytest.approx(0.5, abs=1e-12)
 
     def test_unsupported_observation_raises(self):
-        fwd = ds.lift_kernel(ds.FiniteKernel(X2, Y2, [[1.0, 0.0], [1.0, 0.0]]))
+        fwd = ds.FiniteKernel(X2, Y2, [[1.0, 0.0], [1.0, 0.0]])
         lens = exact_lens(fwd)
         with pytest.raises(SupportError):
             kl_loss(lens)(ds.uniform(X2), 1)
@@ -158,9 +156,7 @@ class TestMLELoss:
             assert loss(ds.uniform(X), y) == pytest.approx(math.log(5.0))
 
     def test_bernoulli_quarter(self):
-        fwd = ds.lift_kernel(
-            ds.FiniteKernel(X2, Y2, [[0.75, 0.25], [0.75, 0.25]])
-        )
+        fwd = ds.FiniteKernel(X2, Y2, [[0.75, 0.25], [0.75, 0.25]])
         loss = mle_loss(exact_lens(fwd))
         assert loss(ds.uniform(X2), 1) == pytest.approx(-math.log(0.25), abs=1e-12)
 
@@ -173,7 +169,7 @@ class TestMLELoss:
         )
 
     def test_zero_mass_gives_infinity(self):
-        fwd = ds.lift_kernel(ds.FiniteKernel(X2, Y2, [[1.0, 0.0], [1.0, 0.0]]))
+        fwd = ds.FiniteKernel(X2, Y2, [[1.0, 0.0], [1.0, 0.0]])
         assert mle_loss(exact_lens(fwd))(ds.uniform(X2), 1) == math.inf
 
 
@@ -677,7 +673,7 @@ class TestVectorForm:
             assert undefined > 0  # the gapped kernels do leave observations unsupported
 
     def test_mle_infinity_and_kl_support_error(self):
-        fwd = ds.lift_kernel(ds.FiniteKernel(X2, Y2, [[1.0, 0.0], [1.0, 0.0]]))
+        fwd = ds.FiniteKernel(X2, Y2, [[1.0, 0.0], [1.0, 0.0]])
         lens = exact_lens(fwd)
         pi = ds.uniform(X2)
         vals, defined = assert_vector_matches_scalar(mle_loss(lens), pi)

@@ -1,11 +1,18 @@
-"""Static check: every name a package module reads is bound somewhere.
+"""Static checks on names.
 
-Python reports a global that is read but never bound or imported only when
-the line runs, so a rarely taken error path can hide a ``NameError``.  This
-walks each module's symbol tables and fails on such names up front.
+Every name a package module reads is bound somewhere: Python reports a
+global that is read but never bound or imported only when the line runs, so
+a rarely taken error path can hide a ``NameError``.  This walks each
+module's symbol tables and fails on such names up front.
+
+Every name the benchmark's tracer wraps exists where it looks for it: the
+tracer patches functions and class methods by name, so a refactor that
+renames or moves one breaks traced benchmark runs and nothing else.
 """
 
+import ast
 import builtins
+import importlib
 import pathlib
 import symtable
 
@@ -13,6 +20,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "statgames"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 
 def unbound_reads(path: pathlib.Path) -> set:
@@ -48,3 +56,26 @@ def test_checker_sees_nested_and_class_scopes(tmp_path):
         "    return [MissingB for _ in os.sep]\n"
     )
     assert unbound_reads(src) == {"MissingA", "MissingB"}
+
+
+def tracer_table(name: str) -> dict:
+    """The literal dict assigned to ``name`` at the top level of the
+    benchmark's tracer, read without importing it."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{TRACER.name} assigns no {name}")
+
+
+@pytest.mark.parametrize("module, name", sorted(tracer_table("FUNCTIONS")))
+def test_traced_function_resolves(module, name):
+    assert callable(getattr(importlib.import_module(module), name))
+
+
+@pytest.mark.parametrize("module, cls, method", sorted(tracer_table("METHODS")))
+def test_traced_method_is_in_its_class_dict(module, cls, method):
+    # the tracer replaces ``cls.__dict__[method]``; an inherited method
+    # would be patched on the base class instead
+    assert method in vars(getattr(importlib.import_module(module), cls))
