@@ -26,7 +26,7 @@ import math
 
 from .errors import CompositionError, ShapeError, SingularityError, SupportError
 from .lens import BayesLens, lens_compose
-from .loss import LossFn, LossModel, _lens_doms, loss_compose, loss_for
+from .loss import LossFn, LossModel, _lens_doms, _loss_sum, loss_compose, loss_for
 
 __all__ = [
     "Game",
@@ -101,20 +101,7 @@ def game_vcompose(w2: TwoCellWitness, w1: TwoCellWitness) -> TwoCellWitness:
     """Vertical composite of witnesses: sum the defects."""
     if w1.to_game != w2.from_game:
         raise CompositionError("witness chain endpoints do not match")
-    k1, k2 = w1.K, w2.K
-
-    def vec(pi, sel):
-        v1, defined1 = k1.values(pi, sel)
-        v2, defined2 = k2.values(pi, sel)
-        return v1 + v2, defined1 & defined2
-
-    summed = LossFn(
-        fn=lambda pi, obs: k1.fn(pi, obs) + k2.fn(pi, obs),
-        prior_dom=k1.prior_dom,
-        obs_dom=k1.obs_dom,
-        instance=k1.instance,
-        vec=vec if k1.instance == "discrete" else None,
-    )
+    summed = _loss_sum(w1.K, w2.K)
     probes = tuple(w1.probes) + tuple(w2.probes)
     return TwoCellWitness(
         from_game=w1.from_game,

@@ -540,22 +540,6 @@ def _random_obs(rng, lens, instance):
     return rng.uniform(-1.0, 1.0, size=lens.fwd.out_dim)
 
 
-def _laxator_contract_err(model, c, d, omega, y, y2):
-    w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-    t = lens_tensor(c, d)
-    if c.instance == "discrete":
-        joint_obs = y * d.fwd.out.size + y2
-    else:
-        joint_obs = np.concatenate([np.atleast_1d(y), np.atleast_1d(y2)])
-    lhs = loss_for(model, t)(omega, joint_obs)
-    rhs = (
-        loss_for(model, c)(w1, y)
-        + loss_for(model, d)(w2, y2)
-        + laxator(model, c, d, omega, y, y2)
-    )
-    return lhs, rhs
-
-
 def _laxators_trial(rng, cfg: SuiteConfig) -> Outcome:
     product_tol = 1e-12
     pairs, product_defects = [], []
@@ -571,8 +555,19 @@ def _laxators_trial(rng, cfg: SuiteConfig) -> Outcome:
         y, y2 = _random_obs(rng, c, instance), _random_obs(rng, d, instance)
         if instance == "discrete":
             digest = _digest(c.fwd.rows, d.fwd.rows, omega.mass)
+            joint_obs = y * d.fwd.out.size + y2
+        else:
+            joint_obs = np.concatenate([np.atleast_1d(y), np.atleast_1d(y2)])
+        w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+        t = lens_tensor(c, d)
         for model in models:
-            pairs.append(_laxator_contract_err(model, c, d, omega, y, y2))
+            lhs = loss_for(model, t)(omega, joint_obs)
+            rhs = (
+                loss_for(model, c)(w1, y)
+                + loss_for(model, d)(w2, y2)
+                + laxator(model, c, d, omega, y, y2)
+            )
+            pairs.append((lhs, rhs))
             product_defects.append(laxator(model, c, d, prod, y, y2))
     ok = all(abs(lam0) <= product_tol for lam0 in product_defects)
     return Outcome(digest, *_worst_pair(pairs), ok=ok)

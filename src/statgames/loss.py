@@ -20,9 +20,16 @@ stage's backward channel.  Under tensoring each model is only lax, and the
 defect (its laxator) has a closed form measuring the prior correlations
 that the tensored backward ignores.
 
-Discrete expectations are exact sums; Gaussian ones use closed forms or
-quadrature that is exact for the quadratic integrands arising here, so
-every identity is testable at tight tolerances.
+Every model has a form computed once per prior that the scalar call reads
+and composition works on.  A discrete loss is a vector over all
+observations, so the expectation in a composite is a matrix-vector
+product.  For affine-Gaussian lenses every model is a quadratic in the
+observation, ``L(prior, y) = c + g.y + y.H.y / 2``, and the expectation of
+a quadratic under the Gaussian backward channel is again a quadratic in the
+composite's observation, so composites are exact closed forms too.  Only a
+Gaussian loss built from a bare callable is averaged by Gauss-Hermite
+quadrature (exact for quadratic integrands), so every identity is testable
+at tight tolerances.
 """
 
 from __future__ import annotations
@@ -90,6 +97,11 @@ class LossFn:
     ``i``-th of them wherever ``defined[i]`` holds, and the scalar call
     raises ``SupportError`` elsewhere.  Without one, ``values`` tabulates
     ``fn``.
+
+    A Gaussian loss may carry its quadratic form ``quad(prior) -> (H, g,
+    c)``, meaning ``L(prior, y) = c + g @ y + y @ H @ y / 2`` (``c`` is
+    ``+inf`` where the loss is).  Without one, ``loss_compose`` averages
+    ``fn`` by quadrature.
     """
 
     fn: Callable
@@ -97,6 +109,7 @@ class LossFn:
     obs_dom: object
     instance: str
     vec: Callable | None = None
+    quad: Callable | None = None
 
     def __call__(self, prior, obs) -> float:
         return float(self.fn(prior, obs))
@@ -121,15 +134,18 @@ class LossFn:
         """Pre-compose the prior argument with a forward channel."""
         onto = prior_pushforward(ch)
         dom = ch.dom if self.instance == "discrete" else ch.dom_dim
-        vec = None
+        vec = quad = None
         if self.instance == "discrete":
             vec = lambda pi, sel: self.values(onto(pi), sel)
+        elif self.quad is not None:
+            quad = lambda pi: self.quad(onto(pi))
         return LossFn(
             fn=lambda pi, obs: self.fn(onto(pi), obs),
             prior_dom=dom,
             obs_dom=self.obs_dom,
             instance=self.instance,
             vec=vec,
+            quad=quad,
         )
 
 
@@ -160,8 +176,63 @@ def _discrete_loss(prior_dom, obs_dom, rows) -> LossFn:
     return LossFn(fn, prior_dom, obs_dom, "discrete", vec=rows)
 
 
+def _form_value(form, y) -> float:
+    """A quadratic form ``(H, g, c)`` at the observation ``y``."""
+    H, g, c = form
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.size != g.size:
+        raise ShapeError(f"observation has dimension {y.size}, expected {g.size}")
+    return float(c + g @ y + 0.5 * (y @ H @ y))
+
+
+def _form_sum(*forms):
+    H, g, c = forms[0]
+    for H2, g2, c2 in forms[1:]:
+        H, g, c = H + H2, g + g2, c + c2
+    return H, g, c
+
+
+def _half_square(chol, M, r):
+    """The form of ``y -> |chol^-1 (M y + r)|^2 / 2``, for a Cholesky
+    factor ``chol`` of the covariance whose precision weighs the residual."""
+    W = np.linalg.solve(chol, M)
+    u = np.linalg.solve(chol, r)
+    return W.T @ W, W.T @ u, 0.5 * float(u @ u)
+
+
+def _logdet(chol) -> float:
+    return 2.0 * float(np.log(np.diag(chol)).sum())
+
+
+def _gauss_loss(prior_dom, obs_dom, quad) -> LossFn:
+    """A Gaussian loss from its quadratic form ``quad(pi)``; the scalar call
+    evaluates the form at the one observation it is given."""
+    fn = lambda pi, y: _form_value(quad(pi), y)
+    return LossFn(fn, prior_dom, obs_dom, "gaussian", quad=quad)
+
+
+def _loss_sum(a: LossFn, b: LossFn) -> LossFn:
+    """The pointwise sum of two losses on the same spaces, in whichever form
+    both carry."""
+    if a.instance == "discrete":
+
+        def rows(pi, sel):
+            vals_a, defined_a = a.values(pi, sel)
+            vals_b, defined_b = b.values(pi, sel)
+            return vals_a + vals_b, defined_a & defined_b
+
+        return _discrete_loss(a.prior_dom, a.obs_dom, rows)
+    if a.quad is None or b.quad is None:
+        fn = lambda pi, y: a.fn(pi, y) + b.fn(pi, y)
+        return LossFn(fn, a.prior_dom, a.obs_dom, "gaussian")
+    return _gauss_loss(a.prior_dom, a.obs_dom, lambda pi: _form_sum(a.quad(pi), b.quad(pi)))
+
+
 def zero_loss(l: BayesLens) -> LossFn:
-    return _make_loss(l, lambda pi, obs: 0.0)
+    if l.instance == "discrete":
+        return _make_loss(l, lambda pi, obs: 0.0)
+    n = l.fwd.out_dim
+    return _gauss_loss(l.fwd.dom_dim, n, lambda pi: (np.zeros((n, n)), np.zeros(n), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +254,23 @@ def kl_loss(l: BayesLens) -> LossFn:
 
         return _discrete_loss(fwd.dom, fwd.out, rows)
 
-    def fn(pi, y):
+    def quad(pi):
+        # KL(N(Ga y + ha, Sa) || N(Ge y + he, Se)) with D = Ge - Ga and
+        # e = he - ha: the Mahalanobis term |Le^-1 (D y + e)|^2 / 2 plus a
+        # constant in y, as in ``gaussian.g_kl``
         approx = l.bwd(pi)
         exact = exact_inversion(fwd, pi)
-        return gs.g_kl(apply_channel(approx, y), apply_channel(exact, y))
+        if approx.A.shape != exact.A.shape:
+            raise ShapeError("the backward channel's dimensions differ from the exact inversion's")
+        le = gs._chol(exact.noise, "second covariance")
+        H, g, c = _half_square(le, exact.A - approx.A, exact.b - approx.b)
+        sign, logdet_a = np.linalg.slogdet(approx.noise)
+        if sign <= 0:
+            return H, g, math.inf
+        trace = float(np.trace(np.linalg.solve(le, np.linalg.solve(le, approx.noise).T)))
+        return H, g, c + 0.5 * (trace - approx.cod_dim + _logdet(le) - logdet_a)
 
-    return _make_loss(l, fn)
+    return _gauss_loss(fwd.dom_dim, fwd.out_dim, quad)
 
 
 def mle_loss(l: BayesLens) -> LossFn:
@@ -205,21 +287,19 @@ def mle_loss(l: BayesLens) -> LossFn:
                 return -np.log(mass), np.ones(mass.shape, dtype=bool)
 
         return _discrete_loss(l.fwd.dom, l.fwd.out, rows)
-    return _make_loss(l, lambda pi, y: -gs.g_logpdf(onto(pi), y))
+
+    def quad(pi):
+        pushed = onto(pi)
+        chol = gs._chol(pushed.cov, "covariance")
+        H, g, c = _half_square(chol, np.eye(pushed.dim), -pushed.mean)
+        return H, g, c + 0.5 * (pushed.dim * gs.LOG_2PI + _logdet(chol))
+
+    return _gauss_loss(l.fwd.dom_dim, l.fwd.out_dim, quad)
 
 
 def fe_loss(l: BayesLens) -> LossFn:
     """Free energy: divergence-to-exact plus observation code length."""
-    kl = kl_loss(l)
-    mle = mle_loss(l)
-    if l.instance == "discrete":
-
-        def rows(pi, sel):
-            kl_vals, defined = kl.vec(pi, sel)
-            return kl_vals + mle.vec(pi, sel)[0], defined
-
-        return _discrete_loss(l.fwd.dom, l.fwd.out, rows)
-    return _make_loss(l, lambda pi, y: kl.fn(pi, y) + mle.fn(pi, y))
+    return _loss_sum(kl_loss(l), mle_loss(l))
 
 
 # -- the marginalization-free rearrangement ---------------------------------
@@ -298,16 +378,23 @@ def _gauss_energy_quadratic(l: BayesLens, pi, y, z0):
     return val, hess
 
 
-def _gauss_energy_hessian(fwd, pi) -> np.ndarray:
+def _energy_residual_map(fwd) -> np.ndarray:
+    """The matrix ``w`` with ``(m, y) - (A x + b) = w @ z + (0, y) - b`` for
+    ``z = (x, m)``."""
     dx, dm = fwd.dom_dim, fwd.copar_dim
+    w = np.zeros((fwd.cod_dim, dx + dm))
+    w[:dm, dx:] = np.eye(dm)
+    w[:, :dx] -= fwd.A
+    return w
+
+
+def _gauss_energy_hessian(fwd, pi) -> np.ndarray:
+    dx = fwd.dom_dim
     lam_c = np.linalg.inv(gs._chol(fwd.noise, "channel noise"))
     lam_c = lam_c.T @ lam_c
     lam_pi = np.linalg.inv(gs._chol(pi.cov, "prior covariance"))
     lam_pi = lam_pi.T @ lam_pi
-    # residual (m, y) - (A x + b) as a linear map of z = (x, m)
-    w = np.zeros((fwd.cod_dim, dx + dm))
-    w[:dm, dx:] = np.eye(dm)
-    w[:, :dx] -= fwd.A
+    w = _energy_residual_map(fwd)
     hess = w.T @ lam_c @ w
     hess[:dx, :dx] += lam_pi
     return hess
@@ -321,12 +408,29 @@ def lfe_loss(l: BayesLens) -> LossFn:
     if not l.simple:
         raise ShapeError("loss models apply to simple lenses")
 
-    def fn(pi, y):
-        state = apply_channel(l.bwd(pi), y)
-        val, _hess = _gauss_energy_quadratic(l, pi, y, state.mean)
-        return val - gs.g_entropy(state)
+    fwd = l.fwd
+    dx, nz = fwd.dom_dim, fwd.dom_dim + fwd.copar_dim
+    w = _energy_residual_map(fwd)
+    obs_rows = np.eye(fwd.cod_dim)[:, fwd.copar_dim :]
 
-    return _make_loss(l, fn)
+    def quad(pi):
+        # the posterior mean z = B y + beta is affine in y, so the energy
+        # there is a quadratic in y; the entropy does not depend on y
+        back = l.bwd(pi)
+        chol_c = gs._chol(fwd.noise, "covariance")
+        chol_pi = gs._chol(pi.cov, "covariance")
+        chol_post = gs._chol(back.noise, "covariance")
+        const = 0.5 * (
+            (fwd.cod_dim + dx) * gs.LOG_2PI + _logdet(chol_c) + _logdet(chol_pi)
+            - nz * (1.0 + gs.LOG_2PI) - _logdet(chol_post)
+        )
+        return _form_sum(
+            _half_square(chol_c, w @ back.A + obs_rows, w @ back.b - fwd.b),
+            _half_square(chol_pi, back.A[:dx], back.b[:dx] - pi.mean),
+            (0.0, 0.0, const),
+        )
+
+    return _gauss_loss(fwd.dom_dim, fwd.out_dim, quad)
 
 
 def laplace_sigma(l: BayesLens, pi, y) -> np.ndarray:
@@ -365,8 +469,13 @@ def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
     the first loss averaged over the second's backward channel.
 
     Discrete losses compose in their vector form, so the first loss is
-    evaluated once per prior for every observation it is averaged over;
-    Gaussian ones average by Gauss-Hermite quadrature."""
+    evaluated once per prior for every observation it is averaged over.
+    Gaussian losses compose in their quadratic form: with the backward
+    ``z -> N(B z + beta, S)`` and the first loss ``(H, g, c)``, the average
+    is the form ``(B'HB, B'(H beta + g), c + g.beta + beta'H beta / 2 +
+    tr(H S) / 2)``, so a composite costs one form of each stage per prior.
+    A Gaussian loss without a form is averaged per call by Gauss-Hermite
+    quadrature."""
     if Ld.instance != Lc.instance:
         raise ShapeError("losses live in different instances")
     mid = prior_pushforward(c.fwd)
@@ -381,14 +490,29 @@ def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
 
         return _discrete_loss(Lc.prior_dom, Ld.obs_dom, rows)
 
-    def fn(pi, z):
-        mid_prior = mid(pi)
-        first = Ld.fn(mid_prior, z)
-        back = discard(d.bwd(mid_prior))
-        ystate = gs.g_apply(back, z)
-        return first + gs.gauss_hermite_expect(ystate, lambda y: Lc.fn(pi, y))
+    if Ld.quad is None or Lc.quad is None:
 
-    return LossFn(fn=fn, prior_dom=Lc.prior_dom, obs_dom=Ld.obs_dom, instance=Ld.instance)
+        def fn(pi, z):
+            mid_prior = mid(pi)
+            first = Ld.fn(mid_prior, z)
+            back = discard(d.bwd(mid_prior))
+            ystate = gs.g_apply(back, z)
+            return first + gs.gauss_hermite_expect(ystate, lambda y: Lc.fn(pi, y))
+
+        return LossFn(fn=fn, prior_dom=Lc.prior_dom, obs_dom=Ld.obs_dom, instance=Ld.instance)
+
+    def quad(pi):
+        mid_prior = mid(pi)
+        first = Ld.quad(mid_prior)
+        back = discard(d.bwd(mid_prior))
+        H, g, const = Lc.quad(pi)
+        B, beta = back.A, back.b
+        h_beta = H @ beta
+        at_mean = const + g @ beta + 0.5 * float(beta @ h_beta)
+        second = (B.T @ H @ B, B.T @ (h_beta + g), gs.gauss_expect_quadratic(at_mean, H, back.noise))
+        return _form_sum(first, second)
+
+    return _gauss_loss(Lc.prior_dom, Ld.obs_dom, quad)
 
 
 def loss_for(model: LossModel, l: BayesLens) -> LossFn:

@@ -63,11 +63,21 @@ def _labels(obj, key) -> tuple[str, ...]:
     return tuple(str(x) for x in val)
 
 
+def _numbers(obj, key) -> np.ndarray:
+    """Field ``key`` as a float array: a number or a rectangular nested
+    list of numbers."""
+    if key not in obj:
+        raise ModelParseError(f"missing field {key!r}")
+    try:
+        return np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ModelParseError(
+            f"field {key!r} must be a number or a rectangular list of numbers"
+        ) from None
+
+
 def _rows(obj, n_rows, n_cols):
-    raw = obj.get("rows")
-    if raw is None:
-        raise ModelParseError("missing field 'rows'")
-    arr = np.asarray(raw, dtype=float)
+    arr = _numbers(obj, "rows")
     if arr.ndim == 1:
         if arr.size != n_rows * n_cols:
             raise ModelParseError(
@@ -96,15 +106,10 @@ def _parse_discrete_channel(obj) -> ds.CoparKernel:
 
 
 def _parse_gauss_channel(obj) -> gs.GaussChannel:
-    try:
-        A = np.asarray(obj["A"], dtype=float)
-        b = np.asarray(obj["b"], dtype=float)
-        noise = np.asarray(obj["noise"], dtype=float)
-    except KeyError as e:
-        raise ModelParseError(f"missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError):
-        raise ModelParseError("fields 'A', 'b', 'noise' must be numeric") from None
-    copar_dim = int(obj.get("copar_dim", 0))
+    A, b, noise = (_numbers(obj, key) for key in ("A", "b", "noise"))
+    copar_dim = obj.get("copar_dim", 0)
+    if not isinstance(copar_dim, int) or isinstance(copar_dim, bool):
+        raise ModelParseError(f"field 'copar_dim' must be an integer, not {copar_dim!r}")
     side = obj.get("copar_side", "left")
     try:
         return gs.GaussChannel(A, b, noise, copar_dim=copar_dim, copar_side=side)
@@ -127,19 +132,15 @@ def parse_state(obj) -> ds.Dist | gs.GaussState:
         raise ModelParseError("a state must be a JSON object")
     if "space" in obj:
         sp = ds.space(_labels(obj, "space"))
-        mass = np.asarray(obj.get("mass"), dtype=float)
+        mass = _numbers(obj, "mass")
         try:
             return ds.Dist(sp, mass)
         except ShapeError as e:
             raise ModelParseError(str(e)) from None
     if "mean" in obj:
+        mean, cov = _numbers(obj, "mean"), _numbers(obj, "cov")
         try:
-            return gs.GaussState(
-                np.asarray(obj["mean"], dtype=float),
-                np.asarray(obj["cov"], dtype=float),
-            )
-        except KeyError as e:
-            raise ModelParseError(f"missing field {e.args[0]!r}") from None
+            return gs.GaussState(mean, cov)
         except ShapeError as e:
             raise ModelParseError(str(e)) from None
     raise ModelParseError("state object has neither 'space' (discrete) nor 'mean' (Gaussian)")

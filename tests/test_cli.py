@@ -184,6 +184,19 @@ class TestEvalLoss:
         assert rc == 2
         assert captured.out == "" and "row 0" in captured.err
 
+    def test_ragged_prior_covariance_is_a_parse_error(self, tmp_path, capsys):
+        model = write(
+            tmp_path, "m.json", {"fwd": {"A": [[1.0, 0.0]], "b": [0.0], "noise": [[1.0]]}}
+        )
+        prior = write(tmp_path, "p.json", {"mean": [0.0, 0.0], "cov": [[1.0], [2.0, 3.0]]})
+        rc = main(
+            ["eval-loss", "--model", model, "--loss", "mle",
+             "--prior", prior, "--obs", "0.5"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and captured.err.startswith("parse error:")
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -252,6 +265,17 @@ class TestInspect:
         rc = main(["inspect", "--model", model])
         assert rc == 2
         assert "row 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "obj",
+        [dict(KERNEL, rows=[[0.5, 0.5], [1.0]]), {"A": [[1.0]], "b": [0.0], "noise": [[1.0]], "copar_dim": "x"}],
+    )
+    def test_malformed_numbers_exit_2(self, tmp_path, capsys, obj):
+        model = write(tmp_path, "k.json", obj)
+        rc = main(["inspect", "--model", model])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and captured.err.startswith("parse error:")
 
     def test_lens_bundle_summary(self, tmp_path, capsys):
         model = write(tmp_path, "l.json", {"fwd": KERNEL, "bwd": "exact"})

@@ -825,3 +825,167 @@ class TestFoldedDepth:
             assert value == pytest.approx(kl_loss(composite)(pi, 1), abs=1e-9)
         assert calls[6] <= 3 * 6
         assert calls[6] - calls[3] <= 3 * (6 - 3)
+
+
+GAUSS_MODELS = [LossModel.KL, LossModel.MLE, LossModel.FE]
+GAUSS_SHAPES = [
+    (dx, dy, dz, dm, dn)
+    for dx in (1, 2, 3)
+    for dy in (1, 2, 3)
+    for dz in (1, 2, 3)
+    for dm in (0, 1)
+    for dn in (0, 1)
+]
+
+
+def quadrature_compose(Ld, Lc, d, c, pi, z):
+    """The composite loss at one observation: the inner scalar loss averaged
+    over the backward channel by Gauss-Hermite quadrature."""
+    mid = prior_pushforward(c.fwd)(pi)
+    back = gs.g_discard_coparam(d.bwd(mid))
+    return Ld(mid, z) + gs.gauss_hermite_expect(gs.g_apply(back, z), lambda y: Lc(pi, y))
+
+
+def pointwise_loss(model, lens, pi, y):
+    """A model at one observation from the densities, without its form."""
+    y = np.atleast_1d(y)
+    back = gs.g_apply(lens.bwd(pi), y)
+    if model is LossModel.MLE:
+        return -gs.g_logpdf(prior_pushforward(lens.fwd)(pi), y)
+    if model is LossModel.KL:
+        return gs.g_kl(back, gs.g_apply(exact_inversion(lens.fwd, pi), y))
+    if model is LossModel.FE:
+        return sum(pointwise_loss(m, lens, pi, y) for m in (LossModel.KL, LossModel.MLE))
+    dx = lens.fwd.dom_dim
+    x0, m0 = back.mean[:dx], back.mean[dx:]
+    energy = -gs.g_logpdf(gs.g_apply(lens.fwd, x0), np.concatenate([m0, y]))
+    return energy - gs.g_logpdf(pi, x0) - gs.g_entropy(back)
+
+
+class TestGaussianForm:
+    def pair(self, rng, dx, dy, dz, dm, dn):
+        c = perturbed_gauss_lens(rng, random_gauss_channel(rng, dx, dm, dy))
+        d = perturbed_gauss_lens(rng, random_gauss_channel(rng, dy, dn, dz))
+        return c, d, random_gauss_state(rng, dx)
+
+    @pytest.mark.parametrize("model", GAUSS_MODELS + [LossModel.LFE])
+    def test_scalar_calls_match_the_densities(self, model):
+        rng = rng_for(40)
+        for dx, dy, dm in [(1, 1, 0), (2, 3, 1), (3, 2, 0), (3, 3, 1)]:
+            for lens in (
+                exact_lens(random_gauss_channel(rng, dx, dm, dy)),
+                perturbed_gauss_lens(rng, random_gauss_channel(rng, dx, dm, dy)),
+            ):
+                pi = random_gauss_state(rng, dx)
+                y = rng.uniform(-1.5, 1.5, size=dy)
+                want = pointwise_loss(model, lens, pi, y)
+                assert loss_for(model, lens)(pi, y) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("model", GAUSS_MODELS)
+    def test_composites_match_quadrature(self, model):
+        rng = rng_for(41)
+        for shape in GAUSS_SHAPES:
+            c, d, pi = self.pair(rng, *shape)
+            Ld, Lc = loss_for(model, d), loss_for(model, c)
+            comp = loss_compose(Ld, Lc, d, c)
+            assert comp.quad is not None
+            z = rng.uniform(-1.0, 1.0, size=shape[2])
+            want = quadrature_compose(Ld, Lc, d, c, pi, z)
+            assert comp(pi, z) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_nested_and_reindexed_composites_match_quadrature(self):
+        rng = rng_for(42)
+        c, d, pi = self.pair(rng, 2, 2, 3, 1, 0)
+        e = perturbed_gauss_lens(rng, random_gauss_channel(rng, 3, 1, 2))
+        dc = lens_compose(d, c)
+        inner = loss_compose(fe_loss(d), fe_loss(c), d, c)
+        reindexed = mle_loss(d).reindex(c.fwd)
+        assert reindexed.quad is not None
+        for w in rng.uniform(-1.0, 1.0, size=(3, 2)):
+            for Lc in (inner, reindexed):
+                outer = loss_compose(fe_loss(e), Lc, e, dc)
+                want = quadrature_compose(fe_loss(e), Lc, e, dc, pi, w)
+                assert outer(pi, w) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_vertical_composite_and_zero_loss_carry_the_form(self):
+        rng = rng_for(43)
+        c, d, pi = self.pair(rng, 2, 2, 2, 1, 1)
+        game = Game(lens=c, loss=kl_loss(c))
+        w = TwoCellWitness(game, game, kl_loss(c))
+        summed = game_vcompose(w, TwoCellWitness(game, game, zero_loss(c))).K
+        assert summed.quad is not None
+        z = rng.uniform(-1.0, 1.0, size=2)
+        comp = loss_compose(mle_loss(d), summed, d, c)
+        want = quadrature_compose(mle_loss(d), kl_loss(c), d, c, pi, z)
+        assert comp(pi, z) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_loss_from_fn_alone_composes_by_quadrature(self, monkeypatch):
+        rng = rng_for(44)
+        c, d, pi = self.pair(rng, 2, 2, 2, 0, 1)
+        Lc = kl_loss(c)
+        bare = loss_module.LossFn(Lc.fn, Lc.prior_dom, Lc.obs_dom, "gaussian")
+        calls = {"n": 0}
+        hermite = gs.gauss_hermite_expect
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return hermite(*args, **kwargs)
+
+        monkeypatch.setattr(gs, "gauss_hermite_expect", counting)
+        z = rng.uniform(-1.0, 1.0, size=2)
+        closed = loss_compose(kl_loss(d), Lc, d, c)(pi, z)
+        assert calls["n"] == 0
+        tabulated = loss_compose(kl_loss(d), bare, d, c)
+        assert tabulated.quad is None
+        assert tabulated(pi, z) == pytest.approx(closed, rel=1e-9, abs=1e-9)
+        assert calls["n"] == 1
+
+    def test_singular_approximate_posterior_gives_infinity(self):
+        rng = rng_for(45)
+        fwd = random_gauss_channel(rng, 2, 1, 2)
+
+        def bwd(pi):
+            ex = gs.g_invert(fwd, pi)
+            return gs.GaussChannel(ex.A, ex.b, np.zeros((3, 3)), ex.copar_dim, "right")
+
+        c = BayesLens(fwd=fwd, bwd=bwd, simple=True)
+        d = exact_lens(random_gauss_channel(rng, 2, 0, 1))
+        pi, z = random_gauss_state(rng, 2), [0.3]
+        comp = loss_compose(kl_loss(d), kl_loss(c), d, c)
+        assert comp(pi, z) == math.inf
+        assert quadrature_compose(kl_loss(d), kl_loss(c), d, c, pi, z) == math.inf
+        assert fe_loss(c)(pi, [0.1, 0.2]) == math.inf
+
+    def test_singular_exact_posterior_raises(self):
+        rng = rng_for(46)
+        c = perturbed_gauss_lens(rng, random_gauss_channel(rng, 1, 1, 2))
+        d = exact_lens(random_gauss_channel(rng, 2, 0, 1))
+        point = gs.GaussState([0.4], [[0.0]])  # the posterior of x is a point mass
+        comp = loss_compose(kl_loss(d), kl_loss(c), d, c)
+        with pytest.raises(SingularityError):
+            comp(point, [0.3])
+        with pytest.raises(SingularityError):
+            quadrature_compose(kl_loss(d), kl_loss(c), d, c, point, [0.3])
+
+    def test_inversions_do_not_grow_with_the_intermediate_dimension(self, monkeypatch):
+        # the closed form takes one form of each stage per prior; averaging
+        # one quadrature point at a time inverts twice per point, 2 * 3^dy
+        counted = {"n": 0}
+        invert = gs.g_invert
+
+        def counting(f, pi):
+            counted["n"] += 1
+            return invert(f, pi)
+
+        monkeypatch.setattr(gs, "g_invert", counting)
+        rng = rng_for(47)
+        calls = []
+        for dy in (1, 2, 3):
+            c = perturbed_gauss_lens(rng, random_gauss_channel(rng, 2, 1, dy))
+            d = perturbed_gauss_lens(rng, random_gauss_channel(rng, dy, 1, 2))
+            composed = loss_compose(kl_loss(d), kl_loss(c), d, c)
+            pi = random_gauss_state(rng, 2)
+            counted["n"] = 0
+            composed(pi, [0.2, -0.1])
+            calls.append(counted["n"])
+        assert calls == [5, 5, 5]

@@ -117,6 +117,29 @@ class TestStates:
         assert np.allclose(s.mass, again.mass)
 
 
+#: malformed numeric fields, each of which must be a parse error rather
+#: than a ``ValueError`` from the array conversion
+MALFORMED = [
+    ("parse_channel", dict(KERNEL, rows=[[0.5, 0.5], [1.0]])),
+    ("parse_channel", dict(KERNEL, rows="ab")),
+    ("parse_channel", dict(GAUSS, copar_dim="x")),
+    ("parse_channel", dict(GAUSS, copar_dim=0.5)),
+    ("parse_channel", dict(GAUSS, A=[[1.0], [1.0, 2.0]])),
+    ("parse_state", {"space": ["a", "b"], "mass": "ab"}),
+    ("parse_state", {"space": ["a", "b"], "mass": [[0.5], [0.25, 0.25]]}),
+    ("parse_state", {"mean": [[0.0], [0.0, 1.0]], "cov": [[1.0]]}),
+    ("parse_state", {"mean": [0.0, 0.0], "cov": [[1.0], [2.0, 3.0]]}),
+    ("parse_state", {"mean": ["zero"], "cov": [[1.0]]}),
+]
+
+
+@pytest.mark.parametrize("parser, obj", MALFORMED)
+def test_malformed_numbers_are_parse_errors(parser, obj):
+    parse = {"parse_channel": parse_channel, "parse_state": parse_state}[parser]
+    with pytest.raises(ModelParseError):
+        parse(obj)
+
+
 class TestLensBundles:
     def test_exact_bundle(self):
         lens = parse_lens({"fwd": KERNEL, "bwd": "exact"})
