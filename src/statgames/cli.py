@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from . import discrete as ds
 from . import gaussian as gs
+from .backend import BACKENDS, backend_of
 from .errors import (
     InstanceError,
     ModelParseError,
@@ -32,7 +32,7 @@ from .errors import (
     SupportError,
 )
 from .harness import SUITE_DEFAULTS, SUITES, SuiteConfig, check_suite, run_suite
-from .lens import BayesLens, apply_channel, exact_lens, instance_of
+from .lens import exact_lens
 from .loss import (
     LossModel,
     energy_entropy_decomp,
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--max-dim", type=int, default=None)
     v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--instance", choices=["discrete", "gaussian"], default="discrete")
+    v.add_argument("--instance", choices=sorted(BACKENDS), default="discrete")
     v.add_argument("--report", default=None, help="write a combined JSON report here")
 
     e = sub.add_parser("eval-loss", help="evaluate a loss on a JSON model")
@@ -126,43 +126,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_obs(lens: BayesLens, literal: str):
-    if lens.instance == "gaussian":
-        try:
-            val = json.loads(literal)
-        except json.JSONDecodeError:
-            try:
-                val = [float(x) for x in literal.split(",")]
-            except ValueError:
-                raise ModelParseError(f"cannot parse observation {literal!r}") from None
-        arr = np.atleast_1d(np.asarray(val, dtype=float))
-        if arr.size != lens.fwd.out_dim:
-            raise ModelParseError(
-                f"observation has dimension {arr.size}, expected {lens.fwd.out_dim}"
-            )
-        return arr
-    out = lens.fwd.out
-    try:
-        parsed = json.loads(literal)
-    except json.JSONDecodeError:
-        parsed = literal
-    if isinstance(parsed, int) and 0 <= parsed < out.size:
-        return parsed
-    label = tuple(parsed) if isinstance(parsed, list) else parsed
-    if isinstance(label, str) and "|" in label and out.n_factors > 1:
-        label = tuple(label.split("|"))
-    try:
-        return out.index(label)
-    except (ValueError, ShapeError):
-        raise ModelParseError(f"observation {literal!r} is not an outcome of the codomain") from None
-
-
 def cmd_eval_loss(args) -> int:
     lens = parse_lens(load_json(args.model))
     prior = parse_state(load_json(args.prior))
-    if instance_of(prior) != lens.instance:
+    if backend_of(prior) is not lens.backend:
         raise ModelParseError("prior and model are from different instances")
-    obs = _parse_obs(lens, args.obs)
+    obs = lens.backend.parse_obs(lens.fwd, args.obs)
     model = LossModel(args.loss)
     value = loss_for(model, lens)(prior, obs)
     lines = [("loss", value)]
@@ -170,11 +139,9 @@ def cmd_eval_loss(args) -> int:
         if model not in (LossModel.FE, LossModel.LFE):
             print("--decompose applies to fe and lfe only", file=sys.stderr)
             return 2
-        if model is LossModel.FE:
-            energy, entropy = energy_entropy_decomp(lens, prior, obs)
-        else:
-            entropy = gs.g_entropy(apply_channel(lens.bwd(prior), obs))
-            energy = value + entropy
+        energy, entropy = energy_entropy_decomp(lens, prior, obs)
+        if model is LossModel.LFE:
+            energy = value + entropy  # the Laplace energy, at the posterior mean
         lines += [("energy", energy), ("entropy", entropy)]
     if args.json:
         print(json.dumps({k: v for k, v in lines}, sort_keys=True))
@@ -208,7 +175,7 @@ def cmd_demo(args) -> int:
     # the forward channel and the prior are fixed, so the exact posterior
     # and the observation's code length are computed once
     lens = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
-    exact = apply_channel(lens.bwd(prior), y)
+    exact = gs.g_apply(lens.bwd(prior), y)
     neg_log_evidence = mle_loss(lens)(prior, y)
 
     def terms(p) -> tuple[float, float, float]:
@@ -276,62 +243,24 @@ def _write_demo_csv(path, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _describe_space(s: ds.FiniteSpace) -> str:
-    return f"size {s.size}, factors {list(s.factor_sizes)}"
-
-
-def _audit_rows(rows: np.ndarray) -> str:
-    sums = rows.sum(axis=1)
-    return (
-        f"row sums in [{float(sums.min())!r}, {float(sums.max())!r}], "
-        f"max deviation {np.abs(sums - 1.0).max():.3e}"
-    )
-
-
-def _inspect_channel(ch) -> None:
-    if isinstance(ch, ds.CoparKernel):
-        print("discrete channel")
-        print(f"  dom:   {_describe_space(ch.dom)}")
-        print(f"  copar: {_describe_space(ch.copar)} ({ch.copar_side})")
-        print(f"  out:   {_describe_space(ch.out)}")
-        print(f"  audit: {_audit_rows(ch.rows)}")
-    else:
-        print("gaussian channel")
-        print(f"  dom dim:   {ch.dom_dim}")
-        print(f"  copar dim: {ch.copar_dim} ({ch.copar_side})")
-        print(f"  out dim:   {ch.out_dim}")
-        print(f"  noise eigenvalue range: "
-              f"[{np.linalg.eigvalsh(ch.noise).min():.3e}, "
-              f"{np.linalg.eigvalsh(ch.noise).max():.3e}]")
-
-
 def cmd_inspect(args) -> int:
     obj = load_json(args.model)
     if not isinstance(obj, dict):
         raise ModelParseError("model file must hold a JSON object")
     if "fwd" in obj:
         lens = parse_lens(obj)
-        print("lens bundle")
-        _inspect_channel(lens.fwd)
+        print("lens bundle", *lens.backend.describe_channel(lens.fwd), sep="\n")
         bwd = obj.get("bwd", "exact")
         kind = "exact inversion" if bwd == "exact" else f"table of {len(bwd)} priors"
         print(f"  backward: {kind}")
         return 0
-    if "dom" in obj or "A" in obj:
-        _inspect_channel(parse_channel(obj))
+    if any(b.channel_key in obj for b in BACKENDS.values()):
+        ch = parse_channel(obj)
+        print(*backend_of(ch).describe_channel(ch), sep="\n")
         return 0
-    if "space" in obj or "mean" in obj:
+    if any(b.state_key in obj for b in BACKENDS.values()):
         state = parse_state(obj)
-        if isinstance(state, ds.Dist):
-            print("discrete state")
-            print(f"  space: {_describe_space(state.space)}")
-            print(f"  mass sums to {float(state.mass.sum())!r}")
-        else:
-            print("gaussian state")
-            print(f"  dim: {state.dim}")
-            print(f"  covariance eigenvalue range: "
-                  f"[{np.linalg.eigvalsh(state.cov).min():.3e}, "
-                  f"{np.linalg.eigvalsh(state.cov).max():.3e}]")
+        print(*backend_of(state).describe_state(state), sep="\n")
         return 0
     raise ModelParseError("unrecognized model object; expected a channel, state, or lens bundle")
 

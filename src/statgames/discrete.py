@@ -24,6 +24,7 @@ of ``-log 0``); expectations use the measure-theoretic convention
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -67,6 +68,9 @@ __all__ = [
 
 #: tolerance for "entries sum to 1" checks at construction time
 NORMALIZATION_ATOL = 1e-12
+#: the most float64 entries (512 MiB) a composite or tensored channel may
+#: hold; larger results raise ``ShapeError`` before anything is allocated
+MAX_ENTRIES = 2**26
 #: default tolerance for entrywise kernel comparisons
 COMPARE_ATOL = 1e-9
 
@@ -150,10 +154,7 @@ def space(labels: Iterable[str]) -> FiniteSpace:
 
 
 def product_space(*spaces: FiniteSpace) -> FiniteSpace:
-    out = spaces[0]
-    for s in spaces[1:]:
-        out = out.product(s)
-    return out
+    return functools.reduce(FiniteSpace.product, spaces)
 
 
 def unit_space() -> FiniteSpace:
@@ -346,19 +347,23 @@ def copy_compose_copar(g: CoparKernel, f: CoparKernel) -> CoparKernel:
         raise ShapeError("cannot compose channels of mixed coparameter side")
     if f.out != g.dom:
         raise ShapeError("output of first does not match domain of second")
-    a = f.dom.size
+    _check_entries(f.rows.size * g.copar.size * g.out.size, "copy-composite")
+    fr, gr = f.rows.reshape(f._split_shape()), g.rows.reshape(g._split_shape())
     if f.copar_side == "left":
-        fr = f.rows.reshape(a, f.copar.size, f.out.size)
-        gr = g.rows.reshape(f.out.size, g.copar.size, g.out.size)
         joint = np.einsum("amb,bnz->ambnz", fr, gr)
         copar = f.copar.product(f.out).product(g.copar)
-        return CoparKernel(f.dom, copar, g.out, joint.reshape(a, -1), "left")
-    # right: f maps dom -> out (x) copar, g applied to f's out block
-    fr = f.rows.reshape(a, f.out.size, f.copar.size)
-    gr = g.rows.reshape(f.out.size, g.out.size, g.copar.size)
-    joint = np.einsum("abn,bzm->azmbn", fr, gr)
-    copar = g.copar.product(f.out).product(f.copar)
-    return CoparKernel(f.dom, copar, g.out, joint.reshape(a, -1), "right")
+    else:  # f maps dom -> out (x) copar, g applied to f's out block
+        joint = np.einsum("abn,bzm->azmbn", fr, gr)
+        copar = g.copar.product(f.out).product(f.copar)
+    return CoparKernel(f.dom, copar, g.out, joint.reshape(f.dom.size, -1), f.copar_side)
+
+
+def _check_entries(n: int, what: str) -> None:
+    if n > MAX_ENTRIES:
+        raise ShapeError(
+            f"the {what} would hold {n:,} entries ({8 * n:,} bytes), "
+            f"over the limit of {MAX_ENTRIES:,}"
+        )
 
 
 def discard_coparam(f: CoparKernel) -> FiniteKernel:
@@ -396,6 +401,7 @@ def tensor_copar(f: CoparKernel, g: CoparKernel) -> CoparKernel:
     """
     if f.copar_side != g.copar_side:
         raise ShapeError("cannot tensor channels of mixed coparameter side")
+    _check_entries(f.rows.size * g.rows.size, "tensor")
     sizes = f._split_shape()[1:] + g._split_shape()[1:]
     rows = _permute_columns(np.kron(f.rows, g.rows), sizes, (0, 2, 1, 3))
     return CoparKernel(
@@ -421,7 +427,7 @@ def marginal_dist(p: Dist, keep: Iterable[int]) -> Dist:
     # reorder kept axes to the requested order
     order = np.argsort(np.argsort(keep))
     if not np.array_equal(order, np.arange(len(keep))):
-        summed = summed.transpose(np.argsort(np.argsort(keep)))
+        summed = summed.transpose(order)
     return Dist(p.space.subspace(keep), summed.reshape(-1))
 
 

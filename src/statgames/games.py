@@ -26,7 +26,7 @@ import math
 
 from .errors import CompositionError, ShapeError, SingularityError, SupportError
 from .lens import BayesLens, lens_compose
-from .loss import LossFn, LossModel, _lens_doms, _loss_sum, loss_compose, loss_for
+from .loss import LossFn, LossModel, _loss_sum, loss_compose, loss_for
 
 __all__ = [
     "Game",
@@ -52,10 +52,7 @@ class Game:
     loss: LossFn
 
     def __post_init__(self):
-        prior_dom, obs_dom = _lens_doms(self.lens)
-        if self.loss.instance != self.lens.instance:
-            raise ShapeError("loss and lens live in different instances")
-        if self.loss.prior_dom != prior_dom or self.loss.obs_dom != obs_dom:
+        if (self.loss.prior_dom, self.loss.obs_dom) != self.lens.backend.doms(self.lens.fwd):
             raise ShapeError("loss spaces do not match the lens endpoints")
 
 
@@ -149,12 +146,7 @@ def section_check(
     """
     if len(pairs) != len(probes):
         raise ShapeError("need one probe list per pair")
-    worst_k = -math.inf
-    worst_abs = 0.0
-    n_probes = 0
-    skipped = 0
-    any_above_tol = False
-    any_below_floor = False
+    ks, skipped = [], 0
     for (d, c), probe_list in zip(pairs, probes):
         try:
             composed, direct = _witness_losses(model, d, c)
@@ -163,20 +155,12 @@ def section_check(
             continue
         for pi, obs in probe_list:
             try:
-                k = composed(pi, obs) - direct(pi, obs)
+                ks.append(composed(pi, obs) - direct(pi, obs))
             except (SupportError, SingularityError):
                 skipped += 1
-                continue
-            n_probes += 1
-            worst_k = max(worst_k, k)
-            worst_abs = max(worst_abs, abs(k))
-            if k > tol:
-                any_above_tol = True
-            if k < floor:
-                any_below_floor = True
-    if any_below_floor:
+    if any(k < floor for k in ks):
         classification = "VIOLATION"
-    elif any_above_tol:
+    elif any(k > tol for k in ks):
         classification = "LAX"
     else:
         classification = "STRICT"
@@ -184,8 +168,8 @@ def section_check(
         "model": model.value,
         "classification": classification,
         "n_pairs": len(pairs),
-        "n_probes": n_probes,
-        "worst_K": None if n_probes == 0 else worst_k,
-        "worst_abs_K": worst_abs,
+        "n_probes": len(ks),
+        "worst_K": max([-math.inf, *ks]) if ks else None,
+        "worst_abs_K": max([0.0, *map(abs, ks)]),
         "skipped": skipped,
     }

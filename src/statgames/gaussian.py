@@ -194,19 +194,15 @@ def g_copy_compose(d: GaussChannel, c: GaussChannel) -> GaussChannel:
     sel = np.eye(c.cod_dim)[_out_rows(c)]
     if sel.shape[0] != d.dom_dim:
         raise ShapeError("output of first does not match domain of second")
-    eye_c = np.eye(c.cod_dim)
+    eye_c, zeros_c = np.eye(c.cod_dim), np.zeros(c.cod_dim)
+    extra = np.zeros((c.cod_dim + d.cod_dim,) * 2)
     if c.copar_side == "left":
-        stack = np.vstack([eye_c, d.A @ sel])
-        shift = np.concatenate([np.zeros(c.cod_dim), d.b])
-        extra = np.zeros((stack.shape[0], stack.shape[0]))
+        stack, shift = np.vstack([eye_c, d.A @ sel]), np.concatenate([zeros_c, d.b])
         extra[c.cod_dim :, c.cod_dim :] = d.noise
-        copar_dim = c.cod_dim + d.copar_dim
     else:
-        stack = np.vstack([d.A @ sel, eye_c])
-        shift = np.concatenate([d.b, np.zeros(c.cod_dim)])
-        extra = np.zeros((stack.shape[0], stack.shape[0]))
+        stack, shift = np.vstack([d.A @ sel, eye_c]), np.concatenate([d.b, zeros_c])
         extra[: d.cod_dim, : d.cod_dim] = d.noise
-        copar_dim = d.copar_dim + c.cod_dim
+    copar_dim = c.cod_dim + d.copar_dim
     A = stack @ c.A
     b = stack @ c.b + shift
     noise = stack @ c.noise @ stack.T + extra
@@ -322,14 +318,10 @@ def g_marginal_state(s: GaussState, idx: Sequence[int]) -> GaussState:
 def _tensor_perm(c1: GaussChannel, c2: GaussChannel) -> np.ndarray:
     """Codomain reordering that gathers the two retained blocks together."""
     n1, n2 = c1.cod_dim, c2.cod_dim
-    if c1.copar_side == "left":
-        b1 = (np.arange(c1.copar_dim), np.arange(c1.copar_dim, n1))
-        b2 = (n1 + np.arange(c2.copar_dim), n1 + np.arange(c2.copar_dim, n2))
-        order = [b1[0], b2[0], b1[1], b2[1]]  # copar1, copar2, out1, out2
-    else:
-        b1 = (np.arange(c1.out_dim), np.arange(c1.out_dim, n1))
-        b2 = (n1 + np.arange(c2.out_dim), n1 + np.arange(c2.out_dim, n2))
-        order = [b1[0], b2[0], b1[1], b2[1]]  # out1, out2, copar1, copar2
+    # the leading blocks: coparameters of forward channels, outputs of inversions
+    left = c1.copar_side == "left"
+    k1, k2 = (c1.copar_dim, c2.copar_dim) if left else (c1.out_dim, c2.out_dim)
+    order = [np.arange(k1), n1 + np.arange(k2), np.arange(k1, n1), n1 + np.arange(k2, n2)]
     return np.concatenate(order).astype(int)
 
 

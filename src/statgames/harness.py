@@ -18,19 +18,19 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import discrete as ds
 from . import gaussian as gs
+from .backend import BACKENDS, DISCRETE, GAUSSIAN, random_rows
 from .errors import ShapeError
 from .games import laxness_witness, laxness_witnesses
 from .lens import (
     BayesLens,
     buco_residual,
-    discard,
     exact_inversion,
     exact_lens,
     lens_compose,
@@ -66,9 +66,6 @@ __all__ = [
     "run_suite",
 ]
 
-#: fraction of uniform mass mixed into generated rows; keeps every entry
-#: bounded away from zero so almost-sure caveats never trigger by accident
-POSITIVITY_MIX = 0.05
 #: probes evaluated per lens pair in the strictness/laxness suites
 PROBES_PER_PAIR = 20
 
@@ -89,7 +86,7 @@ class SuiteConfig:
             raise ShapeError("max_dim must be >= 2")
         if not self.tolerance > 0:
             raise ShapeError("tolerance must be positive")
-        if self.instance not in ("discrete", "gaussian"):
+        if self.instance not in BACKENDS:
             raise ShapeError(f"unknown instance {self.instance!r}")
 
 
@@ -102,88 +99,36 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _space(prefix: str, n: int) -> ds.FiniteSpace:
-    return ds.space([f"{prefix}{i}" for i in range(n)])
-
-
-def _rows_from_rng(rng, n_rows: int, n_cols: int, degenerate: bool) -> np.ndarray:
-    raw = rng.gamma(1.0, size=(n_rows, n_cols))
-    if degenerate and n_cols > 1:
-        kill = rng.random(size=raw.shape) < 0.3
-        keep_one = np.zeros_like(raw, dtype=bool)
-        keep_one[np.arange(n_rows), rng.integers(0, n_cols, size=n_rows)] = True
-        raw = np.where(kill & ~keep_one, 0.0, raw)
-        raw += np.where(keep_one & (raw.sum(axis=1, keepdims=True) == 0), 1.0, 0.0)
-        rows = raw / raw.sum(axis=1, keepdims=True)
-        return rows
-    rows = raw / raw.sum(axis=1, keepdims=True)
-    return (1.0 - POSITIVITY_MIX) * rows + POSITIVITY_MIX / n_cols
-
-
 def gen_kernel(seed: int, dom_size: int, cod_size: int, degenerate: bool = False) -> ds.FiniteKernel:
     """Seeded random row-stochastic kernel; strictly positive entries unless
     ``degenerate`` asks for support gaps."""
-    rng = _rng(seed)
-    return ds.FiniteKernel(
-        _space("a", dom_size),
-        _space("b", cod_size),
-        _rows_from_rng(rng, dom_size, cod_size, degenerate),
-    )
-
-
-def _copar_from_rng(rng, dom, copar, out, degenerate=False) -> ds.CoparKernel:
-    rows = _rows_from_rng(rng, dom.size, copar.size * out.size, degenerate)
-    return ds.CoparKernel(dom, copar, out, rows)
+    rows = random_rows(_rng(seed), dom_size, cod_size, degenerate)
+    return ds.FiniteKernel(DISCRETE.space("a", dom_size), DISCRETE.space("b", cod_size), rows)
 
 
 def gen_copar_kernel(
     seed: int, dom_size: int, copar_size: int, out_size: int
 ) -> ds.CoparKernel:
-    rng = _rng(seed)
-    return _copar_from_rng(
-        rng, _space("a", dom_size), _space("m", copar_size), _space("b", out_size)
-    )
-
-
-def _dist_from_rng(rng, space) -> ds.Dist:
-    m = rng.gamma(1.0, size=space.size)
-    m = m / m.sum()
-    m = (1.0 - POSITIVITY_MIX) * m + POSITIVITY_MIX / space.size
-    return ds.Dist(space, m)
+    sizes = zip("amb", (dom_size, copar_size, out_size))
+    return _random_channel(_rng(seed), DISCRETE, *sizes)
 
 
 def gen_dist(seed: int, size: int) -> ds.Dist:
-    return _dist_from_rng(_rng(seed), _space("a", size))
-
-
-def _gauss_channel_from_rng(
-    rng, dom_dim, cod_dim, copar_dim=0, noise_floor=1e-6
-) -> gs.GaussChannel:
-    A = rng.uniform(-2.0, 2.0, size=(cod_dim, dom_dim))
-    b = rng.uniform(-1.0, 1.0, size=cod_dim)
-    l = rng.uniform(-1.0, 1.0, size=(cod_dim, cod_dim))
-    noise = l @ l.T + noise_floor * np.eye(cod_dim)
-    return gs.GaussChannel(A, b, noise, copar_dim=copar_dim)
+    return DISCRETE.random_state(_rng(seed), DISCRETE.space("a", size))
 
 
 def gen_gauss_channel(seed: int, dom_dim: int, cod_dim: int, copar_dim: int = 0) -> gs.GaussChannel:
     """Seeded random affine-Gaussian channel with strictly PD noise."""
-    return _gauss_channel_from_rng(_rng(seed), dom_dim, cod_dim, copar_dim)
-
-
-def _gauss_state_from_rng(rng, dim) -> gs.GaussState:
-    mean = rng.uniform(-1.0, 1.0, size=dim)
-    l = rng.uniform(-1.0, 1.0, size=(dim, dim))
-    return gs.GaussState(mean, l @ l.T + 0.1 * np.eye(dim))
+    return GAUSSIAN.random_channel(_rng(seed), dom_dim, copar_dim, cod_dim - copar_dim)
 
 
 def gen_gauss_state(seed: int, dim: int) -> gs.GaussState:
-    return _gauss_state_from_rng(_rng(seed), dim)
+    return GAUSSIAN.random_state(_rng(seed), dim)
 
 
 def _perturbed_lens_from_rng(rng, fwd, eps=0.3) -> BayesLens:
     """Simple lens with a fixed non-exact backward mixture."""
-    noise = _rows_from_rng(rng, fwd.out.size, fwd.dom.size * fwd.copar.size, False)
+    noise = random_rows(rng, fwd.out.size, fwd.dom.size * fwd.copar.size)
 
     def bwd(pi):
         exact = exact_inversion(fwd, pi)
@@ -235,14 +180,7 @@ class SuiteReport:
     def to_json(self) -> str:
         body = {
             "suite": self.suite,
-            "config": {
-                "suite": self.config.suite,
-                "trials": self.config.trials,
-                "seed": self.config.seed,
-                "max_dim": self.config.max_dim,
-                "tolerance": self.config.tolerance,
-                "instance": self.config.instance,
-            },
+            "config": asdict(self.config),
             "n_trials": len(self.records),
             "n_failures": self.n_failures,
             "worst_abs_err": self.worst_abs_err,
@@ -347,45 +285,40 @@ def _sizes(rng, cfg: SuiteConfig, n: int):
     return tuple(int(v) for v in rng.integers(1, cfg.max_dim + 1, size=n))
 
 
-def _exact_pair_from_rng(rng, cfg):
+def _random_channel(rng, backend, *spaces):
+    """A random channel on ``(prefix, size)`` domain, coparameter and output."""
+    return backend.random_channel(rng, *(backend.space(*p) for p in spaces))
+
+
+def _exact_pair_from_rng(rng, cfg, backend=DISCRETE):
     sx, sm, sy, sn, sz = _sizes(rng, cfg, 5)
-    c = exact_lens(
-        _copar_from_rng(rng, _space("x", sx), _space("m", sm), _space("y", sy))
-    )
-    d = exact_lens(
-        _copar_from_rng(rng, _space("y", sy), _space("n", sn), _space("z", sz))
-    )
+    c = exact_lens(_random_channel(rng, backend, ("x", sx), ("m", sm), ("y", sy)))
+    d = exact_lens(_random_channel(rng, backend, ("y", sy), ("n", sn), ("z", sz)))
     return c, d, sz
 
 
 def _probes(rng, c, sz):
     """Priors and final observations at which a lens pair is probed."""
     for _ in range(PROBES_PER_PAIR):
-        pi = _dist_from_rng(rng, c.fwd.dom)
+        pi = DISCRETE.random_state(rng, c.fwd.dom)
         yield pi, int(rng.integers(0, sz))
 
 
 def _buco_trial(rng, cfg: SuiteConfig) -> Outcome:
-    if cfg.instance == "discrete":
-        c, d, _ = _exact_pair_from_rng(rng, cfg)
-        pi = _dist_from_rng(rng, c.fwd.dom)
-        digest = _digest(c.fwd.rows, d.fwd.rows, pi.mass)
-    else:
-        dx, dm, dy, dn, dz = _sizes(rng, cfg, 5)
-        c = exact_lens(_gauss_channel_from_rng(rng, dx, dm + dy, dm))
-        d = exact_lens(_gauss_channel_from_rng(rng, dy, dn + dz, dn))
-        pi = _gauss_state_from_rng(rng, dx)
-        digest = _digest(c.fwd.A, d.fwd.A, pi.mean, pi.cov)
+    backend = BACKENDS[cfg.instance]
+    c, d, _ = _exact_pair_from_rng(rng, cfg, backend)
+    pi = backend.random_state(rng, backend.doms(c.fwd)[0])
+    digest = _digest(*backend.digest_arrays(c.fwd, d.fwd, pi))
     return Outcome(digest, buco_residual(c, d, pi), 0.0)
 
 
 def _chain_rule_trial(rng, cfg: SuiteConfig) -> Outcome:
     sa, sb, sc = _sizes(rng, cfg, 3)
-    A, B, C = _space("a", sa), _space("b", sb), _space("c", sc)
-    alpha = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
-    alpha2 = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
-    beta = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
-    beta2 = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
+    A, B, C = (DISCRETE.space(p, n) for p, n in zip("abc", (sa, sb, sc)))
+    alpha = ds.FiniteKernel(A, B, random_rows(rng, sa, sb))
+    alpha2 = ds.FiniteKernel(A, B, random_rows(rng, sa, sb))
+    beta = ds.FiniteKernel(B, C, random_rows(rng, sb, sc))
+    beta2 = ds.FiniteKernel(B, C, random_rows(rng, sb, sc))
     # law side: divergence between copy-composites
     lhs_eff = ds.relative_entropy_effect(
         ds.copy_compose(beta, alpha),
@@ -424,13 +357,13 @@ def _mle_lax_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 def _random_simple_lens(rng, cfg):
     sx, sm, sy = _sizes(rng, cfg, 3)
-    fwd = _copar_from_rng(rng, _space("x", sx), _space("m", sm), _space("y", sy))
+    fwd = _random_channel(rng, DISCRETE, ("x", sx), ("m", sm), ("y", sy))
     return _perturbed_lens_from_rng(rng, fwd), sy
 
 
 def _fe_sum_trial(rng, cfg: SuiteConfig) -> Outcome:
     lens, sy = _random_simple_lens(rng, cfg)
-    pi = _dist_from_rng(rng, lens.fwd.dom)
+    pi = DISCRETE.random_state(rng, lens.fwd.dom)
     y = int(rng.integers(0, sy))
     lhs = fe_loss(lens)(pi, y)
     rhs = kl_loss(lens)(pi, y) + mle_loss(lens)(pi, y)
@@ -439,7 +372,7 @@ def _fe_sum_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 def _fe_joint_trial(rng, cfg: SuiteConfig) -> Outcome:
     lens, sy = _random_simple_lens(rng, cfg)
-    pi = _dist_from_rng(rng, lens.fwd.dom)
+    pi = DISCRETE.random_state(rng, lens.fwd.dom)
     joint, fe = fe_joint_form(lens), fe_loss(lens)
     pairs = [(joint(pi, y), fe(pi, y)) for y in range(sy)]
     return Outcome(_digest(lens.fwd.rows, pi.mass), *_worst_pair(pairs))
@@ -447,7 +380,7 @@ def _fe_joint_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 def _thermo_trial(rng, cfg: SuiteConfig) -> Outcome:
     lens, sy = _random_simple_lens(rng, cfg)
-    pi = _dist_from_rng(rng, lens.fwd.dom)
+    pi = DISCRETE.random_state(rng, lens.fwd.dom)
     y = int(rng.integers(0, sy))
     energy, entropy = energy_entropy_decomp(lens, pi, y)
     return Outcome(_digest(lens.fwd.rows, pi.mass), energy - entropy, fe_loss(lens)(pi, y))
@@ -470,8 +403,8 @@ def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
     )
     # conditioning: the gap identity is checked at an absolute
     # tolerance, so keep precision-matrix magnitudes moderate here
-    fwd = _gauss_channel_from_rng(rng, dx, dm + dy, dm, noise_floor=0.05)
-    pi = _gauss_state_from_rng(rng, dx)
+    fwd = GAUSSIAN.random_channel(rng, dx, dm, dy, noise_floor=0.05)
+    pi = GAUSSIAN.random_state(rng, dx)
     y = rng.uniform(-1.0, 1.0, size=dy)
     nz = dx + dm
     l = rng.uniform(-1.0, 1.0, size=(nz, nz))
@@ -499,97 +432,56 @@ def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
     )
 
 
-def _tensor_pair_from_rng(rng, cfg, instance):
-    if instance == "discrete":
-        dims = [int(v) for v in rng.integers(2, min(cfg.max_dim, 3) + 1, size=6)]
-        sx, sm, sy, sx2, sm2, sy2 = dims
-        c = exact_lens(
-            _copar_from_rng(rng, _space("x", sx), _space("m", sm), _space("y", sy))
+def _laxator_pairs(rng, backend, sizes, models):
+    """``(lhs, rhs)`` of the laxator law for each model on one random
+    tensored pair, the defects at a product prior, and the trial digest."""
+    sx, sm, sy, sx2, sm2, sy2 = (int(v) for v in sizes)
+    c = exact_lens(_random_channel(rng, backend, ("x", sx), ("m", sm), ("y", sy)))
+    d = exact_lens(_random_channel(rng, backend, ("u", sx2), ("v", sm2), ("w", sy2)))
+    t = lens_tensor(c, d)
+    (dom, out), (dom2, out2) = backend.doms(c.fwd), backend.doms(d.fwd)
+    omega = backend.random_state(rng, backend.doms(t.fwd)[0])
+    prod = backend.tensor_state(backend.random_state(rng, dom), backend.random_state(rng, dom2))
+    y, y2 = backend.random_obs(rng, out), backend.random_obs(rng, out2)
+    joint_obs = backend.joint_obs(out2, y, y2)
+    w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+    pairs, product_defects = [], []
+    for model in models:
+        lhs = loss_for(model, t)(omega, joint_obs)
+        rhs = (
+            loss_for(model, c)(w1, y)
+            + loss_for(model, d)(w2, y2)
+            + laxator(model, c, d, omega, y, y2)
         )
-        d = exact_lens(
-            _copar_from_rng(rng, _space("u", sx2), _space("v", sm2), _space("w", sy2))
-        )
-        return c, d
-    dims = [int(v) for v in rng.integers(1, 3, size=6)]
-    dx, dm, dy, dx2, dm2, dy2 = dims
-    c = exact_lens(_gauss_channel_from_rng(rng, dx, dm + dy, dm))
-    d = exact_lens(_gauss_channel_from_rng(rng, dx2, dm2 + dy2, dm2))
-    return c, d
-
-
-def _correlated_prior(rng, c, d, instance, product: bool):
-    if instance == "discrete":
-        dom = c.fwd.dom.product(d.fwd.dom)
-        if product:
-            return ds.tensor_dist(
-                _dist_from_rng(rng, c.fwd.dom), _dist_from_rng(rng, d.fwd.dom)
-            )
-        return _dist_from_rng(rng, dom)
-    n = c.fwd.dom_dim + d.fwd.dom_dim
-    if product:
-        return gs.g_tensor_state(
-            _gauss_state_from_rng(rng, c.fwd.dom_dim),
-            _gauss_state_from_rng(rng, d.fwd.dom_dim),
-        )
-    return _gauss_state_from_rng(rng, n)
-
-
-def _random_obs(rng, lens, instance):
-    if instance == "discrete":
-        return int(rng.integers(0, lens.fwd.out.size))
-    return rng.uniform(-1.0, 1.0, size=lens.fwd.out_dim)
+        pairs.append((lhs, rhs))
+        product_defects.append(laxator(model, c, d, prod, y, y2))
+    return pairs, product_defects, _digest(*backend.digest_arrays(c.fwd, d.fwd, omega))
 
 
 def _laxators_trial(rng, cfg: SuiteConfig) -> Outcome:
     product_tol = 1e-12
-    pairs, product_defects = [], []
     # discrete models on a correlated and a product prior; the Gaussian
     # instance carries the Laplace model
-    for instance, models in (
-        ("discrete", (LossModel.KL, LossModel.MLE, LossModel.FE)),
-        ("gaussian", (LossModel.LFE,)),
-    ):
-        c, d = _tensor_pair_from_rng(rng, cfg, instance)
-        omega = _correlated_prior(rng, c, d, instance, product=False)
-        prod = _correlated_prior(rng, c, d, instance, product=True)
-        y, y2 = _random_obs(rng, c, instance), _random_obs(rng, d, instance)
-        if instance == "discrete":
-            digest = _digest(c.fwd.rows, d.fwd.rows, omega.mass)
-            joint_obs = y * d.fwd.out.size + y2
-        else:
-            joint_obs = np.concatenate([np.atleast_1d(y), np.atleast_1d(y2)])
-        w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-        t = lens_tensor(c, d)
-        for model in models:
-            lhs = loss_for(model, t)(omega, joint_obs)
-            rhs = (
-                loss_for(model, c)(w1, y)
-                + loss_for(model, d)(w2, y2)
-                + laxator(model, c, d, omega, y, y2)
-            )
-            pairs.append((lhs, rhs))
-            product_defects.append(laxator(model, c, d, prod, y, y2))
-    ok = all(abs(lam0) <= product_tol for lam0 in product_defects)
-    return Outcome(digest, *_worst_pair(pairs), ok=ok)
+    pairs, product_defects, digest = _laxator_pairs(
+        rng, DISCRETE, rng.integers(2, min(cfg.max_dim, 3) + 1, size=6),
+        (LossModel.KL, LossModel.MLE, LossModel.FE),
+    )
+    gauss_pairs, gauss_defects, _ = _laxator_pairs(
+        rng, GAUSSIAN, rng.integers(1, 3, size=6), (LossModel.LFE,)
+    )
+    ok = all(abs(lam0) <= product_tol for lam0 in product_defects + gauss_defects)
+    return Outcome(digest, *_worst_pair(pairs + gauss_pairs), ok=ok)
 
 
 def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
     # two composable columns: c then e, and d then f
     sizes = [int(v) for v in rng.integers(2, 3 + 1, size=4)]
     sx, sy, sz, sm = sizes
-    c = exact_lens(
-        _copar_from_rng(rng, _space("x", sx), _space("m", 2), _space("y", sy))
-    )
-    e = exact_lens(
-        _copar_from_rng(rng, _space("y", sy), _space("n", 2), _space("z", sz))
-    )
-    d = exact_lens(
-        _copar_from_rng(rng, _space("u", 2), _space("v", 2), _space("w", sm))
-    )
-    f = exact_lens(
-        _copar_from_rng(rng, _space("w", sm), _space("q", 2), _space("r", 2))
-    )
-    omega = _dist_from_rng(rng, c.fwd.dom.product(d.fwd.dom))
+    c = exact_lens(_random_channel(rng, DISCRETE, ("x", sx), ("m", 2), ("y", sy)))
+    e = exact_lens(_random_channel(rng, DISCRETE, ("y", sy), ("n", 2), ("z", sz)))
+    d = exact_lens(_random_channel(rng, DISCRETE, ("u", 2), ("v", 2), ("w", sm)))
+    f = exact_lens(_random_channel(rng, DISCRETE, ("w", sm), ("q", 2), ("r", 2)))
+    omega = DISCRETE.random_state(rng, c.fwd.dom.product(d.fwd.dom))
     z = int(rng.integers(0, sz))
     z2 = int(rng.integers(0, 2))
     digest = _digest(c.fwd.rows, d.fwd.rows, e.fwd.rows, f.fwd.rows, omega.mass)
@@ -606,7 +498,7 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
         ) + laxness_witness(model, ef, cd, omega, joint_obs)
         # middle term: expected first-stage laxator over the second
         # stage's backward at the pushed prior
-        weights = discard(ef.bwd(pushed)).rows[joint_obs]
+        weights = ds.discard_coparam(ef.bwd(pushed)).rows[joint_obs]
         mid = ds.expectation(laxator_values(model, c, d, omega), weights)
         rhs = (
             laxator(model, e, f, pushed, z, z2)
@@ -624,8 +516,8 @@ def _dyadic(rng, size, scale=2**20):
 
 def _bilinear_trial(rng, cfg: SuiteConfig) -> Outcome:
     sa, sb = _sizes(rng, cfg, 2)
-    A, B = _space("a", sa), _space("b", sb)
-    f = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
+    A, B = DISCRETE.space("a", sa), DISCRETE.space("b", sb)
+    f = ds.FiniteKernel(A, B, random_rows(rng, sa, sb))
     g = ds.Effect(B, rng.uniform(0.0, 3.0, size=sb))
     g2 = ds.Effect(B, rng.uniform(0.0, 3.0, size=sb))
     lhs_eff = ds.effect_precompose(ds.effect_add(g, g2), f)
@@ -657,16 +549,11 @@ def _bilinear_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 def _stochasticity_trial(rng, cfg: SuiteConfig) -> Outcome:
     sa, sb, sc, sm = _sizes(rng, cfg, 4)
-    A, B, C, M = (
-        _space("a", sa),
-        _space("b", sb),
-        _space("c", sc),
-        _space("m", sm),
-    )
-    c = ds.FiniteKernel(A, B, _rows_from_rng(rng, sa, sb, False))
-    d = ds.FiniteKernel(B, C, _rows_from_rng(rng, sb, sc, False))
-    fcop = _copar_from_rng(rng, A, M, B)
-    pi = _dist_from_rng(rng, A)
+    A, B, C, M = (DISCRETE.space(p, n) for p, n in zip("abcm", (sa, sb, sc, sm)))
+    c = ds.FiniteKernel(A, B, random_rows(rng, sa, sb))
+    d = ds.FiniteKernel(B, C, random_rows(rng, sb, sc))
+    fcop = DISCRETE.random_channel(rng, A, M, B)
+    pi = DISCRETE.random_state(rng, A)
     arrays = [
         ds.push(c, pi).mass[None, :],
         ds.compose(d, c).rows,

@@ -20,16 +20,17 @@ stage's backward channel.  Under tensoring each model is only lax, and the
 defect (its laxator) has a closed form measuring the prior correlations
 that the tensored backward ignores.
 
-Every model has a form computed once per prior that the scalar call reads
-and composition works on.  A discrete loss is a vector over all
-observations, so the expectation in a composite is a matrix-vector
-product.  For affine-Gaussian lenses every model is a quadratic in the
-observation, ``L(prior, y) = c + g.y + y.H.y / 2``, and the expectation of
-a quadratic under the Gaussian backward channel is again a quadratic in the
-composite's observation, so composites are exact closed forms too.  Only a
-Gaussian loss built from a bare callable is averaged by Gauss-Hermite
-quadrature (exact for quadratic integrands), so every identity is testable
-at tight tolerances.
+A ``LossFn`` carries one ``form`` field: the loss at one prior, computed
+once and read by the scalar call and by composition.  A form is a
+``VecForm`` (a discrete loss over its observations) or a ``QuadForm`` (a
+Gaussian loss, a quadratic ``c + g.y + y.H.y / 2`` in the observation);
+each kind has ``at``, ``+`` and ``average`` under a backward channel, so
+``loss_compose`` is written once: a matrix-vector product for vectors, a
+closed form for quadratics.  Each model's form is built by the instance's
+half of the model, picked once through the lens's backend.  Only a Gaussian
+loss built from a bare callable has no form and is averaged by
+Gauss-Hermite quadrature (exact for quadratic integrands), so every
+identity is testable at tight tolerances.
 """
 
 from __future__ import annotations
@@ -37,27 +38,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import discrete as ds
 from . import gaussian as gs
+from .backend import DISCRETE, GAUSSIAN, backend_of
 from .errors import InstanceError, ShapeError, SingularityError, SupportError
 from .lens import (
     BayesLens,
-    apply_channel,
-    discard,
     exact_inversion,
-    instance_of,
     lens_tensor,
     prior_marginals,
     prior_pushforward,
+    reindex,
 )
 
 __all__ = [
     "LossFn",
     "LossModel",
+    "VecForm",
+    "QuadForm",
     "loss_for",
     "kl_loss",
     "mle_loss",
@@ -84,6 +86,76 @@ class LossModel(Enum):
 ALL = slice(None)
 
 
+# ---------------------------------------------------------------------------
+# forms: a loss at one prior
+# ---------------------------------------------------------------------------
+
+
+class VecForm(NamedTuple):
+    """A discrete loss at one prior, over the observations a selector
+    picked: ``values[i]`` is the loss at the ``i``-th of them wherever
+    ``defined[i]`` holds.  Values are signed and may be ``+inf``."""
+
+    values: np.ndarray
+    defined: np.ndarray
+
+    def at(self, i: int, label=lambda: None) -> float:
+        """The loss at the ``i``-th selected observation; ``label()`` names
+        it when the loss is undefined there."""
+        if not self.defined[i]:
+            raise SupportError(
+                f"the loss is undefined at observation {label()!r}: it has zero "
+                "probability (or, in a composite, an observation it weights has)"
+            )
+        return float(self.values[i])
+
+    def __add__(self, other: "VecForm") -> "VecForm":
+        return VecForm(self.values + other.values, self.defined & other.defined)
+
+    def average(self, back, sel=ALL) -> "VecForm":
+        """The expectation under the rows ``sel`` of the discrete channel
+        ``back``.  Scanning a row's weighted entries in order, the first
+        that is undefined or infinite decides: an undefined one leaves the
+        average undefined, an infinite one makes it ``+inf``."""
+        weights = back.rows[sel]
+        bad = (weights > 0) & ~(self.defined & np.isfinite(self.values))
+        first = bad.argmax(axis=1)
+        defined = ~bad.any(axis=1) | self.defined[first]
+        values = np.where(self.defined, self.values, 0.0)
+        return VecForm(ds.rows_expectation(values, weights), defined)
+
+
+class QuadForm(NamedTuple):
+    """A Gaussian loss at one prior as a quadratic in the observation,
+    ``L(y) = c + g.y + y.H.y / 2`` (``c`` is ``+inf`` where the loss is)."""
+
+    H: np.ndarray
+    g: np.ndarray
+    c: float
+
+    def at(self, y) -> float:
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if y.size != self.g.size:
+            raise ShapeError(f"observation has dimension {y.size}, expected {self.g.size}")
+        return float(self.c + self.g @ y + 0.5 * (y @ self.H @ y))
+
+    def __add__(self, other: "QuadForm") -> "QuadForm":
+        return QuadForm(self.H + other.H, self.g + other.g, self.c + other.c)
+
+    def average(self, back, sel=ALL) -> "QuadForm":
+        """The expectation under the Gaussian channel ``back``, ``z -> N(B z
+        + beta, S)``: the form ``(B'HB, B'(H beta + g), c + g.beta + beta'H
+        beta / 2 + tr(H S) / 2)`` in ``z``."""
+        B, beta = back.A, back.b
+        h_beta = self.H @ beta
+        at_mean = self.c + self.g @ beta + 0.5 * float(beta @ h_beta)
+        return QuadForm(
+            B.T @ self.H @ B,
+            B.T @ (h_beta + self.g),
+            gs.gauss_expect_quadratic(at_mean, self.H, back.noise),
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class LossFn:
     """A deterministic map ``(prior, observation) -> value in [0, +inf]``.
@@ -91,148 +163,71 @@ class LossFn:
     ``prior_dom`` and ``obs_dom`` are a finite space (discrete) or a
     dimension (Gaussian); they make composability checkable.
 
-    A discrete loss may also carry its vector form ``vec(prior, sel) ->
-    (values, defined)``: float arrays over the observations ``sel`` indexes
-    (``ALL``, or a list of indices), where ``values[i]`` is the loss at the
-    ``i``-th of them wherever ``defined[i]`` holds, and the scalar call
-    raises ``SupportError`` elsewhere.  Without one, ``values`` tabulates
-    ``fn``.
-
-    A Gaussian loss may carry its quadratic form ``quad(prior) -> (H, g,
-    c)``, meaning ``L(prior, y) = c + g @ y + y @ H @ y / 2`` (``c`` is
-    ``+inf`` where the loss is).  Without one, ``loss_compose`` averages
-    ``fn`` by quadrature.
+    ``form(prior, sel=ALL)`` is the loss at one prior: a ``VecForm`` over
+    the observations ``sel`` indexes (``ALL``, or a list of indices), or a
+    ``QuadForm``, which ignores ``sel``.  Composition works on forms.  A
+    discrete loss given by ``fn`` alone gets the form that tabulates
+    ``fn``; a Gaussian one has none, and composes by quadrature.  The
+    scalar call always goes through ``fn``.
     """
 
     fn: Callable
     prior_dom: object
     obs_dom: object
-    instance: str
-    vec: Callable | None = None
-    quad: Callable | None = None
+    form: Callable | None = None
+
+    def __post_init__(self):
+        if self.form is None:
+            object.__setattr__(self, "form", _models(self.obs_dom).table(self.fn, self.obs_dom))
 
     def __call__(self, prior, obs) -> float:
         return float(self.fn(prior, obs))
 
-    def values(self, prior, sel=ALL) -> tuple[np.ndarray, np.ndarray]:
-        """The vector form at ``prior``: ``(values, defined)`` over the
-        observations ``sel`` indexes.  Discrete losses only."""
-        if self.vec is not None:
-            return self.vec(prior, sel)
-        if self.instance != "discrete":
-            raise InstanceError("only discrete losses have a vector form")
-        obs = np.arange(self.obs_dom.size)[sel]
-        vals, defined = np.zeros(obs.size), np.ones(obs.size, dtype=bool)
-        for i, y in enumerate(obs):
-            try:
-                vals[i] = self.fn(prior, int(y))
-            except SupportError:
-                defined[i] = False
-        return vals, defined
+    def values(self, prior, sel=ALL):
+        """The form at ``prior`` (over the observations ``sel`` indexes)."""
+        if self.form is None:
+            raise InstanceError("a Gaussian loss given by fn alone has no form")
+        return self.form(prior, sel)
 
     def reindex(self, ch) -> "LossFn":
         """Pre-compose the prior argument with a forward channel."""
-        onto = prior_pushforward(ch)
-        dom = ch.dom if self.instance == "discrete" else ch.dom_dim
-        vec = quad = None
-        if self.instance == "discrete":
-            vec = lambda pi, sel: self.values(onto(pi), sel)
-        elif self.quad is not None:
-            quad = lambda pi: self.quad(onto(pi))
-        return LossFn(
-            fn=lambda pi, obs: self.fn(onto(pi), obs),
-            prior_dom=dom,
-            obs_dom=self.obs_dom,
-            instance=self.instance,
-            vec=vec,
-            quad=quad,
-        )
-
-
-def _lens_doms(l: BayesLens):
-    if l.instance == "discrete":
-        return l.fwd.dom, l.fwd.out
-    return l.fwd.dom_dim, l.fwd.out_dim
+        form = None if self.form is None else reindex(self.form, ch)
+        return LossFn(reindex(self.fn, ch), backend_of(ch).doms(ch)[0], self.obs_dom, form)
 
 
 def _make_loss(l: BayesLens, fn) -> LossFn:
-    prior_dom, obs_dom = _lens_doms(l)
-    return LossFn(fn=fn, prior_dom=prior_dom, obs_dom=obs_dom, instance=l.instance)
+    return LossFn(fn, *l.backend.doms(l.fwd))
 
 
-def _discrete_loss(prior_dom, obs_dom, rows) -> LossFn:
-    """A discrete loss from its vector form ``rows(pi, sel)``; the scalar
-    call evaluates the one observation it is given."""
-
-    def fn(pi, y):
-        vals, defined = rows(pi, [y])
-        if not defined[0]:
-            raise SupportError(
-                f"the loss is undefined at observation {obs_dom.labels[y]!r}: it has "
-                "zero probability (or, in a composite, an observation it weights has)"
-            )
-        return float(vals[0])
-
-    return LossFn(fn, prior_dom, obs_dom, "discrete", vec=rows)
+def _form_loss(prior_dom, obs_dom, form) -> LossFn:
+    """A loss from its form; the scalar call evaluates the one observation
+    it is given."""
+    return LossFn(_models(obs_dom).scalar(form, obs_dom), prior_dom, obs_dom, form)
 
 
-def _form_value(form, y) -> float:
-    """A quadratic form ``(H, g, c)`` at the observation ``y``."""
-    H, g, c = form
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size != g.size:
-        raise ShapeError(f"observation has dimension {y.size}, expected {g.size}")
-    return float(c + g @ y + 0.5 * (y @ H @ y))
+def _loss_sum(a: LossFn, b: LossFn) -> LossFn:
+    """The pointwise sum of two losses on the same spaces, in their forms
+    where both have one."""
+    if a.form is None or b.form is None:
+        return LossFn(lambda pi, y: a.fn(pi, y) + b.fn(pi, y), a.prior_dom, a.obs_dom)
+    return _form_loss(a.prior_dom, a.obs_dom, lambda pi, sel=ALL: a.form(pi, sel) + b.form(pi, sel))
 
 
-def _form_sum(*forms):
-    H, g, c = forms[0]
-    for H2, g2, c2 in forms[1:]:
-        H, g, c = H + H2, g + g2, c + c2
-    return H, g, c
+def zero_loss(l: BayesLens) -> LossFn:
+    prior_dom, obs_dom = l.backend.doms(l.fwd)
+    return _form_loss(prior_dom, obs_dom, _models(obs_dom).zero(obs_dom))
 
 
-def _half_square(chol, M, r):
+def _half_square(chol, M, r) -> QuadForm:
     """The form of ``y -> |chol^-1 (M y + r)|^2 / 2``, for a Cholesky
     factor ``chol`` of the covariance whose precision weighs the residual."""
     W = np.linalg.solve(chol, M)
     u = np.linalg.solve(chol, r)
-    return W.T @ W, W.T @ u, 0.5 * float(u @ u)
+    return QuadForm(W.T @ W, W.T @ u, 0.5 * float(u @ u))
 
 
 def _logdet(chol) -> float:
     return 2.0 * float(np.log(np.diag(chol)).sum())
-
-
-def _gauss_loss(prior_dom, obs_dom, quad) -> LossFn:
-    """A Gaussian loss from its quadratic form ``quad(pi)``; the scalar call
-    evaluates the form at the one observation it is given."""
-    fn = lambda pi, y: _form_value(quad(pi), y)
-    return LossFn(fn, prior_dom, obs_dom, "gaussian", quad=quad)
-
-
-def _loss_sum(a: LossFn, b: LossFn) -> LossFn:
-    """The pointwise sum of two losses on the same spaces, in whichever form
-    both carry."""
-    if a.instance == "discrete":
-
-        def rows(pi, sel):
-            vals_a, defined_a = a.values(pi, sel)
-            vals_b, defined_b = b.values(pi, sel)
-            return vals_a + vals_b, defined_a & defined_b
-
-        return _discrete_loss(a.prior_dom, a.obs_dom, rows)
-    if a.quad is None or b.quad is None:
-        fn = lambda pi, y: a.fn(pi, y) + b.fn(pi, y)
-        return LossFn(fn, a.prior_dom, a.obs_dom, "gaussian")
-    return _gauss_loss(a.prior_dom, a.obs_dom, lambda pi: _form_sum(a.quad(pi), b.quad(pi)))
-
-
-def zero_loss(l: BayesLens) -> LossFn:
-    if l.instance == "discrete":
-        return _make_loss(l, lambda pi, obs: 0.0)
-    n = l.fwd.out_dim
-    return _gauss_loss(l.fwd.dom_dim, n, lambda pi: (np.zeros((n, n)), np.zeros(n), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +235,15 @@ def zero_loss(l: BayesLens) -> LossFn:
 # ---------------------------------------------------------------------------
 
 
-def kl_loss(l: BayesLens) -> LossFn:
-    """Divergence from the lens's posterior to the exact posterior."""
+def _simple(l: BayesLens) -> BayesLens:
     if not l.simple:
         raise ShapeError("loss models apply to simple lenses")
-    fwd = l.fwd
-    if l.instance == "discrete":
+    return l
 
-        def rows(pi, sel):
-            approx = l.bwd(pi).rows[sel]
-            exact, mask = ds.bayes_invert(fwd, pi)
-            return ds.rows_relative_entropy(approx, exact.rows[sel]), mask.supported[sel]
 
-        return _discrete_loss(fwd.dom, fwd.out, rows)
-
-    def quad(pi):
-        # KL(N(Ga y + ha, Sa) || N(Ge y + he, Se)) with D = Ge - Ga and
-        # e = he - ha: the Mahalanobis term |Le^-1 (D y + e)|^2 / 2 plus a
-        # constant in y, as in ``gaussian.g_kl``
-        approx = l.bwd(pi)
-        exact = exact_inversion(fwd, pi)
-        if approx.A.shape != exact.A.shape:
-            raise ShapeError("the backward channel's dimensions differ from the exact inversion's")
-        le = gs._chol(exact.noise, "second covariance")
-        H, g, c = _half_square(le, exact.A - approx.A, exact.b - approx.b)
-        sign, logdet_a = np.linalg.slogdet(approx.noise)
-        if sign <= 0:
-            return H, g, math.inf
-        trace = float(np.trace(np.linalg.solve(le, np.linalg.solve(le, approx.noise).T)))
-        return H, g, c + 0.5 * (trace - approx.cod_dim + _logdet(le) - logdet_a)
-
-    return _gauss_loss(fwd.dom_dim, fwd.out_dim, quad)
+def kl_loss(l: BayesLens) -> LossFn:
+    """Divergence from the lens's posterior to the exact posterior."""
+    return _form_loss(*l.backend.doms(l.fwd), _models(l.fwd).kl(_simple(l)))
 
 
 def mle_loss(l: BayesLens) -> LossFn:
@@ -278,23 +251,7 @@ def mle_loss(l: BayesLens) -> LossFn:
 
     Zero-probability observations give ``+inf`` (a value, not an error).
     """
-    onto = prior_pushforward(l.fwd)
-    if l.instance == "discrete":
-
-        def rows(pi, sel):
-            mass = onto(pi).mass[sel]
-            with np.errstate(divide="ignore"):
-                return -np.log(mass), np.ones(mass.shape, dtype=bool)
-
-        return _discrete_loss(l.fwd.dom, l.fwd.out, rows)
-
-    def quad(pi):
-        pushed = onto(pi)
-        chol = gs._chol(pushed.cov, "covariance")
-        H, g, c = _half_square(chol, np.eye(pushed.dim), -pushed.mean)
-        return H, g, c + 0.5 * (pushed.dim * gs.LOG_2PI + _logdet(chol))
-
-    return _gauss_loss(l.fwd.dom_dim, l.fwd.out_dim, quad)
+    return _form_loss(*l.backend.doms(l.fwd), _models(l.fwd).mle(l))
 
 
 def fe_loss(l: BayesLens) -> LossFn:
@@ -302,80 +259,328 @@ def fe_loss(l: BayesLens) -> LossFn:
     return _loss_sum(kl_loss(l), mle_loss(l))
 
 
-# -- the marginalization-free rearrangement ---------------------------------
-
-
-def _fwd_density_parts(l: BayesLens):
-    """(dx, dm) split of the backward codomain for a simple lens."""
-    if l.instance == "discrete":
-        return l.fwd.dom.size, l.fwd.copar.size
-    return l.fwd.dom_dim, l.fwd.copar_dim
-
-
-def _discrete_joint_energy(l: BayesLens, pi, y):
-    """Energy table -log p_fwd(m, y | x) - log p_pi(x) over (x, m)."""
-    dx, dm = _fwd_density_parts(l)
-    fr = l.fwd.rows.reshape(dx, dm, l.fwd.out.size)
-    dens = fr[:, :, y] * pi.mass[:, None]  # p(m, y | x) p(x)
-    with np.errstate(divide="ignore"):
-        return -np.log(dens)  # +inf where the joint density vanishes
-
-
 def fe_joint_form(l: BayesLens) -> LossFn:
     """Free energy computed without the pushforward marginalization:
     divergence of the posterior from (prior tensor flat), minus the expected
     joint log-density.  Agrees with ``fe_loss`` wherever both are finite."""
-    if not l.simple:
-        raise ShapeError("loss models apply to simple lenses")
-
-    def fn(pi, y):
-        back = l.bwd(pi)
-        if instance_of(pi) == "discrete":
-            rho = back.rows[y]
-            energy = _discrete_joint_energy(l, pi, y).reshape(-1)
-            pos = rho > 0
-            if np.any(np.isinf(energy[pos])):
-                return math.inf
-            return float(
-                np.dot(rho[pos], np.log(rho[pos]) + energy[pos])
-            )
-        state = apply_channel(back, y)
-        mean_energy, hess = _gauss_energy_quadratic(l, pi, y, state.mean)
-        expected_energy = gs.gauss_expect_quadratic(mean_energy, hess, state.cov)
-        return expected_energy - gs.g_entropy(state)
-
-    return _make_loss(l, fn)
+    models = _models(_simple(l).fwd)
+    return _make_loss(l, lambda pi, y: models.fe_joint(l, pi, y))
 
 
 def energy_entropy_decomp(l: BayesLens, pi, y) -> tuple[float, float]:
     """(expected energy, posterior entropy) whose difference is the free
     energy: the thermodynamic split."""
-    back = l.bwd(pi)
-    if instance_of(pi) == "discrete":
-        rho = back.rows[y]
-        energy = _discrete_joint_energy(l, pi, y).reshape(-1)
+    return _models(pi).energy_entropy(l, pi, y)
+
+
+def lfe_loss(l: BayesLens) -> LossFn:
+    """Laplacian free energy: energy at the posterior mean minus posterior
+    entropy.  Gaussian lenses only."""
+    return _form_loss(*l.backend.doms(l.fwd), _models(l.fwd).lfe(l))
+
+
+def laplace_sigma(l: BayesLens, pi, y) -> np.ndarray:
+    """Inverse Hessian of the energy in ``(x, m)`` at the posterior mean.
+
+    For affine-Gaussian models the Hessian is constant and this equals the
+    exact posterior covariance, which is what makes the Laplace model exact
+    there."""
+    return _models(l.fwd).laplace_sigma(l, pi)
+
+
+# ---------------------------------------------------------------------------
+# composition
+# ---------------------------------------------------------------------------
+
+
+def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
+    """Loss of a composite game: the second loss at the pushed prior, plus
+    the first loss averaged over the second's backward channel.
+
+    Losses compose in their forms, so a composite costs one form of each
+    stage per prior: a discrete first loss is evaluated once for every
+    observation it is averaged over, and a Gaussian quadratic is averaged in
+    closed form.  A Gaussian loss given by ``fn`` alone is averaged per call
+    by Gauss-Hermite quadrature."""
+    mid = prior_pushforward(c.fwd)
+    discard = d.backend.discard
+    if Ld.form is None or Lc.form is None:
+
+        def fn(pi, z):
+            mid_prior = mid(pi)
+            first = Ld.fn(mid_prior, z)
+            ystate = gs.g_apply(discard(d.bwd(mid_prior)), z)
+            return first + gs.gauss_hermite_expect(ystate, lambda y: Lc.fn(pi, y))
+
+        return LossFn(fn, Lc.prior_dom, Ld.obs_dom)
+
+    def form(pi, sel=ALL):
+        mid_prior = mid(pi)
+        first = Ld.form(mid_prior, sel)
+        return first + Lc.form(pi).average(discard(d.bwd(mid_prior)), sel)
+
+    return _form_loss(Lc.prior_dom, Ld.obs_dom, form)
+
+
+def loss_for(model: LossModel, l: BayesLens) -> LossFn:
+    builder = {
+        LossModel.KL: kl_loss,
+        LossModel.MLE: mle_loss,
+        LossModel.FE: fe_loss,
+        LossModel.LFE: lfe_loss,
+    }[model]
+    return builder(l)
+
+
+# ---------------------------------------------------------------------------
+# laxators: the tensoring defect of each model
+# ---------------------------------------------------------------------------
+
+
+def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float:
+    """The tensoring defect of a loss model at a joint prior.
+
+    Satisfies, wherever the three terms are finite,
+
+        L(c (x) d)(omega, (y, y2))
+            = L(c)(omega_X, y) + L(d)(omega_X2, y2) + laxator(...)
+
+    and vanishes when ``omega`` is a product state.  Closed forms: the MLE
+    defect is a log-ratio of pushforward densities, the FE defect is the
+    posterior-expected log-ratio of the product-of-marginals prior to the
+    joint prior, the KL defect is their (signed) combination, and the
+    Laplace defect evaluates the FE log-ratio at the posterior mean.
+    """
+    return _models(c.fwd).laxator(model, c, d, omega, y, y2)
+
+
+def laxator_values(model: LossModel, c: BayesLens, d: BayesLens, omega) -> np.ndarray:
+    """Every tensoring defect of a discrete pair at one joint prior: the
+    vector form of ``laxator``, indexed by the joint observation
+    ``y * |Y2| + y2``.  Signed, and defined at every observation."""
+    return _models(c.fwd).laxator_values(model, c, d, omega)
+
+
+# ---------------------------------------------------------------------------
+# the models on each instance
+# ---------------------------------------------------------------------------
+
+
+class _DiscreteModels:
+    """The loss models on the discrete instance, as vector forms."""
+
+    def scalar(self, form, obs_dom):
+        # only the observation's own row is computed
+        return lambda pi, y: form(pi, [y]).at(0, lambda: obs_dom.labels[y])
+
+    def table(self, fn, obs_dom):
+        """The vector form of a loss given by ``fn`` alone."""
+
+        def form(pi, sel=ALL):
+            obs = np.arange(obs_dom.size)[sel]
+            vals, defined = np.zeros(obs.size), np.ones(obs.size, dtype=bool)
+            for i, y in enumerate(obs):
+                try:
+                    vals[i] = fn(pi, int(y))
+                except SupportError:
+                    defined[i] = False
+            return VecForm(vals, defined)
+
+        return form
+
+    def zero(self, obs_dom):
+        return self.table(lambda pi, y: 0.0, obs_dom)
+
+    def kl(self, l):
+        def form(pi, sel=ALL):
+            approx = l.bwd(pi).rows[sel]
+            exact, mask = ds.bayes_invert(l.fwd, pi)
+            return VecForm(ds.rows_relative_entropy(approx, exact.rows[sel]), mask.supported[sel])
+
+        return form
+
+    def mle(self, l):
+        onto = prior_pushforward(l.fwd)
+
+        def form(pi, sel=ALL):
+            mass = onto(pi).mass[sel]
+            with np.errstate(divide="ignore"):
+                return VecForm(-np.log(mass), np.ones(mass.shape, dtype=bool))
+
+        return form
+
+    def _posterior_energy(self, l, pi, y):
+        """The posterior row at ``y`` and the energy ``-log p_fwd(m, y | x)
+        - log p_pi(x)`` over ``(x, m)`` (``+inf`` where the joint density
+        vanishes)."""
+        fr = l.fwd.rows.reshape(l.fwd.dom.size, l.fwd.copar.size, l.fwd.out.size)
+        with np.errstate(divide="ignore"):
+            energy = -np.log(fr[:, :, y] * pi.mass[:, None])
+        return l.bwd(pi).rows[y], energy.reshape(-1)
+
+    def fe_joint(self, l, pi, y):
+        rho, energy = self._posterior_energy(l, pi, y)
+        pos = rho > 0
+        if np.any(np.isinf(energy[pos])):
+            return math.inf
+        return float(np.dot(rho[pos], np.log(rho[pos]) + energy[pos]))
+
+    def energy_entropy(self, l, pi, y):
+        rho, energy = self._posterior_energy(l, pi, y)
         return ds.expectation(energy, rho), ds.entropy(rho)
-    state = apply_channel(back, y)
-    mean_energy, hess = _gauss_energy_quadratic(l, pi, y, state.mean)
-    expected_energy = gs.gauss_expect_quadratic(mean_energy, hess, state.cov)
-    return expected_energy, gs.g_entropy(state)
+
+    def lfe(self, l, pi=None):
+        """The Laplace model and its covariance need Gaussian lenses."""
+        raise InstanceError("the Laplace model needs Gaussian lenses")
+
+    laplace_sigma = lfe
+
+    def laxator(self, model, c, d, omega, y, y2):
+        return float(self.laxator_values(model, c, d, omega, [y * d.fwd.out.size + y2])[0])
+
+    def laxator_values(self, model, c, d, omega, sel=ALL):
+        """The defects at the joint observations ``sel`` indexes."""
+        if model is LossModel.LFE:
+            raise InstanceError("the Laplace model needs Gaussian lenses")
+        w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+        tensored = lens_tensor(c, d)
+        prod = ds.tensor_dist(w1, w2)
+        if model is LossModel.MLE or model is LossModel.KL:
+            onto = prior_pushforward(tensored.fwd)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mle_term = np.log(onto(prod).mass[sel]) - np.log(onto(omega).mass[sel])
+            if model is LossModel.MLE:
+                return mle_term
+        back = ds.discard_coparam(tensored.bwd(omega)).rows[sel]  # (z, z2) -> (x, x2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.log(prod.mass) - np.log(omega.mass)
+        expect_term = ds.rows_expectation(ratio, back)
+        if model is LossModel.FE:
+            return expect_term
+        with np.errstate(invalid="ignore"):
+            return expect_term - mle_term
 
 
-# -- Gaussian energy as an explicit quadratic --------------------------------
+class _GaussianModels:
+    """The loss models on the affine-Gaussian instance, as quadratic forms
+    in the observation."""
 
+    def scalar(self, form, obs_dom):
+        return lambda pi, y: form(pi).at(y)
 
-def _gauss_energy_quadratic(l: BayesLens, pi, y, z0):
-    """Value at ``z0`` and (constant) Hessian of the energy
-    ``z = (x, m) -> -log p_fwd(m, y | x) - log p_prior(x)``."""
-    fwd = l.fwd
-    dx, dm = fwd.dom_dim, fwd.copar_dim
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    z0 = np.atleast_1d(np.asarray(z0, dtype=float))
-    x0, m0 = z0[:dx], z0[dx:]
-    val = -gs.g_logpdf(gs.g_apply(fwd, x0), np.concatenate([m0, y]))
-    val -= gs.g_logpdf(pi, x0)
-    hess = _gauss_energy_hessian(fwd, pi)
-    return val, hess
+    def table(self, fn, obs_dom):
+        return None  # no form: composition averages fn by quadrature
+
+    def zero(self, n):
+        return lambda pi, sel=ALL: QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
+
+    def kl(self, l):
+        def form(pi, sel=ALL):
+            # KL(N(Ga y + ha, Sa) || N(Ge y + he, Se)) with D = Ge - Ga and
+            # e = he - ha: the Mahalanobis term |Le^-1 (D y + e)|^2 / 2 plus
+            # a constant in y, as in ``gaussian.g_kl``
+            approx = l.bwd(pi)
+            exact = exact_inversion(l.fwd, pi)
+            if approx.A.shape != exact.A.shape:
+                raise ShapeError(
+                    "the backward channel's dimensions differ from the exact inversion's"
+                )
+            le = gs._chol(exact.noise, "second covariance")
+            H, g, c = _half_square(le, exact.A - approx.A, exact.b - approx.b)
+            sign, logdet_a = np.linalg.slogdet(approx.noise)
+            if sign <= 0:
+                return QuadForm(H, g, math.inf)
+            trace = float(np.trace(np.linalg.solve(le, np.linalg.solve(le, approx.noise).T)))
+            return QuadForm(H, g, c + 0.5 * (trace - approx.cod_dim + _logdet(le) - logdet_a))
+
+        return form
+
+    def mle(self, l):
+        onto = prior_pushforward(l.fwd)
+
+        def form(pi, sel=ALL):
+            pushed = onto(pi)
+            chol = gs._chol(pushed.cov, "covariance")
+            H, g, c = _half_square(chol, np.eye(pushed.dim), -pushed.mean)
+            return QuadForm(H, g, c + 0.5 * (pushed.dim * gs.LOG_2PI + _logdet(chol)))
+
+        return form
+
+    def lfe(self, l):
+        _simple(l)
+        fwd = l.fwd
+        dx, nz = fwd.dom_dim, fwd.dom_dim + fwd.copar_dim
+        w = _energy_residual_map(fwd)
+        obs_rows = np.eye(fwd.cod_dim)[:, fwd.copar_dim :]
+
+        def form(pi, sel=ALL):
+            # the posterior mean z = B y + beta is affine in y, so the energy
+            # there is a quadratic in y; the entropy does not depend on y
+            back = l.bwd(pi)
+            chol_c = gs._chol(fwd.noise, "covariance")
+            chol_pi = gs._chol(pi.cov, "covariance")
+            chol_post = gs._chol(back.noise, "covariance")
+            const = 0.5 * (
+                (fwd.cod_dim + dx) * gs.LOG_2PI + _logdet(chol_c) + _logdet(chol_pi)
+                - nz * (1.0 + gs.LOG_2PI) - _logdet(chol_post)
+            )
+            return (
+                _half_square(chol_c, w @ back.A + obs_rows, w @ back.b - fwd.b)
+                + _half_square(chol_pi, back.A[:dx], back.b[:dx] - pi.mean)
+                + QuadForm(0.0, 0.0, const)
+            )
+
+        return form
+
+    def laplace_sigma(self, l, pi):
+        hess = _gauss_energy_hessian(l.fwd, pi)
+        try:
+            return np.linalg.inv(hess)
+        except np.linalg.LinAlgError:
+            raise SingularityError("energy Hessian is singular") from None
+
+    def fe_joint(self, l, pi, y):
+        expected_energy, entropy = self.energy_entropy(l, pi, y)
+        return expected_energy - entropy
+
+    def energy_entropy(self, l, pi, y):
+        """The energy ``z = (x, m) -> -log p_fwd(m, y | x) - log p_pi(x)``
+        is quadratic, so its posterior expectation is its value at the
+        posterior mean plus half the trace of covariance times Hessian."""
+        state = gs.g_apply(l.bwd(pi), y)
+        dx = l.fwd.dom_dim
+        x0, m0 = state.mean[:dx], state.mean[dx:]
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        val = -gs.g_logpdf(gs.g_apply(l.fwd, x0), np.concatenate([m0, y]))
+        val -= gs.g_logpdf(pi, x0)
+        hess = _gauss_energy_hessian(l.fwd, pi)
+        return gs.gauss_expect_quadratic(val, hess, state.cov), gs.g_entropy(state)
+
+    def laxator(self, model, c, d, omega, y, y2):
+        w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+        tensored = lens_tensor(c, d)
+        obs = GAUSSIAN.joint_obs(d.fwd.out_dim, y, y2)
+        prod = gs.g_tensor_state(w1, w2)
+        if model is LossModel.MLE or model is LossModel.KL:
+            onto = prior_pushforward(tensored.fwd)
+            mle_term = gs.g_logpdf(onto(prod), obs) - gs.g_logpdf(onto(omega), obs)
+            if model is LossModel.MLE:
+                return float(mle_term)
+        back_state = gs.g_apply(tensored.bwd(omega), obs)
+        nxx = prod.dim
+        if model is LossModel.LFE:
+            mu = back_state.mean[:nxx]
+            return gs.g_logpdf(prod, mu) - gs.g_logpdf(omega, mu)
+        xx_state = gs.g_marginal_state(back_state, range(nxx))
+        val = gs.g_logpdf(prod, xx_state.mean) - gs.g_logpdf(omega, xx_state.mean)
+        hess = np.linalg.inv(omega.cov) - np.linalg.inv(prod.cov)
+        expect_term = gs.gauss_expect_quadratic(val, hess, xx_state.cov)
+        if model is LossModel.FE:
+            return float(expect_term)
+        return float(expect_term - mle_term)
+
+    def laxator_values(self, model, c, d, omega):
+        raise InstanceError("laxator_values needs discrete lenses and a discrete model")
 
 
 def _energy_residual_map(fwd) -> np.ndarray:
@@ -400,206 +605,10 @@ def _gauss_energy_hessian(fwd, pi) -> np.ndarray:
     return hess
 
 
-def lfe_loss(l: BayesLens) -> LossFn:
-    """Laplacian free energy: energy at the posterior mean minus posterior
-    entropy.  Gaussian lenses only."""
-    if l.instance != "gaussian":
-        raise InstanceError("the Laplace model needs Gaussian lenses")
-    if not l.simple:
-        raise ShapeError("loss models apply to simple lenses")
-
-    fwd = l.fwd
-    dx, nz = fwd.dom_dim, fwd.dom_dim + fwd.copar_dim
-    w = _energy_residual_map(fwd)
-    obs_rows = np.eye(fwd.cod_dim)[:, fwd.copar_dim :]
-
-    def quad(pi):
-        # the posterior mean z = B y + beta is affine in y, so the energy
-        # there is a quadratic in y; the entropy does not depend on y
-        back = l.bwd(pi)
-        chol_c = gs._chol(fwd.noise, "covariance")
-        chol_pi = gs._chol(pi.cov, "covariance")
-        chol_post = gs._chol(back.noise, "covariance")
-        const = 0.5 * (
-            (fwd.cod_dim + dx) * gs.LOG_2PI + _logdet(chol_c) + _logdet(chol_pi)
-            - nz * (1.0 + gs.LOG_2PI) - _logdet(chol_post)
-        )
-        return _form_sum(
-            _half_square(chol_c, w @ back.A + obs_rows, w @ back.b - fwd.b),
-            _half_square(chol_pi, back.A[:dx], back.b[:dx] - pi.mean),
-            (0.0, 0.0, const),
-        )
-
-    return _gauss_loss(fwd.dom_dim, fwd.out_dim, quad)
+_MODELS = {DISCRETE: _DiscreteModels(), GAUSSIAN: _GaussianModels()}
 
 
-def laplace_sigma(l: BayesLens, pi, y) -> np.ndarray:
-    """Inverse Hessian of the energy in ``(x, m)`` at the posterior mean.
-
-    For affine-Gaussian models the Hessian is constant and this equals the
-    exact posterior covariance, which is what makes the Laplace model exact
-    there."""
-    if l.instance != "gaussian":
-        raise InstanceError("the Laplace model needs Gaussian lenses")
-    hess = _gauss_energy_hessian(l.fwd, pi)
-    try:
-        return np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        raise SingularityError("energy Hessian is singular") from None
-
-
-# ---------------------------------------------------------------------------
-# composition
-# ---------------------------------------------------------------------------
-
-
-def _expect_defined(weights, vals, defined):
-    """``(E[vals], defined)`` under each row of ``weights``, for ``vals``
-    defined only where ``defined`` holds.  Scanning the weighted entries in
-    order, the first that is undefined or infinite decides: an undefined one
-    leaves the row undefined, an infinite one makes it ``+inf``."""
-    bad = (weights > 0) & ~(defined & np.isfinite(vals))
-    first = bad.argmax(axis=1)
-    row_defined = ~bad.any(axis=1) | defined[first]
-    return ds.rows_expectation(np.where(defined, vals, 0.0), weights), row_defined
-
-
-def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
-    """Loss of a composite game: the second loss at the pushed prior, plus
-    the first loss averaged over the second's backward channel.
-
-    Discrete losses compose in their vector form, so the first loss is
-    evaluated once per prior for every observation it is averaged over.
-    Gaussian losses compose in their quadratic form: with the backward
-    ``z -> N(B z + beta, S)`` and the first loss ``(H, g, c)``, the average
-    is the form ``(B'HB, B'(H beta + g), c + g.beta + beta'H beta / 2 +
-    tr(H S) / 2)``, so a composite costs one form of each stage per prior.
-    A Gaussian loss without a form is averaged per call by Gauss-Hermite
-    quadrature."""
-    if Ld.instance != Lc.instance:
-        raise ShapeError("losses live in different instances")
-    mid = prior_pushforward(c.fwd)
-    if Ld.instance == "discrete":
-
-        def rows(pi, sel):
-            mid_prior = mid(pi)
-            first, first_defined = Ld.values(mid_prior, sel)
-            back = discard(d.bwd(mid_prior)).rows[sel]
-            second, second_defined = _expect_defined(back, *Lc.values(pi))
-            return first + second, first_defined & second_defined
-
-        return _discrete_loss(Lc.prior_dom, Ld.obs_dom, rows)
-
-    if Ld.quad is None or Lc.quad is None:
-
-        def fn(pi, z):
-            mid_prior = mid(pi)
-            first = Ld.fn(mid_prior, z)
-            back = discard(d.bwd(mid_prior))
-            ystate = gs.g_apply(back, z)
-            return first + gs.gauss_hermite_expect(ystate, lambda y: Lc.fn(pi, y))
-
-        return LossFn(fn=fn, prior_dom=Lc.prior_dom, obs_dom=Ld.obs_dom, instance=Ld.instance)
-
-    def quad(pi):
-        mid_prior = mid(pi)
-        first = Ld.quad(mid_prior)
-        back = discard(d.bwd(mid_prior))
-        H, g, const = Lc.quad(pi)
-        B, beta = back.A, back.b
-        h_beta = H @ beta
-        at_mean = const + g @ beta + 0.5 * float(beta @ h_beta)
-        second = (B.T @ H @ B, B.T @ (h_beta + g), gs.gauss_expect_quadratic(at_mean, H, back.noise))
-        return _form_sum(first, second)
-
-    return _gauss_loss(Lc.prior_dom, Ld.obs_dom, quad)
-
-
-def loss_for(model: LossModel, l: BayesLens) -> LossFn:
-    builder = {
-        LossModel.KL: kl_loss,
-        LossModel.MLE: mle_loss,
-        LossModel.FE: fe_loss,
-        LossModel.LFE: lfe_loss,
-    }[model]
-    return builder(l)
-
-
-# ---------------------------------------------------------------------------
-# laxators: the tensoring defect of each model
-# ---------------------------------------------------------------------------
-
-
-def _discrete_laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, sel):
-    """The discrete defects at the joint observations ``sel`` indexes."""
-    w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-    tensored = lens_tensor(c, d)
-    prod = ds.tensor_dist(w1, w2)
-    if model is LossModel.MLE or model is LossModel.KL:
-        onto = prior_pushforward(tensored.fwd)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mle_term = np.log(onto(prod).mass[sel]) - np.log(onto(omega).mass[sel])
-        if model is LossModel.MLE:
-            return mle_term
-    back = discard(tensored.bwd(omega)).rows[sel]  # (z, z2) -> (x, x2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(prod.mass) - np.log(omega.mass)
-    expect_term = ds.rows_expectation(ratio, back)
-    if model is LossModel.FE:
-        return expect_term
-    with np.errstate(invalid="ignore"):
-        return expect_term - mle_term
-
-
-def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float:
-    """The tensoring defect of a loss model at a joint prior.
-
-    Satisfies, wherever the three terms are finite,
-
-        L(c (x) d)(omega, (y, y2))
-            = L(c)(omega_X, y) + L(d)(omega_X2, y2) + laxator(...)
-
-    and vanishes when ``omega`` is a product state.  Closed forms: the MLE
-    defect is a log-ratio of pushforward densities, the FE defect is the
-    posterior-expected log-ratio of the product-of-marginals prior to the
-    joint prior, the KL defect is their (signed) combination, and the
-    Laplace defect evaluates the FE log-ratio at the posterior mean.
-    """
-    if model is LossModel.LFE and c.instance != "gaussian":
-        raise InstanceError("the Laplace model needs Gaussian lenses")
-    if c.instance == "discrete":
-        obs = y * d.fwd.out.size + y2
-        return float(_discrete_laxator(model, c, d, omega, [obs])[0])
-
-    w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-    tensored = lens_tensor(c, d)
-    obs = np.concatenate(
-        [np.atleast_1d(np.asarray(y, float)), np.atleast_1d(np.asarray(y2, float))]
-    )
-    prod = gs.g_tensor_state(w1, w2)
-    if model is LossModel.MLE or model is LossModel.KL:
-        onto = prior_pushforward(tensored.fwd)
-        mle_term = gs.g_logpdf(onto(prod), obs) - gs.g_logpdf(onto(omega), obs)
-        if model is LossModel.MLE:
-            return float(mle_term)
-    back_state = apply_channel(tensored.bwd(omega), obs)
-    nxx = prod.dim
-    if model is LossModel.LFE:
-        mu = back_state.mean[:nxx]
-        return gs.g_logpdf(prod, mu) - gs.g_logpdf(omega, mu)
-    xx_state = gs.g_marginal_state(back_state, range(nxx))
-    val = gs.g_logpdf(prod, xx_state.mean) - gs.g_logpdf(omega, xx_state.mean)
-    hess = np.linalg.inv(omega.cov) - np.linalg.inv(prod.cov)
-    expect_term = gs.gauss_expect_quadratic(val, hess, xx_state.cov)
-    if model is LossModel.FE:
-        return float(expect_term)
-    return float(expect_term - mle_term)
-
-
-def laxator_values(model: LossModel, c: BayesLens, d: BayesLens, omega) -> np.ndarray:
-    """Every tensoring defect of a discrete pair at one joint prior: the
-    vector form of ``laxator``, indexed by the joint observation
-    ``y * |Y2| + y2``.  Signed, and defined at every observation."""
-    if c.instance != "discrete" or model is LossModel.LFE:
-        raise InstanceError("laxator_values needs discrete lenses and a discrete model")
-    return _discrete_laxator(model, c, d, omega, ALL)
+def _models(obj):
+    """The loss models on the instance ``obj`` (a channel, a state, or a
+    space) lives in."""
+    return _MODELS[backend_of(obj)]

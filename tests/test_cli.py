@@ -14,6 +14,11 @@ KERNEL = {
 }
 
 
+#: a one-dimensional Gaussian model and prior, as JSON text
+GAUSS_MODEL = '{"fwd": {"A": [[1.0]], "b": [0.0], "noise": [[1.0]]}, "bwd": "exact"}'
+STANDARD_NORMAL = '{"mean": [0.0], "cov": [[1.0]]}'
+
+
 @pytest.fixture()
 def report_dir(tmp_path, monkeypatch):
     d = tmp_path / "reports"
@@ -169,6 +174,39 @@ class TestEvalLoss:
         )
         assert rc == 1
         assert "y1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, prior, obs",
+        [
+            (GAUSS_MODEL, STANDARD_NORMAL, "NaN"),
+            (GAUSS_MODEL, STANDARD_NORMAL, "Infinity"),
+            (GAUSS_MODEL, STANDARD_NORMAL, "[1e999]"),
+            (GAUSS_MODEL, '{"mean": [Infinity], "cov": [[1.0]]}', "0.5"),
+            (GAUSS_MODEL.replace('"A": [[1.0]]', '"A": [[Infinity]]'), STANDARD_NORMAL, "0.5"),
+        ],
+    )
+    def test_non_finite_input_is_a_parse_error(self, tmp_path, capsys, model, prior, obs):
+        (tmp_path / "m.json").write_text(model)
+        (tmp_path / "p.json").write_text(prior)
+        rc = main(
+            ["eval-loss", "--model", str(tmp_path / "m.json"), "--loss", "mle",
+             "--prior", str(tmp_path / "p.json"), "--obs", obs]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and captured.err.startswith("parse error:")
+
+    @pytest.mark.parametrize("obs", ["[[0.5]]", '{"y": 0.5}'])
+    def test_malformed_gaussian_observation_is_a_parse_error(self, tmp_path, capsys, obs):
+        (tmp_path / "m.json").write_text(GAUSS_MODEL)
+        (tmp_path / "p.json").write_text(STANDARD_NORMAL)
+        rc = main(
+            ["eval-loss", "--model", str(tmp_path / "m.json"), "--loss", "mle",
+             "--prior", str(tmp_path / "p.json"), "--obs", obs]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and captured.err.startswith("parse error:")
 
     def test_nan_row_entry_is_a_parse_error(self, tmp_path, capsys):
         nan_row = dict(KERNEL, rows=[[float("nan"), 1.0], [0.75, 0.25]])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statgames.discrete import (
+    MAX_ENTRIES,
     CoparKernel,
     Dist,
     Effect,
@@ -317,6 +318,53 @@ class TestTensor:
             assert r[a, a2, m, n, b, b2] == pytest.approx(
                 fr[a, m, b] * gr[a2, n, b2], abs=1e-12
             )
+
+
+def uniform_copar(dom, copar_size, out_size, prefix):
+    """A uniform channel from ``dom`` to new spaces of the given sizes."""
+    copar = space([f"{prefix}m{i}" for i in range(copar_size)])
+    out = space([f"{prefix}o{i}" for i in range(out_size)])
+    cols = copar_size * out_size
+    return CoparKernel(dom, copar, out, np.full((dom.size, cols), 1.0 / cols))
+
+
+def labels(prefix, n):
+    return space([f"{prefix}{i}" for i in range(n)])
+
+
+class TestSizeGuard:
+    """Oversized composites fail with a ``ShapeError`` naming their size
+    before any array is built; the inputs here are small."""
+
+    @pytest.fixture()
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oversized result was computed")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+
+    def test_copy_compose_predicts_its_size(self, no_allocation):
+        f = uniform_copar(labels("a", 8), 2**12, 2, "f")  # 65,536 entries
+        g = uniform_copar(f.out, 2**7, 2**7, "g")
+        entries = f.rows.size * g.copar.size * g.out.size
+        assert entries == 2**30 > MAX_ENTRIES
+        with pytest.raises(ShapeError, match=f"{entries:,} entries .{8 * entries:,} bytes."):
+            copy_compose_copar(g, f)
+
+    def test_tensor_predicts_its_size(self, no_allocation):
+        f = uniform_copar(labels("a", 2**6), 1, 2**7, "f")
+        g = uniform_copar(labels("b", 2**7), 1, 2**7, "g")
+        entries = f.rows.size * g.rows.size
+        assert entries == 2**27 > MAX_ENTRIES
+        with pytest.raises(ShapeError, match=f"{entries:,} entries .{8 * entries:,} bytes."):
+            tensor_copar(f, g)
+
+    def test_limit_admits_the_benchmark_chain(self):
+        # a depth-7 chain of 3-state stages with 2-point coparameters has
+        # 3 x (2 * 6^6) x 3 entries; depth 10 would have 6^3 times more
+        depth7 = 3 * (2 * 6**6) * 3
+        assert depth7 < MAX_ENTRIES < depth7 * 6**3
 
 
 class TestMarginal:

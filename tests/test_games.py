@@ -125,7 +125,6 @@ class TestTwoCells:
             fn=lambda pi, obs: base.fn(pi, obs) + 0.5,
             prior_dom=base.prior_dom,
             obs_dom=base.obs_dom,
-            instance=base.instance,
         )
         probes = [(random_dist(rng, X), int(rng.integers(0, 3))) for _ in range(5)]
         return Game(lens=lens, loss=shifted), Game(lens=lens, loss=base), probes
@@ -170,7 +169,6 @@ class TestTwoCells:
             fn=lambda pi, obs: lower.loss.fn(pi, obs) + 0.25,
             prior_dom=lower.loss.prior_dom,
             obs_dom=lower.loss.obs_dom,
-            instance=lower.loss.instance,
         )
         middle = Game(lens=lower.lens, loss=quarter)
         w1 = TwoCellWitness(

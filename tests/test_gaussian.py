@@ -255,8 +255,11 @@ class TestEntropyAndDensity:
     def test_density_integrates_to_one(self):
         s = GaussState([0.3], [[0.7]])
         xs = np.linspace(-12, 12, 200_001)
-        pdf = np.exp([g_logpdf(s, [x]) for x in xs])
-        total = np.trapezoid(pdf, xs)
+        log_pdf = logpdf_rows(s, xs[:, None])
+        # the scalar density agrees with the vectorised one across the grid
+        for i in range(0, xs.size, 4_000):
+            assert g_logpdf(s, [xs[i]]) == pytest.approx(log_pdf[i], rel=1e-12, abs=1e-12)
+        total = np.trapezoid(np.exp(log_pdf), xs)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 

@@ -728,8 +728,8 @@ class TestVectorForm:
         d = exact_lens(random_copar(rng, Y, N, Z))
         for model in DISCRETE_MODELS:
             Lc = loss_for(model, c)
-            bare = loss_module.LossFn(Lc.fn, Lc.prior_dom, Lc.obs_dom, "discrete")
-            assert bare.vec is None
+            bare = loss_module.LossFn(Lc.fn, Lc.prior_dom, Lc.obs_dom)
+            assert bare.form is not None  # the form that tabulates fn
             pi = degenerate_dist(rng, X)
             assert_vector_matches_scalar(bare, pi)
             with_vec = loss_compose(loss_for(model, d), Lc, d, c)
@@ -747,19 +747,24 @@ class TestVectorForm:
         d = exact_lens(random_copar(rng, Y, N, Z))
         pi = random_dist(rng, X)
         reindexed = mle_loss(d).reindex(c.fwd)
-        assert reindexed.vec is not None
+        assert isinstance(reindexed.values(pi), loss_module.VecForm)
         assert_vector_matches_scalar(reindexed, pi)
         game = Game(lens=c, loss=mle_loss(c))
         w = TwoCellWitness(game, game, zero_loss(c))
         summed = game_vcompose(w, w).K
-        assert summed.vec is not None
+        assert isinstance(summed.values(pi), loss_module.VecForm)
         vals, defined = assert_vector_matches_scalar(summed, pi)
         assert defined.all() and not vals.any()
 
     def test_gaussian_losses_have_no_vector_form(self):
         lens = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
+        loss = mle_loss(lens)
+        pi = gs.GaussState([0.0], [[1.0]])
+        assert isinstance(loss.values(pi), loss_module.QuadForm)
+        bare = loss_module.LossFn(loss.fn, loss.prior_dom, loss.obs_dom)
+        assert bare.form is None
         with pytest.raises(InstanceError):
-            mle_loss(lens).values(gs.GaussState([0.0], [[1.0]]))
+            bare.values(pi)
 
 
 class TestLaxatorVectorForm:
@@ -888,7 +893,7 @@ class TestGaussianForm:
             c, d, pi = self.pair(rng, *shape)
             Ld, Lc = loss_for(model, d), loss_for(model, c)
             comp = loss_compose(Ld, Lc, d, c)
-            assert comp.quad is not None
+            assert isinstance(comp.values(pi), loss_module.QuadForm)
             z = rng.uniform(-1.0, 1.0, size=shape[2])
             want = quadrature_compose(Ld, Lc, d, c, pi, z)
             assert comp(pi, z) == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -900,7 +905,7 @@ class TestGaussianForm:
         dc = lens_compose(d, c)
         inner = loss_compose(fe_loss(d), fe_loss(c), d, c)
         reindexed = mle_loss(d).reindex(c.fwd)
-        assert reindexed.quad is not None
+        assert isinstance(reindexed.values(pi), loss_module.QuadForm)
         for w in rng.uniform(-1.0, 1.0, size=(3, 2)):
             for Lc in (inner, reindexed):
                 outer = loss_compose(fe_loss(e), Lc, e, dc)
@@ -913,7 +918,7 @@ class TestGaussianForm:
         game = Game(lens=c, loss=kl_loss(c))
         w = TwoCellWitness(game, game, kl_loss(c))
         summed = game_vcompose(w, TwoCellWitness(game, game, zero_loss(c))).K
-        assert summed.quad is not None
+        assert isinstance(summed.values(pi), loss_module.QuadForm)
         z = rng.uniform(-1.0, 1.0, size=2)
         comp = loss_compose(mle_loss(d), summed, d, c)
         want = quadrature_compose(mle_loss(d), kl_loss(c), d, c, pi, z)
@@ -923,7 +928,7 @@ class TestGaussianForm:
         rng = rng_for(44)
         c, d, pi = self.pair(rng, 2, 2, 2, 0, 1)
         Lc = kl_loss(c)
-        bare = loss_module.LossFn(Lc.fn, Lc.prior_dom, Lc.obs_dom, "gaussian")
+        bare = loss_module.LossFn(Lc.fn, Lc.prior_dom, Lc.obs_dom)
         calls = {"n": 0}
         hermite = gs.gauss_hermite_expect
 
@@ -936,7 +941,7 @@ class TestGaussianForm:
         closed = loss_compose(kl_loss(d), Lc, d, c)(pi, z)
         assert calls["n"] == 0
         tabulated = loss_compose(kl_loss(d), bare, d, c)
-        assert tabulated.quad is None
+        assert tabulated.form is None
         assert tabulated(pi, z) == pytest.approx(closed, rel=1e-9, abs=1e-9)
         assert calls["n"] == 1
 

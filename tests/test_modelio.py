@@ -1,6 +1,7 @@
 """Tests for the JSON model formats and their diagnostics."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -180,3 +181,31 @@ class TestLoadJson:
         p = tmp_path / "k.json"
         p.write_text(json.dumps(KERNEL))
         assert parse_channel(load_json(str(p))).dom.size == 2
+
+
+#: non-finite numbers, each in a field the parse error must name
+NON_FINITE = [
+    ("parse_channel", dict(KERNEL, rows=[[0.5, 0.5], [math.inf, 0.0]]), "rows"),
+    ("parse_channel", dict(COPAR_KERNEL, rows=[math.nan] + COPAR_KERNEL["rows"][1:]), "rows"),
+    ("parse_channel", dict(GAUSS, A=[[math.inf]]), "A"),
+    ("parse_channel", dict(GAUSS, b=[math.nan]), "b"),
+    ("parse_channel", dict(GAUSS, noise=[[-math.inf]]), "noise"),
+    ("parse_state", {"space": ["a", "b"], "mass": [math.inf, 0.0]}, "mass"),
+    ("parse_state", {"mean": [-math.inf], "cov": [[1.0]]}, "mean"),
+    ("parse_state", {"mean": [0.0], "cov": [[math.nan]]}, "cov"),
+]
+
+
+@pytest.mark.parametrize("parser, obj, field", NON_FINITE)
+def test_non_finite_numbers_are_parse_errors_naming_the_field(parser, obj, field):
+    parse = {"parse_channel": parse_channel, "parse_state": parse_state}[parser]
+    with pytest.raises(ModelParseError, match=f"field '{field}' must hold finite numbers"):
+        parse(obj)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_non_finite_literals_in_a_file_are_parse_errors(tmp_path, literal):
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"mean": [0.0, {literal}], "cov": [[1.0, 0.0], [0.0, 1.0]]}}')
+    with pytest.raises(ModelParseError, match="field 'mean' must hold finite numbers; entry 1"):
+        parse_state(load_json(str(path)))

@@ -7,16 +7,30 @@ module's symbol tables and fails on such names up front.
 
 Every name the benchmark's tracer wraps exists where it looks for it: the
 tracer patches functions and class methods by name, so a refactor that
-renames or moves one breaks traced benchmark runs and nothing else.
+renames or moves one breaks traced benchmark runs and nothing else.  The
+tracer also swaps a loss's ``fn`` field with ``dataclasses.replace``, so the
+scalar call of every loss must go through that field.
+
+The instance (discrete or Gaussian) is picked in one place: no module
+compares against an instance name or tests for an instance type outside the
+backend selector, the suite registry and the command line's ``--instance``
+choices.
 """
 
 import ast
 import builtins
+import dataclasses
 import importlib
 import pathlib
 import symtable
 
+import numpy as np
 import pytest
+
+from statgames import discrete as ds
+from statgames import gaussian as gs
+from statgames.lens import exact_lens
+from statgames.loss import LossFn, kl_loss, loss_compose, mle_loss
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "statgames"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -79,3 +93,110 @@ def test_traced_method_is_in_its_class_dict(module, cls, method):
     # the tracer replaces ``cls.__dict__[method]``; an inherited method
     # would be patched on the base class instead
     assert method in vars(getattr(importlib.import_module(module), cls))
+
+
+# -- one dispatch point -------------------------------------------------------
+
+INSTANCE_NAMES = {"discrete", "gaussian"}
+INSTANCE_TYPES = {"CoparKernel", "FiniteKernel", "Dist", "GaussChannel", "GaussState", "FiniteSpace"}
+#: (module, top-level definition) where instances may be named or tested
+DISPATCH_POINTS = {
+    ("backend.py", "backend_of"),
+    ("backend.py", "_select"),
+    ("backend.py", "_TYPES"),
+    ("harness.py", "SUITE_DEFAULTS"),
+    ("harness.py", "SuiteConfig"),
+    ("cli.py", "build_parser"),
+}
+
+
+def _names(node) -> list:
+    """The constants and names in an expression or a literal collection."""
+    items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    out = []
+    for item in items:
+        if isinstance(item, ast.Constant):
+            out.append(item.value)
+        elif isinstance(item, ast.Name):
+            out.append(item.id)
+        elif isinstance(item, ast.Attribute):
+            out.append(item.attr)
+    return out
+
+
+def dispatch_sites(path: pathlib.Path) -> list:
+    """``(top-level definition, line)`` of every comparison against an
+    instance name and every ``isinstance`` on an instance type."""
+    sites = []
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            scope = top.name
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            scope = ",".join(t.id for t in targets if isinstance(t, ast.Name))
+        else:
+            scope = "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(v in INSTANCE_NAMES for o in operands for v in _names(o)):
+                    sites.append((scope, node.lineno))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and INSTANCE_TYPES & set(_names(node.args[1]))
+            ):
+                sites.append((scope, node.lineno))
+    return sites
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_instances_are_picked_in_one_place(path):
+    stray = [site for site in dispatch_sites(path) if (path.name, site[0]) not in DISPATCH_POINTS]
+    assert stray == []
+
+
+def test_dispatch_checker_sees_nested_and_class_scopes(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "X = 1 if kind == 'gaussian' else 2\n"
+        "def f(ch):\n"
+        "    def g():\n"
+        "        return isinstance(ch, (int, ds.CoparKernel))\n"
+        "    return ch.tag in ('discrete', 'other')\n"
+        "class C:\n"
+        "    def m(self, s):\n"
+        "        return isinstance(s, GaussState) or s != 'x'\n"
+        "def fine(ch):\n"
+        "    return isinstance(ch, dict) and ch.get('discrete') == 1\n"
+    )
+    assert dispatch_sites(src) == [("X", 1), ("f", 5), ("f", 4), ("C", 8)]
+
+
+# -- the loss contract the tracer relies on -------------------------------------
+
+
+def test_loss_scalar_call_goes_through_the_fn_field():
+    assert "fn" in {f.name for f in dataclasses.fields(LossFn)}
+    X, M, Y = (ds.space([f"{p}{i}" for i in range(2)]) for p in "xmy")
+    rows = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
+    c = exact_lens(ds.CoparKernel(X, M, Y, rows))
+    d = exact_lens(ds.CoparKernel(Y, M, X, rows))
+    g = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
+    cases = [
+        (kl_loss(c), ds.uniform(X), 1),
+        (loss_compose(mle_loss(d), kl_loss(c), d, c), ds.uniform(X), 0),
+        (loss_compose(mle_loss(g), kl_loss(g), g, g), gs.GaussState([0.0], [[1.0]]), [0.5]),
+    ]
+    for loss, pi, obs in cases:
+        calls = []
+
+        def counted(prior, y, inner=loss.fn):
+            calls.append(y)
+            return inner(prior, y)
+
+        swapped = dataclasses.replace(loss, fn=counted)
+        assert swapped(pi, obs) == loss(pi, obs)
+        assert calls == [obs]
