@@ -56,6 +56,7 @@ from .loss import (
     kl_loss,
     laplace_sigma,
     laxator,
+    laxator_loss,
     lfe_loss,
     loss_compose,
     mle_loss,

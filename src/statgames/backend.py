@@ -46,11 +46,19 @@ def _labels(obj, key) -> tuple[str, ...]:
     return tuple(str(x) for x in val)
 
 
+def _holds_bool(val) -> bool:
+    """Whether a parsed JSON value is, or nests, ``true`` or ``false``
+    (which numpy would read as 1 and 0)."""
+    return any(map(_holds_bool, val)) if isinstance(val, list) else isinstance(val, bool)
+
+
 def _numbers(obj, key) -> np.ndarray:
     """Field ``key`` as a float array: a finite number or a rectangular
     nested list of finite numbers."""
     if key not in obj:
         raise ModelParseError(f"missing field {key!r}")
+    if _holds_bool(obj[key]):
+        raise ModelParseError(f"field {key!r} must hold numbers, not true or false")
     try:
         arr = np.asarray(obj[key], dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -191,6 +199,8 @@ class Discrete:
             parsed = json.loads(literal)
         except json.JSONDecodeError:
             parsed = literal
+        if isinstance(parsed, bool):
+            parsed = literal
         if isinstance(parsed, int) and 0 <= parsed < out.size:
             return parsed
         label = tuple(parsed) if isinstance(parsed, list) else parsed
@@ -235,10 +245,16 @@ class Discrete:
     def random_obs(self, rng, out) -> int:
         return int(rng.integers(0, out.size))
 
-    def joint_obs(self, out2, y, y2) -> int:
-        """The observation ``(y, y2)`` of a tensored lens whose second
-        factor observes ``out2``."""
-        return y * out2.size + y2
+    def obs_index(self, out, y) -> int:
+        """The observation ``y`` of ``out``, checked to be an index into it."""
+        if isinstance(y, bool) or not isinstance(y, numbers.Integral) or not 0 <= y < out.size:
+            raise ShapeError(f"observation {y!r} is not an index into a space of size {out.size}")
+        return int(y)
+
+    def joint_obs(self, ch1, ch2, y, y2) -> int:
+        """The observation ``(y, y2)`` of the tensor of lenses on ``ch1``
+        and ``ch2``."""
+        return self.obs_index(ch1.out, y) * ch2.out.size + self.obs_index(ch2.out, y2)
 
     def digest_arrays(self, ch1, ch2, state) -> tuple:
         """The arrays that identify a trial on two channels and a state."""
@@ -323,7 +339,7 @@ class Gaussian:
         except json.JSONDecodeError:
             val = literal.split(",")
         try:
-            arr = np.atleast_1d(np.asarray(val, dtype=float))
+            arr = None if _holds_bool(val) else np.atleast_1d(np.asarray(val, dtype=float))
         except (TypeError, ValueError, OverflowError):
             arr = None
         if arr is None or arr.ndim != 1:
@@ -371,8 +387,12 @@ class Gaussian:
     def random_obs(self, rng, out) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, size=out)
 
-    def joint_obs(self, out2, y, y2) -> np.ndarray:
-        return np.concatenate([np.atleast_1d(np.asarray(v, float)) for v in (y, y2)])
+    def joint_obs(self, ch1, ch2, y, y2) -> np.ndarray:
+        parts = [np.atleast_1d(np.asarray(v, float)) for v in (y, y2)]
+        for part, ch in zip(parts, (ch1, ch2)):
+            if part.shape != (ch.out_dim,):
+                raise ShapeError(f"observation has shape {part.shape}, expected ({ch.out_dim},)")
+        return np.concatenate(parts)
 
     def digest_arrays(self, ch1, ch2, state) -> tuple:
         return ch1.A, ch2.A, state.mean, state.cov

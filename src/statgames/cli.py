@@ -168,6 +168,9 @@ def _demo_posterior(params, y) -> gs.GaussState:
 
 
 def cmd_demo(args) -> int:
+    for flag, value in (("--seed", args.seed), ("--steps", args.steps)):
+        if value < 0:
+            raise ShapeError(f"{flag} must be >= 0, not {value}")
     prior = gs.GaussState([0.0], [[1.0]])
     y = np.array([DEMO_OBSERVATION])
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))

@@ -36,7 +36,6 @@ from .lens import (
     lens_compose,
     lens_tensor,
     prior_marginals,
-    prior_pushforward,
 )
 from .loss import (
     LossModel,
@@ -45,9 +44,9 @@ from .loss import (
     fe_loss,
     kl_loss,
     laplace_sigma,
-    laxator,
-    laxator_values,
+    laxator_loss,
     lfe_loss,
+    loss_compose,
     loss_for,
     mle_loss,
 )
@@ -82,6 +81,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ShapeError("trials must be >= 1")
+        if self.seed < 0:
+            raise ShapeError("seed must be >= 0")
         if self.max_dim < 2:
             raise ShapeError("max_dim must be >= 2")
         if not self.tolerance > 0:
@@ -443,18 +444,15 @@ def _laxator_pairs(rng, backend, sizes, models):
     omega = backend.random_state(rng, backend.doms(t.fwd)[0])
     prod = backend.tensor_state(backend.random_state(rng, dom), backend.random_state(rng, dom2))
     y, y2 = backend.random_obs(rng, out), backend.random_obs(rng, out2)
-    joint_obs = backend.joint_obs(out2, y, y2)
+    joint_obs = backend.joint_obs(c.fwd, d.fwd, y, y2)
     w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
     pairs, product_defects = [], []
     for model in models:
+        defect = laxator_loss(model, c, d)
         lhs = loss_for(model, t)(omega, joint_obs)
-        rhs = (
-            loss_for(model, c)(w1, y)
-            + loss_for(model, d)(w2, y2)
-            + laxator(model, c, d, omega, y, y2)
-        )
+        rhs = loss_for(model, c)(w1, y) + loss_for(model, d)(w2, y2) + defect(omega, joint_obs)
         pairs.append((lhs, rhs))
-        product_defects.append(laxator(model, c, d, prod, y, y2))
+        product_defects.append(defect(prod, joint_obs))
     return pairs, product_defects, _digest(*backend.digest_arrays(c.fwd, d.fwd, omega))
 
 
@@ -488,21 +486,15 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
     w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
     cd = lens_tensor(c, d)
     ef = lens_tensor(e, f)
-    pushed = prior_pushforward(cd.fwd)(omega)
-    sz2 = f.fwd.out.size
-    joint_obs = z * sz2 + z2
+    joint_obs = DISCRETE.joint_obs(e.fwd, f.fwd, z, z2)
     pairs = []
     for model in (LossModel.KL, LossModel.MLE, LossModel.FE):
-        lhs = laxator(
-            model, lens_compose(e, c), lens_compose(f, d), omega, z, z2
-        ) + laxness_witness(model, ef, cd, omega, joint_obs)
-        # middle term: expected first-stage laxator over the second
-        # stage's backward at the pushed prior
-        weights = ds.discard_coparam(ef.bwd(pushed)).rows[joint_obs]
-        mid = ds.expectation(laxator_values(model, c, d, omega), weights)
+        of_composites = laxator_loss(model, lens_compose(e, c), lens_compose(f, d))
+        lhs = of_composites(omega, joint_obs) + laxness_witness(model, ef, cd, omega, joint_obs)
+        # the laxators compose as losses on the tensored lenses
+        composed = loss_compose(laxator_loss(model, e, f), laxator_loss(model, c, d), ef, cd)
         rhs = (
-            laxator(model, e, f, pushed, z, z2)
-            + mid
+            composed(omega, joint_obs)
             + laxness_witness(model, e, c, w1, z)
             + laxness_witness(model, f, d, w2, z2)
         )

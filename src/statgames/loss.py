@@ -18,7 +18,10 @@ Losses compose along lens composition: the second stage's loss is reindexed
 by the first forward, plus the expected first-stage loss under the second
 stage's backward channel.  Under tensoring each model is only lax, and the
 defect (its laxator) has a closed form measuring the prior correlations
-that the tensored backward ignores.
+that the tensored backward ignores.  A laxator is itself a loss, on the
+tensored lens's joint priors and joint observations, so laxators compose
+with ``loss_compose`` like any other loss; unlike the four models, it is
+signed.
 
 A ``LossFn`` carries one ``form`` field: the loss at one prior, computed
 once and read by the scalar call and by composition.  A form is a
@@ -26,11 +29,12 @@ once and read by the scalar call and by composition.  A form is a
 Gaussian loss, a quadratic ``c + g.y + y.H.y / 2`` in the observation);
 each kind has ``at``, ``+`` and ``average`` under a backward channel, so
 ``loss_compose`` is written once: a matrix-vector product for vectors, a
-closed form for quadratics.  Each model's form is built by the instance's
-half of the model, picked once through the lens's backend.  Only a Gaussian
-loss built from a bare callable has no form and is averaged by
-Gauss-Hermite quadrature (exact for quadratic integrands), so every
-identity is testable at tight tolerances.
+closed form for quadratics.  Each model's form, and each model's laxator,
+is built by the instance's half of the model, picked once through the
+lens's backend.  Only a Gaussian loss built from a bare callable (a
+Gaussian laxator is one) has no form and is averaged by Gauss-Hermite
+quadrature (exact for quadratic integrands), so every identity is testable
+at tight tolerances.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ __all__ = [
     "loss_compose",
     "zero_loss",
     "laxator",
-    "laxator_values",
+    "laxator_loss",
 ]
 
 
@@ -158,7 +162,7 @@ class QuadForm(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class LossFn:
-    """A deterministic map ``(prior, observation) -> value in [0, +inf]``.
+    """A deterministic map ``(prior, observation) -> [0, +inf]`` (signed for a laxator).
 
     ``prior_dom`` and ``obs_dom`` are a finite space (discrete) or a
     dimension (Gaussian); they make composability checkable.
@@ -337,28 +341,32 @@ def loss_for(model: LossModel, l: BayesLens) -> LossFn:
 # ---------------------------------------------------------------------------
 
 
-def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float:
-    """The tensoring defect of a loss model at a joint prior.
+def laxator_loss(model: LossModel, c: BayesLens, d: BayesLens) -> LossFn:
+    """The tensoring defect of a loss model, as a loss on the priors and
+    observations of ``lens_tensor(c, d)``.
 
     Satisfies, wherever the three terms are finite,
 
         L(c (x) d)(omega, (y, y2))
-            = L(c)(omega_X, y) + L(d)(omega_X2, y2) + laxator(...)
+            = L(c)(omega_X, y) + L(d)(omega_X2, y2) + laxator_loss(...)(omega, (y, y2))
 
     and vanishes when ``omega`` is a product state.  Closed forms: the MLE
     defect is a log-ratio of pushforward densities, the FE defect is the
     posterior-expected log-ratio of the product-of-marginals prior to the
     joint prior, the KL defect is their (signed) combination, and the
-    Laplace defect evaluates the FE log-ratio at the posterior mean.
+    Laplace defect evaluates the FE log-ratio at the posterior mean.  A
+    discrete defect carries a signed ``VecForm`` defined at every joint
+    observation ``y * |Y2| + y2``; a Gaussian one is given by ``fn`` alone.
+    The tensored lens and its prior pushforward are built once.
     """
-    return _models(c.fwd).laxator(model, c, d, omega, y, y2)
+    tensored = lens_tensor(c, d)
+    return _models(tensored.fwd).laxator(model, c, d, tensored)
 
 
-def laxator_values(model: LossModel, c: BayesLens, d: BayesLens, omega) -> np.ndarray:
-    """Every tensoring defect of a discrete pair at one joint prior: the
-    vector form of ``laxator``, indexed by the joint observation
-    ``y * |Y2| + y2``.  Signed, and defined at every observation."""
-    return _models(c.fwd).laxator_values(model, c, d, omega)
+def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float:
+    """The tensoring defect of a loss model at a joint prior and the
+    observations ``y`` of ``c`` and ``y2`` of ``d``."""
+    return laxator_loss(model, c, d)(omega, c.backend.joint_obs(c.fwd, d.fwd, y, y2))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +379,11 @@ class _DiscreteModels:
 
     def scalar(self, form, obs_dom):
         # only the observation's own row is computed
-        return lambda pi, y: form(pi, [y]).at(0, lambda: obs_dom.labels[y])
+        def fn(pi, y):
+            y = DISCRETE.obs_index(obs_dom, y)
+            return form(pi, [y]).at(0, lambda: obs_dom.labels[y])
+
+        return fn
 
     def table(self, fn, obs_dom):
         """The vector form of a loss given by ``fn`` alone."""
@@ -435,30 +447,24 @@ class _DiscreteModels:
 
     laplace_sigma = lfe
 
-    def laxator(self, model, c, d, omega, y, y2):
-        return float(self.laxator_values(model, c, d, omega, [y * d.fwd.out.size + y2])[0])
-
-    def laxator_values(self, model, c, d, omega, sel=ALL):
-        """The defects at the joint observations ``sel`` indexes."""
+    def laxator(self, model, c, d, tensored):
         if model is LossModel.LFE:
             raise InstanceError("the Laplace model needs Gaussian lenses")
-        w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-        tensored = lens_tensor(c, d)
-        prod = ds.tensor_dist(w1, w2)
-        if model is LossModel.MLE or model is LossModel.KL:
-            onto = prior_pushforward(tensored.fwd)
+        onto = prior_pushforward(tensored.fwd)
+
+        def form(omega, sel=ALL):
+            w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+            prod = ds.tensor_dist(w1, w2)
             with np.errstate(divide="ignore", invalid="ignore"):
-                mle_term = np.log(onto(prod).mass[sel]) - np.log(onto(omega).mass[sel])
-            if model is LossModel.MLE:
-                return mle_term
-        back = ds.discard_coparam(tensored.bwd(omega)).rows[sel]  # (z, z2) -> (x, x2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.log(prod.mass) - np.log(omega.mass)
-        expect_term = ds.rows_expectation(ratio, back)
-        if model is LossModel.FE:
-            return expect_term
-        with np.errstate(invalid="ignore"):
-            return expect_term - mle_term
+                if model is not LossModel.MLE:  # the FE term
+                    back = ds.discard_coparam(tensored.bwd(omega)).rows[sel]  # (z, z2) -> (x, x2)
+                    defects = ds.rows_expectation(np.log(prod.mass) - np.log(omega.mass), back)
+                if model is not LossModel.FE:  # the MLE term
+                    mle_term = np.log(onto(prod).mass[sel]) - np.log(onto(omega).mass[sel])
+                    defects = mle_term if model is LossModel.MLE else defects - mle_term
+            return VecForm(defects, np.ones(defects.shape, dtype=bool))
+
+        return _form_loss(*tensored.backend.doms(tensored.fwd), form)
 
 
 class _GaussianModels:
@@ -556,31 +562,27 @@ class _GaussianModels:
         hess = _gauss_energy_hessian(l.fwd, pi)
         return gs.gauss_expect_quadratic(val, hess, state.cov), gs.g_entropy(state)
 
-    def laxator(self, model, c, d, omega, y, y2):
-        w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-        tensored = lens_tensor(c, d)
-        obs = GAUSSIAN.joint_obs(d.fwd.out_dim, y, y2)
-        prod = gs.g_tensor_state(w1, w2)
-        if model is LossModel.MLE or model is LossModel.KL:
-            onto = prior_pushforward(tensored.fwd)
-            mle_term = gs.g_logpdf(onto(prod), obs) - gs.g_logpdf(onto(omega), obs)
-            if model is LossModel.MLE:
-                return float(mle_term)
-        back_state = gs.g_apply(tensored.bwd(omega), obs)
-        nxx = prod.dim
-        if model is LossModel.LFE:
-            mu = back_state.mean[:nxx]
-            return gs.g_logpdf(prod, mu) - gs.g_logpdf(omega, mu)
-        xx_state = gs.g_marginal_state(back_state, range(nxx))
-        val = gs.g_logpdf(prod, xx_state.mean) - gs.g_logpdf(omega, xx_state.mean)
-        hess = np.linalg.inv(omega.cov) - np.linalg.inv(prod.cov)
-        expect_term = gs.gauss_expect_quadratic(val, hess, xx_state.cov)
-        if model is LossModel.FE:
-            return float(expect_term)
-        return float(expect_term - mle_term)
+    def laxator(self, model, c, d, tensored):
+        onto = prior_pushforward(tensored.fwd)
 
-    def laxator_values(self, model, c, d, omega):
-        raise InstanceError("laxator_values needs discrete lenses and a discrete model")
+        def fn(omega, obs):
+            w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+            prod = gs.g_tensor_state(w1, w2)
+            if model is not LossModel.MLE:  # the FE term, or the Laplace defect
+                back_state = gs.g_apply(tensored.bwd(omega), obs)
+                if model is LossModel.LFE:
+                    mu = back_state.mean[: prod.dim]
+                    return gs.g_logpdf(prod, mu) - gs.g_logpdf(omega, mu)
+                xx_state = gs.g_marginal_state(back_state, range(prod.dim))
+                val = gs.g_logpdf(prod, xx_state.mean) - gs.g_logpdf(omega, xx_state.mean)
+                hess = np.linalg.inv(omega.cov) - np.linalg.inv(prod.cov)
+                defect = gs.gauss_expect_quadratic(val, hess, xx_state.cov)
+            if model is not LossModel.FE:  # the MLE term
+                mle_term = gs.g_logpdf(onto(prod), obs) - gs.g_logpdf(onto(omega), obs)
+                defect = mle_term if model is LossModel.MLE else defect - mle_term
+            return defect
+
+        return _make_loss(tensored, fn)
 
 
 def _energy_residual_map(fwd) -> np.ndarray:

@@ -104,6 +104,16 @@ class TestVerify:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not report_dir.exists()
 
+    @pytest.mark.parametrize("suite", ["buco", "all"])
+    def test_negative_seed_is_a_usage_error(self, report_dir, capsys, suite):
+        rc = main(["verify", "--suite", suite, "--seed", "-1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "seed" in lines[0]
+        assert not report_dir.exists()
+
     def test_reports_are_reproducible(self, report_dir):
         args = ["verify", "--suite", "bilinear", "--trials", "10", "--seed", "3"]
         main(args)
@@ -208,6 +218,50 @@ class TestEvalLoss:
         assert rc == 2
         assert captured.out == "" and captured.err.startswith("parse error:")
 
+    @pytest.mark.parametrize(
+        "model, prior, named",
+        [
+            (json.dumps({"fwd": KERNEL, "bwd": "exact"}),
+             '{"space": ["x0", "x1"], "mass": [true, false]}', "'mass'"),
+            (GAUSS_MODEL, '{"mean": [true], "cov": [[1.0]]}', "'mean'"),
+            (GAUSS_MODEL.replace('"b": [0.0]', '"b": [false]'), STANDARD_NORMAL, "'b'"),
+        ],
+        ids=["discrete-mass", "gaussian-mean", "gaussian-b"],
+    )
+    def test_boolean_field_is_a_parse_error(self, tmp_path, capsys, model, prior, named):
+        (tmp_path / "m.json").write_text(model)
+        (tmp_path / "p.json").write_text(prior)
+        obs = "0.5" if "noise" in model else "y0"
+        rc = main(
+            ["eval-loss", "--model", str(tmp_path / "m.json"), "--loss", "mle",
+             "--prior", str(tmp_path / "p.json"), "--obs", obs]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("parse error:") and named in lines[0]
+
+    @pytest.mark.parametrize("obs", ["true", "false", "[true]", "[0.5, false]"])
+    @pytest.mark.parametrize("gaussian", [True, False])
+    def test_boolean_observation_is_a_parse_error(self, tmp_path, capsys, obs, gaussian):
+        if gaussian:
+            model, prior = GAUSS_MODEL, STANDARD_NORMAL
+        else:
+            model = json.dumps({"fwd": KERNEL, "bwd": "exact"})
+            prior = '{"space": ["x0", "x1"], "mass": [0.5, 0.5]}'
+        (tmp_path / "m.json").write_text(model)
+        (tmp_path / "p.json").write_text(prior)
+        rc = main(
+            ["eval-loss", "--model", str(tmp_path / "m.json"), "--loss", "mle",
+             "--prior", str(tmp_path / "p.json"), "--obs", obs]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("parse error:") and repr(obs) in lines[0]
+
     def test_nan_row_entry_is_a_parse_error(self, tmp_path, capsys):
         nan_row = dict(KERNEL, rows=[[float("nan"), 1.0], [0.75, 0.25]])
         model = write(tmp_path, "m.json", {"fwd": nan_row, "bwd": "exact"})
@@ -257,6 +311,17 @@ class TestDemo:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2  # header + initial row
         assert lines[1].startswith("0,")
+
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--steps", "-3"]])
+    def test_negative_seed_or_steps_is_a_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "t.csv"
+        rc = main(["demo", *flag, "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and flag[0] in lines[0]
+        assert not out.exists()
 
     def test_deterministic_per_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

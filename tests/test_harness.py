@@ -100,6 +100,11 @@ class TestSuiteConfig:
         with pytest.raises(ShapeError):
             SuiteConfig(suite="buco", instance="quantum")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ShapeError, match="seed"):
+            SuiteConfig(suite="buco", seed=-1)
+        assert SuiteConfig(suite="buco", seed=0).seed == 0
+
 
 class TestRunSuite:
     def test_registry_is_complete(self):

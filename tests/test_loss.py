@@ -13,7 +13,7 @@ import pytest
 from statgames import discrete as ds
 from statgames import gaussian as gs
 from statgames import loss as loss_module
-from statgames.errors import InstanceError, SingularityError, SupportError
+from statgames.errors import InstanceError, ShapeError, SingularityError, SupportError
 from statgames.games import Game, TwoCellWitness, game_vcompose
 from statgames.lens import (
     BayesLens,
@@ -31,6 +31,7 @@ from statgames.loss import (
     kl_loss,
     laplace_sigma,
     laxator,
+    laxator_loss,
     lfe_loss,
     loss_compose,
     loss_for,
@@ -776,8 +777,8 @@ class TestLaxatorVectorForm:
             c = exact_lens(degenerate_copar(rng, X, M, Y))
             d = perturbed_lens(rng, random_copar(rng, U, V, W))
             for omega in (random_dist(rng, X.product(U)), degenerate_dist(rng, X.product(U))):
-                vals = loss_module.laxator_values(model, c, d, omega)
-                assert vals.shape == (Y.size * W.size,)
+                vals, defined = laxator_loss(model, c, d).values(omega)
+                assert vals.shape == (Y.size * W.size,) and defined.all()
                 for y in range(Y.size):
                     for y2 in range(W.size):
                         want = laxator(model, c, d, omega, y, y2)
@@ -787,10 +788,125 @@ class TestLaxatorVectorForm:
         c = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
         omega = gs.GaussState([0.0, 0.0], np.eye(2))
         with pytest.raises(InstanceError):
-            loss_module.laxator_values(LossModel.KL, c, c, omega)
+            laxator_loss(LossModel.KL, c, c).values(omega)
         lens = exact_lens(ds.identity_kernel(X2))
         with pytest.raises(InstanceError):
-            loss_module.laxator_values(LossModel.LFE, lens, lens, ds.uniform(X2.product(X2)))
+            laxator_loss(LossModel.LFE, lens, lens)
+
+    def test_one_tensored_lens_per_laxator_loss(self, monkeypatch):
+        counted = {"n": 0}
+        tensor = loss_module.lens_tensor
+
+        def counting(l1, l2):
+            counted["n"] += 1
+            return tensor(l1, l2)
+
+        monkeypatch.setattr(loss_module, "lens_tensor", counting)
+        rng = rng_for(37)
+        X, M, Y, U, V, W = spaces(2, 2, 3, 3, 2, 2)
+        c = exact_lens(random_copar(rng, X, M, Y))
+        d = perturbed_lens(rng, random_copar(rng, U, V, W))
+        for model in DISCRETE_MODELS:
+            counted["n"] = 0
+            defect = laxator_loss(model, c, d)
+            for k in range(10):
+                omega = random_dist(rng, X.product(U))
+                defect(omega, k % (Y.size * W.size))
+                defect.values(omega)
+            assert counted["n"] == 1
+        g = exact_lens(random_gauss_channel(rng, 1, 1, 1))
+        g2 = exact_lens(random_gauss_channel(rng, 2, 0, 1))
+        for model in GAUSS_MODELS + [LossModel.LFE]:
+            counted["n"] = 0
+            defect = laxator_loss(model, g, g2)
+            for _ in range(10):
+                defect(random_gauss_state(rng, 3), rng.uniform(-1.0, 1.0, size=2))
+            assert counted["n"] == 1
+
+    def test_a_laxator_is_a_loss_of_the_tensored_game(self):
+        rng = rng_for(38)
+        X, M, Y, U, V, W = spaces(2, 2, 3, 3, 2, 2)
+        c = exact_lens(random_copar(rng, X, M, Y))
+        d = exact_lens(random_copar(rng, U, V, W))
+        g = exact_lens(random_gauss_channel(rng, 1, 1, 1))
+        g2 = exact_lens(random_gauss_channel(rng, 2, 0, 1))
+        for model in DISCRETE_MODELS:
+            Game(lens_tensor(c, d), laxator_loss(model, c, d))
+        for model in GAUSS_MODELS + [LossModel.LFE]:
+            Game(lens_tensor(g, g2), laxator_loss(model, g, g2))
+
+    @pytest.mark.parametrize("model", DISCRETE_MODELS)
+    def test_composed_laxators_match_loop_oracle(self, model):
+        rng = rng_for(39)
+        for _ in range(4):
+            sx, sy, sz, su, sw = (int(v) for v in rng.integers(2, 4, size=5))
+            X, M, Y, N, Z, U, V, W, Q, R = spaces(sx, 2, sy, 2, sz, su, 2, sw, 2, 2)
+            c = exact_lens(degenerate_copar(rng, X, M, Y))
+            e = perturbed_lens(rng, random_copar(rng, Y, N, Z))
+            d = perturbed_lens(rng, degenerate_copar(rng, U, V, W))
+            f = exact_lens(random_copar(rng, W, Q, R))
+            cd, ef = lens_tensor(c, d), lens_tensor(e, f)
+            composed = loss_compose(laxator_loss(model, e, f), laxator_loss(model, c, d), ef, cd)
+            # the oracle averages scalar laxators, one intermediate
+            # observation at a time
+            first = lambda pi, j: laxator(model, e, f, pi, j // R.size, j % R.size)
+            inner = lambda pi, j: laxator(model, c, d, pi, j // W.size, j % W.size)
+            for omega in (random_dist(rng, X.product(U)), degenerate_dist(rng, X.product(U))):
+                vals, defined = assert_vector_matches_scalar(composed, omega)
+                assert defined.all()
+                for j in range(Z.size * R.size):
+                    assert_same_value(vals[j], loop_compose(first, inner, ef, cd, omega, j))
+
+
+class TestObservationRange:
+    """A discrete observation is an index into its space: anything else is
+    a ``ShapeError`` naming it, never a wrapped or a numpy index."""
+
+    BAD = [-1, 2, 1.0, True, "y0", None]
+
+    def lenses(self):
+        rng = rng_for(50)
+        c = exact_lens(random_copar(rng, X2, X2, Y2))
+        d = perturbed_lens(rng, random_copar(rng, Y2, X2, Y2))
+        return c, d
+
+    def losses(self):
+        c, d = self.lenses()
+        models = [loss_for(m, c) for m in DISCRETE_MODELS]
+        bare = loss_module.LossFn(mle_loss(c).fn, X2, Y2)
+        composite = loss_compose(fe_loss(d), kl_loss(c), d, c)
+        return [*models, bare, zero_loss(c), composite, mle_loss(d).reindex(c.fwd)]
+
+    @pytest.mark.parametrize("y", BAD)
+    def test_losses_reject_a_bad_observation(self, y):
+        pi = ds.uniform(X2)
+        for loss in self.losses():
+            with pytest.raises(ShapeError, match=f"observation {y!r} .* size 2"):
+                loss(pi, y)
+
+    def test_numpy_and_python_ints_agree(self):
+        pi = ds.uniform(X2)
+        for loss in self.losses():
+            for y in range(2):
+                assert loss(pi, np.int64(y)) == loss(pi, y) == loss(pi, np.int32(y))
+
+    @pytest.mark.parametrize("y, y2", [(0, 2), (0, -1), (2, 0), (-1, 0), (True, 0), (0, 1.0)])
+    def test_laxator_checks_each_factor(self, y, y2):
+        c, d = self.lenses()
+        omega = ds.uniform(X2.product(X2))
+        for model in DISCRETE_MODELS:
+            with pytest.raises(ShapeError):
+                laxator(model, c, d, omega, y, y2)
+            with pytest.raises(ShapeError):
+                laxator_loss(model, c, d)(omega, 4)
+
+    def test_gaussian_laxator_checks_each_factor(self):
+        c = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
+        d = exact_lens(gs.GaussChannel([[1.0], [0.5]], [0.0, 0.0], np.eye(2)))
+        omega = gs.GaussState([0.0, 0.0], np.eye(2))
+        assert math.isfinite(laxator(LossModel.MLE, c, d, omega, [0.1], [0.2, 0.3]))
+        with pytest.raises(ShapeError):
+            laxator(LossModel.MLE, c, d, omega, [0.1, 0.2], [0.3])
 
 
 class TestFoldedDepth:

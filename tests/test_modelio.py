@@ -203,6 +203,24 @@ def test_non_finite_numbers_are_parse_errors_naming_the_field(parser, obj, field
         parse(obj)
 
 
+#: JSON booleans, which numpy would read as 1 and 0, in a field the parse
+#: error must name
+BOOLEANS = [
+    ("parse_channel", dict(KERNEL, rows=[[True, False], [0.5, 0.5]]), "rows"),
+    ("parse_channel", dict(GAUSS, A=[[True]]), "A"),
+    ("parse_channel", dict(GAUSS, noise=True), "noise"),
+    ("parse_state", {"space": ["a", "b"], "mass": [True, False]}, "mass"),
+    ("parse_state", {"mean": [True], "cov": [[1.0]]}, "mean"),
+]
+
+
+@pytest.mark.parametrize("parser, obj, field", BOOLEANS)
+def test_booleans_are_parse_errors_naming_the_field(parser, obj, field):
+    parse = {"parse_channel": parse_channel, "parse_state": parse_state}[parser]
+    with pytest.raises(ModelParseError, match=f"field '{field}' must hold numbers"):
+        parse(obj)
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
 def test_non_finite_literals_in_a_file_are_parse_errors(tmp_path, literal):
     path = tmp_path / "s.json"
