@@ -102,6 +102,7 @@ def _eigen_range(m: np.ndarray) -> str:
 def random_rows(rng, n_rows: int, n_cols: int, degenerate: bool = False) -> np.ndarray:
     """Seeded row-stochastic rows; strictly positive entries unless
     ``degenerate`` asks for support gaps."""
+    ds.check_entries(n_rows * n_cols, "random draw")
     raw = rng.gamma(1.0, size=(n_rows, n_cols))
     if degenerate and n_cols > 1:
         kill = rng.random(size=raw.shape) < 0.3
@@ -139,6 +140,13 @@ class Discrete:
     def doms(self, ch):
         """The spaces of the priors and observations of a lens on ``ch``."""
         return ch.dom, ch.out
+
+    def ends(self, ch):
+        """The domain, coparameter and output of ``ch``."""
+        return ch.dom, ch.copar, ch.out
+
+    def describe_space(self, s) -> str:
+        return str(_flat_labels(s)) if s.n_factors else "the one-point space"
 
     def prior_marginals(self, omega, ch1, ch2):
         k1, k2 = ch1.dom.n_factors, ch2.dom.n_factors
@@ -283,6 +291,12 @@ class Gaussian:
     def doms(self, ch):
         return ch.dom_dim, ch.out_dim
 
+    def ends(self, ch):
+        return ch.dom_dim, ch.copar_dim, ch.out_dim
+
+    def describe_space(self, n) -> str:
+        return f"of dimension {n}"
+
     def prior_marginals(self, omega, ch1, ch2):
         d1, d2 = ch1.dom_dim, ch2.dom_dim
         if omega.dim != d1 + d2:
@@ -373,6 +387,7 @@ class Gaussian:
 
     def random_channel(self, rng, dom, copar, out, noise_floor=1e-6):
         """A channel ``dom -> copar (+) out`` with strictly PD noise."""
+        ds.check_entries((copar + out) * (dom + 1 + copar + out), "random channel")
         A = rng.uniform(-2.0, 2.0, size=(copar + out, dom))
         b = rng.uniform(-1.0, 1.0, size=copar + out)
         l = rng.uniform(-1.0, 1.0, size=(copar + out, copar + out))
@@ -380,6 +395,7 @@ class Gaussian:
         return gs.GaussChannel(A, b, noise, copar_dim=copar)
 
     def random_state(self, rng, dim):
+        ds.check_entries(dim * (dim + 1), "random state")
         mean = rng.uniform(-1.0, 1.0, size=dim)
         l = rng.uniform(-1.0, 1.0, size=(dim, dim))
         return gs.GaussState(mean, l @ l.T + 0.1 * np.eye(dim))

@@ -68,8 +68,9 @@ __all__ = [
 
 #: tolerance for "entries sum to 1" checks at construction time
 NORMALIZATION_ATOL = 1e-12
-#: the most float64 entries (512 MiB) a composite or tensored channel may
-#: hold; larger results raise ``ShapeError`` before anything is allocated
+#: the most float64 entries (512 MiB) a composite or tensored channel, or a
+#: seeded random draw, may hold; larger results raise ``ShapeError`` before
+#: anything is allocated
 MAX_ENTRIES = 2**26
 #: default tolerance for entrywise kernel comparisons
 COMPARE_ATOL = 1e-9
@@ -347,7 +348,7 @@ def copy_compose_copar(g: CoparKernel, f: CoparKernel) -> CoparKernel:
         raise ShapeError("cannot compose channels of mixed coparameter side")
     if f.out != g.dom:
         raise ShapeError("output of first does not match domain of second")
-    _check_entries(f.rows.size * g.copar.size * g.out.size, "copy-composite")
+    check_entries(f.rows.size * g.copar.size * g.out.size, "copy-composite")
     fr, gr = f.rows.reshape(f._split_shape()), g.rows.reshape(g._split_shape())
     if f.copar_side == "left":
         joint = np.einsum("amb,bnz->ambnz", fr, gr)
@@ -358,7 +359,9 @@ def copy_compose_copar(g: CoparKernel, f: CoparKernel) -> CoparKernel:
     return CoparKernel(f.dom, copar, g.out, joint.reshape(f.dom.size, -1), f.copar_side)
 
 
-def _check_entries(n: int, what: str) -> None:
+def check_entries(n: int, what: str) -> None:
+    """Refuse a result of ``n`` entries over ``MAX_ENTRIES``, before it is
+    allocated."""
     if n > MAX_ENTRIES:
         raise ShapeError(
             f"the {what} would hold {n:,} entries ({8 * n:,} bytes), "
@@ -401,7 +404,7 @@ def tensor_copar(f: CoparKernel, g: CoparKernel) -> CoparKernel:
     """
     if f.copar_side != g.copar_side:
         raise ShapeError("cannot tensor channels of mixed coparameter side")
-    _check_entries(f.rows.size * g.rows.size, "tensor")
+    check_entries(f.rows.size * g.rows.size, "tensor")
     sizes = f._split_shape()[1:] + g._split_shape()[1:]
     rows = _permute_columns(np.kron(f.rows, g.rows), sizes, (0, 2, 1, 3))
     return CoparKernel(

@@ -48,18 +48,27 @@ PSD_CLAMP = 1e-10
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """``a``, checked to hold finite numbers.  Constructors run this on
+    every array, so it avoids ``ndarray.all``'s Python-level overhead: one
+    ``math.isfinite`` for a single entry, a C-level count otherwise."""
+    if not (math.isfinite(a.item()) if a.size == 1 else np.count_nonzero(np.isfinite(a)) == a.size):
+        raise ShapeError(f"{what} must hold finite numbers")
+    return a
+
+
 def _as_psd(m, what: str) -> np.ndarray:
     a = np.atleast_2d(np.asarray(m, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what} is not square: {a.shape}")
     if a.shape == (1, 1):
-        v = float(a[0, 0])
+        v = _finite(a, what).item()
         if v < -PSD_CLAMP:
             raise ShapeError(f"{what} has eigenvalue {v:.3e} < 0")
         a = np.array([[max(v, 0.0)]])
         a.setflags(write=False)
         return a
-    if a.size and np.max(np.abs(a - a.T)) > PSD_CLAMP:
+    if a.size and np.max(np.abs(_finite(a, what) - a.T)) > PSD_CLAMP:
         raise ShapeError(f"{what} is not symmetric")
     a = 0.5 * (a + a.T)
     w = np.linalg.eigvalsh(a)
@@ -89,7 +98,7 @@ class GaussState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        mu = _finite(np.atleast_1d(np.asarray(self.mean, dtype=float)), "mean")
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "cov", _as_psd(self.cov, "covariance"))
         if self.cov.shape != (mu.size, mu.size):
@@ -117,8 +126,8 @@ class GaussChannel:
     copar_side: str = "left"
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        A = _finite(np.atleast_2d(np.asarray(self.A, dtype=float)), "A")
+        b = _finite(np.atleast_1d(np.asarray(self.b, dtype=float)), "b")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "noise", _as_psd(self.noise, "channel noise"))

@@ -29,12 +29,14 @@ once and read by the scalar call and by composition.  A form is a
 Gaussian loss, a quadratic ``c + g.y + y.H.y / 2`` in the observation);
 each kind has ``at``, ``+`` and ``average`` under a backward channel, so
 ``loss_compose`` is written once: a matrix-vector product for vectors, a
-closed form for quadratics.  Each model's form, and each model's laxator,
-is built by the instance's half of the model, picked once through the
-lens's backend.  Only a Gaussian loss built from a bare callable (a
-Gaussian laxator is one) has no form and is averaged by Gauss-Hermite
-quadrature (exact for quadratic integrands), so every identity is testable
-at tight tolerances.
+closed form for quadratics.  The MLE model and the laxators are written
+once over forms; each instance's half of the models, picked once through
+the lens's backend, supplies the KL and Laplace forms and the primitives
+they use (``nll``, the negative log-density of a state as a form).  Every
+loss the library builds carries a form.  Only a Gaussian loss built from a
+bare callable (``fe_joint_form`` is one) has none and is averaged by
+Gauss-Hermite quadrature (exact for quadratic integrands), so every
+identity is testable at tight tolerances.
 """
 
 from __future__ import annotations
@@ -116,6 +118,9 @@ class VecForm(NamedTuple):
     def __add__(self, other: "VecForm") -> "VecForm":
         return VecForm(self.values + other.values, self.defined & other.defined)
 
+    def __sub__(self, other: "VecForm") -> "VecForm":
+        return VecForm(self.values - other.values, self.defined & other.defined)
+
     def average(self, back, sel=ALL) -> "VecForm":
         """The expectation under the rows ``sel`` of the discrete channel
         ``back``.  Scanning a row's weighted entries in order, the first
@@ -145,6 +150,9 @@ class QuadForm(NamedTuple):
 
     def __add__(self, other: "QuadForm") -> "QuadForm":
         return QuadForm(self.H + other.H, self.g + other.g, self.c + other.c)
+
+    def __sub__(self, other: "QuadForm") -> "QuadForm":
+        return QuadForm(self.H - other.H, self.g - other.g, self.c - other.c)
 
     def average(self, back, sel=ALL) -> "QuadForm":
         """The expectation under the Gaussian channel ``back``, ``z -> N(B z
@@ -199,10 +207,6 @@ class LossFn:
         return LossFn(reindex(self.fn, ch), backend_of(ch).doms(ch)[0], self.obs_dom, form)
 
 
-def _make_loss(l: BayesLens, fn) -> LossFn:
-    return LossFn(fn, *l.backend.doms(l.fwd))
-
-
 def _form_loss(prior_dom, obs_dom, form) -> LossFn:
     """A loss from its form; the scalar call evaluates the one observation
     it is given."""
@@ -255,7 +259,8 @@ def mle_loss(l: BayesLens) -> LossFn:
 
     Zero-probability observations give ``+inf`` (a value, not an error).
     """
-    return _form_loss(*l.backend.doms(l.fwd), _models(l.fwd).mle(l))
+    nll, onto = _models(l.fwd).nll, prior_pushforward(l.fwd)
+    return _form_loss(*l.backend.doms(l.fwd), lambda pi, sel=ALL: nll(onto(pi), sel))
 
 
 def fe_loss(l: BayesLens) -> LossFn:
@@ -268,7 +273,7 @@ def fe_joint_form(l: BayesLens) -> LossFn:
     divergence of the posterior from (prior tensor flat), minus the expected
     joint log-density.  Agrees with ``fe_loss`` wherever both are finite."""
     models = _models(_simple(l).fwd)
-    return _make_loss(l, lambda pi, y: models.fe_joint(l, pi, y))
+    return LossFn(lambda pi, y: models.fe_joint(l, pi, y), *l.backend.doms(l.fwd))
 
 
 def energy_entropy_decomp(l: BayesLens, pi, y) -> tuple[float, float]:
@@ -350,17 +355,35 @@ def laxator_loss(model: LossModel, c: BayesLens, d: BayesLens) -> LossFn:
         L(c (x) d)(omega, (y, y2))
             = L(c)(omega_X, y) + L(d)(omega_X2, y2) + laxator_loss(...)(omega, (y, y2))
 
-    and vanishes when ``omega`` is a product state.  Closed forms: the MLE
-    defect is a log-ratio of pushforward densities, the FE defect is the
-    posterior-expected log-ratio of the product-of-marginals prior to the
-    joint prior, the KL defect is their (signed) combination, and the
-    Laplace defect evaluates the FE log-ratio at the posterior mean.  A
-    discrete defect carries a signed ``VecForm`` defined at every joint
-    observation ``y * |Y2| + y2``; a Gaussian one is given by ``fn`` alone.
+    and vanishes when ``omega`` is a product state.  Closed forms, written
+    once over forms with ``nll`` the negative log-density of a state: the
+    FE defect is the posterior-expected log-ratio of the product-of-marginals
+    prior to the joint prior, the MLE defect is the log-ratio of their
+    pushforwards, the KL defect is the FE defect minus the MLE defect, and
+    the Laplace defect averages the FE log-ratio under the backward channel
+    collapsed to its mean (Gaussian lenses only).  A discrete defect is a
+    signed ``VecForm`` defined at every joint observation ``y * |Y2| +
+    y2``, a Gaussian one a ``QuadForm``, so laxators compose in closed form.
     The tensored lens and its prior pushforward are built once.
     """
     tensored = lens_tensor(c, d)
-    return _models(tensored.fwd).laxator(model, c, d, tensored)
+    backend, models = tensored.backend, _models(tensored.fwd)
+    onto = prior_pushforward(tensored.fwd)
+    # the Laplace defect averages over the posterior mean alone
+    back = models.at_mean() if model is LossModel.LFE else lambda ch: ch
+
+    def form(omega, sel=ALL):
+        prod = backend.tensor_state(*prior_marginals(omega, c.fwd, d.fwd))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if model is not LossModel.MLE:  # the FE term
+                log_ratio = models.nll(omega) - models.nll(prod)
+                defect = log_ratio.average(back(backend.discard(tensored.bwd(omega))), sel)
+            if model in (LossModel.MLE, LossModel.KL):  # the MLE term
+                mle_term = models.nll(onto(omega), sel) - models.nll(onto(prod), sel)
+                defect = mle_term if model is LossModel.MLE else defect - mle_term
+        return defect
+
+    return _form_loss(*backend.doms(tensored.fwd), form)
 
 
 def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float:
@@ -411,15 +434,11 @@ class _DiscreteModels:
 
         return form
 
-    def mle(self, l):
-        onto = prior_pushforward(l.fwd)
-
-        def form(pi, sel=ALL):
-            mass = onto(pi).mass[sel]
-            with np.errstate(divide="ignore"):
-                return VecForm(-np.log(mass), np.ones(mass.shape, dtype=bool))
-
-        return form
+    def nll(self, state, sel=ALL):
+        """The negative log-mass of ``state`` at the outcomes ``sel``."""
+        mass = state.mass[sel]
+        with np.errstate(divide="ignore"):
+            return VecForm(-np.log(mass), np.ones(mass.shape, dtype=bool))
 
     def _posterior_energy(self, l, pi, y):
         """The posterior row at ``y`` and the energy ``-log p_fwd(m, y | x)
@@ -441,30 +460,12 @@ class _DiscreteModels:
         rho, energy = self._posterior_energy(l, pi, y)
         return ds.expectation(energy, rho), ds.entropy(rho)
 
-    def lfe(self, l, pi=None):
-        """The Laplace model and its covariance need Gaussian lenses."""
+    def lfe(self, *args):
+        """The Laplace model, its covariance and its mean-collapsed backward
+        channel need Gaussian lenses."""
         raise InstanceError("the Laplace model needs Gaussian lenses")
 
-    laplace_sigma = lfe
-
-    def laxator(self, model, c, d, tensored):
-        if model is LossModel.LFE:
-            raise InstanceError("the Laplace model needs Gaussian lenses")
-        onto = prior_pushforward(tensored.fwd)
-
-        def form(omega, sel=ALL):
-            w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-            prod = ds.tensor_dist(w1, w2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if model is not LossModel.MLE:  # the FE term
-                    back = ds.discard_coparam(tensored.bwd(omega)).rows[sel]  # (z, z2) -> (x, x2)
-                    defects = ds.rows_expectation(np.log(prod.mass) - np.log(omega.mass), back)
-                if model is not LossModel.FE:  # the MLE term
-                    mle_term = np.log(onto(prod).mass[sel]) - np.log(onto(omega).mass[sel])
-                    defects = mle_term if model is LossModel.MLE else defects - mle_term
-            return VecForm(defects, np.ones(defects.shape, dtype=bool))
-
-        return _form_loss(*tensored.backend.doms(tensored.fwd), form)
+    laplace_sigma = at_mean = lfe
 
 
 class _GaussianModels:
@@ -501,16 +502,16 @@ class _GaussianModels:
 
         return form
 
-    def mle(self, l):
-        onto = prior_pushforward(l.fwd)
+    def nll(self, state, sel=ALL):
+        """The negative log-density of ``state``, a quadratic in the point."""
+        chol = gs._chol(state.cov, "covariance")
+        H, g, c = _half_square(chol, np.eye(state.dim), -state.mean)
+        return QuadForm(H, g, c + 0.5 * (state.dim * gs.LOG_2PI + _logdet(chol)))
 
-        def form(pi, sel=ALL):
-            pushed = onto(pi)
-            chol = gs._chol(pushed.cov, "covariance")
-            H, g, c = _half_square(chol, np.eye(pushed.dim), -pushed.mean)
-            return QuadForm(H, g, c + 0.5 * (pushed.dim * gs.LOG_2PI + _logdet(chol)))
-
-        return form
+    def at_mean(self):
+        """The map of a channel to the point mass at its mean, over which
+        the Laplace model averages where the others use the channel."""
+        return lambda ch: gs.GaussChannel(ch.A, ch.b, np.zeros(ch.noise.shape))
 
     def lfe(self, l):
         _simple(l)
@@ -561,28 +562,6 @@ class _GaussianModels:
         val -= gs.g_logpdf(pi, x0)
         hess = _gauss_energy_hessian(l.fwd, pi)
         return gs.gauss_expect_quadratic(val, hess, state.cov), gs.g_entropy(state)
-
-    def laxator(self, model, c, d, tensored):
-        onto = prior_pushforward(tensored.fwd)
-
-        def fn(omega, obs):
-            w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-            prod = gs.g_tensor_state(w1, w2)
-            if model is not LossModel.MLE:  # the FE term, or the Laplace defect
-                back_state = gs.g_apply(tensored.bwd(omega), obs)
-                if model is LossModel.LFE:
-                    mu = back_state.mean[: prod.dim]
-                    return gs.g_logpdf(prod, mu) - gs.g_logpdf(omega, mu)
-                xx_state = gs.g_marginal_state(back_state, range(prod.dim))
-                val = gs.g_logpdf(prod, xx_state.mean) - gs.g_logpdf(omega, xx_state.mean)
-                hess = np.linalg.inv(omega.cov) - np.linalg.inv(prod.cov)
-                defect = gs.gauss_expect_quadratic(val, hess, xx_state.cov)
-            if model is not LossModel.FE:  # the MLE term
-                mle_term = gs.g_logpdf(onto(prod), obs) - gs.g_logpdf(onto(omega), obs)
-                defect = mle_term if model is LossModel.MLE else defect - mle_term
-            return defect
-
-        return _make_loss(tensored, fn)
 
 
 def _energy_residual_map(fwd) -> np.ndarray:

@@ -88,6 +88,7 @@ def parse_lens(obj) -> BayesLens:
         prior = parse_state(entry["prior"])
         # backward channels carry their coparameter trailing
         ch = dataclasses.replace(parse_channel(entry["channel"]), copar_side="right")
+        _check_backward(fwd, ch, i)
         table.append((prior, ch))
 
     def bwd(pi):
@@ -98,6 +99,24 @@ def parse_lens(obj) -> BayesLens:
         raise ShapeError("no backward channel tabulated for this prior")
 
     return BayesLens(fwd=fwd, bwd=bwd, simple=True)
+
+
+def _check_backward(fwd, ch, i: int) -> None:
+    """Raise unless ``ch`` runs from the output of ``fwd`` to its domain
+    and coparameter (the same spaces, labels included, or dimensions)."""
+    backend, other = backend_of(fwd), backend_of(ch)
+    if other is not backend:
+        raise ModelParseError(
+            f"'bwd' entry {i}: a {other.name} channel for a {backend.name} forward"
+        )
+    roles = ("domain", "output"), ("coparameter", "coparameter"), ("codomain", "domain")
+    dom, copar, out = backend.ends(fwd)
+    for (role, of), got, want in zip(roles, backend.ends(ch), (out, copar, dom)):
+        if got != want:
+            raise ModelParseError(
+                f"'bwd' entry {i}: the channel's {role} is {backend.describe_space(got)}, "
+                f"but the forward's {of} is {backend.describe_space(want)}"
+            )
 
 
 def channel_to_obj(ch) -> dict:

@@ -68,6 +68,16 @@ class TestVerify:
         body = json.loads(path.read_text())
         assert isinstance(body, list) and body[0]["suite"] == "stochasticity"
 
+    def test_oversized_draw_is_a_usage_error(self, report_dir, capsys):
+        # trial 0 draws a 851 x 637 x 512 channel at seed 0: refused before
+        # the draw, never allocated
+        rc = main(["verify", "--suite", "buco", "--max-dim", "1000", "--seed", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error: the random draw would hold 277,548,544 entries")
+        assert captured.err.count("\n") == 1
+        assert not report_dir.exists()
+
     def test_gaussian_instance(self, report_dir, capsys):
         rc = main(
             ["verify", "--suite", "buco", "--trials", "10",
@@ -122,6 +132,69 @@ class TestVerify:
         second = json.loads((report_dir / "bilinear.json").read_text())
         first.pop("wall_time_s"), second.pop("wall_time_s")
         assert first == second
+
+
+#: the exact backward channel of KERNEL at the uniform prior, tabulated
+UNIFORM = {"space": ["x0", "x1"], "mass": [0.5, 0.5]}
+KERNEL_BACK = {"dom": ["y0", "y1"], "cod": ["x0", "x1"], "rows": [[0.5, 0.5], [0.5, 0.5]]}
+#: the exact backward channel of GAUSS_MODEL's forward at STANDARD_NORMAL
+GAUSS_BACK = {"A": [[0.5]], "b": [0.0], "noise": [[0.5]]}
+
+
+def tabulated(fwd, prior, channel):
+    return {"fwd": fwd, "bwd": [{"prior": prior, "channel": channel}]}
+
+
+class TestTabulatedBackward:
+    """A tabulated backward channel must run from the forward's output to
+    its domain and coparameter."""
+
+    GAUSS_FWD = json.loads(GAUSS_MODEL)["fwd"]
+    NORMAL = json.loads(STANDARD_NORMAL)
+
+    @pytest.mark.parametrize(
+        "model, prior, obs",
+        [
+            (tabulated(KERNEL, UNIFORM, KERNEL_BACK), UNIFORM, "y0"),
+            (tabulated(GAUSS_FWD, NORMAL, GAUSS_BACK), NORMAL, "1.0"),
+        ],
+    )
+    def test_a_fitting_channel_is_exact(self, tmp_path, capsys, model, prior, obs):
+        model, prior = write(tmp_path, "m.json", model), write(tmp_path, "p.json", prior)
+        args = ["eval-loss", "--model", model, "--prior", prior, "--loss", "kl", "--obs", obs]
+        assert main([*args, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["loss"] == pytest.approx(0.0, abs=1e-12)
+
+    # a discrete and a Gaussian (forward, prior, observation), and a 2 x 1
+    # Gaussian backward channel for the 1-D forward
+    DISCRETE = (KERNEL, UNIFORM, "y0")
+    GAUSSIAN = (GAUSS_FWD, NORMAL, "1.0")
+    TALL = dict(GAUSS_BACK, A=[[0.5], [0.1]], b=[0.0, 0.0], noise=[[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "fwd, prior, obs, channel",
+        [
+            (*DISCRETE, dict(KERNEL_BACK, dom=["y0", "y1", "y2"], rows=[[0.5, 0.5]] * 3)),
+            (*DISCRETE, dict(KERNEL_BACK, cod=["x0", "x1", "x2"], rows=[[0.5, 0.25, 0.25]] * 2)),
+            (*DISCRETE, dict(KERNEL_BACK, dom=["y1", "y0"])),
+            (*DISCRETE, dict(KERNEL_BACK, copar=["m0", "m1"], rows=[[0.25] * 4] * 2)),
+            (*DISCRETE, GAUSS_BACK),
+            (*GAUSSIAN, TALL),
+            (*GAUSSIAN, dict(TALL, copar_dim=1)),
+            (*GAUSSIAN, dict(GAUSS_BACK, A=[[0.5, 0.1]])),
+            (*GAUSSIAN, KERNEL_BACK),
+        ],
+    )
+    @pytest.mark.parametrize("loss", ["kl", "mle", "fe", "lfe"])
+    def test_a_misfit_is_a_parse_error(self, tmp_path, capsys, fwd, prior, obs, channel, loss):
+        model = write(tmp_path, "m.json", tabulated(fwd, prior, channel))
+        prior = write(tmp_path, "p.json", prior)
+        rc = main(["eval-loss", "--model", model, "--loss", loss, "--prior", prior, "--obs", obs])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("parse error: 'bwd' entry 0: ")
+        assert main(["inspect", "--model", model]) == 2
+        assert capsys.readouterr().err.startswith("parse error: 'bwd' entry 0: ")
 
 
 class TestEvalLoss:

@@ -53,9 +53,9 @@ def exact_pair(rng, sizes=(3, 2, 3, 2, 3)):
 
 
 def const_loss(game_lens, value):
-    from statgames.loss import _make_loss
+    from statgames.loss import LossFn
 
-    return _make_loss(game_lens, lambda pi, obs: value)
+    return LossFn(lambda pi, obs: value, *game_lens.backend.doms(game_lens.fwd))
 
 
 class TestGame:

@@ -6,6 +6,7 @@ quadrature.
 """
 
 import math
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -276,6 +277,37 @@ class TestStateValidation:
     def test_large_negative_eigenvalue_rejected(self):
         with pytest.raises(ShapeError):
             GaussState([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize(
+        "mean, cov, field",
+        [
+            ([nan], [[1.0]], "mean"),
+            ([0.0, -inf], np.eye(2), "mean"),
+            ([0.0], [[nan]], "covariance"),
+            ([0.0], [[inf]], "covariance"),
+            ([0.0, 0.0], [[1.0, nan], [nan, 1.0]], "covariance"),
+            ([0.0, 0.0], [[1.0, 0.0], [0.0, nan]], "covariance"),
+            ([0.0, 0.0], [[inf, 0.0], [0.0, 1.0]], "covariance"),
+        ],
+    )
+    def test_non_finite_state_rejected(self, mean, cov, field):
+        with pytest.raises(ShapeError, match=f"{field} must hold finite numbers"):
+            GaussState(mean, cov)
+
+    @pytest.mark.parametrize(
+        "A, b, noise, field",
+        [
+            ([[nan]], [0.0], [[1.0]], "A"),
+            ([[1.0], [-inf]], [0.0, 0.0], np.eye(2), "A"),
+            ([[1.0]], [inf], [[1.0]], "b"),
+            ([[1.0]], [nan], [[1.0]], "b"),
+            ([[1.0]], [0.0], [[nan]], "channel noise"),
+            ([[1.0], [1.0]], [0.0, 0.0], [[1.0, 0.0], [0.0, inf]], "channel noise"),
+        ],
+    )
+    def test_non_finite_channel_rejected(self, A, b, noise, field):
+        with pytest.raises(ShapeError, match=f"{field} must hold finite numbers"):
+            GaussChannel(A, b, noise)
 
 
 class TestTensor:

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from statgames import discrete as ds
+from statgames.backend import DISCRETE, GAUSSIAN, random_rows
 from statgames.errors import ShapeError
 from statgames.harness import (
     SUITE_DEFAULTS,
@@ -87,6 +89,38 @@ class TestGenerators:
         assert d.mass.min() > 0
         s = gen_gauss_state(11, 3)
         assert np.linalg.eigvalsh(s.cov).min() > 0
+
+
+class RefusingRng:
+    """A stand-in generator that fails if any draw is made."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} was reached")
+
+
+class TestOversizedDraws:
+    """Seeded draws predict their entries and refuse, before drawing, any
+    size over ``discrete.MAX_ENTRIES``."""
+
+    def refuses(self, entries, draw, *args):
+        assert entries > ds.MAX_ENTRIES
+        with pytest.raises(ShapeError, match=f"{entries:,} entries .{8 * entries:,} bytes."):
+            draw(RefusingRng(), *args)
+
+    def test_random_rows(self):
+        self.refuses(851 * 326_144, random_rows, 851, 326_144)
+
+    def test_discrete_channel_and_state(self):
+        # the sizes verify --suite buco --max-dim 1000 --seed 0 draws first
+        x, m, y = (DISCRETE.space(p, n) for p, n in zip("xmy", (851, 637, 512)))
+        self.refuses(851 * 637 * 512, DISCRETE.random_channel, x, m, y)
+        big = x.product(m).product(y)
+        self.refuses(big.size, DISCRETE.random_state, big)
+
+    def test_gaussian_channel_and_state(self):
+        # A (cod x dom), b and the noise (cod x cod)
+        self.refuses(9000 * (9000 + 1 + 2000), GAUSSIAN.random_channel, 2000, 1000, 8000)
+        self.refuses(9000 * (9000 + 1), GAUSSIAN.random_state, 9000)
 
 
 class TestSuiteConfig:

@@ -569,6 +569,24 @@ class TestLaxators:
             )
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
+    @pytest.mark.parametrize("model", [LossModel.KL, LossModel.MLE, LossModel.FE])
+    def test_definitional_contract_gaussian(self, model):
+        rng = rng_for(25)
+        for dx, dx2, dm, dy, dy2 in [(1, 2, 1, 1, 1), (2, 1, 0, 2, 1), (2, 2, 1, 1, 2)]:
+            c = perturbed_gauss_lens(rng, random_gauss_channel(rng, dx, dm, dy))
+            d = exact_lens(random_gauss_channel(rng, dx2, 1, dy2))
+            omega = random_gauss_state(rng, dx + dx2)  # generically correlated
+            w1 = gs.g_marginal_state(omega, range(dx))
+            w2 = gs.g_marginal_state(omega, range(dx, dx + dx2))
+            y, y2 = rng.uniform(-1, 1, size=dy), rng.uniform(-1, 1, size=dy2)
+            lhs = loss_for(model, lens_tensor(c, d))(omega, np.concatenate([y, y2]))
+            rhs = (
+                loss_for(model, c)(w1, y)
+                + loss_for(model, d)(w2, y2)
+                + laxator(model, c, d, omega, y, y2)
+            )
+            assert lhs == pytest.approx(rhs, abs=1e-8)
+
     def test_correlation_defect_is_nonnegative_for_exact_lenses(self):
         # for exact component lenses the divergence defect IS the tensored
         # lens's divergence loss, hence nonnegative
@@ -784,11 +802,11 @@ class TestLaxatorVectorForm:
                         want = laxator(model, c, d, omega, y, y2)
                         assert_same_value(vals[y * W.size + y2], want)
 
-    def test_gaussian_and_laplace_rejected(self):
+    def test_gaussian_has_a_quadratic_form_and_discrete_laplace_is_rejected(self):
         c = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
         omega = gs.GaussState([0.0, 0.0], np.eye(2))
-        with pytest.raises(InstanceError):
-            laxator_loss(LossModel.KL, c, c).values(omega)
+        for model in GAUSS_MODELS + [LossModel.LFE]:
+            assert isinstance(laxator_loss(model, c, c).values(omega), loss_module.QuadForm)
         lens = exact_lens(ds.identity_kernel(X2))
         with pytest.raises(InstanceError):
             laxator_loss(LossModel.LFE, lens, lens)
@@ -1110,3 +1128,86 @@ class TestGaussianForm:
             composed(pi, [0.2, -0.1])
             calls.append(counted["n"])
         assert calls == [5, 5, 5]
+
+
+def pointwise_laxator(model, c, d, omega, obs):
+    """A Gaussian laxator at one joint observation from the densities at
+    points, without forms: the FE log-ratio at the posterior mean plus half
+    the trace of the posterior covariance times its Hessian."""
+    tensored = lens_tensor(c, d)
+    prod = gs.g_tensor_state(
+        gs.g_marginal_state(omega, range(c.fwd.dom_dim)),
+        gs.g_marginal_state(omega, range(c.fwd.dom_dim, omega.dim)),
+    )
+    onto = prior_pushforward(tensored.fwd)
+    mle_term = gs.g_logpdf(onto(prod), obs) - gs.g_logpdf(onto(omega), obs)
+    if model is LossModel.MLE:
+        return mle_term
+    back = gs.g_marginal_state(gs.g_apply(tensored.bwd(omega), obs), range(prod.dim))
+    at_mean = gs.g_logpdf(prod, back.mean) - gs.g_logpdf(omega, back.mean)
+    if model is LossModel.LFE:
+        return at_mean
+    hess = np.linalg.inv(omega.cov) - np.linalg.inv(prod.cov)
+    fe_term = gs.gauss_expect_quadratic(at_mean, hess, back.cov)
+    return fe_term if model is LossModel.FE else fe_term - mle_term
+
+
+ALL_MODELS = GAUSS_MODELS + [LossModel.LFE]
+
+
+class TestGaussianLaxators:
+    def lenses(self, rng, dx, dm, dy):
+        return [
+            exact_lens(random_gauss_channel(rng, dx, dm, dy)),
+            perturbed_gauss_lens(rng, random_gauss_channel(rng, dx, dm, dy)),
+        ]
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_matches_pointwise_oracle(self, model):
+        rng = rng_for(48)
+        for dx, dx2, dm, dy, dy2 in [(1, 1, 0, 1, 1), (1, 2, 1, 2, 1), (2, 2, 1, 1, 2)]:
+            for c in self.lenses(rng, dx, dm, dy):
+                for d in self.lenses(rng, dx2, 1 - dm, dy2):
+                    defect = laxator_loss(model, c, d)
+                    omega = random_gauss_state(rng, dx + dx2)
+                    assert isinstance(defect.values(omega), loss_module.QuadForm)
+                    for obs in rng.uniform(-1.5, 1.5, size=(3, dy + dy2)):
+                        want = pointwise_laxator(model, c, d, omega, obs)
+                        assert defect(omega, obs) == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_composed_laxators_match_quadrature(self, model, monkeypatch):
+        calls = {"n": 0}
+        hermite = gs.gauss_hermite_expect
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return hermite(*args, **kwargs)
+
+        monkeypatch.setattr(gs, "gauss_hermite_expect", counting)
+        rng = rng_for(49)
+        for dy, dy2 in [(1, 1), (2, 1)]:
+            c = perturbed_gauss_lens(rng, random_gauss_channel(rng, 2, 1, dy))
+            e = exact_lens(random_gauss_channel(rng, dy, 1, 1))
+            d = exact_lens(random_gauss_channel(rng, 1, 0, dy2))
+            f = perturbed_gauss_lens(rng, random_gauss_channel(rng, dy2, 1, 2))
+            cd, ef = lens_tensor(c, d), lens_tensor(e, f)
+            composed = loss_compose(laxator_loss(model, e, f), laxator_loss(model, c, d), ef, cd)
+            # the oracle averages the scalar laxator, given as a bare
+            # callable, by quadrature over the intermediate observation
+            first = loss_module.LossFn(
+                lambda pi, z: laxator(model, e, f, pi, z[:1], z[1:]), dy + dy2, 3
+            )
+            inner = loss_module.LossFn(
+                lambda pi, y: laxator(model, c, d, pi, y[:dy], y[dy:]), 3, dy + dy2
+            )
+            by_quadrature = loss_compose(first, inner, ef, cd)
+            assert by_quadrature.form is None
+            omega = random_gauss_state(rng, 3)
+            for z in rng.uniform(-1.0, 1.0, size=(2, 3)):
+                calls["n"] = 0
+                assert isinstance(composed.values(omega), loss_module.QuadForm)
+                got = composed(omega, z)
+                assert calls["n"] == 0
+                assert got == pytest.approx(by_quadrature(omega, z), rel=1e-9, abs=1e-9)
+                assert calls["n"] == 1

@@ -161,6 +161,14 @@ class TestLensBundles:
         with pytest.raises(ShapeError, match="tabulated"):
             lens.bwd(ds.Dist(lens.fwd.dom, [0.25, 0.75]))
 
+    def test_each_tabulated_channel_must_fit_the_forward(self):
+        prior = {"space": ["x0", "x1"], "mass": [0.5, 0.5]}
+        back = {"dom": ["y0", "y1"], "cod": ["x0", "x1"], "rows": [[0.5, 0.5], [0.25, 0.75]]}
+        misfit = dict(back, dom=["y0", "y1", "y2"], rows=[[0.5, 0.5]] * 3)
+        entries = [{"prior": prior, "channel": c} for c in (back, misfit)]
+        with pytest.raises(ModelParseError, match="'bwd' entry 1: the channel's domain is"):
+            parse_lens({"fwd": KERNEL, "bwd": entries})
+
     def test_missing_fwd_rejected(self):
         with pytest.raises(ModelParseError, match="fwd"):
             parse_lens({"bwd": "exact"})
