@@ -167,6 +167,17 @@ class Discrete:
         fwd = ds.identity_kernel(dom)
         return fwd, lambda pi: self.invert(fwd, pi)
 
+    def per_prior(self, fn, prior):
+        """The channel ``fn`` gives each prior of a stack, one at a time:
+        that channel if it is the same for all, else the stack of them."""
+        if prior.mass.ndim == 1:
+            return fn(prior)
+        chs = [fn(ds.Dist(prior.space, m)) for m in prior.mass.reshape(-1, prior.space.size)]
+        if all(ch is chs[0] for ch in chs):
+            return chs[0]
+        rows = np.stack([ch.rows for ch in chs]).reshape(prior.mass.shape[:-1] + chs[0].rows.shape)
+        return ds.CoparKernel(chs[0].dom, chs[0].copar, chs[0].out, rows, chs[0].copar_side)
+
     # -- model JSON --------------------------------------------------------
 
     def parse_channel(self, obj):
@@ -255,7 +266,9 @@ class Discrete:
 
     def obs_index(self, out, y) -> int:
         """The observation ``y`` of ``out``, checked to be an index into it."""
-        if isinstance(y, bool) or not isinstance(y, numbers.Integral) or not 0 <= y < out.size:
+        # a plain int skips the slower abstract-class test
+        integral = type(y) is int or not isinstance(y, bool) and isinstance(y, numbers.Integral)
+        if not integral or not 0 <= y < out.size:
             raise ShapeError(f"observation {y!r} is not an index into a space of size {out.size}")
         return int(y)
 
@@ -316,6 +329,9 @@ class Gaussian:
         dim = int(dim)
         point = gs.GaussChannel(np.eye(dim), np.zeros(dim), np.zeros((dim, dim)), 0, "right")
         return gs.g_identity(dim), lambda pi: point
+
+    def per_prior(self, fn, prior):
+        return fn(prior)  # Gaussian priors are not stacked
 
     # -- model JSON --------------------------------------------------------
 

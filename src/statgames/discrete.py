@@ -17,6 +17,12 @@ product spaces are kept in flattened form (a tuple of atomic factors), so
 re-bracketing a coparameter never changes the stored array and structural
 equalities reduce to entrywise array comparisons.
 
+A *stack* of ``P`` priors on one space is a ``Dist`` whose ``mass`` has
+shape ``(P, n)``; a single prior is the case with no leading axis.  The
+operations carry leading axes through, so inverting at a stack gives a
+stack of channels (``rows`` of shape ``(P, dom, cod)``), and constructors
+check a whole stack in one pass over the last axis.
+
 Effects are extended-nonnegative-real valued vectors (``+inf`` is the value
 of ``-log 0``); expectations use the measure-theoretic convention
 ``0 * inf = 0``.
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -58,7 +65,6 @@ __all__ = [
     "bayes_invert",
     "effect_add",
     "effect_precompose",
-    "expectation",
     "rows_expectation",
     "rows_relative_entropy",
     "relative_entropy_effect",
@@ -103,16 +109,20 @@ class FiniteSpace:
             if len(set(fl)) != len(fl):
                 raise ShapeError(f"duplicate labels in factor {fl!r}")
 
+    @staticmethod
+    def _of(factor_labels: tuple) -> "FiniteSpace":
+        """A product or subspace of valid spaces, which needs no check."""
+        s = object.__new__(FiniteSpace)
+        object.__setattr__(s, "factor_labels", factor_labels)
+        return s
+
     @property
     def factor_sizes(self) -> tuple[int, ...]:
-        return tuple(len(fl) for fl in self.factor_labels)
+        return tuple(map(len, self.factor_labels))
 
     @property
     def size(self) -> int:
-        n = 1
-        for fl in self.factor_labels:
-            n *= len(fl)
-        return n
+        return math.prod(map(len, self.factor_labels))
 
     @property
     def n_factors(self) -> int:
@@ -139,10 +149,12 @@ class FiniteSpace:
         return idx
 
     def product(self, other: "FiniteSpace") -> "FiniteSpace":
-        return FiniteSpace(self.factor_labels + other.factor_labels)
+        if not other.factor_labels or not self.factor_labels:  # a unit factor
+            return self if self.factor_labels else other
+        return FiniteSpace._of(self.factor_labels + other.factor_labels)
 
     def subspace(self, factor_indices: Iterable[int]) -> "FiniteSpace":
-        return FiniteSpace(tuple(self.factor_labels[i] for i in factor_indices))
+        return FiniteSpace._of(tuple(self.factor_labels[i] for i in factor_indices))
 
     def __repr__(self):
         sizes = "x".join(str(s) for s in self.factor_sizes)
@@ -172,18 +184,31 @@ _UNIT = unit_space()
 # ---------------------------------------------------------------------------
 
 
-def _check_simplex(vec: np.ndarray, what: str) -> None:
+def _check_rows(r: np.ndarray, what: str) -> None:
+    """Raise unless every vector along the last axis of ``r`` is a
+    probability vector; ``what`` is ``"distribution"`` or ``"row"``."""
     # ``not min >= 0`` also holds for NaN, in the same single pass
-    if not vec.min() >= 0:
-        raise ShapeError(f"{what} has a negative or NaN entry")
-    total = float(vec.sum())
-    if abs(total - 1.0) > NORMALIZATION_ATOL:
-        raise ShapeError(f"{what} sums to {total!r}, not 1")
+    if not r.min() >= 0:
+        raise ShapeError(f"{_which(~(r >= 0).all(axis=-1), what)} has a negative or NaN entry")
+    sums = r.sum(axis=-1)
+    # a single vector's sum is a scalar, compared as a float
+    bad = np.abs(sums - 1.0) > NORMALIZATION_ATOL if sums.ndim else abs(float(sums) - 1.0) > NORMALIZATION_ATOL
+    if np.count_nonzero(bad):
+        at = tuple(np.argwhere(bad)[0])
+        raise ShapeError(f"{_which(bad, what)} sums to {float(sums[at])!r}, not 1")
+
+
+def _which(bad: np.ndarray, what: str) -> str:
+    """The first vector ``bad`` marks, with its row and stack entry."""
+    at = [int(j) for j in np.argwhere(bad)[0]]
+    if what == "row":
+        what = f"row {at.pop()}"
+    return what + (f" of stack entry {tuple(at)}" if at else "")
 
 
 @dataclass(frozen=True, eq=False)
 class Dist:
-    """A probability distribution on a finite space."""
+    """A probability distribution on a finite space (or a stack of them)."""
 
     space: FiniteSpace
     mass: np.ndarray
@@ -191,11 +216,11 @@ class Dist:
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=float)
         object.__setattr__(self, "mass", m)
-        if m.shape != (self.space.size,):
+        if m.shape[-1:] != (self.space.size,):
             raise ShapeError(
                 f"mass has shape {m.shape}, space has size {self.space.size}"
             )
-        _check_simplex(m, "distribution")
+        _check_rows(m, "distribution")
         m.setflags(write=False)
 
     def support(self) -> "SupportMask":
@@ -204,7 +229,7 @@ class Dist:
 
 @dataclass(frozen=True, eq=False)
 class SupportMask:
-    """Marks the outcomes of strictly positive mass under a reference state."""
+    """Marks the outcomes of positive mass under a reference state (or each of a stack)."""
 
     space: FiniteSpace
     supported: np.ndarray
@@ -212,7 +237,7 @@ class SupportMask:
     def __post_init__(self):
         s = np.asarray(self.supported, dtype=bool)
         object.__setattr__(self, "supported", s)
-        if s.shape != (self.space.size,):
+        if s.shape[-1:] != (self.space.size,):
             raise ShapeError("mask length does not match space size")
         s.setflags(write=False)
 
@@ -225,7 +250,7 @@ class CoparKernel:
     ``copar_side`` records where the coparameter sits in the codomain:
     ``"left"`` (leading; the forward convention) or ``"right"`` (trailing;
     the convention for Bayesian inversions).  ``rows`` is row-stochastic,
-    rows indexed by ``dom`` and columns by ``cod``.
+    rows indexed by ``dom`` and columns by ``cod`` (after any stack axes).
     """
 
     dom: FiniteSpace
@@ -240,17 +265,9 @@ class CoparKernel:
         r = np.asarray(self.rows, dtype=float)
         object.__setattr__(self, "rows", r)
         shape = (self.dom.size, self.copar.size * self.out.size)
-        if r.shape != shape:
+        if r.shape[-2:] != shape:
             raise ShapeError(f"rows have shape {r.shape}, expected {shape}")
-        # ``not min >= 0`` also holds for NaN, in the same single pass
-        if not r.min() >= 0:
-            i = int(np.nonzero(~(r >= 0).all(axis=1))[0][0])
-            raise ShapeError(f"row {i} has a negative or NaN entry")
-        sums = r.sum(axis=1)
-        bad = np.nonzero(np.abs(sums - 1.0) > NORMALIZATION_ATOL)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise ShapeError(f"row {i} sums to {float(sums[i])!r}, not 1")
+        _check_rows(r, "row")
         r.setflags(write=False)
 
     @property
@@ -264,6 +281,10 @@ class CoparKernel:
         if self.copar_side == "left":
             return self.dom.size, self.copar.size, self.out.size
         return self.dom.size, self.out.size, self.copar.size
+
+    def _split(self) -> np.ndarray:
+        """``rows`` with the codomain split into its two blocks."""
+        return self.rows.reshape(self.rows.shape[:-2] + self._split_shape())
 
 
 class FiniteKernel(CoparKernel):
@@ -310,10 +331,11 @@ def discard_kernel(s: FiniteSpace) -> FiniteKernel:
 
 
 def push(k: CoparKernel, pi: Dist) -> Dist:
-    """Apply a channel to a state: the pushforward distribution."""
+    """Apply a channel to a state (or to each of a stack): the pushforward."""
     if pi.space != k.dom:
         raise ShapeError("state space does not match kernel domain")
-    return Dist(k.cod, pi.mass @ k.rows)
+    # one-row products, so a prior's pushforward is the same in any stack
+    return Dist(k.cod, (pi.mass[..., None, :] @ k.rows)[..., 0, :])
 
 
 def compose(d: FiniteKernel, c: FiniteKernel) -> FiniteKernel:
@@ -348,15 +370,16 @@ def copy_compose_copar(g: CoparKernel, f: CoparKernel) -> CoparKernel:
         raise ShapeError("cannot compose channels of mixed coparameter side")
     if f.out != g.dom:
         raise ShapeError("output of first does not match domain of second")
-    check_entries(f.rows.size * g.copar.size * g.out.size, "copy-composite")
-    fr, gr = f.rows.reshape(f._split_shape()), g.rows.reshape(g._split_shape())
+    lead = f.rows.shape[:-2] or g.rows.shape[:-2]  # a single channel goes with a stack
+    check_entries(math.prod(lead + f.rows.shape[-2:]) * g.rows.shape[-1], "copy-composite")
     if f.copar_side == "left":
-        joint = np.einsum("amb,bnz->ambnz", fr, gr)
+        joint = np.einsum("...amb,...bnz->...ambnz", f._split(), g._split())
         copar = f.copar.product(f.out).product(g.copar)
     else:  # f maps dom -> out (x) copar, g applied to f's out block
-        joint = np.einsum("abn,bzm->azmbn", fr, gr)
+        joint = np.einsum("...abn,...bzm->...azmbn", f._split(), g._split())
         copar = g.copar.product(f.out).product(f.copar)
-    return CoparKernel(f.dom, copar, g.out, joint.reshape(f.dom.size, -1), f.copar_side)
+    rows = joint.reshape(lead + (f.dom.size, -1))
+    return CoparKernel(f.dom, copar, g.out, rows, f.copar_side)
 
 
 def check_entries(n: int, what: str) -> None:
@@ -371,11 +394,8 @@ def check_entries(n: int, what: str) -> None:
 
 def discard_coparam(f: CoparKernel) -> FiniteKernel:
     """Marginalize the retained block, recovering an ordinary channel."""
-    a, lead, trail = f._split_shape()
-    r = f.rows.reshape(a, lead, trail)
-    if f.copar_side == "left":
-        return FiniteKernel(f.dom, f.out, r.sum(axis=1))
-    return FiniteKernel(f.dom, f.out, r.sum(axis=2))
+    r = f._split()
+    return FiniteKernel(f.dom, f.out, r.sum(axis=-2 if f.copar_side == "left" else -1))
 
 
 def tensor(k1: FiniteKernel, k2: FiniteKernel) -> CoparKernel:
@@ -384,29 +404,20 @@ def tensor(k1: FiniteKernel, k2: FiniteKernel) -> CoparKernel:
     return tensor_copar(k1, k2)
 
 
-def _permute_columns(
-    rows: np.ndarray, col_sizes: Sequence[int], perm: Sequence[int]
-) -> np.ndarray:
-    """Reorder the blocks of a factored column index."""
-    n = rows.shape[0]
-    shaped = rows.reshape(n, *col_sizes)
-    shaped = shaped.transpose(0, *[p + 1 for p in perm])
-    return shaped.reshape(n, -1)
-
-
 def tensor_copar(f: CoparKernel, g: CoparKernel) -> CoparKernel:
     """Parallel composite of coparameterized channels.
 
-    The raw Kronecker product interleaves the blocks
+    The Kronecker product of the rows would interleave the blocks
     ``[copar_f, out_f, copar_g, out_g]``; the result gathers coparameters
     together (``[copar_f, copar_g, out_f, out_g]`` for the forward
     convention, outputs first for inversions).
     """
     if f.copar_side != g.copar_side:
         raise ShapeError("cannot tensor channels of mixed coparameter side")
-    check_entries(f.rows.size * g.rows.size, "tensor")
-    sizes = f._split_shape()[1:] + g._split_shape()[1:]
-    rows = _permute_columns(np.kron(f.rows, g.rows), sizes, (0, 2, 1, 3))
+    lead = f.rows.shape[:-2] or g.rows.shape[:-2]
+    check_entries(math.prod(lead + f.rows.shape[-2:] + g.rows.shape[-2:]), "tensor")
+    joint = np.einsum("...apq,...brs->...abprqs", f._split(), g._split())
+    rows = joint.reshape(lead + (f.dom.size * g.dom.size, -1))
     return CoparKernel(
         f.dom.product(g.dom),
         f.copar.product(g.copar),
@@ -417,21 +428,23 @@ def tensor_copar(f: CoparKernel, g: CoparKernel) -> CoparKernel:
 
 
 def tensor_dist(p1: Dist, p2: Dist) -> Dist:
-    return Dist(p1.space.product(p2.space), np.kron(p1.mass, p2.mass))
+    mass = p1.mass[..., :, None] * p2.mass[..., None, :]
+    return Dist(p1.space.product(p2.space), mass.reshape(mass.shape[:-2] + (-1,)))
 
 
 def marginal_dist(p: Dist, keep: Iterable[int]) -> Dist:
     """Marginal onto a subset of atomic factors (by factor index)."""
     keep = tuple(keep)
     sizes = p.space.factor_sizes
-    drop = tuple(i for i in range(len(sizes)) if i not in keep)
-    shaped = p.mass.reshape(sizes)
+    lead = p.mass.shape[:-1]
+    drop = tuple(len(lead) + i for i in range(len(sizes)) if i not in keep)
+    shaped = p.mass.reshape(lead + sizes)
     summed = shaped.sum(axis=drop) if drop else shaped
     # reorder kept axes to the requested order
-    order = np.argsort(np.argsort(keep))
-    if not np.array_equal(order, np.arange(len(keep))):
-        summed = summed.transpose(order)
-    return Dist(p.space.subspace(keep), summed.reshape(-1))
+    order = [sorted(keep).index(i) for i in keep]
+    if order != sorted(order):
+        summed = summed.transpose(*range(len(lead)), *(len(lead) + j for j in order))
+    return Dist(p.space.subspace(keep), summed.reshape(lead + (-1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -449,20 +462,24 @@ def bayes_invert(f: CoparKernel, pi: Dist) -> tuple[CoparKernel, SupportMask]:
         rho(a, m | b) * p(b) = f(m, b | a) * pi(a)
 
     Rows at unsupported observations are uniform; the mask records which
-    observations are supported.
+    observations are supported; a stack of priors gives stacks of both.
     """
     if pi.space != f.dom:
         raise ShapeError("prior space does not match channel domain")
     if f.copar_side != "left":
         raise ShapeError("can only invert a forward (left-coparameter) channel")
     a, m, b = f.dom.size, f.copar.size, f.out.size
-    joint = f.rows.reshape(a, m, b) * pi.mass[:, None, None]  # (a, m, b)
-    evidence = joint.sum(axis=(0, 1))  # p(b)
+    lead = pi.mass.shape[:-1]
+    k = len(lead)
+    joint = f.rows.reshape(a, m, b) * pi.mass[..., :, None, None]  # (..., a, m, b)
+    evidence = joint.sum(axis=(k, k + 1))  # p(b)
     supported = evidence > 0
-    # backward rows: (b, a, m)
-    back = np.transpose(joint, (2, 0, 1)).reshape(b, a * m)  # joint is ours to overwrite
-    back[supported] /= evidence[supported, None]
-    back[~supported] = 1.0 / (a * m)
+    # backward rows: (..., b, a, m)
+    back = joint.transpose(*range(k), k + 2, k, k + 1).reshape(lead + (b, a * m))  # joint is ours to overwrite
+    # unsupported rows are zero: dividing them by one leaves them to be filled
+    back /= np.where(supported, evidence, 1.0)[..., None]
+    if np.count_nonzero(supported) < supported.size:
+        back[~supported] = 1.0 / (a * m)
     inv = CoparKernel(f.out, f.copar, pi.space, back, copar_side="right")
     return inv, SupportMask(f.out, supported)
 
@@ -502,18 +519,15 @@ def rows_expectation(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
     ``values`` may contain ``+inf`` (or NaN); such entries count only in
     rows that give them strictly positive probability, where an infinite
-    entry makes the expectation ``+inf``.
+    entry makes the expectation ``+inf``.  Leading axes broadcast.
     """
-    pos = probs > 0
-    out = probs @ np.where(np.isfinite(values), values, 0.0)
-    out[(pos & np.isnan(values)).any(axis=1)] = np.nan
-    out[(pos & np.isinf(values)).any(axis=1)] = np.inf
+    finite = np.isfinite(values)
+    out = (probs @ np.where(finite, values, 0.0)[..., None])[..., 0]
+    if np.count_nonzero(finite) < finite.size:
+        pos = probs > 0
+        out[(pos & np.isnan(values)[..., None, :]).any(axis=-1)] = np.nan
+        out[(pos & np.isinf(values)[..., None, :]).any(axis=-1)] = np.inf
     return out
-
-
-def expectation(values: np.ndarray, probs: np.ndarray) -> float:
-    """``rows_expectation`` for a single probability vector."""
-    return float(rows_expectation(values, probs[None])[0])
 
 
 def effect_precompose(g: Effect, k: CoparKernel) -> Effect:
@@ -525,11 +539,12 @@ def effect_precompose(g: Effect, k: CoparKernel) -> Effect:
 
 
 def rows_relative_entropy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Relative entropy of each row of ``p`` from the same row of ``q``;
-    ``0 log 0 = 0`` and ``p > 0, q = 0`` gives ``+inf``."""
+    """Relative entropy of each row of ``p`` from that of ``q`` (leading axes
+    broadcast); ``0 log 0 = 0`` and ``p > 0, q = 0`` gives ``+inf``."""
+    p, q = np.broadcast_arrays(p, q)
     with np.errstate(divide="ignore"):
         ratio = np.divide(p, q, out=np.ones_like(p), where=p > 0)
-    return np.einsum("ij,ij->i", p, np.log(ratio))
+    return np.einsum("...j,...j->...", p, np.log(ratio))
 
 
 def relative_entropy_effect(k1: CoparKernel, k2: CoparKernel) -> Effect:

@@ -116,12 +116,25 @@ def _witness_losses(model: LossModel, d: BayesLens, c: BayesLens) -> tuple[LossF
     return composed, loss_for(model, lens_compose(d, c))
 
 
+def _witness_values(model: LossModel, d: BayesLens, c: BayesLens, probes) -> list:
+    """The composition defect at each probe, or the error raised there."""
+    composed, direct = _witness_losses(model, d, c)
+    return [
+        a if isinstance(a, Exception) else b if isinstance(b, Exception) else a - b
+        for a, b in zip(composed.at_probes(probes), direct.at_probes(probes))
+    ]
+
+
 def laxness_witnesses(model: LossModel, d: BayesLens, c: BayesLens, probes) -> list[float]:
     """Composition defect of a loss model on one composable pair at each
     probe ``(prior, observation)``: composed losses minus the loss of the
-    composite.  The losses are built once for all probes."""
-    composed, direct = _witness_losses(model, d, c)
-    return [composed(pi, obs) - direct(pi, obs) for pi, obs in probes]
+    composite.  The losses are built once and evaluated at all probes in
+    one pass (``LossFn.at_probes``); the first undefined probe raises."""
+    ks = _witness_values(model, d, c, probes)
+    for k in ks:
+        if isinstance(k, Exception):
+            raise k
+    return ks
 
 
 def laxness_witness(model: LossModel, d: BayesLens, c: BayesLens, pi, obs) -> float:
@@ -149,15 +162,12 @@ def section_check(
     ks, skipped = [], 0
     for (d, c), probe_list in zip(pairs, probes):
         try:
-            composed, direct = _witness_losses(model, d, c)
+            found = _witness_values(model, d, c, probe_list)
         except (SupportError, SingularityError):
             skipped += len(probe_list)
             continue
-        for pi, obs in probe_list:
-            try:
-                ks.append(composed(pi, obs) - direct(pi, obs))
-            except (SupportError, SingularityError):
-                skipped += 1
+        ks += [k for k in found if not isinstance(k, Exception)]
+        skipped += sum(isinstance(k, Exception) for k in found)
     if any(k < floor for k in ks):
         classification = "VIOLATION"
     elif any(k > tol for k in ks):

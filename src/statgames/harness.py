@@ -486,10 +486,11 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
     w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
     cd = lens_tensor(c, d)
     ef = lens_tensor(e, f)
+    ec, fd = lens_compose(e, c), lens_compose(f, d)
     joint_obs = DISCRETE.joint_obs(e.fwd, f.fwd, z, z2)
     pairs = []
     for model in (LossModel.KL, LossModel.MLE, LossModel.FE):
-        of_composites = laxator_loss(model, lens_compose(e, c), lens_compose(f, d))
+        of_composites = laxator_loss(model, ec, fd)
         lhs = of_composites(omega, joint_obs) + laxness_witness(model, ef, cd, omega, joint_obs)
         # the laxators compose as losses on the tensored lenses
         composed = loss_compose(laxator_loss(model, e, f), laxator_loss(model, c, d), ef, cd)

@@ -9,11 +9,16 @@ with the discarded forward).
 Backward families are callables: priors form a continuum even in the
 discrete case, so they cannot be tabulated.  They must be pure -- equal
 priors must yield identical backward channels.
+
+A discrete family is also called at a *stack* of priors (a ``Dist`` whose
+``mass`` is ``(P, n)``) and returns a stack of channels, or one channel for
+every prior, as the families built here and in ``modelio`` do.  Only the
+discrete instance batches: a Gaussian family always gets one prior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from . import discrete as ds
@@ -61,12 +66,15 @@ class BayesLens:
 
     ``simple`` asserts the backward family's coparameter equals the
     forward's and the endpoints are diagonal, which is what makes exact
-    inversion (and hence the loss models) applicable.
+    inversion (and hence the loss models) applicable.  ``exact`` marks the
+    lenses ``exact_lens`` builds, whose KL loss needs no second inversion;
+    it is not an argument, and ``dataclasses.replace`` drops it.
     """
 
     fwd: Channel
     bwd: Callable[[State], Channel]
     simple: bool = True
+    exact: bool = field(default=False, init=False, repr=False)
 
     @property
     def backend(self):
@@ -95,7 +103,9 @@ def exact_lens(ch) -> BayesLens:
     """The lens whose backward family is exact Bayesian inversion."""
     if ch.copar_side != "left":
         raise ShapeError("forward channel must carry its coparameter leading")
-    return BayesLens(fwd=ch, bwd=lambda pi: exact_inversion(ch, pi), simple=True)
+    lens = BayesLens(fwd=ch, bwd=lambda pi: exact_inversion(ch, pi), simple=True)
+    object.__setattr__(lens, "exact", True)
+    return lens
 
 
 def identity_lens(dom) -> BayesLens:

@@ -37,6 +37,14 @@ loss the library builds carries a form.  Only a Gaussian loss built from a
 bare callable (``fe_joint_form`` is one) has none and is averaged by
 Gauss-Hermite quadrature (exact for quadratic integrands), so every
 identity is testable at tight tolerances.
+
+A composite inverts each stage once per prior: ``loss_compose`` hands the
+second stage's backward channel to that stage's form (its ``known``
+argument), and the KL loss of an ``exact_lens`` inverts nothing more.  On
+the discrete instance a form also takes a stack of priors (a ``Dist``
+whose ``mass`` is ``(P, n)``) and returns a ``VecForm`` with the same
+leading axis, so ``LossFn.at_probes`` evaluates a loss at many probes in
+one form call; only the discrete instance batches.
 """
 
 from __future__ import annotations
@@ -88,8 +96,19 @@ class LossModel(Enum):
     LFE = "lfe"
 
 
-#: selects every observation in a loss's vector form
+#: selects every observation in a loss's vector form; a selector may also be
+#: a list of observations, or a ``(P, k)`` array of each stacked prior's own
 ALL = slice(None)
+
+
+def _pick(a: np.ndarray, sel, rows: bool = False) -> np.ndarray:
+    """The entries of ``a`` that ``sel`` picks, along its last axis (or,
+    with ``rows``, the rows of a channel's ``rows``)."""
+    if not isinstance(sel, np.ndarray):
+        return a[..., sel, :] if rows else a[..., sel]
+    if a.ndim == 2 + rows:  # a stack: each prior's own entries
+        return a[np.arange(len(sel))[:, None], sel]
+    return a[sel]
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +116,18 @@ ALL = slice(None)
 # ---------------------------------------------------------------------------
 
 
+def _undefined(label) -> SupportError:
+    return SupportError(
+        f"the loss is undefined at observation {label!r}: it has zero "
+        "probability (or, in a composite, an observation it weights has)"
+    )
+
+
 class VecForm(NamedTuple):
     """A discrete loss at one prior, over the observations a selector
     picked: ``values[i]`` is the loss at the ``i``-th of them wherever
-    ``defined[i]`` holds.  Values are signed and may be ``+inf``."""
+    ``defined[i]`` holds (``values[p, i]`` at prior ``p`` of a stack).
+    Values are signed and may be ``+inf``."""
 
     values: np.ndarray
     defined: np.ndarray
@@ -109,29 +136,33 @@ class VecForm(NamedTuple):
         """The loss at the ``i``-th selected observation; ``label()`` names
         it when the loss is undefined there."""
         if not self.defined[i]:
-            raise SupportError(
-                f"the loss is undefined at observation {label()!r}: it has zero "
-                "probability (or, in a composite, an observation it weights has)"
-            )
+            raise _undefined(label())
         return float(self.values[i])
 
     def __add__(self, other: "VecForm") -> "VecForm":
         return VecForm(self.values + other.values, self.defined & other.defined)
 
     def __sub__(self, other: "VecForm") -> "VecForm":
-        return VecForm(self.values - other.values, self.defined & other.defined)
+        """The difference, undefined where it is ``inf - inf``."""
+        with np.errstate(invalid="ignore"):
+            values = self.values - other.values
+        return VecForm(values, self.defined & other.defined & ~np.isnan(values))
 
     def average(self, back, sel=ALL) -> "VecForm":
         """The expectation under the rows ``sel`` of the discrete channel
         ``back``.  Scanning a row's weighted entries in order, the first
         that is undefined or infinite decides: an undefined one leaves the
         average undefined, an infinite one makes it ``+inf``."""
-        weights = back.rows[sel]
-        bad = (weights > 0) & ~(self.defined & np.isfinite(self.values))
-        first = bad.argmax(axis=1)
-        defined = ~bad.any(axis=1) | self.defined[first]
-        values = np.where(self.defined, self.values, 0.0)
-        return VecForm(ds.rows_expectation(values, weights), defined)
+        weights = _pick(back.rows, sel, rows=True)
+        out = ds.rows_expectation(np.where(self.defined, self.values, 0.0), weights)
+        ok = self.defined & np.isfinite(self.values)
+        if np.count_nonzero(ok) == ok.size:
+            return VecForm(out, np.ones(out.shape, dtype=bool))
+        bad = (weights > 0) & ~ok[..., None, :]
+        first = bad.argmax(axis=-1)[..., None]
+        defined_at = np.broadcast_to(self.defined[..., None, :], bad.shape)
+        defined = ~bad.any(axis=-1) | np.take_along_axis(defined_at, first, axis=-1)[..., 0]
+        return VecForm(out, defined)
 
 
 class QuadForm(NamedTuple):
@@ -175,9 +206,11 @@ class LossFn:
     ``prior_dom`` and ``obs_dom`` are a finite space (discrete) or a
     dimension (Gaussian); they make composability checkable.
 
-    ``form(prior, sel=ALL)`` is the loss at one prior: a ``VecForm`` over
-    the observations ``sel`` indexes (``ALL``, or a list of indices), or a
-    ``QuadForm``, which ignores ``sel``.  Composition works on forms.  A
+    ``form(prior, sel=ALL, known=None)`` is the loss at one prior (or a
+    discrete stack): a ``VecForm`` over the observations ``sel`` indexes,
+    or a ``QuadForm``, which ignores ``sel``.  ``known`` may hold ``(family,
+    prior, family(prior))``, which a form whose lens has that backward
+    family uses at that very prior.  Composition works on forms.  A
     discrete loss given by ``fn`` alone gets the form that tabulates
     ``fn``; a Gaussian one has none, and composes by quadrature.  The
     scalar call always goes through ``fn``.
@@ -201,6 +234,11 @@ class LossFn:
             raise InstanceError("a Gaussian loss given by fn alone has no form")
         return self.form(prior, sel)
 
+    def at_probes(self, probes) -> list:
+        """The loss at each probe ``(prior, observation)``: a float, or the
+        ``SupportError`` or ``SingularityError`` the scalar call raises."""
+        return _models(self.obs_dom).at_probes(self, list(probes))
+
     def reindex(self, ch) -> "LossFn":
         """Pre-compose the prior argument with a forward channel."""
         form = None if self.form is None else reindex(self.form, ch)
@@ -218,7 +256,10 @@ def _loss_sum(a: LossFn, b: LossFn) -> LossFn:
     where both have one."""
     if a.form is None or b.form is None:
         return LossFn(lambda pi, y: a.fn(pi, y) + b.fn(pi, y), a.prior_dom, a.obs_dom)
-    return _form_loss(a.prior_dom, a.obs_dom, lambda pi, sel=ALL: a.form(pi, sel) + b.form(pi, sel))
+    def form(pi, sel=ALL, known=None):
+        return a.form(pi, sel, known) + b.form(pi, sel, known)
+
+    return _form_loss(a.prior_dom, a.obs_dom, form)
 
 
 def zero_loss(l: BayesLens) -> LossFn:
@@ -249,6 +290,11 @@ def _simple(l: BayesLens) -> BayesLens:
     return l
 
 
+def _backward(l: BayesLens, pi, known):
+    """``l.bwd(pi)``, or the channel ``known`` holds when it is that one."""
+    return known[2] if known and known[0] is l.bwd and known[1] is pi else l.bwd(pi)
+
+
 def kl_loss(l: BayesLens) -> LossFn:
     """Divergence from the lens's posterior to the exact posterior."""
     return _form_loss(*l.backend.doms(l.fwd), _models(l.fwd).kl(_simple(l)))
@@ -260,7 +306,7 @@ def mle_loss(l: BayesLens) -> LossFn:
     Zero-probability observations give ``+inf`` (a value, not an error).
     """
     nll, onto = _models(l.fwd).nll, prior_pushforward(l.fwd)
-    return _form_loss(*l.backend.doms(l.fwd), lambda pi, sel=ALL: nll(onto(pi), sel))
+    return _form_loss(*l.backend.doms(l.fwd), lambda pi, sel=ALL, known=None: nll(onto(pi), sel))
 
 
 def fe_loss(l: BayesLens) -> LossFn:
@@ -323,10 +369,11 @@ def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
 
         return LossFn(fn, Lc.prior_dom, Ld.obs_dom)
 
-    def form(pi, sel=ALL):
+    def form(pi, sel=ALL, known=None):
         mid_prior = mid(pi)
-        first = Ld.form(mid_prior, sel)
-        return first + Lc.form(pi).average(discard(d.bwd(mid_prior)), sel)
+        back = d.bwd(mid_prior)
+        first = Ld.form(mid_prior, sel, (d.bwd, mid_prior, back))
+        return first + Lc.form(pi).average(discard(back), sel)
 
     return _form_loss(Lc.prior_dom, Ld.obs_dom, form)
 
@@ -362,9 +409,11 @@ def laxator_loss(model: LossModel, c: BayesLens, d: BayesLens) -> LossFn:
     pushforwards, the KL defect is the FE defect minus the MLE defect, and
     the Laplace defect averages the FE log-ratio under the backward channel
     collapsed to its mean (Gaussian lenses only).  A discrete defect is a
-    signed ``VecForm`` defined at every joint observation ``y * |Y2| +
-    y2``, a Gaussian one a ``QuadForm``, so laxators compose in closed form.
-    The tensored lens and its prior pushforward are built once.
+    signed ``VecForm`` over the joint observations ``y * |Y2| + y2``, a
+    Gaussian one a ``QuadForm``, so laxators compose in closed form.  Like
+    the tensored lens's KL and FE losses, defects with an FE term are
+    undefined at observations of zero evidence; none is defined where it
+    is ``inf - inf``.  The tensored lens and its pushforward are built once.
     """
     tensored = lens_tensor(c, d)
     backend, models = tensored.backend, _models(tensored.fwd)
@@ -372,15 +421,16 @@ def laxator_loss(model: LossModel, c: BayesLens, d: BayesLens) -> LossFn:
     # the Laplace defect averages over the posterior mean alone
     back = models.at_mean() if model is LossModel.LFE else lambda ch: ch
 
-    def form(omega, sel=ALL):
+    def form(omega, sel=ALL, known=None):
         prod = backend.tensor_state(*prior_marginals(omega, c.fwd, d.fwd))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if model is not LossModel.MLE:  # the FE term
-                log_ratio = models.nll(omega) - models.nll(prod)
-                defect = log_ratio.average(back(backend.discard(tensored.bwd(omega))), sel)
-            if model in (LossModel.MLE, LossModel.KL):  # the MLE term
-                mle_term = models.nll(onto(omega), sel) - models.nll(onto(prod), sel)
-                defect = mle_term if model is LossModel.MLE else defect - mle_term
+        pushed = onto(omega)
+        if model is not LossModel.MLE:  # the FE term, where the backward is a posterior
+            log_ratio = models.nll(omega) - models.nll(prod)
+            posterior = back(backend.discard(tensored.bwd(omega)))
+            defect = log_ratio.average(posterior, sel) + models.support(pushed, sel)
+        if model in (LossModel.MLE, LossModel.KL):  # the MLE term
+            mle_term = models.nll(pushed, sel) - models.nll(onto(prod), sel)
+            defect = mle_term if model is LossModel.MLE else defect - mle_term
         return defect
 
     return _form_loss(*backend.doms(tensored.fwd), form)
@@ -408,17 +458,35 @@ class _DiscreteModels:
 
         return fn
 
-    def table(self, fn, obs_dom):
-        """The vector form of a loss given by ``fn`` alone."""
+    def at_probes(self, loss, probes):
+        """One form call at the stack of the probes' priors, each selecting
+        its own observation as the scalar call does."""
+        if not probes:
+            return []
+        space = probes[0][0].space
+        if any(pi.space is not space and pi.space != space for pi, _ in probes):
+            raise ShapeError("the probes' priors live on different spaces")
+        ys = [DISCRETE.obs_index(loss.obs_dom, y) for _, y in probes]
+        form = loss.form(ds.Dist(space, np.stack([pi.mass for pi, _ in probes])), np.c_[ys])
+        return [
+            float(v) if ok else _undefined(loss.obs_dom.labels[y])
+            for v, ok, y in zip(form.values[:, 0], form.defined[:, 0], ys)
+        ]
 
-        def form(pi, sel=ALL):
-            obs = np.arange(obs_dom.size)[sel]
-            vals, defined = np.zeros(obs.size), np.ones(obs.size, dtype=bool)
-            for i, y in enumerate(obs):
+    def table(self, fn, obs_dom):
+        """The vector form of a loss given by ``fn`` alone, called at one
+        prior of a stack at a time."""
+
+        def form(pi, sel=ALL, known=None):
+            obs = _pick(np.arange(obs_dom.size), sel)
+            obs = np.broadcast_to(obs, pi.mass.shape[:-1] + obs.shape[-1:])
+            vals, defined = np.zeros(obs.shape), np.ones(obs.shape, dtype=bool)
+            for at in np.ndindex(obs.shape):
+                prior = ds.Dist(pi.space, pi.mass[at[:-1]]) if pi.mass.ndim > 1 else pi
                 try:
-                    vals[i] = fn(pi, int(y))
+                    vals[at] = fn(prior, int(obs[at]))
                 except SupportError:
-                    defined[i] = False
+                    defined[at] = False
             return VecForm(vals, defined)
 
         return form
@@ -426,17 +494,27 @@ class _DiscreteModels:
     def zero(self, obs_dom):
         return self.table(lambda pi, y: 0.0, obs_dom)
 
+    def support(self, state, sel=ALL):
+        """The zero loss, defined where ``state`` has positive mass."""
+        mass = _pick(state.mass, sel)
+        return VecForm(np.zeros(mass.shape), mass > 0)
+
     def kl(self, l):
-        def form(pi, sel=ALL):
-            approx = l.bwd(pi).rows[sel]
+        if l.exact:  # the posterior is exact wherever the observation is possible
+            onto = prior_pushforward(l.fwd)
+            return lambda pi, sel=ALL, known=None: self.support(onto(pi), sel)
+
+        def form(pi, sel=ALL, known=None):
+            approx = _pick(_backward(l, pi, known).rows, sel, rows=True)
             exact, mask = ds.bayes_invert(l.fwd, pi)
-            return VecForm(ds.rows_relative_entropy(approx, exact.rows[sel]), mask.supported[sel])
+            divergence = ds.rows_relative_entropy(approx, _pick(exact.rows, sel, rows=True))
+            return VecForm(divergence, _pick(mask.supported, sel))
 
         return form
 
     def nll(self, state, sel=ALL):
         """The negative log-mass of ``state`` at the outcomes ``sel``."""
-        mass = state.mass[sel]
+        mass = _pick(state.mass, sel)
         with np.errstate(divide="ignore"):
             return VecForm(-np.log(mass), np.ones(mass.shape, dtype=bool))
 
@@ -458,7 +536,7 @@ class _DiscreteModels:
 
     def energy_entropy(self, l, pi, y):
         rho, energy = self._posterior_energy(l, pi, y)
-        return ds.expectation(energy, rho), ds.entropy(rho)
+        return float(ds.rows_expectation(energy, rho[None])[0]), ds.entropy(rho)
 
     def lfe(self, *args):
         """The Laplace model, its covariance and its mean-collapsed backward
@@ -475,19 +553,33 @@ class _GaussianModels:
     def scalar(self, form, obs_dom):
         return lambda pi, y: form(pi).at(y)
 
+    def at_probes(self, loss, probes):
+        """One scalar call per probe."""
+        out = []
+        for pi, y in probes:
+            try:
+                out.append(loss(pi, y))
+            except (SupportError, SingularityError) as e:
+                out.append(e)
+        return out
+
     def table(self, fn, obs_dom):
         return None  # no form: composition averages fn by quadrature
 
     def zero(self, n):
-        return lambda pi, sel=ALL: QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
+        return lambda pi, sel=ALL, known=None: QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
+
+    def support(self, state, sel=ALL):
+        """The zero loss: a Gaussian state has positive density everywhere."""
+        return self.zero(state.dim)(state)
 
     def kl(self, l):
-        def form(pi, sel=ALL):
+        def form(pi, sel=ALL, known=None):
             # KL(N(Ga y + ha, Sa) || N(Ge y + he, Se)) with D = Ge - Ga and
             # e = he - ha: the Mahalanobis term |Le^-1 (D y + e)|^2 / 2 plus
             # a constant in y, as in ``gaussian.g_kl``
-            approx = l.bwd(pi)
-            exact = exact_inversion(l.fwd, pi)
+            approx = _backward(l, pi, known)
+            exact = approx if l.exact else exact_inversion(l.fwd, pi)
             if approx.A.shape != exact.A.shape:
                 raise ShapeError(
                     "the backward channel's dimensions differ from the exact inversion's"
@@ -520,10 +612,10 @@ class _GaussianModels:
         w = _energy_residual_map(fwd)
         obs_rows = np.eye(fwd.cod_dim)[:, fwd.copar_dim :]
 
-        def form(pi, sel=ALL):
+        def form(pi, sel=ALL, known=None):
             # the posterior mean z = B y + beta is affine in y, so the energy
             # there is a quadratic in y; the entropy does not depend on y
-            back = l.bwd(pi)
+            back = _backward(l, pi, known)
             chol_c = gs._chol(fwd.noise, "covariance")
             chol_pi = gs._chol(pi.cov, "covariance")
             chol_post = gs._chol(back.noise, "covariance")

@@ -18,7 +18,8 @@ and a state is ``{"mean": vector, "cov": matrix}``.
 A lens bundle is ``{"fwd": <channel>, "bwd": "exact"}`` for exact
 inversion, or ``{"fwd": ..., "bwd": [{"prior": <state>, "channel":
 <channel>}, ...]}`` tabulating backward channels for named priors (the
-evaluation prior must match a tabulated one).
+evaluation prior, or each prior of a discrete stack, must match a
+tabulated one).
 
 Parsers reject non-stochastic input with a diagnostic naming the offending
 row.
@@ -91,14 +92,14 @@ def parse_lens(obj) -> BayesLens:
         _check_backward(fwd, ch, i)
         table.append((prior, ch))
 
-    def bwd(pi):
+    def lookup(pi):
         backend = backend_of(pi)
         for prior, ch in table:
             if backend_of(prior) is backend and backend.states_match(pi, prior):
                 return ch
         raise ShapeError("no backward channel tabulated for this prior")
 
-    return BayesLens(fwd=fwd, bwd=bwd, simple=True)
+    return BayesLens(fwd=fwd, bwd=lambda pi: backend_of(pi).per_prior(lookup, pi), simple=True)
 
 
 def _check_backward(fwd, ch, i: int) -> None:

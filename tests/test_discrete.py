@@ -620,3 +620,52 @@ class TestStochasticityPreservation:
         for arr in results:
             sums = arr.sum(axis=-1) if arr.ndim > 1 else arr.sum()
             assert np.allclose(sums, 1.0, atol=1e-12)
+
+
+class TestStacks:
+    """A stack of priors is a ``Dist`` with a leading axis; every operation
+    on it equals, bitwise, the operation on each prior alone."""
+
+    def stack(self, rng, s, n=5):
+        priors = [random_dist(rng, s) for _ in range(n)]
+        return priors, Dist(s, np.stack([p.mass for p in priors]))
+
+    def test_operations_match_each_prior(self):
+        rng = rng_for(70)
+        X, M, Y, N, Z = (space([f"{p}{i}" for i in range(k)]) for p, k in zip("xmynz", (3, 2, 4, 2, 3)))
+        f, g = random_copar(rng, X, M, Y), random_copar(rng, Y, N, Z)
+        priors, stack = self.stack(rng, X)
+        inv, mask = bayes_invert(f, stack)
+        ginv, _ = bayes_invert(g, push(discard_coparam(f), stack))
+        back = copy_compose_copar(inv, ginv)
+        joint = Dist(X.product(X), np.stack([np.kron(p.mass, q.mass) for p, q in zip(priors, priors[::-1])]))
+        for i, pi in enumerate(priors):
+            one_inv, one_mask = bayes_invert(f, pi)
+            assert np.array_equal(inv.rows[i], one_inv.rows)
+            assert np.array_equal(mask.supported[i], one_mask.supported)
+            assert np.array_equal(push(f, stack).mass[i], push(f, pi).mass)
+            assert np.array_equal(discard_coparam(inv).rows[i], discard_coparam(one_inv).rows)
+            one_ginv, _ = bayes_invert(g, push(discard_coparam(f), pi))
+            assert np.array_equal(back.rows[i], copy_compose_copar(one_inv, one_ginv).rows)
+            fixed = bayes_invert(g, uniform(Y))[0]  # one channel for every prior
+            assert np.array_equal(tensor_copar(inv, fixed).rows[i], tensor_copar(one_inv, fixed).rows)
+            both = tensor_dist(stack, Dist(X, stack.mass[::-1]))
+            assert np.array_equal(both.mass[i], joint.mass[i])
+            for keep in ((0,), (1,), (1, 0)):
+                one = Dist(X.product(X), joint.mass[i])
+                assert np.array_equal(marginal_dist(joint, keep).mass[i], marginal_dist(one, keep).mass)
+
+    def test_unsupported_rows_of_one_prior_stay_its_own(self):
+        f = FiniteKernel(X2, Y2, [[1.0, 0.0], [0.5, 0.5]])
+        stack = Dist(X2, [[1.0, 0.0], [0.0, 1.0]])
+        inv, mask = bayes_invert(f, stack)
+        assert mask.supported.tolist() == [[True, False], [True, True]]
+        assert inv.rows[0].tolist() == [[1.0, 0.0], [0.5, 0.5]]
+
+    def test_checks_name_the_stack_entry(self):
+        with pytest.raises(ShapeError, match=r"^distribution of stack entry \(1,\) sums to 0\.5"):
+            Dist(X2, [[0.5, 0.5], [0.25, 0.25]])
+        with pytest.raises(ShapeError, match=r"^row 1 of stack entry \(0,\) has a negative"):
+            FiniteKernel(X2, Y2, [[[0.5, 0.5], [-0.5, 1.5]], [[0.5, 0.5], [0.5, 0.5]]])
+        with pytest.raises(ShapeError, match="mass has shape"):
+            Dist(X2, [[0.5, 0.25, 0.25]])

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from statgames import discrete as ds
-from statgames.errors import CompositionError, ShapeError
+from statgames.errors import CompositionError, ShapeError, SupportError
 from statgames.games import (
     Game,
     TwoCellWitness,
     game_hcompose,
     game_vcompose,
     laxness_witness,
+    laxness_witnesses,
     section_check,
 )
-from statgames.lens import exact_lens
+from statgames.lens import BayesLens, exact_inversion, exact_lens, lens_compose
 from statgames.loss import (
     LossFn,
     LossModel,
@@ -43,6 +44,36 @@ def random_dist(rng, s):
 def random_copar(rng, dom, copar, out):
     r = rng.gamma(1.0, size=(dom.size, copar.size * out.size)) + 0.05
     return ds.CoparKernel(dom, copar, out, r / r.sum(axis=1, keepdims=True))
+
+
+def degenerate_copar(rng, dom, copar, out):
+    """Random kernel with support gaps and an unreachable last output,
+    every row keeping a positive entry."""
+    r = rng.gamma(1.0, size=(dom.size, copar.size, out.size))
+    r[rng.random(size=r.shape) < 0.35] = 0.0
+    r[:, :, -1] = 0.0
+    r[np.arange(dom.size), 0, rng.integers(0, out.size - 1, size=dom.size)] += 1.0
+    r = r.reshape(dom.size, -1)
+    return ds.CoparKernel(dom, copar, out, r / r.sum(axis=1, keepdims=True))
+
+
+def degenerate_dist(rng, s):
+    m = rng.gamma(1.0, size=s.size)
+    m[rng.random(size=s.size) < 0.35] = 0.0
+    m[rng.integers(0, s.size)] += 1.0
+    return ds.Dist(s, m / m.sum())
+
+
+def perturbed_lens(rng, fwd, eps=0.3):
+    """A simple lens whose backward mixes the exact inversion with a fixed
+    random kernel."""
+    noise = random_copar(rng, fwd.out, ds.unit_space(), fwd.dom.product(fwd.copar)).rows
+
+    def bwd(pi):
+        rows = (1 - eps) * exact_inversion(fwd, pi).rows + eps * noise
+        return ds.CoparKernel(fwd.out, fwd.copar, fwd.dom, rows, "right")
+
+    return BayesLens(fwd=fwd, bwd=bwd, simple=True)
 
 
 def exact_pair(rng, sizes=(3, 2, 3, 2, 3)):
@@ -269,3 +300,100 @@ class TestSectionCheck:
         }
         assert report["n_pairs"] == 2
         assert report["n_probes"] == 6
+
+
+MODELS = [LossModel.KL, LossModel.MLE, LossModel.FE]
+
+
+def mixed_pairs(rng, n_pairs, n_probes):
+    """Composable pairs ``(d, c)`` with their probes: every other pair has
+    support gaps in its kernels and priors, and every third second stage
+    is perturbed away from exact inversion."""
+    for k in range(n_pairs):
+        X, M, Y, N, Z = spaces(*(int(v) for v in rng.integers(2, 4, size=5)))
+        kernel, draw = (degenerate_copar, degenerate_dist) if k % 2 else (random_copar, random_dist)
+        c = exact_lens(kernel(rng, X, M, Y))
+        d = perturbed_lens(rng, kernel(rng, Y, N, Z)) if k % 3 == 2 else exact_lens(kernel(rng, Y, N, Z))
+        yield d, c, [(draw(rng, X), int(rng.integers(0, Z.size))) for _ in range(n_probes)]
+
+
+def scalar_witness(model, d, c, pi, obs):
+    """The witness at one probe from scalar loss calls."""
+    composed = loss_compose(loss_for(model, d), loss_for(model, c), d, c)
+    return composed(pi, obs) - loss_for(model, lens_compose(d, c))(pi, obs)
+
+
+def same(got, want, tol):
+    return got == want or (np.isnan(got) and np.isnan(want)) or abs(got - want) <= tol
+
+
+class TestBatchedWitnesses:
+    @pytest.mark.parametrize("model", MODELS)
+    def test_batched_witnesses_match_per_probe_ones(self, model):
+        rng = rng_for(16)
+        undefined = 0
+        for d, c, probes in mixed_pairs(rng, 12, 20):
+            defined, want = [], []
+            for pi, obs in probes:
+                try:
+                    want.append(laxness_witness(model, d, c, pi, obs))
+                    defined.append((pi, obs))
+                except SupportError:
+                    undefined += 1
+            got = laxness_witnesses(model, d, c, defined)
+            assert all(same(g, w, 1e-15) for g, w in zip(got, want))
+            if len(defined) < len(probes):
+                with pytest.raises(SupportError):
+                    laxness_witnesses(model, d, c, probes)
+        if model is not LossModel.MLE:
+            assert undefined > 0  # the gapped pairs do reach unsupported observations
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_section_check_skips_each_undefined_probe(self, model):
+        rng = rng_for(17)
+        pairs, probes = [], []
+        for d, c, plist in mixed_pairs(rng, 10, 6):
+            pairs.append((d, c))
+            probes.append(plist)
+        ks, skipped = [], 0
+        for (d, c), plist in zip(pairs, probes):
+            for pi, obs in plist:
+                try:
+                    ks.append(scalar_witness(model, d, c, pi, obs))
+                except SupportError:
+                    skipped += 1
+        report = section_check(model, pairs, probes)
+        assert (report["n_probes"], report["skipped"]) == (len(ks), skipped)
+        assert same(report["worst_K"], max([-np.inf, *ks]), 1e-12)
+        if model is not LossModel.MLE:
+            assert skipped > 0
+
+
+class TestInversionCounts:
+    """Each stage is inverted once per prior, and a pair's probes share
+    their inversions as one stack of priors."""
+
+    def counter(self, monkeypatch):
+        counted = {"n": 0}
+        invert = ds.bayes_invert
+
+        def counting(f, pi):
+            counted["n"] += 1
+            return invert(f, pi)
+
+        monkeypatch.setattr(ds, "bayes_invert", counting)
+        return counted
+
+    def test_one_composed_kl_witness(self, monkeypatch):
+        counted = self.counter(monkeypatch)
+        d, c = exact_pair(rng_for(18))
+        laxness_witness(LossModel.KL, d, c, random_dist(rng_for(19), c.fwd.dom), 1)
+        assert counted["n"] <= 5
+
+    def test_a_pairs_twenty_probes(self, monkeypatch):
+        counted = self.counter(monkeypatch)
+        rng = rng_for(20)
+        d, c = exact_pair(rng)
+        probes = [(random_dist(rng, c.fwd.dom), int(rng.integers(0, 3))) for _ in range(20)]
+        laxness_witnesses(LossModel.KL, d, c, probes)
+        assert counted["n"] <= 5

@@ -245,3 +245,17 @@ class TestReindex:
         c = random_copar(rng, X, M, Y)
         fam = lambda pi: 42.0
         assert reindex(fam, c)(random_dist(rng, X)) == 42.0
+
+
+class TestStackedPriors:
+    def test_library_families_return_each_priors_channel(self):
+        rng = rng_for(60)
+        X, M, Y, N, Z, U = spaces(3, 2, 3, 2, 2, 2)
+        c = exact_lens(random_copar(rng, X, M, Y))
+        d = exact_lens(random_copar(rng, Y, N, Z))
+        e = exact_lens(random_copar(rng, U, N, Z))
+        for lens, dom in ((c, X), (identity_lens(X), X), (lens_compose(d, c), X), (lens_tensor(c, e), X.product(U))):
+            priors = [random_dist(rng, dom) for _ in range(4)]
+            back = lens.bwd(ds.Dist(dom, np.stack([p.mass for p in priors])))
+            for i, pi in enumerate(priors):
+                assert np.array_equal(back.rows[i], lens.bwd(pi).rows)

@@ -5,6 +5,7 @@ else is checked against enumeration or block-algebra oracles computed with
 plain loops in this file.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -119,6 +120,20 @@ class TestKLLoss:
         pi = random_dist(rng, X)
         for y in range(3):
             assert loss(pi, y) == pytest.approx(0.0, abs=1e-12)
+
+    def test_exact_lens_is_zero_without_a_second_inversion(self, monkeypatch):
+        rng = rng_for(51)
+        X, M, Y = spaces(3, 2, 3)
+        lens = exact_lens(degenerate_copar(rng, X, M, Y, dead_output=True))
+        pi = random_dist(rng, X)
+        _, mask = ds.bayes_invert(lens.fwd, pi)
+        calls = []
+        monkeypatch.setattr(ds, "bayes_invert", lambda *args: calls.append(args))
+        vals, defined = kl_loss(lens).values(pi)
+        assert calls == [] and not vals.any()  # bitwise 0, as KL(p, p) is
+        assert defined.tolist() == mask.supported.tolist() and not defined.all()
+        rebuilt = dataclasses.replace(lens, bwd=lens.bwd)
+        assert lens.exact and not rebuilt.exact
 
     def test_hand_value_bernoulli(self):
         # fwd [[0.75, 0.25], [0.25, 0.75]], uniform prior: exact posterior
@@ -796,11 +811,44 @@ class TestLaxatorVectorForm:
             d = perturbed_lens(rng, random_copar(rng, U, V, W))
             for omega in (random_dist(rng, X.product(U)), degenerate_dist(rng, X.product(U))):
                 vals, defined = laxator_loss(model, c, d).values(omega)
-                assert vals.shape == (Y.size * W.size,) and defined.all()
+                assert vals.shape == (Y.size * W.size,) and not np.isnan(vals[defined]).any()
                 for y in range(Y.size):
                     for y2 in range(W.size):
+                        if not defined[y * W.size + y2]:
+                            with pytest.raises(SupportError):
+                                laxator(model, c, d, omega, y, y2)
+                            continue
                         want = laxator(model, c, d, omega, y, y2)
                         assert_same_value(vals[y * W.size + y2], want)
+
+    def test_no_laxator_is_defined_with_a_nan_value(self):
+        # at a joint observation of zero evidence under omega the FE and MLE
+        # terms are both +inf: the KL and FE defects are undefined there, as
+        # the tensored lens's KL and FE losses are
+        rng = np.random.default_rng(7)
+        X, Y, U, W = spaces(2, 3, 2, 3)
+        unit = ds.unit_space()
+        undefined = 0
+        for _ in range(40):
+            c = exact_lens(degenerate_copar(rng, X, unit, Y))
+            d = exact_lens(degenerate_copar(rng, U, unit, W))
+            omega = degenerate_dist(rng, X.product(U))
+            tensored = lens_tensor(c, d)
+            for model in DISCRETE_MODELS:
+                vals, defined = laxator_loss(model, c, d).values(omega)
+                assert not np.isnan(vals[defined]).any()
+            for model in (LossModel.KL, LossModel.FE):
+                for y in range(Y.size):
+                    for y2 in range(W.size):
+                        try:
+                            loss_for(model, tensored)(omega, y * W.size + y2)
+                        except SupportError:
+                            undefined += 1
+                            with pytest.raises(SupportError):
+                                laxator(model, c, d, omega, y, y2)
+                        else:
+                            laxator(model, c, d, omega, y, y2)
+        assert undefined > 0
 
     def test_gaussian_has_a_quadratic_form_and_discrete_laplace_is_rejected(self):
         c = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
@@ -871,8 +919,12 @@ class TestLaxatorVectorForm:
             inner = lambda pi, j: laxator(model, c, d, pi, j // W.size, j % W.size)
             for omega in (random_dist(rng, X.product(U)), degenerate_dist(rng, X.product(U))):
                 vals, defined = assert_vector_matches_scalar(composed, omega)
-                assert defined.all()
+                assert not np.isnan(vals[defined]).any()
                 for j in range(Z.size * R.size):
+                    if not defined[j]:
+                        with pytest.raises(SupportError):
+                            loop_compose(first, inner, ef, cd, omega, j)
+                        continue
                     assert_same_value(vals[j], loop_compose(first, inner, ef, cd, omega, j))
 
 
@@ -1127,7 +1179,7 @@ class TestGaussianForm:
             counted["n"] = 0
             composed(pi, [0.2, -0.1])
             calls.append(counted["n"])
-        assert calls == [5, 5, 5]
+        assert calls == [4, 4, 4]
 
 
 def pointwise_laxator(model, c, d, omega, obs):

@@ -161,6 +161,24 @@ class TestLensBundles:
         with pytest.raises(ShapeError, match="tabulated"):
             lens.bwd(ds.Dist(lens.fwd.dom, [0.25, 0.75]))
 
+    def test_a_stack_of_priors_looks_up_each(self):
+        priors = [{"space": ["x0", "x1"], "mass": m} for m in ([0.5, 0.5], [0.25, 0.75])]
+        backs = [
+            {"dom": ["y0", "y1"], "cod": ["x0", "x1"], "rows": r}
+            for r in ([[0.5, 0.5], [0.25, 0.75]], [[1.0, 0.0], [0.0, 1.0]])
+        ]
+        entries = [{"prior": p, "channel": b} for p, b in zip(priors, backs)]
+        lens = parse_lens({"fwd": KERNEL, "bwd": entries})
+        dom = lens.fwd.dom
+        got = lens.bwd(ds.Dist(dom, [[0.25, 0.75], [0.5, 0.5], [0.25, 0.75]]))
+        assert got.rows.shape == (3, 2, 2)
+        for i, j in enumerate((1, 0, 1)):
+            assert np.array_equal(got.rows[i], np.array(backs[j]["rows"]))
+        same = lens.bwd(ds.Dist(dom, [[0.5, 0.5], [0.5, 0.5]]))
+        assert same is lens.bwd(ds.Dist(dom, [0.5, 0.5]))  # one channel for every prior
+        with pytest.raises(ShapeError, match="tabulated"):
+            lens.bwd(ds.Dist(dom, [[0.5, 0.5], [0.9, 0.1]]))
+
     def test_each_tabulated_channel_must_fit_the_forward(self):
         prior = {"space": ["x0", "x1"], "mass": [0.5, 0.5]}
         back = {"dom": ["y0", "y1"], "cod": ["x0", "x1"], "rows": [[0.5, 0.5], [0.25, 0.75]]}
