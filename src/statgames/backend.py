@@ -192,7 +192,10 @@ class Discrete:
         return _built(ds.CoparKernel, dom, copar, cod, rows.reshape(shape), side)
 
     def parse_state(self, obj):
-        return _built(ds.Dist, ds.space(_labels(obj, "space")), _numbers(obj, "mass"))
+        mass = _numbers(obj, "mass")
+        if mass.ndim != 1:  # a file holds one prior; stacks are built in memory
+            raise ModelParseError(f"'mass' has shape {mass.shape}, expected a vector")
+        return _built(ds.Dist, ds.space(_labels(obj, "space")), mass)
 
     def channel_to_obj(self, ch) -> dict:
         obj = {"dom": _flat_labels(ch.dom), "cod": _flat_labels(ch.out), "rows": _floats(ch.rows)}
@@ -266,9 +269,7 @@ class Discrete:
 
     def obs_index(self, out, y) -> int:
         """The observation ``y`` of ``out``, checked to be an index into it."""
-        # a plain int skips the slower abstract-class test
-        integral = type(y) is int or not isinstance(y, bool) and isinstance(y, numbers.Integral)
-        if not integral or not 0 <= y < out.size:
+        if isinstance(y, bool) or not isinstance(y, numbers.Integral) or not 0 <= y < out.size:
             raise ShapeError(f"observation {y!r} is not an index into a space of size {out.size}")
         return int(y)
 

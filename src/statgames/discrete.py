@@ -109,20 +109,16 @@ class FiniteSpace:
             if len(set(fl)) != len(fl):
                 raise ShapeError(f"duplicate labels in factor {fl!r}")
 
-    @staticmethod
-    def _of(factor_labels: tuple) -> "FiniteSpace":
-        """A product or subspace of valid spaces, which needs no check."""
-        s = object.__new__(FiniteSpace)
-        object.__setattr__(s, "factor_labels", factor_labels)
-        return s
-
     @property
     def factor_sizes(self) -> tuple[int, ...]:
-        return tuple(map(len, self.factor_labels))
+        return tuple(len(fl) for fl in self.factor_labels)
 
     @property
     def size(self) -> int:
-        return math.prod(map(len, self.factor_labels))
+        n = 1
+        for fl in self.factor_labels:
+            n *= len(fl)
+        return n
 
     @property
     def n_factors(self) -> int:
@@ -149,12 +145,10 @@ class FiniteSpace:
         return idx
 
     def product(self, other: "FiniteSpace") -> "FiniteSpace":
-        if not other.factor_labels or not self.factor_labels:  # a unit factor
-            return self if self.factor_labels else other
-        return FiniteSpace._of(self.factor_labels + other.factor_labels)
+        return FiniteSpace(self.factor_labels + other.factor_labels)
 
     def subspace(self, factor_indices: Iterable[int]) -> "FiniteSpace":
-        return FiniteSpace._of(tuple(self.factor_labels[i] for i in factor_indices))
+        return FiniteSpace(tuple(self.factor_labels[i] for i in factor_indices))
 
     def __repr__(self):
         sizes = "x".join(str(s) for s in self.factor_sizes)
@@ -521,12 +515,10 @@ def rows_expectation(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
     rows that give them strictly positive probability, where an infinite
     entry makes the expectation ``+inf``.  Leading axes broadcast.
     """
-    finite = np.isfinite(values)
-    out = (probs @ np.where(finite, values, 0.0)[..., None])[..., 0]
-    if np.count_nonzero(finite) < finite.size:
-        pos = probs > 0
-        out[(pos & np.isnan(values)[..., None, :]).any(axis=-1)] = np.nan
-        out[(pos & np.isinf(values)[..., None, :]).any(axis=-1)] = np.inf
+    pos = probs > 0
+    out = (probs @ np.where(np.isfinite(values), values, 0.0)[..., None])[..., 0]
+    out[(pos & np.isnan(values)[..., None, :]).any(axis=-1)] = np.nan
+    out[(pos & np.isinf(values)[..., None, :]).any(axis=-1)] = np.inf
     return out
 
 

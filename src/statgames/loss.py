@@ -156,8 +156,6 @@ class VecForm(NamedTuple):
         weights = _pick(back.rows, sel, rows=True)
         out = ds.rows_expectation(np.where(self.defined, self.values, 0.0), weights)
         ok = self.defined & np.isfinite(self.values)
-        if np.count_nonzero(ok) == ok.size:
-            return VecForm(out, np.ones(out.shape, dtype=bool))
         bad = (weights > 0) & ~ok[..., None, :]
         first = bad.argmax(axis=-1)[..., None]
         defined_at = np.broadcast_to(self.defined[..., None, :], bad.shape)
@@ -236,7 +234,8 @@ class LossFn:
 
     def at_probes(self, probes) -> list:
         """The loss at each probe ``(prior, observation)``: a float, or the
-        ``SupportError`` or ``SingularityError`` the scalar call raises."""
+        ``SupportError`` or ``SingularityError`` the scalar call raises.  On
+        the discrete instance this evaluates ``form`` and never calls ``fn``."""
         return _models(self.obs_dom).at_probes(self, list(probes))
 
     def reindex(self, ch) -> "LossFn":
@@ -423,13 +422,12 @@ def laxator_loss(model: LossModel, c: BayesLens, d: BayesLens) -> LossFn:
 
     def form(omega, sel=ALL, known=None):
         prod = backend.tensor_state(*prior_marginals(omega, c.fwd, d.fwd))
-        pushed = onto(omega)
-        if model is not LossModel.MLE:  # the FE term, where the backward is a posterior
+        if model is not LossModel.MLE:  # the FE term
             log_ratio = models.nll(omega) - models.nll(prod)
             posterior = back(backend.discard(tensored.bwd(omega)))
-            defect = log_ratio.average(posterior, sel) + models.support(pushed, sel)
+            defect = models.where_possible(log_ratio.average(posterior, sel), onto, omega, sel)
         if model in (LossModel.MLE, LossModel.KL):  # the MLE term
-            mle_term = models.nll(pushed, sel) - models.nll(onto(prod), sel)
+            mle_term = models.nll(onto(omega), sel) - models.nll(onto(prod), sel)
             defect = mle_term if model is LossModel.MLE else defect - mle_term
         return defect
 
@@ -498,6 +496,11 @@ class _DiscreteModels:
         """The zero loss, defined where ``state`` has positive mass."""
         mass = _pick(state.mass, sel)
         return VecForm(np.zeros(mass.shape), mass > 0)
+
+    def where_possible(self, form, onto, pi, sel=ALL):
+        """``form``, left undefined at the observations of zero evidence
+        under ``onto(pi)``: a backward channel's rows there are no posterior."""
+        return form + self.support(onto(pi), sel)
 
     def kl(self, l):
         if l.exact:  # the posterior is exact wherever the observation is possible
@@ -569,9 +572,8 @@ class _GaussianModels:
     def zero(self, n):
         return lambda pi, sel=ALL, known=None: QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
 
-    def support(self, state, sel=ALL):
-        """The zero loss: a Gaussian state has positive density everywhere."""
-        return self.zero(state.dim)(state)
+    def where_possible(self, form, onto, pi, sel=ALL):
+        return form  # a Gaussian pushforward has positive density everywhere
 
     def kl(self, l):
         def form(pi, sel=ALL, known=None):

@@ -196,6 +196,27 @@ class TestTabulatedBackward:
         assert main(["inspect", "--model", model]) == 2
         assert capsys.readouterr().err.startswith("parse error: 'bwd' entry 0: ")
 
+    STACKED = {"space": ["x0", "x1"], "mass": [[0.5, 0.5], [0.3, 0.7]]}
+
+    def test_a_stacked_prior_file_is_a_parse_error(self, tmp_path, capsys):
+        model = write(tmp_path, "m.json", {"fwd": KERNEL, "bwd": "exact"})
+        prior = write(tmp_path, "p.json", self.STACKED)
+        rc = main(["eval-loss", "--model", model, "--loss", "kl", "--prior", prior, "--obs", "y0"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("parse error: 'mass' has shape (2, 2)")
+        assert main(["inspect", "--model", prior]) == 2
+        assert capsys.readouterr().err.startswith("parse error: 'mass' has shape (2, 2)")
+
+    def test_a_stacked_tabulated_prior_is_a_parse_error(self, tmp_path, capsys):
+        model = write(tmp_path, "m.json", tabulated(KERNEL, self.STACKED, KERNEL_BACK))
+        prior = write(tmp_path, "p.json", UNIFORM)
+        rc = main(["eval-loss", "--model", model, "--loss", "kl", "--prior", prior, "--obs", "y0"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "'mass' has shape (2, 2)" in captured.err
+        assert main(["inspect", "--model", model]) == 2
+
 
 class TestEvalLoss:
     def test_exact_kl_is_zero(self, tmp_path, capsys):

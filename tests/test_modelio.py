@@ -112,6 +112,15 @@ class TestStates:
         with pytest.raises(ModelParseError, match="NaN"):
             parse_state({"space": ["a", "b"], "mass": [float("nan"), 1.0]})
 
+    def test_a_stack_of_masses_is_a_parse_error(self):
+        # stacks of priors exist only in memory: a file holds one prior
+        stacked = {"space": ["x0", "x1"], "mass": [[0.5, 0.5], [0.3, 0.7]]}
+        with pytest.raises(ModelParseError, match=r"'mass' has shape \(2, 2\), expected a vector"):
+            parse_state(stacked)
+        back = {"dom": ["y0", "y1"], "cod": ["x0", "x1"], "rows": [[0.5, 0.5], [0.25, 0.75]]}
+        with pytest.raises(ModelParseError, match="'mass' has shape"):
+            parse_lens({"fwd": KERNEL, "bwd": [{"prior": stacked, "channel": back}]})
+
     def test_round_trip(self):
         s = parse_state({"space": ["a", "b"], "mass": [0.3, 0.7]})
         again = parse_state(state_to_obj(s))

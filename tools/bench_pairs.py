@@ -4,18 +4,17 @@
 Usage (from the root of a git checkout)::
 
     python3 tools/bench_pairs.py --parent <rev> --change <rev> \\
-        --workdir <empty scratch dir> --pairs 10 --seed 20 --out BENCH_9.json
+        --workdir <empty scratch dir> --seed 20 --out BENCH_9.json
 
 Both revisions are exported with ``git archive`` into ``<workdir>/parent``
 and ``<workdir>/change``, so the two sides run from fresh copies of their
-committed files.  Pair ``i`` runs ``python3 perfbench/run.py --workload W
---seed <seed + i> --seconds S --trace 0`` once in each copy, the parent
-first in even pairs and the change first in odd ones, for every workload in
-``BENCHMARK.json`` (``S`` is its ``run_seconds`` unless ``--seconds`` is
-given); ``--workloads verify-all:10,deep-chain:5`` picks workloads and,
-after a colon, their own number of pairs.  The record holds every run, and
-for each workload and end-to-end metric the median and quartiles of both
-sides and the pairs the change won.
+committed files.  For every workload in ``BENCHMARK.json``, pair ``i`` (of
+ten) runs ``python3 perfbench/run.py --workload W --seed <seed + i>
+--seconds S --trace 0`` once in each copy, with ``S`` the benchmark's
+``run_seconds``, the parent first in even pairs and the change first in
+odd ones.  The record holds every run, and for each workload and
+end-to-end metric the median and quartiles of both sides and the pairs the
+change won.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -81,30 +82,27 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
     p.add_argument("--workdir", required=True, help="a directory that does not exist yet")
-    p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    p.add_argument("--seconds", type=float, default=None)
-    p.add_argument("--workloads", default=None, help="name[:pairs],...; default: all")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
 
     with open("BENCHMARK.json") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-    workloads = {n.partition(":")[0]: int(n.partition(":")[2] or args.pairs) for n in names}
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seeds = [args.seed + i for i in range(PAIRS)]
     shas = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     roots = {side: os.path.join(args.workdir, side) for side in shas}
     for side, root in roots.items():
         export(shas[side], root)
 
     runs = []
-    for workload, pairs in workloads.items():
-        for i in range(pairs):
+    for workload in workloads:
+        for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run(roots[side], workload, args.seed + i, seconds)
-                runs.append({"workload": workload, "pair": i, "seed": args.seed + i, "side": side,
+                result = run(roots[side], workload, seed, seconds)
+                runs.append({"workload": workload, "pair": i, "seed": seed, "side": side,
                              "first": side == order[0], **result})
                 print(f"{workload} pair {i} {side}: wall_s_nominal="
                       f"{result['metrics']['wall_s_nominal']['value']:.4f}", flush=True)
@@ -114,8 +112,8 @@ def main(argv=None) -> int:
         "command": bench["command"],
         "run_seconds": seconds,
         "shas": shas,
-        "pairs": workloads,
-        "seeds": {w: [args.seed + i for i in range(n)] for w, n in workloads.items()},
+        "pairs": PAIRS,
+        "seeds": seeds,
         "order": "parent first in even pairs, change first in odd ones",
         "machine": {k: prov[k] for k in ("machine", "nproc", "python", "numpy", "blas", "blas_threads")},
         "summary": summarise(runs, bench["end_to_end"]),
