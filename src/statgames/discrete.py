@@ -536,7 +536,7 @@ def rows_relative_entropy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p, q = np.broadcast_arrays(p, q)
     with np.errstate(divide="ignore"):
         ratio = np.divide(p, q, out=np.ones_like(p), where=p > 0)
-    return np.einsum("...j,...j->...", p, np.log(ratio))
+    return np.einsum("...j,...j->...", p, np.log(ratio, out=ratio))
 
 
 def relative_entropy_effect(k1: CoparKernel, k2: CoparKernel) -> Effect:

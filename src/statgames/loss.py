@@ -97,7 +97,8 @@ class LossModel(Enum):
 
 
 #: selects every observation in a loss's vector form; a selector may also be
-#: a list of observations, or a ``(P, k)`` array of each stacked prior's own
+#: another slice, a list of observations, or a ``(P, k)`` array of each
+#: stacked prior's own
 ALL = slice(None)
 
 
@@ -449,10 +450,11 @@ class _DiscreteModels:
     """The loss models on the discrete instance, as vector forms."""
 
     def scalar(self, form, obs_dom):
-        # only the observation's own row is computed
+        # only the observation's own row is computed; a slice selects it
+        # as a view, with no copy of a large channel's row
         def fn(pi, y):
             y = DISCRETE.obs_index(obs_dom, y)
-            return form(pi, [y]).at(0, lambda: obs_dom.labels[y])
+            return form(pi, slice(y, y + 1)).at(0, lambda: obs_dom.labels[y])
 
         return fn
 
