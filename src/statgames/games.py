@@ -110,36 +110,55 @@ def game_vcompose(w2: TwoCellWitness, w1: TwoCellWitness) -> TwoCellWitness:
     )
 
 
-def _witness_losses(model: LossModel, d: BayesLens, c: BayesLens) -> tuple[LossFn, LossFn]:
+def _witness_losses(model, d: BayesLens, c: BayesLens, composite=None) -> tuple[LossFn, LossFn]:
     """The composed losses of a pair and the loss of its composite."""
     composed = loss_compose(loss_for(model, d), loss_for(model, c), d, c)
-    return composed, loss_for(model, lens_compose(d, c))
+    return composed, loss_for(model, lens_compose(d, c) if composite is None else composite)
 
 
-def _witness_values(model: LossModel, d: BayesLens, c: BayesLens, probes) -> list:
-    """The composition defect at each probe, or the error raised there."""
-    composed, direct = _witness_losses(model, d, c)
+def _defects(composed: list, direct: list) -> list:
     return [
         a if isinstance(a, Exception) else b if isinstance(b, Exception) else a - b
-        for a, b in zip(composed.at_probes(probes), direct.at_probes(probes))
+        for a, b in zip(composed, direct)
     ]
 
 
-def laxness_witnesses(model: LossModel, d: BayesLens, c: BayesLens, probes) -> list[float]:
+def _witness_values(model, d: BayesLens, c: BayesLens, probes, composite=None) -> list:
+    """The composition defect at each probe, or the error raised there (one
+    such list per model for a tuple of models)."""
+    losses = _witness_losses(model, d, c, composite)
+    composed, direct = (loss.at_probes(probes) for loss in losses)
+    if isinstance(model, LossModel):
+        return _defects(composed, direct)
+    if not probes:  # ``at_probes`` gives no rows without a prior
+        return [[] for _ in model]
+    return [_defects(a, b) for a, b in zip(composed, direct)]
+
+
+def laxness_witnesses(model, d: BayesLens, c: BayesLens, probes, composite=None) -> list:
     """Composition defect of a loss model on one composable pair at each
     probe ``(prior, observation)``: composed losses minus the loss of the
     composite.  The losses are built once and evaluated at all probes in
-    one pass (``LossFn.at_probes``); the first undefined probe raises."""
-    ks = _witness_values(model, d, c, probes)
-    for k in ks:
-        if isinstance(k, Exception):
-            raise k
+    one pass (``LossFn.at_probes``); the first undefined probe raises.  A
+    caller that has built ``lens_compose(d, c)`` already passes it as
+    ``composite``.
+
+    A tuple of discrete models gives one list per model, from one composite
+    and one form call per loss for all of them (``loss_for``); the first
+    undefined probe of the first model that has one raises."""
+    ks = _witness_values(model, d, c, probes, composite)
+    for row in [ks] if isinstance(model, LossModel) else ks:
+        for k in row:
+            if isinstance(k, Exception):
+                raise k
     return ks
 
 
-def laxness_witness(model: LossModel, d: BayesLens, c: BayesLens, pi, obs) -> float:
-    """``laxness_witnesses`` at a single probe."""
-    return laxness_witnesses(model, d, c, [(pi, obs)])[0]
+def laxness_witness(model, d: BayesLens, c: BayesLens, pi, obs, composite=None):
+    """``laxness_witnesses`` at a single probe: a float, or a tuple of
+    floats for a tuple of models."""
+    ks = laxness_witnesses(model, d, c, [(pi, obs)], composite)
+    return ks[0] if isinstance(model, LossModel) else tuple(row[0] for row in ks)
 
 
 def section_check(

@@ -387,12 +387,12 @@ def _thermo_trial(rng, cfg: SuiteConfig) -> Outcome:
     return Outcome(_digest(lens.fwd.rows, pi.mass), energy - entropy, fe_loss(lens)(pi, y))
 
 
-def _laplace_style_lens(fwd, cov):
-    def bwd(pi):
-        ex = gs.g_invert(fwd, pi)
-        return gs.GaussChannel(ex.A, ex.b, cov, ex.copar_dim, "right")
-
-    return BayesLens(fwd=fwd, bwd=bwd, simple=True)
+def _laplace_style_lens(fwd, exact, cov):
+    """The lens whose backward channel is the exact inversion ``exact`` of
+    ``fwd`` at one prior, with its covariance replaced by ``cov``; it is
+    evaluated at that prior only."""
+    back = gs.GaussChannel(exact.A, exact.b, cov, exact.copar_dim, "right")
+    return BayesLens(fwd=fwd, bwd=lambda pi: back, simple=True)
 
 
 def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
@@ -410,13 +410,14 @@ def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
     nz = dx + dm
     l = rng.uniform(-1.0, 1.0, size=(nz, nz))
     cov = l @ l.T + 0.1 * np.eye(nz)
+    exact = gs.g_invert(fwd, pi)
 
     def gap(cov):
-        lens = _laplace_style_lens(fwd, cov)
+        lens = _laplace_style_lens(fwd, exact, cov)
         return fe_loss(lens)(pi, y) - lfe_loss(lens)(pi, y)
 
     # gap equals half the trace of (cov x Hessian)
-    sigma = laplace_sigma(_laplace_style_lens(fwd, cov), pi, y)
+    sigma = laplace_sigma(_laplace_style_lens(fwd, exact, cov), pi, y)
     want = 0.5 * float(np.trace(np.linalg.solve(sigma, cov)))
     gap0 = gap(cov)
     # scaling: one decade in covariance scales the gap by ten
@@ -433,9 +434,11 @@ def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
     )
 
 
-def _laxator_pairs(rng, backend, sizes, models):
+def _laxator_pairs(rng, backend, sizes, model):
     """``(lhs, rhs)`` of the laxator law for each model on one random
-    tensored pair, the defects at a product prior, and the trial digest."""
+    tensored pair, the defects at a product prior, and the trial digest.
+    ``model`` is one model or a tuple of discrete ones, whose losses and
+    laxator are each evaluated once for all of them."""
     sx, sm, sy, sx2, sm2, sy2 = (int(v) for v in sizes)
     c = exact_lens(_random_channel(rng, backend, ("x", sx), ("m", sm), ("y", sy)))
     d = exact_lens(_random_channel(rng, backend, ("u", sx2), ("v", sm2), ("w", sy2)))
@@ -446,14 +449,23 @@ def _laxator_pairs(rng, backend, sizes, models):
     y, y2 = backend.random_obs(rng, out), backend.random_obs(rng, out2)
     joint_obs = backend.joint_obs(c.fwd, d.fwd, y, y2)
     w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
-    pairs, product_defects = [], []
-    for model in models:
-        defect = laxator_loss(model, c, d)
-        lhs = loss_for(model, t)(omega, joint_obs)
-        rhs = loss_for(model, c)(w1, y) + loss_for(model, d)(w2, y2) + defect(omega, joint_obs)
-        pairs.append((lhs, rhs))
-        product_defects.append(defect(prod, joint_obs))
-    return pairs, product_defects, _digest(*backend.digest_arrays(c.fwd, d.fwd, omega))
+
+    def rows(value):
+        return value if isinstance(model, tuple) else (value,)
+
+    defect = laxator_loss(model, c, d, tensored=t)
+    lhs, first, second, at_omega, at_prod = (
+        rows(v)
+        for v in (
+            loss_for(model, t)(omega, joint_obs),
+            loss_for(model, c)(w1, y),
+            loss_for(model, d)(w2, y2),
+            defect(omega, joint_obs),
+            defect(prod, joint_obs),
+        )
+    )
+    pairs = [(l, a + b + k) for l, a, b, k in zip(lhs, first, second, at_omega)]
+    return pairs, list(at_prod), _digest(*backend.digest_arrays(c.fwd, d.fwd, omega))
 
 
 def _laxators_trial(rng, cfg: SuiteConfig) -> Outcome:
@@ -465,7 +477,7 @@ def _laxators_trial(rng, cfg: SuiteConfig) -> Outcome:
         (LossModel.KL, LossModel.MLE, LossModel.FE),
     )
     gauss_pairs, gauss_defects, _ = _laxator_pairs(
-        rng, GAUSSIAN, rng.integers(1, 3, size=6), (LossModel.LFE,)
+        rng, GAUSSIAN, rng.integers(1, 3, size=6), LossModel.LFE
     )
     ok = all(abs(lam0) <= product_tol for lam0 in product_defects + gauss_defects)
     return Outcome(digest, *_worst_pair(pairs + gauss_pairs), ok=ok)
@@ -488,18 +500,20 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
     ef = lens_tensor(e, f)
     ec, fd = lens_compose(e, c), lens_compose(f, d)
     joint_obs = DISCRETE.joint_obs(e.fwd, f.fwd, z, z2)
-    pairs = []
-    for model in (LossModel.KL, LossModel.MLE, LossModel.FE):
-        of_composites = laxator_loss(model, ec, fd)
-        lhs = of_composites(omega, joint_obs) + laxness_witness(model, ef, cd, omega, joint_obs)
-        # the laxators compose as losses on the tensored lenses
-        composed = loss_compose(laxator_loss(model, e, f), laxator_loss(model, c, d), ef, cd)
-        rhs = (
-            composed(omega, joint_obs)
-            + laxness_witness(model, e, c, w1, z)
-            + laxness_witness(model, f, d, w2, z2)
-        )
-        pairs.append((lhs, rhs))
+    # every term is one loss for the three models, evaluated once
+    models = (LossModel.KL, LossModel.MLE, LossModel.FE)
+    of_composites = laxator_loss(models, ec, fd)(omega, joint_obs)
+    across = laxness_witness(models, ef, cd, omega, joint_obs)
+    # the laxators compose as losses on the tensored lenses
+    first, second = laxator_loss(models, c, d, tensored=cd), laxator_loss(models, e, f, tensored=ef)
+    terms = zip(
+        of_composites,
+        across,
+        loss_compose(second, first, ef, cd)(omega, joint_obs),
+        laxness_witness(models, e, c, w1, z, composite=ec),
+        laxness_witness(models, f, d, w2, z2, composite=fd),
+    )
+    pairs = [(lax + k, lax_composed + k1 + k2) for lax, k, lax_composed, k1, k2 in terms]
     return Outcome(digest, *_worst_pair(pairs))
 
 

@@ -44,7 +44,10 @@ argument), and the KL loss of an ``exact_lens`` inverts nothing more.  On
 the discrete instance a form also takes a stack of priors (a ``Dist``
 whose ``mass`` is ``(P, n)``) and returns a ``VecForm`` with the same
 leading axis, so ``LossFn.at_probes`` evaluates a loss at many probes in
-one form call; only the discrete instance batches.
+one form call; only the discrete instance batches.  In the same way a tuple
+of models gives one discrete loss (``loss_for``) or laxator
+(``laxator_loss``) whose form has a leading model axis, one row per model,
+so the KL, MLE and FE values share one form call and its inversions.
 """
 
 from __future__ import annotations
@@ -133,12 +136,14 @@ class VecForm(NamedTuple):
     values: np.ndarray
     defined: np.ndarray
 
-    def at(self, i: int, label=lambda: None) -> float:
-        """The loss at the ``i``-th selected observation; ``label()`` names
-        it when the loss is undefined there."""
-        if not self.defined[i]:
+    def at(self, i: int, label=lambda: None):
+        """The loss at the ``i``-th selected observation, or the tuple of
+        each model's loss there on a form with a model axis; ``label()``
+        names the observation when the loss (of any model) is undefined."""
+        if not self.defined[..., i].all():
             raise _undefined(label())
-        return float(self.values[i])
+        value = self.values[..., i]
+        return tuple(value.tolist()) if value.ndim else float(value)
 
     def __add__(self, other: "VecForm") -> "VecForm":
         return VecForm(self.values + other.values, self.defined & other.defined)
@@ -224,8 +229,11 @@ class LossFn:
         if self.form is None:
             object.__setattr__(self, "form", _models(self.obs_dom).table(self.fn, self.obs_dom))
 
-    def __call__(self, prior, obs) -> float:
-        return float(self.fn(prior, obs))
+    def __call__(self, prior, obs):
+        """The loss at one prior and observation: a float, or a tuple of
+        floats for a loss of several models."""
+        value = self.fn(prior, obs)
+        return value if isinstance(value, tuple) else float(value)
 
     def values(self, prior, sel=ALL):
         """The form at ``prior`` (over the observations ``sel`` indexes)."""
@@ -236,7 +244,8 @@ class LossFn:
     def at_probes(self, probes) -> list:
         """The loss at each probe ``(prior, observation)``: a float, or the
         ``SupportError`` or ``SingularityError`` the scalar call raises.  On
-        the discrete instance this evaluates ``form`` and never calls ``fn``."""
+        the discrete instance this evaluates ``form`` and never calls ``fn``;
+        a loss of several models gives one such list per model."""
         return _models(self.obs_dom).at_probes(self, list(probes))
 
     def reindex(self, ch) -> "LossFn":
@@ -378,14 +387,41 @@ def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
     return _form_loss(Lc.prior_dom, Ld.obs_dom, form)
 
 
-def loss_for(model: LossModel, l: BayesLens) -> LossFn:
-    builder = {
-        LossModel.KL: kl_loss,
-        LossModel.MLE: mle_loss,
-        LossModel.FE: fe_loss,
-        LossModel.LFE: lfe_loss,
-    }[model]
-    return builder(l)
+def _select(model, models):
+    """The map from each model's form to the form of ``model``: that model's
+    own form, or for a tuple of models their forms on a leading model axis
+    (discrete forms only: a Gaussian tuple raises ``InstanceError``)."""
+    if isinstance(model, LossModel):
+        return lambda terms: terms[model]
+    return models.stacker(model)
+
+
+def loss_for(model, l: BayesLens) -> LossFn:
+    """The loss of ``model`` on ``l``.  A tuple of models gives one loss
+    whose form has a leading model axis, one row per model in that order;
+    its scalar call is the tuple of the models' values.  Each model's form
+    is computed once per prior, and the FE row is the KL row plus the MLE
+    row, as ``fe_loss`` adds them."""
+    if isinstance(model, LossModel):
+        builder = {
+            LossModel.KL: kl_loss,
+            LossModel.MLE: mle_loss,
+            LossModel.FE: fe_loss,
+            LossModel.LFE: lfe_loss,
+        }[model]
+        return builder(l)
+    pick = _select(model, _models(l.fwd))
+    with_fe = LossModel.FE in model
+    needed = set(model) - {LossModel.FE} | ({LossModel.KL, LossModel.MLE} if with_fe else set())
+    forms = {m: loss_for(m, l).form for m in needed}
+
+    def form(pi, sel=ALL, known=None):
+        terms = {m: f(pi, sel, known) for m, f in forms.items()}
+        if with_fe:
+            terms[LossModel.FE] = terms[LossModel.KL] + terms[LossModel.MLE]
+        return pick(terms)
+
+    return _form_loss(*l.backend.doms(l.fwd), form)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +429,7 @@ def loss_for(model: LossModel, l: BayesLens) -> LossFn:
 # ---------------------------------------------------------------------------
 
 
-def laxator_loss(model: LossModel, c: BayesLens, d: BayesLens) -> LossFn:
+def laxator_loss(model, c: BayesLens, d: BayesLens, tensored: BayesLens | None = None) -> LossFn:
     """The tensoring defect of a loss model, as a loss on the priors and
     observations of ``lens_tensor(c, d)``.
 
@@ -413,24 +449,40 @@ def laxator_loss(model: LossModel, c: BayesLens, d: BayesLens) -> LossFn:
     Gaussian one a ``QuadForm``, so laxators compose in closed form.  Like
     the tensored lens's KL and FE losses, defects with an FE term are
     undefined at observations of zero evidence; none is defined where it
-    is ``inf - inf``.  The tensored lens and its pushforward are built once.
+    is ``inf - inf``.  The tensored lens and its pushforward are built once;
+    a caller that has built ``lens_tensor(c, d)`` already passes it as
+    ``tensored``.
+
+    A tuple of models gives one loss with a leading model axis, as
+    ``loss_for`` does: its FE term and its MLE term are computed once per
+    prior, and the KL row is their difference.  Each form call pushes
+    ``omega`` through the tensored forward at most once.
     """
-    tensored = lens_tensor(c, d)
+    tensored = lens_tensor(c, d) if tensored is None else tensored
     backend, models = tensored.backend, _models(tensored.fwd)
     onto = prior_pushforward(tensored.fwd)
+    pick = _select(model, models)
+    chosen = (model,) if isinstance(model, LossModel) else model
+    with_fe = any(m is not LossModel.MLE for m in chosen)
+    with_mle = LossModel.MLE in chosen or LossModel.KL in chosen
     # the Laplace defect averages over the posterior mean alone
-    back = models.at_mean() if model is LossModel.LFE else lambda ch: ch
+    back = models.at_mean() if LossModel.LFE in chosen else lambda ch: ch
 
     def form(omega, sel=ALL, known=None):
         prod = backend.tensor_state(*prior_marginals(omega, c.fwd, d.fwd))
-        if model is not LossModel.MLE:  # the FE term
+        pushed = onto(omega) if with_mle else None
+        terms = {}
+        if with_fe:
             log_ratio = models.nll(omega) - models.nll(prod)
             posterior = back(backend.discard(tensored.bwd(omega)))
-            defect = models.where_possible(log_ratio.average(posterior, sel), onto, omega, sel)
-        if model in (LossModel.MLE, LossModel.KL):  # the MLE term
-            mle_term = models.nll(onto(omega), sel) - models.nll(onto(prod), sel)
-            defect = mle_term if model is LossModel.MLE else defect - mle_term
-        return defect
+            evidence = (lambda: pushed) if with_mle else (lambda: onto(omega))
+            fe_term = models.where_possible(log_ratio.average(posterior, sel), evidence, sel)
+            terms[LossModel.FE] = terms[LossModel.LFE] = fe_term
+        if with_mle:
+            terms[LossModel.MLE] = models.nll(pushed, sel) - models.nll(onto(prod), sel)
+        if with_fe and with_mle:
+            terms[LossModel.KL] = terms[LossModel.FE] - terms[LossModel.MLE]
+        return pick(terms)
 
     return _form_loss(*backend.doms(tensored.fwd), form)
 
@@ -468,10 +520,16 @@ class _DiscreteModels:
             raise ShapeError("the probes' priors live on different spaces")
         ys = [DISCRETE.obs_index(loss.obs_dom, y) for _, y in probes]
         form = loss.form(ds.Dist(space, np.stack([pi.mass for pi, _ in probes])), np.c_[ys])
-        return [
-            float(v) if ok else _undefined(loss.obs_dom.labels[y])
-            for v, ok, y in zip(form.values[:, 0], form.defined[:, 0], ys)
-        ]
+
+        def row(values, defined):
+            return [
+                float(v) if ok else _undefined(loss.obs_dom.labels[y])
+                for v, ok, y in zip(values, defined, ys)
+            ]
+
+        if form.values.ndim == 2:
+            return row(form.values[:, 0], form.defined[:, 0])
+        return [row(v, ok) for v, ok in zip(form.values[..., 0], form.defined[..., 0])]
 
     def table(self, fn, obs_dom):
         """The vector form of a loss given by ``fn`` alone, called at one
@@ -494,15 +552,26 @@ class _DiscreteModels:
     def zero(self, obs_dom):
         return self.table(lambda pi, y: 0.0, obs_dom)
 
+    def stacker(self, models):
+        """The map from each model's form to their forms on a leading model
+        axis, in the order of ``models``."""
+
+        def stack(terms):
+            rows = [terms[m] for m in models]
+            return VecForm(np.stack([r.values for r in rows]), np.stack([r.defined for r in rows]))
+
+        return stack
+
     def support(self, state, sel=ALL):
         """The zero loss, defined where ``state`` has positive mass."""
         mass = _pick(state.mass, sel)
         return VecForm(np.zeros(mass.shape), mass > 0)
 
-    def where_possible(self, form, onto, pi, sel=ALL):
+    def where_possible(self, form, pushed, sel=ALL):
         """``form``, left undefined at the observations of zero evidence
-        under ``onto(pi)``: a backward channel's rows there are no posterior."""
-        return form + self.support(onto(pi), sel)
+        under the pushforward ``pushed()``: a backward channel's rows there
+        are no posterior."""
+        return form + self.support(pushed(), sel)
 
     def kl(self, l):
         if l.exact:  # the posterior is exact wherever the observation is possible
@@ -574,7 +643,10 @@ class _GaussianModels:
     def zero(self, n):
         return lambda pi, sel=ALL, known=None: QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
 
-    def where_possible(self, form, onto, pi, sel=ALL):
+    def stacker(self, models):
+        raise InstanceError("only discrete forms carry a model axis")
+
+    def where_possible(self, form, pushed, sel=ALL):
         return form  # a Gaussian pushforward has positive density everywhere
 
     def kl(self, l):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from statgames import discrete as ds
-from statgames.errors import CompositionError, ShapeError, SupportError
+from statgames import gaussian as gs
+from statgames.backend import GAUSSIAN
+from statgames.errors import CompositionError, InstanceError, ShapeError, SupportError
 from statgames.games import (
     Game,
     TwoCellWitness,
     game_hcompose,
     game_vcompose,
+    _witness_values,
     laxness_witness,
     laxness_witnesses,
     section_check,
@@ -367,6 +370,80 @@ class TestBatchedWitnesses:
         assert same(report["worst_K"], max([-np.inf, *ks]), 1e-12)
         if model is not LossModel.MLE:
             assert skipped > 0
+
+
+class TestWitnessModelAxis:
+    """A tuple of models gives each model's witnesses from one composite,
+    bitwise those of the single-model calls."""
+
+    def test_rows_are_the_single_model_witnesses(self):
+        rng = rng_for(21)
+        several = tuple(MODELS)
+        undefined = 0
+        for d, c, probes in mixed_pairs(rng, 12, 10):
+            rows = _witness_values(several, d, c, probes)
+            for row, model in zip(rows, several):
+                want = _witness_values(model, d, c, probes)
+                for g, w in zip(row, want):
+                    if isinstance(w, Exception):
+                        undefined += 1
+                        assert type(g) is type(w) and str(g) == str(w)
+                    else:
+                        assert same(g, w, 0.0)
+            defined = [p for p, *ks in zip(probes, *rows) if not any(isinstance(k, Exception) for k in ks)]
+            got = laxness_witnesses(several, d, c, defined)
+            want = [laxness_witnesses(m, d, c, defined) for m in several]
+            assert np.array_equal(got, want, equal_nan=True)
+            if defined:
+                pi, obs = defined[0]
+                one = laxness_witness(several, d, c, pi, obs)
+                assert np.array_equal(one, [row[0] for row in got], equal_nan=True)
+            if len(defined) < len(probes):
+                with pytest.raises(SupportError):
+                    laxness_witnesses(several, d, c, probes)
+        assert undefined > 0
+
+    def test_a_built_composite_is_not_built_again(self, monkeypatch):
+        import statgames.games as games_module
+
+        rng = rng_for(22)
+        d, c = exact_pair(rng)
+        probes = [(random_dist(rng, c.fwd.dom), z) for z in range(3)]
+        composite = lens_compose(d, c)
+        want = laxness_witnesses(tuple(MODELS), d, c, probes)
+
+        def refuse(*args):
+            raise AssertionError("the composite was built again")
+
+        monkeypatch.setattr(games_module, "lens_compose", refuse)
+        got = laxness_witnesses(tuple(MODELS), d, c, probes, composite=composite)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "model, inversions",
+        [(LossModel.KL, 5), (LossModel.MLE, 1), (LossModel.FE, 5), (LossModel.LFE, 4)],
+    )
+    def test_gaussian_witness_keeps_its_path(self, model, inversions, monkeypatch):
+        # one scalar call per probe, with the inversion counts and values of
+        # the single-model path before the model axis
+        rng = np.random.default_rng(5)
+        c = exact_lens(GAUSSIAN.random_channel(rng, 2, 1, 2))
+        d = exact_lens(GAUSSIAN.random_channel(rng, 2, 0, 1))
+        pi = GAUSSIAN.random_state(rng, 2)
+        counted = {"n": 0}
+        invert = gs.g_invert
+
+        def counting(f, prior):
+            counted["n"] += 1
+            return invert(f, prior)
+
+        monkeypatch.setattr(gs, "g_invert", counting)
+        got = laxness_witness(model, d, c, pi, [0.3])
+        assert counted["n"] == inversions
+        composed = loss_compose(loss_for(model, d), loss_for(model, c), d, c)
+        assert got == composed(pi, [0.3]) - loss_for(model, lens_compose(d, c))(pi, [0.3])
+        with pytest.raises(InstanceError):
+            laxness_witness(tuple(MODELS), d, c, pi, [0.3])
 
 
 class TestInversionCounts:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from statgames import discrete as ds
+from statgames import gaussian as gs
+from statgames import harness
 from statgames.backend import DISCRETE, GAUSSIAN, random_rows
 from statgames.errors import ShapeError
 from statgames.harness import (
@@ -197,3 +199,47 @@ class TestRunSuite:
             )
         )
         assert rep.passed
+
+
+TRIALS = {
+    "laxators": harness._laxators_trial,
+    "lax-naturality": harness._lax_naturality_trial,
+    "laplace": harness._laplace_trial,
+}
+
+
+class TestTrialInversionCounts:
+    """A trial evaluates each loss once for all of its models, and inverts
+    each channel at each prior it needs once per form call."""
+
+    def counted(self, monkeypatch, module, name):
+        counted = {"n": 0}
+        invert = getattr(module, name)
+
+        def counting(f, pi):
+            counted["n"] += 1
+            return invert(f, pi)
+
+        monkeypatch.setattr(module, name, counting)
+        return counted
+
+    def most_per_trial(self, suite, counted, trials=5):
+        cfg = SuiteConfig(suite=suite, **SUITE_DEFAULTS[suite]["discrete"])
+        most = 0
+        for t in range(trials):
+            counted["n"] = 0
+            TRIALS[suite](harness._rng(3, t), cfg)
+            most = max(most, counted["n"])
+        return most
+
+    def test_one_laxators_trial(self, monkeypatch):
+        counted = self.counted(monkeypatch, ds, "bayes_invert")
+        assert 0 < self.most_per_trial("laxators", counted) <= 7
+
+    def test_one_lax_naturality_trial(self, monkeypatch):
+        counted = self.counted(monkeypatch, ds, "bayes_invert")
+        assert 0 < self.most_per_trial("lax-naturality", counted) <= 30
+
+    def test_one_laplace_trial(self, monkeypatch):
+        counted = self.counted(monkeypatch, gs, "g_invert")
+        assert 0 < self.most_per_trial("laplace", counted) <= 6

@@ -928,6 +928,160 @@ class TestLaxatorVectorForm:
                     assert_same_value(vals[j], loop_compose(first, inner, ef, cd, omega, j))
 
 
+MODEL_AXIS = tuple(DISCRETE_MODELS)
+
+
+def assert_same_form(got, want):
+    """Two vector forms agree bitwise: values where defined, and the mask."""
+    assert got.values.shape == want.values.shape
+    assert np.array_equal(got.defined, want.defined)
+    assert np.array_equal(got.values[got.defined], want.values[want.defined])
+
+
+def assert_same_probes(got, want):
+    """Two ``at_probes`` lists agree bitwise, and raise the same errors."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            assert g == w or (math.isnan(g) and math.isnan(w))
+
+
+class TestModelAxis:
+    """A tuple of models gives one loss whose rows are each model's loss,
+    bitwise, from one form call for all of them."""
+
+    def cases(self, rng, n):
+        """Lens pairs with a stack of priors each: every other pair has
+        support gaps and an unreachable observation, so some
+        observations have zero evidence."""
+        for k in range(n):
+            X, M, Y, U, V, W = spaces(*(int(v) for v in rng.integers(2, 4, size=6)))
+            kernel, draw = (degenerate_copar, degenerate_dist) if k % 2 else (random_copar, random_dist)
+            c = exact_lens(degenerate_copar(rng, X, M, Y, True) if k % 2 else random_copar(rng, X, M, Y))
+            d = perturbed_lens(rng, kernel(rng, U, V, W)) if k % 3 == 2 else exact_lens(kernel(rng, U, V, W))
+            omegas = [draw(rng, X.product(U)) for _ in range(4)]
+            yield c, d, omegas
+
+    def stack(self, states):
+        return ds.Dist(states[0].space, np.stack([s.mass for s in states]))
+
+    def test_loss_rows_are_the_single_model_losses(self):
+        rng = rng_for(60)
+        undefined = 0
+        for c, d, omegas in self.cases(rng, 12):
+            for lens in (lens_tensor(c, d), d):
+                priors = omegas if lens is not d else [random_dist(rng, d.fwd.dom) for _ in omegas]
+                several = loss_for(MODEL_AXIS, lens)
+                singles = [loss_for(m, lens) for m in MODEL_AXIS]
+                for pi in [*priors, self.stack(priors)]:
+                    form = several.values(pi)
+                    assert form.values.shape[0] == len(MODEL_AXIS)
+                    for row, single in enumerate(singles):
+                        assert_same_form(
+                            loss_module.VecForm(form.values[row], form.defined[row]),
+                            single.values(pi),
+                        )
+                probes = [(pi, y) for pi in priors for y in range(lens.fwd.out.size)]
+                for row, single in zip(several.at_probes(probes), singles):
+                    assert_same_probes(row, single.at_probes(probes))
+                    undefined += sum(isinstance(v, SupportError) for v in row)
+        assert undefined > 0
+
+    def test_laxator_rows_are_the_single_model_laxators(self):
+        rng = rng_for(61)
+        undefined = 0
+        for c, d, omegas in self.cases(rng, 12):
+            several = laxator_loss(MODEL_AXIS, c, d)
+            singles = [laxator_loss(m, c, d) for m in MODEL_AXIS]
+            for pi in [*omegas, self.stack(omegas)]:
+                form = several.values(pi)
+                for row, single in enumerate(singles):
+                    assert_same_form(
+                        loss_module.VecForm(form.values[row], form.defined[row]),
+                        single.values(pi),
+                    )
+            probes = [(pi, y) for pi in omegas for y in range(several.obs_dom.size)]
+            for row, single in zip(several.at_probes(probes), singles):
+                assert_same_probes(row, single.at_probes(probes))
+                undefined += sum(isinstance(v, SupportError) for v in row)
+        assert undefined > 0
+
+    def test_composed_rows_are_the_single_model_composites(self):
+        rng = rng_for(62)
+        for c, d, omegas in self.cases(rng, 8):
+            Y = c.fwd.out
+            e = exact_lens(random_copar(rng, Y, ds.unit_space(), spaces(2)[0]))
+            several = loss_compose(loss_for(MODEL_AXIS, e), loss_for(MODEL_AXIS, c), e, c)
+            singles = [loss_compose(loss_for(m, e), loss_for(m, c), e, c) for m in MODEL_AXIS]
+            priors = [random_dist(rng, c.fwd.dom) for _ in range(3)]
+            for pi in [*priors, self.stack(priors)]:
+                form = several.values(pi)
+                for row, single in enumerate(singles):
+                    assert_same_form(
+                        loss_module.VecForm(form.values[row], form.defined[row]),
+                        single.values(pi),
+                    )
+
+    def test_scalar_call_is_the_tuple_of_the_models(self):
+        rng = rng_for(63)
+        checked = raised = 0
+        for c, d, omegas in self.cases(rng, 8):
+            several = laxator_loss(MODEL_AXIS, c, d)
+            for omega in omegas:
+                for y in range(several.obs_dom.size):
+                    values = []
+                    try:
+                        values = [laxator_loss(m, c, d)(omega, y) for m in MODEL_AXIS]
+                    except SupportError:
+                        raised += 1
+                        with pytest.raises(SupportError):
+                            several(omega, y)
+                        continue
+                    assert several(omega, y) == tuple(values)
+                    checked += 1
+        assert checked > 0 and raised > 0
+
+    def test_a_built_tensored_lens_is_not_built_again(self, monkeypatch):
+        rng = rng_for(65)
+        c, d, omegas = next(self.cases(rng, 1))
+        tensored = lens_tensor(c, d)
+        want = laxator_loss(MODEL_AXIS, c, d).values(omegas[0])
+
+        def refuse(*args):
+            raise AssertionError("the tensored lens was built again")
+
+        monkeypatch.setattr(loss_module, "lens_tensor", refuse)
+        assert_same_form(laxator_loss(MODEL_AXIS, c, d, tensored=tensored).values(omegas[0]), want)
+
+    def test_gaussian_forms_carry_no_model_axis(self):
+        c = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
+        for build in (lambda: loss_for(MODEL_AXIS, c), lambda: laxator_loss(MODEL_AXIS, c, c)):
+            with pytest.raises(InstanceError):
+                build()
+
+    def test_laxator_pushes_the_joint_prior_once(self, monkeypatch):
+        pushed = []
+        push = ds.push
+
+        def counting(k, pi):
+            pushed.append(pi.mass)
+            return push(k, pi)
+
+        rng = rng_for(64)
+        c, d, omegas = next(self.cases(rng, 1))
+        omega = omegas[0]
+        for model in [*MODEL_AXIS, MODEL_AXIS]:
+            defect = laxator_loss(model, c, d)
+            monkeypatch.setattr(ds, "push", counting)
+            pushed.clear()
+            defect.values(omega)
+            monkeypatch.undo()
+            at_omega = sum(np.array_equal(m, omega.mass) for m in pushed)
+            assert at_omega == 1
+
+
 class TestObservationRange:
     """A discrete observation is an index into its space: anything else is
     a ``ShapeError`` naming it, never a wrapped or a numpy index."""
