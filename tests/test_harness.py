@@ -7,7 +7,6 @@ import pytest
 
 from statgames import discrete as ds
 from statgames import gaussian as gs
-from statgames import harness
 from statgames.backend import DISCRETE, GAUSSIAN, random_rows
 from statgames.errors import ShapeError
 from statgames.harness import (
@@ -201,13 +200,6 @@ class TestRunSuite:
         assert rep.passed
 
 
-TRIALS = {
-    "laxators": harness._laxators_trial,
-    "lax-naturality": harness._lax_naturality_trial,
-    "laplace": harness._laplace_trial,
-}
-
-
 class TestTrialInversionCounts:
     """A trial evaluates each loss once for all of its models, and inverts
     each channel at each prior it needs once per form call."""
@@ -223,12 +215,11 @@ class TestTrialInversionCounts:
         monkeypatch.setattr(module, name, counting)
         return counted
 
-    def most_per_trial(self, suite, counted, trials=5):
-        cfg = SuiteConfig(suite=suite, **SUITE_DEFAULTS[suite]["discrete"])
+    def most_per_trial(self, suite, counted, seeds=range(5)):
         most = 0
-        for t in range(trials):
+        for seed in seeds:
             counted["n"] = 0
-            TRIALS[suite](harness._rng(3, t), cfg)
+            run_suite(SuiteConfig(suite=suite, **dict(SUITE_DEFAULTS[suite]["discrete"], trials=1, seed=seed)))
             most = max(most, counted["n"])
         return most
 
