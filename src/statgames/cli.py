@@ -127,18 +127,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval_loss(args) -> int:
+    model = LossModel(args.loss)
+    if args.decompose and model not in (LossModel.FE, LossModel.LFE):
+        print("error: --decompose applies to fe and lfe only", file=sys.stderr)
+        return 2
     lens = parse_lens(load_json(args.model))
     prior = parse_state(load_json(args.prior))
     if backend_of(prior) is not lens.backend:
         raise ModelParseError("prior and model are from different instances")
     obs = lens.backend.parse_obs(lens.fwd, args.obs)
-    model = LossModel(args.loss)
     value = loss_for(model, lens)(prior, obs)
     lines = [("loss", value)]
     if args.decompose:
-        if model not in (LossModel.FE, LossModel.LFE):
-            print("--decompose applies to fe and lfe only", file=sys.stderr)
-            return 2
         energy, entropy = energy_entropy_decomp(lens, prior, obs)
         if model is LossModel.LFE:
             energy = value + entropy  # the Laplace energy, at the posterior mean

@@ -23,20 +23,18 @@ tensored lens's joint priors and joint observations, so laxators compose
 with ``loss_compose`` like any other loss; unlike the four models, it is
 signed.
 
-A ``LossFn`` carries one ``form`` field: the loss at one prior, computed
-once and read by the scalar call and by composition.  A form is a
+A loss is its form.  A ``LossFn`` is built from its spaces and its
+``form``: the loss at one prior, computed once and read by the scalar call
+and by composition, and no loss is evaluated any other way.  A form is a
 ``VecForm`` (a discrete loss over its observations) or a ``QuadForm`` (a
 Gaussian loss, a quadratic ``c + g.y + y.H.y / 2`` in the observation);
 each kind has ``at``, ``+`` and ``average`` under a backward channel, so
-``loss_compose`` is written once: a matrix-vector product for vectors, a
-closed form for quadratics.  The MLE model and the laxators are written
-once over forms; each instance's half of the models, picked once through
-the lens's backend, supplies the KL and Laplace forms and the primitives
-they use (``nll``, the negative log-density of a state as a form).  Every
-loss the library builds carries a form.  Only a Gaussian loss built from a
-bare callable (``fe_joint_form`` is one) has none and is averaged by
-Gauss-Hermite quadrature (exact for quadratic integrands), so every
-identity is testable at tight tolerances.
+``loss_compose`` is written once, in closed form: a matrix-vector product
+for vectors, the Gaussian expectation of a quadratic for quadratics.  The
+MLE model and the laxators are written once over forms; each instance's
+half of the models, picked once through the lens's backend, supplies the
+KL, Laplace and joint free-energy forms and the primitives they use
+(``nll``, the negative log-density of a state as a form).
 
 A composite inverts each stage once per prior: ``loss_compose`` hands the
 second stage's backward channel to that stage's form (its ``known``
@@ -159,7 +157,9 @@ class VecForm(NamedTuple):
         ``back``.  Scanning a row's weighted entries in order, the first
         that is undefined or infinite decides: an undefined one leaves the
         average undefined, an infinite one makes it ``+inf``."""
-        weights = _pick(back.rows, sel, rows=True)
+        # contiguous, as the stacked rows ``at_probes`` picks are: numpy sums a
+        # strided row (an inversion's, with a one-point factor) in another order
+        weights = np.ascontiguousarray(_pick(back.rows, sel, rows=True))
         out = ds.rows_expectation(np.where(self.defined, self.values, 0.0), weights)
         ok = self.defined & np.isfinite(self.values)
         bad = (weights > 0) & ~ok[..., None, :]
@@ -214,32 +214,28 @@ class LossFn:
     discrete stack): a ``VecForm`` over the observations ``sel`` indexes,
     or a ``QuadForm``, which ignores ``sel``.  ``known`` may hold ``(family,
     prior, family(prior))``, which a form whose lens has that backward
-    family uses at that very prior.  Composition works on forms.  A
-    discrete loss given by ``fn`` alone gets the form that tabulates
-    ``fn``; a Gaussian one has none, and composes by quadrature.  The
-    scalar call always goes through ``fn``.
+    family uses at that very prior.  Every loss is given by its form, and
+    composition works on forms.
+
+    ``fn(prior, obs)``, the scalar call, reads one observation off the
+    form.  It stays a field only so that a tracer can swap in a wrapped
+    reader with ``dataclasses.replace``; nothing here sets it.
     """
 
-    fn: Callable
     prior_dom: object
     obs_dom: object
-    form: Callable | None = None
+    form: Callable
+    fn: Callable | None = None
 
     def __post_init__(self):
-        if self.form is None:
-            object.__setattr__(self, "form", _models(self.obs_dom).table(self.fn, self.obs_dom))
+        if self.fn is None:
+            object.__setattr__(self, "fn", _models(self.obs_dom).reader(self.form, self.obs_dom))
 
     def __call__(self, prior, obs):
         """The loss at one prior and observation: a float, or a tuple of
         floats for a loss of several models."""
         value = self.fn(prior, obs)
         return value if isinstance(value, tuple) else float(value)
-
-    def values(self, prior, sel=ALL):
-        """The form at ``prior`` (over the observations ``sel`` indexes)."""
-        if self.form is None:
-            raise InstanceError("a Gaussian loss given by fn alone has no form")
-        return self.form(prior, sel)
 
     def at_probes(self, probes) -> list:
         """The loss at each probe ``(prior, observation)``: a float, or the
@@ -250,30 +246,21 @@ class LossFn:
 
     def reindex(self, ch) -> "LossFn":
         """Pre-compose the prior argument with a forward channel."""
-        form = None if self.form is None else reindex(self.form, ch)
-        return LossFn(reindex(self.fn, ch), backend_of(ch).doms(ch)[0], self.obs_dom, form)
-
-
-def _form_loss(prior_dom, obs_dom, form) -> LossFn:
-    """A loss from its form; the scalar call evaluates the one observation
-    it is given."""
-    return LossFn(_models(obs_dom).scalar(form, obs_dom), prior_dom, obs_dom, form)
+        return LossFn(backend_of(ch).doms(ch)[0], self.obs_dom, reindex(self.form, ch))
 
 
 def _loss_sum(a: LossFn, b: LossFn) -> LossFn:
-    """The pointwise sum of two losses on the same spaces, in their forms
-    where both have one."""
-    if a.form is None or b.form is None:
-        return LossFn(lambda pi, y: a.fn(pi, y) + b.fn(pi, y), a.prior_dom, a.obs_dom)
+    """The pointwise sum of two losses on the same spaces."""
+
     def form(pi, sel=ALL, known=None):
         return a.form(pi, sel, known) + b.form(pi, sel, known)
 
-    return _form_loss(a.prior_dom, a.obs_dom, form)
+    return LossFn(a.prior_dom, a.obs_dom, form)
 
 
 def zero_loss(l: BayesLens) -> LossFn:
     prior_dom, obs_dom = l.backend.doms(l.fwd)
-    return _form_loss(prior_dom, obs_dom, _models(obs_dom).zero(obs_dom))
+    return LossFn(prior_dom, obs_dom, _models(obs_dom).zero(obs_dom))
 
 
 def _half_square(chol, M, r) -> QuadForm:
@@ -306,7 +293,7 @@ def _backward(l: BayesLens, pi, known):
 
 def kl_loss(l: BayesLens) -> LossFn:
     """Divergence from the lens's posterior to the exact posterior."""
-    return _form_loss(*l.backend.doms(l.fwd), _models(l.fwd).kl(_simple(l)))
+    return LossFn(*l.backend.doms(l.fwd), _models(l.fwd).kl(_simple(l)))
 
 
 def mle_loss(l: BayesLens) -> LossFn:
@@ -315,7 +302,7 @@ def mle_loss(l: BayesLens) -> LossFn:
     Zero-probability observations give ``+inf`` (a value, not an error).
     """
     nll, onto = _models(l.fwd).nll, prior_pushforward(l.fwd)
-    return _form_loss(*l.backend.doms(l.fwd), lambda pi, sel=ALL, known=None: nll(onto(pi), sel))
+    return LossFn(*l.backend.doms(l.fwd), lambda pi, sel=ALL, known=None: nll(onto(pi), sel))
 
 
 def fe_loss(l: BayesLens) -> LossFn:
@@ -326,9 +313,9 @@ def fe_loss(l: BayesLens) -> LossFn:
 def fe_joint_form(l: BayesLens) -> LossFn:
     """Free energy computed without the pushforward marginalization:
     divergence of the posterior from (prior tensor flat), minus the expected
-    joint log-density.  Agrees with ``fe_loss`` wherever both are finite."""
-    models = _models(_simple(l).fwd)
-    return LossFn(lambda pi, y: models.fe_joint(l, pi, y), *l.backend.doms(l.fwd))
+    joint log-density.  Agrees with ``fe_loss`` wherever both are finite,
+    and shares none of its arithmetic."""
+    return LossFn(*l.backend.doms(l.fwd), _models(_simple(l).fwd).fe_joint(l))
 
 
 def energy_entropy_decomp(l: BayesLens, pi, y) -> tuple[float, float]:
@@ -340,7 +327,7 @@ def energy_entropy_decomp(l: BayesLens, pi, y) -> tuple[float, float]:
 def lfe_loss(l: BayesLens) -> LossFn:
     """Laplacian free energy: energy at the posterior mean minus posterior
     entropy.  Gaussian lenses only."""
-    return _form_loss(*l.backend.doms(l.fwd), _models(l.fwd).lfe(l))
+    return LossFn(*l.backend.doms(l.fwd), _models(l.fwd).lfe(l))
 
 
 def laplace_sigma(l: BayesLens, pi, y) -> np.ndarray:
@@ -364,19 +351,9 @@ def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
     Losses compose in their forms, so a composite costs one form of each
     stage per prior: a discrete first loss is evaluated once for every
     observation it is averaged over, and a Gaussian quadratic is averaged in
-    closed form.  A Gaussian loss given by ``fn`` alone is averaged per call
-    by Gauss-Hermite quadrature."""
+    closed form."""
     mid = prior_pushforward(c.fwd)
     discard = d.backend.discard
-    if Ld.form is None or Lc.form is None:
-
-        def fn(pi, z):
-            mid_prior = mid(pi)
-            first = Ld.fn(mid_prior, z)
-            ystate = gs.g_apply(discard(d.bwd(mid_prior)), z)
-            return first + gs.gauss_hermite_expect(ystate, lambda y: Lc.fn(pi, y))
-
-        return LossFn(fn, Lc.prior_dom, Ld.obs_dom)
 
     def form(pi, sel=ALL, known=None):
         mid_prior = mid(pi)
@@ -384,7 +361,7 @@ def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
         first = Ld.form(mid_prior, sel, (d.bwd, mid_prior, back))
         return first + Lc.form(pi).average(discard(back), sel)
 
-    return _form_loss(Lc.prior_dom, Ld.obs_dom, form)
+    return LossFn(Lc.prior_dom, Ld.obs_dom, form)
 
 
 def _select(model, models):
@@ -421,7 +398,7 @@ def loss_for(model, l: BayesLens) -> LossFn:
             terms[LossModel.FE] = terms[LossModel.KL] + terms[LossModel.MLE]
         return pick(terms)
 
-    return _form_loss(*l.backend.doms(l.fwd), form)
+    return LossFn(*l.backend.doms(l.fwd), form)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +461,7 @@ def laxator_loss(model, c: BayesLens, d: BayesLens, tensored: BayesLens | None =
             terms[LossModel.KL] = terms[LossModel.FE] - terms[LossModel.MLE]
         return pick(terms)
 
-    return _form_loss(*backend.doms(tensored.fwd), form)
+    return LossFn(*backend.doms(tensored.fwd), form)
 
 
 def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float:
@@ -501,9 +478,9 @@ def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float
 class _DiscreteModels:
     """The loss models on the discrete instance, as vector forms."""
 
-    def scalar(self, form, obs_dom):
-        # only the observation's own row is computed; a slice selects it
-        # as a view, with no copy of a large channel's row
+    def reader(self, form, obs_dom):
+        # the scalar call computes only the observation's own row; a slice
+        # selects it as a view, with no copy of a large channel's row
         def fn(pi, y):
             y = DISCRETE.obs_index(obs_dom, y)
             return form(pi, slice(y, y + 1)).at(0, lambda: obs_dom.labels[y])
@@ -531,26 +508,12 @@ class _DiscreteModels:
             return row(form.values[:, 0], form.defined[:, 0])
         return [row(v, ok) for v, ok in zip(form.values[..., 0], form.defined[..., 0])]
 
-    def table(self, fn, obs_dom):
-        """The vector form of a loss given by ``fn`` alone, called at one
-        prior of a stack at a time."""
-
+    def zero(self, obs_dom):
         def form(pi, sel=ALL, known=None):
-            obs = _pick(np.arange(obs_dom.size), sel)
-            obs = np.broadcast_to(obs, pi.mass.shape[:-1] + obs.shape[-1:])
-            vals, defined = np.zeros(obs.shape), np.ones(obs.shape, dtype=bool)
-            for at in np.ndindex(obs.shape):
-                prior = ds.Dist(pi.space, pi.mass[at[:-1]]) if pi.mass.ndim > 1 else pi
-                try:
-                    vals[at] = fn(prior, int(obs[at]))
-                except SupportError:
-                    defined[at] = False
-            return VecForm(vals, defined)
+            values = _pick(np.zeros(pi.mass.shape[:-1] + (obs_dom.size,)), sel)
+            return VecForm(values, np.ones(values.shape, dtype=bool))
 
         return form
-
-    def zero(self, obs_dom):
-        return self.table(lambda pi, y: 0.0, obs_dom)
 
     def stacker(self, models):
         """The map from each model's form to their forms on a leading model
@@ -592,25 +555,32 @@ class _DiscreteModels:
         with np.errstate(divide="ignore"):
             return VecForm(-np.log(mass), np.ones(mass.shape, dtype=bool))
 
-    def _posterior_energy(self, l, pi, y):
-        """The posterior row at ``y`` and the energy ``-log p_fwd(m, y | x)
-        - log p_pi(x)`` over ``(x, m)`` (``+inf`` where the joint density
-        vanishes)."""
-        fr = l.fwd.rows.reshape(l.fwd.dom.size, l.fwd.copar.size, l.fwd.out.size)
+    def _posterior_energy(self, l, pi, sel, known=None):
+        """The posterior rows at the observations ``sel`` and, for each, the
+        energy ``-log p_fwd(m, y | x) - log p_pi(x)`` over ``(x, m)``
+        (``+inf`` where the joint density vanishes)."""
+        by_obs = _pick(l.fwd.rows.reshape(-1, l.fwd.out.size).T, sel, rows=True)  # (y, (x, m))
         with np.errstate(divide="ignore"):
-            energy = -np.log(fr[:, :, y] * pi.mass[:, None])
-        return l.bwd(pi).rows[y], energy.reshape(-1)
+            energy = -np.log(by_obs * np.repeat(pi.mass, l.fwd.copar.size, axis=-1)[..., None, :])
+        return _pick(_backward(l, pi, known).rows, sel, rows=True), energy
 
-    def fe_joint(self, l, pi, y):
-        rho, energy = self._posterior_energy(l, pi, y)
-        pos = rho > 0
-        if np.any(np.isinf(energy[pos])):
-            return math.inf
-        return float(np.dot(rho[pos], np.log(rho[pos]) + energy[pos]))
+    def fe_joint(self, l):
+        def form(pi, sel=ALL, known=None):
+            # E_rho[log rho + energy] over rho > 0, one ``np.dot`` per row:
+            # a BLAS dot's order of summation depends on its operands' length
+            # and layout, so a batched product would move the values' bits
+            rho, energy = self._posterior_energy(l, pi, sel, known)
+            values = np.empty(rho.shape[:-1])
+            for at in np.ndindex(values.shape):
+                pos = rho[at] > 0
+                values[at] = np.dot(rho[at][pos], np.log(rho[at][pos]) + energy[at][pos])
+            return VecForm(values, np.ones(values.shape, dtype=bool))
+
+        return form
 
     def energy_entropy(self, l, pi, y):
-        rho, energy = self._posterior_energy(l, pi, y)
-        return float(ds.rows_expectation(energy, rho[None])[0]), ds.entropy(rho)
+        rho, energy = self._posterior_energy(l, pi, slice(y, y + 1))
+        return float(ds.rows_expectation(energy[0], rho)[0]), ds.entropy(rho[0])
 
     def lfe(self, *args):
         """The Laplace model, its covariance and its mean-collapsed backward
@@ -624,7 +594,7 @@ class _GaussianModels:
     """The loss models on the affine-Gaussian instance, as quadratic forms
     in the observation."""
 
-    def scalar(self, form, obs_dom):
+    def reader(self, form, obs_dom):
         return lambda pi, y: form(pi).at(y)
 
     def at_probes(self, loss, probes):
@@ -636,9 +606,6 @@ class _GaussianModels:
             except (SupportError, SingularityError) as e:
                 out.append(e)
         return out
-
-    def table(self, fn, obs_dom):
-        return None  # no form: composition averages fn by quadrature
 
     def zero(self, n):
         return lambda pi, sel=ALL, known=None: QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
@@ -681,7 +648,9 @@ class _GaussianModels:
         the Laplace model averages where the others use the channel."""
         return lambda ch: gs.GaussChannel(ch.A, ch.b, np.zeros(ch.noise.shape))
 
-    def lfe(self, l):
+    def lfe(self, l, expected=False):
+        """The energy at the posterior mean (``expected``: averaged over the
+        posterior, the joint free energy) minus the posterior entropy."""
         _simple(l)
         fwd = l.fwd
         dx, nz = fwd.dom_dim, fwd.dom_dim + fwd.copar_dim
@@ -699,6 +668,10 @@ class _GaussianModels:
                 (fwd.cod_dim + dx) * gs.LOG_2PI + _logdet(chol_c) + _logdet(chol_pi)
                 - nz * (1.0 + gs.LOG_2PI) - _logdet(chol_post)
             )
+            if expected:  # E[energy] adds tr(S H) / 2, a sum of |W L|^2 / 2 for S = L L'
+                root_c = np.linalg.solve(chol_c, w @ chol_post)
+                root_pi = np.linalg.solve(chol_pi, chol_post[:dx])
+                const += 0.5 * (float(np.sum(root_c**2)) + float(np.sum(root_pi**2)))
             return (
                 _half_square(chol_c, w @ back.A + obs_rows, w @ back.b - fwd.b)
                 + _half_square(chol_pi, back.A[:dx], back.b[:dx] - pi.mean)
@@ -714,9 +687,8 @@ class _GaussianModels:
         except np.linalg.LinAlgError:
             raise SingularityError("energy Hessian is singular") from None
 
-    def fe_joint(self, l, pi, y):
-        expected_energy, entropy = self.energy_entropy(l, pi, y)
-        return expected_energy - entropy
+    def fe_joint(self, l):
+        return self.lfe(l, expected=True)
 
     def energy_entropy(self, l, pi, y):
         """The energy ``z = (x, m) -> -log p_fwd(m, y | x) - log p_pi(x)``

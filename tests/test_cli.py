@@ -279,6 +279,25 @@ class TestEvalLoss:
         assert rc == 1
         assert "y1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loss", ["kl", "mle"])
+    def test_decompose_of_kl_or_mle_is_a_usage_error_before_evaluation(
+        self, tmp_path, capsys, loss
+    ):
+        # y1 has zero evidence, so evaluating the KL loss there would fail
+        deterministic = {"dom": ["x0", "x1"], "cod": ["y0", "y1"], "rows": [[1.0, 0.0], [1.0, 0.0]]}
+        model = write(tmp_path, "m.json", {"fwd": deterministic, "bwd": "exact"})
+        prior = write(tmp_path, "p.json", {"space": ["x0", "x1"], "mass": [0.5, 0.5]})
+        missing = str(tmp_path / "missing.json")
+        for files in ([model, prior], [missing, missing]):
+            rc = main(
+                ["eval-loss", "--model", files[0], "--loss", loss,
+                 "--prior", files[1], "--obs", "y1", "--decompose"]
+            )
+            captured = capsys.readouterr()
+            assert rc == 2 and captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "--decompose" in captured.err
+
     @pytest.mark.parametrize(
         "model, prior, obs",
         [

@@ -19,8 +19,10 @@ from statgames.games import (
 )
 from statgames.lens import BayesLens, exact_inversion, exact_lens, lens_compose
 from statgames.loss import (
+    ALL,
     LossFn,
     LossModel,
+    VecForm,
     kl_loss,
     loss_compose,
     loss_for,
@@ -86,10 +88,20 @@ def exact_pair(rng, sizes=(3, 2, 3, 2, 3)):
     return d, c
 
 
-def const_loss(game_lens, value):
-    from statgames.loss import LossFn
+def shifted_loss(loss, value):
+    """``loss`` plus ``value`` at every prior and observation, in its form."""
 
-    return LossFn(lambda pi, obs: value, *game_lens.backend.doms(game_lens.fwd))
+    def form(pi, sel=ALL, known=None):
+        f = loss.form(pi, sel, known)
+        if isinstance(f, VecForm):
+            return VecForm(f.values + value, f.defined)
+        return f._replace(c=f.c + value)
+
+    return LossFn(loss.prior_dom, loss.obs_dom, form)
+
+
+def const_loss(game_lens, value):
+    return shifted_loss(zero_loss(game_lens), value)
 
 
 class TestGame:
@@ -155,11 +167,7 @@ class TestTwoCells:
         X, M, Y = spaces(3, 2, 3)
         lens = exact_lens(random_copar(rng, X, M, Y))
         base = mle_loss(lens)
-        shifted = LossFn(
-            fn=lambda pi, obs: base.fn(pi, obs) + 0.5,
-            prior_dom=base.prior_dom,
-            obs_dom=base.obs_dom,
-        )
+        shifted = shifted_loss(base, 0.5)
         probes = [(random_dist(rng, X), int(rng.integers(0, 3))) for _ in range(5)]
         return Game(lens=lens, loss=shifted), Game(lens=lens, loss=base), probes
 
@@ -199,11 +207,7 @@ class TestTwoCells:
     def test_vertical_composition_sums(self):
         rng = rng_for(8)
         upper, lower, probes = self.make_games(rng)
-        quarter = LossFn(
-            fn=lambda pi, obs: lower.loss.fn(pi, obs) + 0.25,
-            prior_dom=lower.loss.prior_dom,
-            obs_dom=lower.loss.obs_dom,
-        )
+        quarter = shifted_loss(lower.loss, 0.25)
         middle = Game(lens=lower.lens, loss=quarter)
         w1 = TwoCellWitness(
             from_game=upper,

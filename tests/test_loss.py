@@ -129,7 +129,7 @@ class TestKLLoss:
         _, mask = ds.bayes_invert(lens.fwd, pi)
         calls = []
         monkeypatch.setattr(ds, "bayes_invert", lambda *args: calls.append(args))
-        vals, defined = kl_loss(lens).values(pi)
+        vals, defined = kl_loss(lens).form(pi)
         assert calls == [] and not vals.any()  # bitwise 0, as KL(p, p) is
         assert defined.tolist() == mask.supported.tolist() and not defined.all()
         rebuilt = dataclasses.replace(lens, bwd=lens.bwd)
@@ -233,6 +233,21 @@ class TestFreeEnergy:
             assert fe_joint_form(lens)(pi, y) == pytest.approx(
                 fe_loss(lens)(pi, y), abs=1e-9
             )
+
+    def test_gaussian_joint_form_is_the_expected_energy_minus_entropy(self):
+        # the quadratic form against the energy's expectation computed at
+        # one observation from the densities and the Hessian
+        rng = rng_for(10)
+        for _ in range(20):
+            dx, dm, dy = (int(v) for v in rng.integers(1, 4, size=3))
+            fwd = random_gauss_channel(rng, dx, dm, dy)
+            for lens in (exact_lens(fwd), perturbed_gauss_lens(rng, fwd)):
+                joint = fe_joint_form(lens)
+                pi = random_gauss_state(rng, dx)
+                assert isinstance(joint.form(pi), loss_module.QuadForm)
+                for y in rng.uniform(-2.0, 2.0, size=(3, dy)):
+                    energy, ent = energy_entropy_decomp(lens, pi, y)
+                    assert joint(pi, y) == pytest.approx(energy - ent, rel=1e-12, abs=1e-12)
 
     def test_point_mass_prior(self):
         rng = rng_for(5)
@@ -652,9 +667,9 @@ def assert_same_value(got, want):
 
 
 def assert_vector_matches_scalar(loss, pi):
-    """``loss.values(pi)`` agrees with the scalar call everywhere it is
+    """``loss.form(pi)`` agrees with the scalar call everywhere it is
     defined, and the scalar call raises ``SupportError`` elsewhere."""
-    vals, defined = loss.values(pi)
+    vals, defined = loss.form(pi)
     assert vals.shape == defined.shape == (loss.obs_dom.size,)
     for y in range(loss.obs_dom.size):
         if defined[y]:
@@ -755,25 +770,6 @@ class TestVectorForm:
         for w in range(2):
             assert_same_value(vals[w], loop_compose(fe_loss(e), inner, e, dc, pi, w))
 
-    def test_loss_from_fn_alone_composes(self):
-        rng = rng_for(33)
-        X, M, Y, N, Z = spaces(3, 2, 3, 2, 3)
-        c = perturbed_lens(rng, degenerate_copar(rng, X, M, Y))
-        d = exact_lens(random_copar(rng, Y, N, Z))
-        for model in DISCRETE_MODELS:
-            Lc = loss_for(model, c)
-            bare = loss_module.LossFn(Lc.fn, Lc.prior_dom, Lc.obs_dom)
-            assert bare.form is not None  # the form that tabulates fn
-            pi = degenerate_dist(rng, X)
-            assert_vector_matches_scalar(bare, pi)
-            with_vec = loss_compose(loss_for(model, d), Lc, d, c)
-            tabulated = loss_compose(loss_for(model, d), bare, d, c)
-            want, want_defined = with_vec.values(pi)
-            got, got_defined = assert_vector_matches_scalar(tabulated, pi)
-            assert got_defined.tolist() == want_defined.tolist()
-            for z in np.nonzero(got_defined)[0]:
-                assert_same_value(got[z], want[z])
-
     def test_reindex_and_vertical_composite_carry_the_vector_form(self):
         rng = rng_for(34)
         X, M, Y, N, Z = spaces(3, 2, 3, 2, 3)
@@ -781,12 +777,12 @@ class TestVectorForm:
         d = exact_lens(random_copar(rng, Y, N, Z))
         pi = random_dist(rng, X)
         reindexed = mle_loss(d).reindex(c.fwd)
-        assert isinstance(reindexed.values(pi), loss_module.VecForm)
+        assert isinstance(reindexed.form(pi), loss_module.VecForm)
         assert_vector_matches_scalar(reindexed, pi)
         game = Game(lens=c, loss=mle_loss(c))
         w = TwoCellWitness(game, game, zero_loss(c))
         summed = game_vcompose(w, w).K
-        assert isinstance(summed.values(pi), loss_module.VecForm)
+        assert isinstance(summed.form(pi), loss_module.VecForm)
         vals, defined = assert_vector_matches_scalar(summed, pi)
         assert defined.all() and not vals.any()
 
@@ -794,11 +790,7 @@ class TestVectorForm:
         lens = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
         loss = mle_loss(lens)
         pi = gs.GaussState([0.0], [[1.0]])
-        assert isinstance(loss.values(pi), loss_module.QuadForm)
-        bare = loss_module.LossFn(loss.fn, loss.prior_dom, loss.obs_dom)
-        assert bare.form is None
-        with pytest.raises(InstanceError):
-            bare.values(pi)
+        assert isinstance(loss.form(pi), loss_module.QuadForm)
 
 
 class TestLaxatorVectorForm:
@@ -810,7 +802,7 @@ class TestLaxatorVectorForm:
             c = exact_lens(degenerate_copar(rng, X, M, Y))
             d = perturbed_lens(rng, random_copar(rng, U, V, W))
             for omega in (random_dist(rng, X.product(U)), degenerate_dist(rng, X.product(U))):
-                vals, defined = laxator_loss(model, c, d).values(omega)
+                vals, defined = laxator_loss(model, c, d).form(omega)
                 assert vals.shape == (Y.size * W.size,) and not np.isnan(vals[defined]).any()
                 for y in range(Y.size):
                     for y2 in range(W.size):
@@ -835,7 +827,7 @@ class TestLaxatorVectorForm:
             omega = degenerate_dist(rng, X.product(U))
             tensored = lens_tensor(c, d)
             for model in DISCRETE_MODELS:
-                vals, defined = laxator_loss(model, c, d).values(omega)
+                vals, defined = laxator_loss(model, c, d).form(omega)
                 assert not np.isnan(vals[defined]).any()
             for model in (LossModel.KL, LossModel.FE):
                 for y in range(Y.size):
@@ -854,7 +846,7 @@ class TestLaxatorVectorForm:
         c = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
         omega = gs.GaussState([0.0, 0.0], np.eye(2))
         for model in GAUSS_MODELS + [LossModel.LFE]:
-            assert isinstance(laxator_loss(model, c, c).values(omega), loss_module.QuadForm)
+            assert isinstance(laxator_loss(model, c, c).form(omega), loss_module.QuadForm)
         lens = exact_lens(ds.identity_kernel(X2))
         with pytest.raises(InstanceError):
             laxator_loss(LossModel.LFE, lens, lens)
@@ -878,7 +870,7 @@ class TestLaxatorVectorForm:
             for k in range(10):
                 omega = random_dist(rng, X.product(U))
                 defect(omega, k % (Y.size * W.size))
-                defect.values(omega)
+                defect.form(omega)
             assert counted["n"] == 1
         g = exact_lens(random_gauss_channel(rng, 1, 1, 1))
         g2 = exact_lens(random_gauss_channel(rng, 2, 0, 1))
@@ -976,12 +968,12 @@ class TestModelAxis:
                 several = loss_for(MODEL_AXIS, lens)
                 singles = [loss_for(m, lens) for m in MODEL_AXIS]
                 for pi in [*priors, self.stack(priors)]:
-                    form = several.values(pi)
+                    form = several.form(pi)
                     assert form.values.shape[0] == len(MODEL_AXIS)
                     for row, single in enumerate(singles):
                         assert_same_form(
                             loss_module.VecForm(form.values[row], form.defined[row]),
-                            single.values(pi),
+                            single.form(pi),
                         )
                 probes = [(pi, y) for pi in priors for y in range(lens.fwd.out.size)]
                 for row, single in zip(several.at_probes(probes), singles):
@@ -996,11 +988,11 @@ class TestModelAxis:
             several = laxator_loss(MODEL_AXIS, c, d)
             singles = [laxator_loss(m, c, d) for m in MODEL_AXIS]
             for pi in [*omegas, self.stack(omegas)]:
-                form = several.values(pi)
+                form = several.form(pi)
                 for row, single in enumerate(singles):
                     assert_same_form(
                         loss_module.VecForm(form.values[row], form.defined[row]),
-                        single.values(pi),
+                        single.form(pi),
                     )
             probes = [(pi, y) for pi in omegas for y in range(several.obs_dom.size)]
             for row, single in zip(several.at_probes(probes), singles):
@@ -1017,11 +1009,11 @@ class TestModelAxis:
             singles = [loss_compose(loss_for(m, e), loss_for(m, c), e, c) for m in MODEL_AXIS]
             priors = [random_dist(rng, c.fwd.dom) for _ in range(3)]
             for pi in [*priors, self.stack(priors)]:
-                form = several.values(pi)
+                form = several.form(pi)
                 for row, single in enumerate(singles):
                     assert_same_form(
                         loss_module.VecForm(form.values[row], form.defined[row]),
-                        single.values(pi),
+                        single.form(pi),
                     )
 
     def test_scalar_call_is_the_tuple_of_the_models(self):
@@ -1047,13 +1039,13 @@ class TestModelAxis:
         rng = rng_for(65)
         c, d, omegas = next(self.cases(rng, 1))
         tensored = lens_tensor(c, d)
-        want = laxator_loss(MODEL_AXIS, c, d).values(omegas[0])
+        want = laxator_loss(MODEL_AXIS, c, d).form(omegas[0])
 
         def refuse(*args):
             raise AssertionError("the tensored lens was built again")
 
         monkeypatch.setattr(loss_module, "lens_tensor", refuse)
-        assert_same_form(laxator_loss(MODEL_AXIS, c, d, tensored=tensored).values(omegas[0]), want)
+        assert_same_form(laxator_loss(MODEL_AXIS, c, d, tensored=tensored).form(omegas[0]), want)
 
     def test_gaussian_forms_carry_no_model_axis(self):
         c = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
@@ -1076,7 +1068,7 @@ class TestModelAxis:
             defect = laxator_loss(model, c, d)
             monkeypatch.setattr(ds, "push", counting)
             pushed.clear()
-            defect.values(omega)
+            defect.form(omega)
             monkeypatch.undo()
             at_omega = sum(np.array_equal(m, omega.mass) for m in pushed)
             assert at_omega == 1
@@ -1097,9 +1089,8 @@ class TestObservationRange:
     def losses(self):
         c, d = self.lenses()
         models = [loss_for(m, c) for m in DISCRETE_MODELS]
-        bare = loss_module.LossFn(mle_loss(c).fn, X2, Y2)
         composite = loss_compose(fe_loss(d), kl_loss(c), d, c)
-        return [*models, bare, zero_loss(c), composite, mle_loss(d).reindex(c.fwd)]
+        return [*models, fe_joint_form(c), zero_loss(c), composite, mle_loss(d).reindex(c.fwd)]
 
     @pytest.mark.parametrize("y", BAD)
     def test_losses_reject_a_bad_observation(self, y):
@@ -1233,7 +1224,7 @@ class TestGaussianForm:
             c, d, pi = self.pair(rng, *shape)
             Ld, Lc = loss_for(model, d), loss_for(model, c)
             comp = loss_compose(Ld, Lc, d, c)
-            assert isinstance(comp.values(pi), loss_module.QuadForm)
+            assert isinstance(comp.form(pi), loss_module.QuadForm)
             z = rng.uniform(-1.0, 1.0, size=shape[2])
             want = quadrature_compose(Ld, Lc, d, c, pi, z)
             assert comp(pi, z) == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -1245,7 +1236,7 @@ class TestGaussianForm:
         dc = lens_compose(d, c)
         inner = loss_compose(fe_loss(d), fe_loss(c), d, c)
         reindexed = mle_loss(d).reindex(c.fwd)
-        assert isinstance(reindexed.values(pi), loss_module.QuadForm)
+        assert isinstance(reindexed.form(pi), loss_module.QuadForm)
         for w in rng.uniform(-1.0, 1.0, size=(3, 2)):
             for Lc in (inner, reindexed):
                 outer = loss_compose(fe_loss(e), Lc, e, dc)
@@ -1258,32 +1249,11 @@ class TestGaussianForm:
         game = Game(lens=c, loss=kl_loss(c))
         w = TwoCellWitness(game, game, kl_loss(c))
         summed = game_vcompose(w, TwoCellWitness(game, game, zero_loss(c))).K
-        assert isinstance(summed.values(pi), loss_module.QuadForm)
+        assert isinstance(summed.form(pi), loss_module.QuadForm)
         z = rng.uniform(-1.0, 1.0, size=2)
         comp = loss_compose(mle_loss(d), summed, d, c)
         want = quadrature_compose(mle_loss(d), kl_loss(c), d, c, pi, z)
         assert comp(pi, z) == pytest.approx(want, rel=1e-9, abs=1e-9)
-
-    def test_loss_from_fn_alone_composes_by_quadrature(self, monkeypatch):
-        rng = rng_for(44)
-        c, d, pi = self.pair(rng, 2, 2, 2, 0, 1)
-        Lc = kl_loss(c)
-        bare = loss_module.LossFn(Lc.fn, Lc.prior_dom, Lc.obs_dom)
-        calls = {"n": 0}
-        hermite = gs.gauss_hermite_expect
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return hermite(*args, **kwargs)
-
-        monkeypatch.setattr(gs, "gauss_hermite_expect", counting)
-        z = rng.uniform(-1.0, 1.0, size=2)
-        closed = loss_compose(kl_loss(d), Lc, d, c)(pi, z)
-        assert calls["n"] == 0
-        tabulated = loss_compose(kl_loss(d), bare, d, c)
-        assert tabulated.form is None
-        assert tabulated(pi, z) == pytest.approx(closed, rel=1e-9, abs=1e-9)
-        assert calls["n"] == 1
 
     def test_singular_approximate_posterior_gives_infinity(self):
         rng = rng_for(45)
@@ -1376,21 +1346,13 @@ class TestGaussianLaxators:
                 for d in self.lenses(rng, dx2, 1 - dm, dy2):
                     defect = laxator_loss(model, c, d)
                     omega = random_gauss_state(rng, dx + dx2)
-                    assert isinstance(defect.values(omega), loss_module.QuadForm)
+                    assert isinstance(defect.form(omega), loss_module.QuadForm)
                     for obs in rng.uniform(-1.5, 1.5, size=(3, dy + dy2)):
                         want = pointwise_laxator(model, c, d, omega, obs)
                         assert defect(omega, obs) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
-    def test_composed_laxators_match_quadrature(self, model, monkeypatch):
-        calls = {"n": 0}
-        hermite = gs.gauss_hermite_expect
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return hermite(*args, **kwargs)
-
-        monkeypatch.setattr(gs, "gauss_hermite_expect", counting)
+    def test_composed_laxators_match_quadrature(self, model):
         rng = rng_for(49)
         for dy, dy2 in [(1, 1), (2, 1)]:
             c = perturbed_gauss_lens(rng, random_gauss_channel(rng, 2, 1, dy))
@@ -1399,21 +1361,12 @@ class TestGaussianLaxators:
             f = perturbed_gauss_lens(rng, random_gauss_channel(rng, dy2, 1, 2))
             cd, ef = lens_tensor(c, d), lens_tensor(e, f)
             composed = loss_compose(laxator_loss(model, e, f), laxator_loss(model, c, d), ef, cd)
-            # the oracle averages the scalar laxator, given as a bare
-            # callable, by quadrature over the intermediate observation
-            first = loss_module.LossFn(
-                lambda pi, z: laxator(model, e, f, pi, z[:1], z[1:]), dy + dy2, 3
-            )
-            inner = loss_module.LossFn(
-                lambda pi, y: laxator(model, c, d, pi, y[:dy], y[dy:]), 3, dy + dy2
-            )
-            by_quadrature = loss_compose(first, inner, ef, cd)
-            assert by_quadrature.form is None
+            # the oracle averages the scalar laxator by quadrature over the
+            # intermediate observation
+            first = lambda pi, z: laxator(model, e, f, pi, z[:1], z[1:])  # noqa: E731
+            inner = lambda pi, y: laxator(model, c, d, pi, y[:dy], y[dy:])  # noqa: E731
             omega = random_gauss_state(rng, 3)
             for z in rng.uniform(-1.0, 1.0, size=(2, 3)):
-                calls["n"] = 0
-                assert isinstance(composed.values(omega), loss_module.QuadForm)
-                got = composed(omega, z)
-                assert calls["n"] == 0
-                assert got == pytest.approx(by_quadrature(omega, z), rel=1e-9, abs=1e-9)
-                assert calls["n"] == 1
+                assert isinstance(composed.form(omega), loss_module.QuadForm)
+                want = quadrature_compose(first, inner, ef, cd, omega, z)
+                assert composed(omega, z) == pytest.approx(want, rel=1e-9, abs=1e-9)

@@ -11,6 +11,11 @@ renames or moves one breaks traced benchmark runs and nothing else.  The
 tracer also swaps a loss's ``fn`` field with ``dataclasses.replace``, so the
 scalar call of every loss must go through that field.
 
+A loss is its form: every public loss builder gives a loss with a form on
+each instance where its model is defined, no package module sets ``fn``
+itself, and no package module but ``gaussian.py`` refers to Gauss-Hermite
+quadrature, which the tests keep as an oracle.
+
 The instance (discrete or Gaussian) is picked in one place: no module
 compares against an instance name or tests for an instance type outside the
 backend selector, the suite registry and the command line's ``--instance``
@@ -30,7 +35,21 @@ import pytest
 from statgames import discrete as ds
 from statgames import gaussian as gs
 from statgames.lens import exact_lens
-from statgames.loss import LossFn, kl_loss, loss_compose, mle_loss
+from statgames.loss import (
+    LossFn,
+    LossModel,
+    QuadForm,
+    VecForm,
+    fe_joint_form,
+    fe_loss,
+    kl_loss,
+    laxator_loss,
+    lfe_loss,
+    loss_compose,
+    loss_for,
+    mle_loss,
+    zero_loss,
+)
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "statgames"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -200,3 +219,66 @@ def test_loss_scalar_call_goes_through_the_fn_field():
         swapped = dataclasses.replace(loss, fn=counted)
         assert swapped(pi, obs) == loss(pi, obs)
         assert calls == [obs]
+
+
+# -- a loss is its form ----------------------------------------------------------
+
+SEVERAL = (LossModel.KL, LossModel.MLE, LossModel.FE)
+BOTH = ("discrete", "gaussian")
+#: each public loss builder, as a function of one lens, and the instances
+#: where its model is defined
+LOSS_BUILDERS = {
+    "kl_loss": (kl_loss, BOTH),
+    "mle_loss": (mle_loss, BOTH),
+    "fe_loss": (fe_loss, BOTH),
+    "lfe_loss": (lfe_loss, ("gaussian",)),
+    "fe_joint_form": (fe_joint_form, BOTH),
+    "zero_loss": (zero_loss, BOTH),
+    "laxator_loss": (lambda l: laxator_loss(LossModel.FE, l, l), BOTH),
+    "laxator_loss-lfe": (lambda l: laxator_loss(LossModel.LFE, l, l), ("gaussian",)),
+    "laxator_loss-several": (lambda l: laxator_loss(SEVERAL, l, l), ("discrete",)),
+    "loss_for-several": (lambda l: loss_for(SEVERAL, l), ("discrete",)),
+}
+
+
+def instance_case(instance):
+    """A lens of the instance, and maps from a loss's prior space to a
+    prior and from its observation space to an observation."""
+    if instance == "discrete":
+        X, M, Y = (ds.space([f"{p}{i}" for i in range(2)]) for p in "xmy")
+        rows = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
+        return exact_lens(ds.CoparKernel(X, M, Y, rows)), ds.uniform, lambda space: 1
+    lens = exact_lens(gs.GaussChannel([[1.0], [0.5]], [0.0, 0.0], np.eye(2), copar_dim=1))
+    return lens, lambda n: gs.GaussState(np.zeros(n), np.eye(n)), lambda n: np.full(n, 0.5)
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_BUILDERS))
+def test_every_loss_builder_gives_a_form_on_each_instance(name):
+    build, instances = LOSS_BUILDERS[name]
+    for instance in instances:
+        lens, prior_on, obs_on = instance_case(instance)
+        loss = build(lens)
+        prior, obs = prior_on(loss.prior_dom), obs_on(loss.obs_dom)
+        form = loss.form(prior)
+        assert isinstance(form, VecForm if instance == "discrete" else QuadForm)
+        assert loss(prior, obs) == form.at(obs)
+
+
+def test_a_loss_cannot_be_built_without_a_form():
+    form = {f.name: f for f in dataclasses.fields(LossFn)}["form"]
+    assert form.default is dataclasses.MISSING is form.default_factory
+    with pytest.raises(TypeError):
+        LossFn(ds.space(["x0"]), ds.space(["y0"]))
+
+
+def test_no_package_module_sets_the_fn_field():
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _names(node.func)[-1:] == ["LossFn"]:
+                assert len(node.args) <= 3, f"{path.name}:{node.lineno}"
+                assert "fn" not in {k.arg for k in node.keywords}, f"{path.name}:{node.lineno}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "gaussian.py"], ids=lambda p: p.name)
+def test_only_the_gaussian_module_refers_to_quadrature(path):
+    assert "gauss_hermite_expect" not in path.read_text()
