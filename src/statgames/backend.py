@@ -199,7 +199,7 @@ class Discrete:
 
     def channel_to_obj(self, ch) -> dict:
         obj = {"dom": _flat_labels(ch.dom), "cod": _flat_labels(ch.out), "rows": _floats(ch.rows)}
-        if ch.copar.size > 1:
+        if ch.copar.n_factors:  # a one-outcome coparameter is a factor too
             obj["copar"] = _flat_labels(ch.copar)
         if ch.copar_side != "left":
             obj["copar_side"] = ch.copar_side
@@ -210,6 +210,11 @@ class Discrete:
 
     def states_match(self, a, b) -> bool:
         return a.space == b.space and np.allclose(a.mass, b.mass, atol=1e-9)
+
+    def content_key(self, s) -> tuple:
+        """A key equal for two states (or stacks) exactly when they are
+        bitwise equal: the space, the shape and the bytes of the mass."""
+        return s.space, s.mass.shape, s.mass.tobytes()
 
     # -- the command line --------------------------------------------------
 
@@ -351,7 +356,10 @@ class Gaussian:
 
     def channel_to_obj(self, ch) -> dict:
         obj = {key: _floats(getattr(ch, key)) for key in ("A", "b", "noise")}
-        return {**obj, "copar_dim": int(ch.copar_dim)}
+        obj["copar_dim"] = int(ch.copar_dim)
+        if ch.copar_side != "left":
+            obj["copar_side"] = ch.copar_side
+        return obj
 
     def state_to_obj(self, s) -> dict:
         return {"mean": _floats(s.mean), "cov": _floats(s.cov)}
@@ -359,6 +367,9 @@ class Gaussian:
     def states_match(self, a, b) -> bool:
         pairs = ((a.mean, b.mean), (a.cov, b.cov))
         return a.dim == b.dim and all(np.allclose(u, v, atol=1e-9) for u, v in pairs)
+
+    def content_key(self, s) -> tuple:
+        return s.mean.shape, s.mean.tobytes(), s.cov.shape, s.cov.tobytes()
 
     # -- the command line --------------------------------------------------
 

@@ -242,16 +242,18 @@ def g_invert(c: GaussChannel, prior: GaussState) -> GaussChannel:
     mean_cod = c.A @ prior.mean + c.b
     cov_x_cod = prior.cov @ c.A.T  # cov(x, (m, y))
     cov_cod = c.A @ prior.cov @ c.A.T + c.noise
-    # z = (x, m), conditioned on y
+    # z = (x, m), conditioned on y; the blocks are copied into place
+    dx, dy = prior.dim, c.out_dim
     mean_z = np.concatenate([prior.mean, mean_cod[:dm]])
     mean_y = mean_cod[dm:]
-    cov_zz = np.block(
-        [
-            [prior.cov, cov_x_cod[:, :dm]],
-            [cov_x_cod[:, :dm].T, cov_cod[:dm, :dm]],
-        ]
-    )
-    cov_zy = np.vstack([cov_x_cod[:, dm:], cov_cod[:dm, dm:]])
+    cov_zz = np.empty((dx + dm, dx + dm))
+    cov_zz[:dx, :dx] = prior.cov
+    cov_zz[:dx, dx:] = cov_x_cod[:, :dm]
+    cov_zz[dx:, :dx] = cov_x_cod[:, :dm].T
+    cov_zz[dx:, dx:] = cov_cod[:dm, :dm]
+    cov_zy = np.empty((dx + dm, dy))
+    cov_zy[:dx] = cov_x_cod[:, dm:]
+    cov_zy[dx:] = cov_cod[:dm, dm:]
     cov_yy = cov_cod[dm:, dm:]
     try:
         gain = np.linalg.solve(cov_yy, cov_zy.T).T

@@ -8,7 +8,9 @@ with the discarded forward).
 
 Backward families are callables: priors form a continuum even in the
 discrete case, so they cannot be tabulated.  They must be pure -- equal
-priors must yield identical backward channels.
+priors must yield identical backward channels.  The exact family remembers
+its last prior, by exact content, and that prior's inversion, so the terms
+of a law that all need one stage's inversion at one prior invert it once.
 
 A discrete family is also called at a *stack* of priors (a ``Dist`` whose
 ``mass`` is ``(P, n)``) and returns a stack of channels, or one channel for
@@ -100,10 +102,25 @@ def reindex(statefn: Callable, ch: Channel) -> Callable:
 
 
 def exact_lens(ch) -> BayesLens:
-    """The lens whose backward family is exact Bayesian inversion."""
+    """The lens whose backward family is exact Bayesian inversion.
+
+    The family remembers its last prior and that prior's inversion: called
+    at a prior bitwise equal to the last one (``Backend.content_key``; a
+    stack of priors is its own key), it returns the same channel without
+    inverting again.  A failed inversion is not remembered.
+    """
     if ch.copar_side != "left":
         raise ShapeError("forward channel must carry its coparameter leading")
-    lens = BayesLens(fwd=ch, bwd=lambda pi: exact_inversion(ch, pi), simple=True)
+    last = (None, None)  # (key of the last prior, its inversion)
+
+    def bwd(pi):
+        nonlocal last
+        key = backend_of(pi).content_key(pi)
+        if key != last[0]:
+            last = (key, exact_inversion(ch, pi))
+        return last[1]
+
+    lens = BayesLens(fwd=ch, bwd=bwd, simple=True)
     object.__setattr__(lens, "exact", True)
     return lens
 

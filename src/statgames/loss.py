@@ -36,9 +36,15 @@ half of the models, picked once through the lens's backend, supplies the
 KL, Laplace and joint free-energy forms and the primitives they use
 (``nll``, the negative log-density of a state as a form).
 
-A composite inverts each stage once per prior: ``loss_compose`` hands the
-second stage's backward channel to that stage's form (its ``known``
-argument), and the KL loss of an ``exact_lens`` inverts nothing more.  On
+Each stage is inverted once per prior.  An ``exact_lens`` remembers its
+last prior and that prior's inversion, so the terms of a law that need a
+stage's inversion at one prior share it: a Gaussian pair's KL witness
+makes three inversions (each stage at its prior, the composite's forward
+at the prior), its MLE witness one, and its KL, MLE and FE witnesses and
+its buco residual five in all.  ``loss_compose`` also hands the second
+stage's backward channel to that stage's form (its ``known`` argument),
+which saves the evaluation for a lens that is not exact, and the KL loss
+of an ``exact_lens`` inverts nothing more.  On
 the discrete instance a form also takes a stack of priors (a ``Dist``
 whose ``mass`` is ``(P, n)``) and returns a ``VecForm`` with the same
 leading axis, so ``LossFn.at_probes`` evaluates a loss at many probes in
@@ -565,6 +571,8 @@ class _DiscreteModels:
         return _pick(_backward(l, pi, known).rows, sel, rows=True), energy
 
     def fe_joint(self, l):
+        onto = prior_pushforward(l.fwd)
+
         def form(pi, sel=ALL, known=None):
             # E_rho[log rho + energy] over rho > 0, one ``np.dot`` per row:
             # a BLAS dot's order of summation depends on its operands' length
@@ -574,11 +582,15 @@ class _DiscreteModels:
             for at in np.ndindex(values.shape):
                 pos = rho[at] > 0
                 values[at] = np.dot(rho[at][pos], np.log(rho[at][pos]) + energy[at][pos])
-            return VecForm(values, np.ones(values.shape, dtype=bool))
+            # undefined at zero evidence, where ``rho`` is no posterior
+            return VecForm(values, _pick(onto(pi).mass, sel) > 0)
 
         return form
 
     def energy_entropy(self, l, pi, y):
+        y = DISCRETE.obs_index(l.fwd.out, y)
+        if not prior_pushforward(l.fwd)(pi).mass[y] > 0:
+            raise _undefined(l.fwd.out.labels[y])
         rho, energy = self._posterior_energy(l, pi, slice(y, y + 1))
         return float(ds.rows_expectation(energy[0], rho)[0]), ds.entropy(rho[0])
 

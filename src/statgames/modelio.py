@@ -7,19 +7,22 @@ Discrete kernel::
 ``rows`` is row-major, one row per domain point, flat or nested; ``copar``
 marks the leading block of the codomain (pass ``"copar_side": "right"`` for
 a trailing block, as inversions have).  A distribution is
-``{"space": [labels], "mass": [numbers]}``.
+``{"space": [labels], "mass": [numbers]}``.  A product space is written
+flat, each outcome's factor labels joined by ``|``, and is read back as one
+atomic space.
 
 Gaussian channel::
 
     {"A": matrix, "b": vector, "noise": matrix, "copar_dim": int?}
 
-and a state is ``{"mean": vector, "cov": matrix}``.
+and a state is ``{"mean": vector, "cov": matrix}``; an inversion carries
+``"copar_side": "right"`` here too.
 
 A lens bundle is ``{"fwd": <channel>, "bwd": "exact"}`` for exact
 inversion, or ``{"fwd": ..., "bwd": [{"prior": <state>, "channel":
-<channel>}, ...]}`` tabulating backward channels for named priors (the
-evaluation prior, or each prior of a discrete stack, must match a
-tabulated one).
+<channel>}, ...]}`` tabulating backward channels for one or more named
+priors (the evaluation prior, or each prior of a discrete stack, must
+match a tabulated one).
 
 Parsers reject non-stochastic input with a diagnostic naming the offending
 row.
@@ -80,8 +83,8 @@ def parse_lens(obj) -> BayesLens:
     bwd_spec = obj.get("bwd", "exact")
     if bwd_spec == "exact":
         return exact_lens(fwd)
-    if not isinstance(bwd_spec, list):
-        raise ModelParseError("'bwd' must be \"exact\" or a list of prior/channel pairs")
+    if not isinstance(bwd_spec, list) or not bwd_spec:
+        raise ModelParseError("'bwd' must be \"exact\" or a non-empty list of prior/channel pairs")
     table = []
     for i, entry in enumerate(bwd_spec):
         if not isinstance(entry, dict) or "prior" not in entry or "channel" not in entry:

@@ -261,7 +261,29 @@ class TestFreeEnergy:
             assert joint(pi, y) == pytest.approx(fe(pi, y), abs=1e-12)
 
 
+    def test_joint_form_is_undefined_at_zero_evidence(self):
+        # ``y1`` has zero evidence: ``fe_loss`` raises there, and so does the
+        # joint form, for an exact lens and for one that is not
+        fwd = ds.FiniteKernel(X2, Y2, [[1.0, 0.0], [1.0, 0.0]])
+        pi = ds.uniform(X2)
+        for lens in (exact_lens(fwd), perturbed_lens(rng_for(9), fwd)):
+            joint = fe_joint_form(lens)
+            for loss in (fe_loss(lens), joint):
+                with pytest.raises(SupportError, match="y1"):
+                    loss(pi, 1)
+            assert joint.form(pi).defined.tolist() == [True, False]
+            assert joint(pi, 0) == pytest.approx(fe_loss(lens)(pi, 0), abs=1e-12)
+
+
 class TestThermodynamicSplit:
+    def test_split_is_undefined_at_zero_evidence(self):
+        fwd = ds.FiniteKernel(X2, Y2, [[1.0, 0.0], [1.0, 0.0]])
+        for lens in (exact_lens(fwd), perturbed_lens(rng_for(9), fwd)):
+            with pytest.raises(SupportError, match="y1"):
+                energy_entropy_decomp(lens, ds.uniform(X2), 1)
+            energy, ent = energy_entropy_decomp(lens, ds.uniform(X2), 0)
+            assert energy - ent == pytest.approx(fe_loss(lens)(ds.uniform(X2), 0), abs=1e-12)
+
     def test_difference_is_fe(self):
         rng = rng_for(6)
         X, M, Y = spaces(3, 2, 4)

@@ -1,5 +1,8 @@
 """Property-based differential tests: each batched path of the discrete
-losses against the path it batches, compared bitwise on drawn shapes.
+losses against the path it batches, compared bitwise on drawn shapes; the
+exact lens's remembered inversion against a fresh one; the Gaussian
+inversion against its block assembly; model objects through JSON and back;
+and malformed model files against the command line.
 
 Hypothesis draws the structure of a case: factor sizes from 1 (a
 one-outcome factor) to 3, whether each kernel has support gaps (zero
@@ -9,15 +12,26 @@ numpy draws the numbers from a drawn seed.  Runs are deterministic: the
 examples are derived from the test, not random, and no database is kept.
 """
 
+import contextlib
+import copy
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statgames import discrete as ds
+from statgames import gaussian as gs
 from statgames import loss as loss_module
-from statgames.errors import SupportError
+from statgames import modelio
+from statgames.backend import GAUSSIAN, backend_of
+from statgames.cli import main
+from statgames.errors import ShapeError, SingularityError, SupportError
 from statgames.lens import BayesLens, exact_inversion, exact_lens
 from statgames.loss import (
     ALL,
@@ -122,8 +136,12 @@ def tabulated(fn, prior_dom, obs_dom) -> LossFn:
 
 def fe_joint_scalar(l, pi, y) -> float:
     """The joint free energy at one observation, one posterior row at a
-    time: ``E_rho[log rho + energy]`` over the entries where ``rho > 0``."""
+    time: ``E_rho[log rho + energy]`` over the entries where ``rho > 0``;
+    undefined, as the free energy is, where the observation has zero
+    evidence."""
     fr = l.fwd.rows.reshape(l.fwd.dom.size, l.fwd.copar.size, l.fwd.out.size)
+    if not pi.mass @ fr[:, :, y].sum(axis=1) > 0:
+        raise SupportError(f"observation {y} has zero evidence")
     with np.errstate(divide="ignore"):
         energy = -np.log(fr[:, :, y] * pi.mass[:, None]).reshape(-1)
     rho = l.bwd(pi).rows[y]
@@ -244,7 +262,13 @@ def test_fe_joint_form_is_the_per_observation_scalar(case):
         assert_same_form(joint.form(pi), oracle.form(pi))
     for pi in priors:
         for y in range(l.fwd.out.size):
-            assert same_bits(joint(pi, y), fe_joint_scalar(l, pi, y))
+            try:
+                want = fe_joint_scalar(l, pi, y)
+            except SupportError:
+                with pytest.raises(SupportError):
+                    joint(pi, y)
+            else:
+                assert same_bits(joint(pi, y), want)
 
 
 def test_at_probes_is_the_scalar_call_where_a_backward_row_is_strided():
@@ -260,3 +284,258 @@ def test_at_probes_is_the_scalar_call_where_a_backward_row_is_strided():
         priors = [ds.Dist(X, m / m.sum()) for m in rng.gamma(1.0, size=(3, X.size)) + 0.05]
         for m in MODELS:
             assert_probes_are_scalar_calls(loss_compose(loss_for(m, d), loss_for(m, c), d, c), priors)
+
+
+# -- the exact lens remembers its last prior ---------------------------------
+
+
+@st.composite
+def gauss_cases(draw):
+    """A Gaussian forward channel (its coparameter possibly empty) and a
+    prior on its domain."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dx, dm, dy = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    return GAUSSIAN.random_channel(rng, dx, dm, dy), GAUSSIAN.random_state(rng, dx)
+
+
+def same_channel(a, b) -> bool:
+    """Two channels of one instance agree bitwise, spaces and sides included."""
+    fields = ("rows",) if hasattr(a, "rows") else ("A", "b", "noise")
+    return (
+        type(a) is type(b)
+        and backend_of(a).ends(a) == backend_of(b).ends(b)
+        and a.copar_side == b.copar_side
+        and all(getattr(a, f).shape == getattr(b, f).shape for f in fields)
+        and all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in fields)
+    )
+
+
+def copied(state):
+    """A state equal in content to ``state`` but sharing no object with it."""
+    if hasattr(state, "mass"):
+        return ds.Dist(ds.FiniteSpace(tuple(map(tuple, state.space.factor_labels))), state.mass.copy())
+    return gs.GaussState(state.mean.copy(), state.cov.copy())
+
+
+def nudged(state):
+    """``state`` with its first mass or mean entry moved by one ulp."""
+    moved = (state.mass if hasattr(state, "mass") else state.mean).copy()
+    moved[..., 0] = np.nextafter(moved[..., 0], 2.0)
+    if hasattr(state, "mass"):
+        return ds.Dist(state.space, moved)
+    return gs.GaussState(moved, state.cov)
+
+
+def assert_remembers(ch, prior):
+    l = exact_lens(ch)
+    first = l.bwd(prior)
+    assert same_channel(first, exact_inversion(ch, prior))
+    assert l.bwd(copied(prior)) is first
+    moved = nudged(prior)
+    assert backend_of(prior).content_key(moved) != backend_of(prior).content_key(prior)
+    again = l.bwd(moved)
+    assert again is not first and same_channel(again, exact_inversion(ch, moved))
+    back = l.bwd(prior)  # the one slot now holds the moved prior's inversion
+    assert back is not first and same_channel(back, first)
+
+
+@DETERMINISTIC
+@given(cases())
+def test_an_exact_lens_remembers_its_last_discrete_prior(case):
+    (l,), priors = case
+    assert_remembers(l.fwd, priors[0])
+    # a stack is its own key: a stack of one prior is not that prior
+    l = exact_lens(l.fwd)
+    single, one = l.bwd(priors[0]), l.bwd(stack(priors[:1]))
+    assert one.rows.shape == (1,) + single.rows.shape
+    assert one.rows[0].tobytes() == single.rows.tobytes()
+    back = l.bwd(priors[0])
+    assert back is not single and same_channel(back, single)
+    # the same mass on another space is no prior of the lens
+    other = ds.space([f"other{i}" for i in range(l.fwd.dom.size)])
+    with pytest.raises(ShapeError):
+        l.bwd(ds.Dist(other, priors[0].mass))
+    assert l.bwd(priors[0]) is back
+
+
+@DETERMINISTIC
+@given(gauss_cases())
+def test_an_exact_lens_remembers_its_last_gaussian_prior(case):
+    assert_remembers(*case)
+
+
+def test_a_failed_inversion_is_not_remembered():
+    ch = gs.GaussChannel([[1.0]], [0.0], [[0.0]])  # noiseless
+    l = exact_lens(ch)
+    good = l.bwd(gs.GaussState([0.0], [[1.0]]))
+    singular = gs.GaussState([0.0], [[0.0]])
+    for _ in range(3):
+        with pytest.raises(SingularityError):
+            l.bwd(singular)
+    assert l.bwd(gs.GaussState([0.0], [[1.0]])) is good
+
+
+# -- the inversion's blocks are copied, not recomputed -------------------------
+
+
+def block_invert(c, prior):
+    """``gaussian.g_invert`` with its blocks assembled by ``np.block`` and
+    ``np.vstack``."""
+    dm = c.copar_dim
+    mean_cod = c.A @ prior.mean + c.b
+    cov_x_cod = prior.cov @ c.A.T
+    cov_cod = c.A @ prior.cov @ c.A.T + c.noise
+    mean_z = np.concatenate([prior.mean, mean_cod[:dm]])
+    cov_zz = np.block([[prior.cov, cov_x_cod[:, :dm]], [cov_x_cod[:, :dm].T, cov_cod[:dm, :dm]]])
+    cov_zy = np.vstack([cov_x_cod[:, dm:], cov_cod[:dm, dm:]])
+    gain = np.linalg.solve(cov_cod[dm:, dm:], cov_zy.T).T
+    post_cov = cov_zz - gain @ cov_zy.T
+    return gs.GaussChannel(gain, mean_z - gain @ mean_cod[dm:], post_cov, dm, "right")
+
+
+@DETERMINISTIC
+@given(gauss_cases())
+def test_g_invert_is_the_block_assembly(case):
+    ch, prior = case
+    assert same_channel(gs.g_invert(ch, prior), block_invert(ch, prior))
+
+
+# -- model files ---------------------------------------------------------------
+
+
+def through_json(obj):
+    return json.loads(json.dumps(obj))
+
+
+@DETERMINISTIC
+@given(cases())
+def test_discrete_model_objects_round_trip(case):
+    (l,), priors = case
+    back = exact_inversion(l.fwd, priors[0])
+    for ch in (l.fwd, back):
+        assert same_channel(modelio.parse_channel(through_json(modelio.channel_to_obj(ch))), ch)
+    for pi in priors:
+        again = modelio.parse_state(through_json(modelio.state_to_obj(pi)))
+        assert again.space == pi.space and again.mass.tobytes() == pi.mass.tobytes()
+
+
+@DETERMINISTIC
+@given(gauss_cases())
+def test_gaussian_model_objects_round_trip(case):
+    ch, prior = case
+    for c in (ch, gs.g_invert(ch, prior)):
+        assert same_channel(modelio.parse_channel(through_json(modelio.channel_to_obj(c))), c)
+    again = modelio.parse_state(through_json(modelio.state_to_obj(prior)))
+    assert again.mean.tobytes() == prior.mean.tobytes() and again.cov.tobytes() == prior.cov.tobytes()
+
+
+#: valid model files: the lens bundles (with the observation ``eval-loss``
+#: reads) and the priors
+DISCRETE_FWD = {"dom": ["x0", "x1"], "copar": ["m0", "m1"], "cod": ["y0", "y1"],
+                "rows": [[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]]}
+DISCRETE_PRIOR = {"space": ["x0", "x1"], "mass": [0.4, 0.6]}
+DISCRETE_BACK = {"dom": ["y0", "y1"], "cod": ["x0", "x1"], "copar": ["m0", "m1"],
+                 "copar_side": "right", "rows": [[0.25] * 4, [0.25] * 4]}
+GAUSS_FWD = {"A": [[1.0, 0.5], [0.2, 1.0], [0.3, -0.4]], "b": [0.0, 0.1, 0.2],
+             "noise": [[1.0, 0.1, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]], "copar_dim": 1}
+GAUSS_PRIOR = {"mean": [0.0, 0.5], "cov": [[1.0, 0.2], [0.2, 1.0]]}
+MODEL_FILES = {
+    "discrete": ({"fwd": DISCRETE_FWD, "bwd": "exact"}, DISCRETE_PRIOR, "1"),
+    "tabulated": (
+        {"fwd": DISCRETE_FWD, "bwd": [{"prior": DISCRETE_PRIOR, "channel": DISCRETE_BACK}]},
+        DISCRETE_PRIOR,
+        "0",
+    ),
+    "gaussian": ({"fwd": GAUSS_FWD, "bwd": "exact"}, GAUSS_PRIOR, "[0.3, -0.2]"),
+}
+#: the required fields, by the key that marks their object
+REQUIRED = {"fwd": ("fwd",), "dom": ("dom", "cod", "rows"), "space": ("space", "mass"),
+            "A": ("A", "b", "noise"), "mean": ("mean", "cov"), "prior": ("prior", "channel")}
+#: values no required numeric field accepts (``copar_dim`` and ``bwd``
+#: included), and those no list of labels accepts (labels may be numbers)
+WRONG = [None, True, "x", {}, [], 3.5, [1, "a"], [[0.5, 0.5], [1.0]], float("nan"), float("inf")]
+WRONG_LABELS = [None, True, "x", {}, [], 3.5, float("nan")]
+LABELS = {"dom", "cod", "space"}
+
+
+def objects(obj):
+    """Every JSON object in ``obj``, ``obj`` included."""
+    if isinstance(obj, dict):
+        yield obj
+    for v in obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ():
+        yield from objects(v)
+
+
+@st.composite
+def malformed(draw):
+    """``(which, model, prior, obs)``: one of ``MODEL_FILES`` with one
+    required field of its model or its prior dropped or given a wrong
+    value, or with ``copar_dim`` or ``bwd`` given a wrong value."""
+    which = draw(st.sampled_from(sorted(MODEL_FILES)))
+    model, prior, obs = copy.deepcopy(MODEL_FILES[which])
+    files = draw(st.sampled_from([model, prior]))
+    sites = [
+        (obj, key)
+        for obj in objects(files)
+        for key in [k for mark, keys in REQUIRED.items() if mark in obj for k in keys]
+        + [k for k in ("copar_dim", "bwd") if k in obj]
+    ]
+    obj, key = draw(st.sampled_from(sites))
+    if key in ("copar_dim", "bwd") or draw(st.booleans()):
+        obj[key] = draw(st.sampled_from(WRONG_LABELS if key in LABELS else WRONG))
+    else:
+        del obj[key]
+    return which, model, prior, obs
+
+
+def run_cli(argv):
+    """``statgames`` in this process: its exit code and its standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def assert_one_error_line(rc, err):
+    assert rc == 2
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@DETERMINISTIC
+@given(malformed())
+def test_a_malformed_model_file_is_one_error_line(case):
+    which, model, prior, obs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, obj in (("model", model), ("prior", prior)):
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w") as fh:
+                json.dump(obj, fh)
+        loss = ["eval-loss", "--model", paths["model"], "--prior", paths["prior"], "--obs", obs]
+        assert_one_error_line(*run_cli([*loss, "--loss", "fe"]))
+        for path in paths.values():
+            with open(path) as fh:
+                intact = json.load(fh) in (MODEL_FILES[which][0], MODEL_FILES[which][1])
+            if not intact:
+                assert_one_error_line(*run_cli(["inspect", "--model", path]))
+
+
+@pytest.mark.parametrize("text", ["", "{", "[1, 2]", '"fwd"', "null", '{"fwd": {}}', '{"neither": 1}'])
+def test_a_model_file_that_is_no_model_is_one_error_line(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps(DISCRETE_PRIOR))
+    assert_one_error_line(*run_cli(["inspect", "--model", str(path)]))
+    loss = ["eval-loss", "--model", str(path), "--prior", str(prior), "--obs", "0", "--loss", "kl"]
+    assert_one_error_line(*run_cli(loss))
+
+
+def test_an_empty_backward_table_is_one_error_line(tmp_path):
+    # a table of no priors tabulates a backward channel nowhere
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"fwd": DISCRETE_FWD, "bwd": []}))
+    rc, err = run_cli(["inspect", "--model", str(path)])
+    assert_one_error_line(rc, err)
+    assert err.startswith("parse error: 'bwd' must be")
