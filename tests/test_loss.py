@@ -260,7 +260,6 @@ class TestFreeEnergy:
         for y in range(3):
             assert joint(pi, y) == pytest.approx(fe(pi, y), abs=1e-12)
 
-
     def test_joint_form_is_undefined_at_zero_evidence(self):
         # ``y1`` has zero evidence: ``fe_loss`` raises there, and so does the
         # joint form, for an exact lens and for one that is not
