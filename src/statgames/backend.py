@@ -337,7 +337,7 @@ class Gaussian:
         return gs.g_identity(dim), lambda pi: point
 
     def per_prior(self, fn, prior):
-        return fn(prior)  # Gaussian priors are not stacked
+        return fn(gs._single(prior, "a Gaussian backward family"))
 
     # -- model JSON --------------------------------------------------------
 
@@ -352,7 +352,10 @@ class Gaussian:
         return _built(gs.GaussChannel, A, b, noise, copar_dim=copar_dim, copar_side=side)
 
     def parse_state(self, obj):
-        return _built(gs.GaussState, _numbers(obj, "mean"), _numbers(obj, "cov"))
+        mean = _numbers(obj, "mean")
+        if mean.ndim != 1:  # as for a discrete prior: a file holds one state
+            raise ModelParseError(f"'mean' has shape {mean.shape}, expected a vector")
+        return _built(gs.GaussState, mean, _numbers(obj, "cov"))
 
     def channel_to_obj(self, ch) -> dict:
         obj = {key: _floats(getattr(ch, key)) for key in ("A", "b", "noise")}
@@ -362,6 +365,7 @@ class Gaussian:
         return obj
 
     def state_to_obj(self, s) -> dict:
+        gs._single(s, "a model file")
         return {"mean": _floats(s.mean), "cov": _floats(s.cov)}
 
     def states_match(self, a, b) -> bool:
@@ -369,6 +373,7 @@ class Gaussian:
         return a.dim == b.dim and all(np.allclose(u, v, atol=1e-9) for u, v in pairs)
 
     def content_key(self, s) -> tuple:
+        gs._single(s, "a Gaussian backward family")
         return s.mean.shape, s.mean.tobytes(), s.cov.shape, s.cov.tobytes()
 
     # -- the command line --------------------------------------------------

@@ -161,16 +161,39 @@ DEMO_FD_STEP = 1e-5
 DEMO_MAX_REJECTS = 50
 
 
-def _demo_posterior(params, y) -> gs.GaussState:
-    """The approximate posterior at ``y``: ``N(gain * y + offset, exp(logvar))``."""
-    gain, offset, logvar = (float(v) for v in params)
-    return gs.g_apply(gs.GaussChannel([[gain]], [offset], [[math.exp(logvar)]]), y)
+def _demo_points(p: np.ndarray) -> np.ndarray:
+    """The point ``p`` = (gain, offset, logvar) and its central-difference
+    probes, up then down along each parameter in turn: seven rows."""
+    points = np.tile(p, (1 + 2 * p.size, 1))
+    axes = np.arange(p.size)
+    points[1 + 2 * axes, axes] += DEMO_FD_STEP
+    points[2 + 2 * axes, axes] -= DEMO_FD_STEP
+    return points
+
+
+def _demo_kl(points: np.ndarray, exact: gs.GaussState) -> np.ndarray:
+    """The KL term at each row ``(gain, offset, logvar)`` of ``points``: the
+    divergence of the approximate posterior ``N(gain * y + offset,
+    exp(logvar))`` from ``exact``, by one ``g_kl`` call on the stack of
+    them; ``+inf`` where the mean or the variance is not a finite number."""
+    gain, offset, logvar = points.T
+    mean = gain * DEMO_OBSERVATION + offset
+    # ``math.exp`` per entry: ``np.exp`` differs from it in the last bit on
+    # some inputs, which would move the trajectory
+    var = np.array([math.exp(v) for v in logvar.tolist()])
+    kl = np.full(len(points), math.inf)
+    ok = np.isfinite(mean) & np.isfinite(var)
+    if ok.any():
+        kl[ok] = gs.g_kl(gs.GaussState(mean[ok, None], var[ok, None, None]), exact)
+    return kl
 
 
 def cmd_demo(args) -> int:
     for flag, value in (("--seed", args.seed), ("--steps", args.steps)):
         if value < 0:
             raise ShapeError(f"{flag} must be >= 0, not {value}")
+    if not (math.isfinite(args.lr) and args.lr >= 0):
+        raise ShapeError(f"--lr must be a finite number >= 0, not {args.lr}")
     prior = gs.GaussState([0.0], [[1.0]])
     y = np.array([DEMO_OBSERVATION])
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
@@ -181,47 +204,46 @@ def cmd_demo(args) -> int:
     exact = gs.g_apply(lens.bwd(prior), y)
     neg_log_evidence = mle_loss(lens)(prior, y)
 
-    def terms(p) -> tuple[float, float, float]:
-        kl = float(gs.g_kl(_demo_posterior(p, y), exact))
-        return kl + neg_log_evidence, kl, neg_log_evidence
-
-    def gradient(p):
-        g = np.zeros_like(p)
-        for i in range(p.size):
-            up, down = p.copy(), p.copy()
-            up[i] += DEMO_FD_STEP
-            down[i] -= DEMO_FD_STEP
-            g[i] = (terms(up)[0] - terms(down)[0]) / (2 * DEMO_FD_STEP)
-        return g
+    def probed(p):
+        """The free energy and the KL term at ``p``, and the free energy's
+        gradient there by central differences, from one ``g_kl`` call."""
+        kl = _demo_kl(_demo_points(p), exact)
+        fe = kl + neg_log_evidence
+        return float(fe[0]), float(kl[0]), (fe[1::2] - fe[2::2]) / (2 * DEMO_FD_STEP)
 
     rows = []
-    fe, kl, mle = terms(params)
-    rows.append((0, fe, kl, mle, *params))
     rejects = 0
     step = 0
-    while step < args.steps:
-        candidate = params - args.lr * gradient(params)
-        cand_fe, cand_kl, cand_mle = terms(candidate)
-        if cand_fe <= fe + DEMO_SLACK:
-            params = candidate
-            fe, kl, mle = cand_fe, cand_kl, cand_mle
-            step += 1
-            rows.append((step, fe, kl, mle, *params))
-            rejects = 0
-        else:
-            rejects += 1
-            if rejects >= DEMO_MAX_REJECTS:
-                print(
-                    f"diverged: objective rose for {rejects} consecutive steps; "
-                    f"last state step={step} fe={fe!r} params={params.tolist()!r}",
-                    file=sys.stderr,
-                )
-                _write_demo_csv(args.out, rows)
-                return 1
+    # a step too long overflows; its objective is then +inf or NaN, which
+    # is a rise like any other, so the overflow is expected and silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        fe, kl, grad = probed(params)
+        rows.append((0, fe, kl, neg_log_evidence, *params))
+        while step < args.steps:
+            # a rejection leaves ``params`` and ``grad`` as they were, so the
+            # next try repeats this candidate until the rejects run out
+            candidate = params - args.lr * grad
+            cand_fe, cand_kl, cand_grad = probed(candidate)
+            if cand_fe <= fe + DEMO_SLACK:
+                # the accepted candidate's probes give the next gradient
+                params, fe, kl, grad = candidate, cand_fe, cand_kl, cand_grad
+                step += 1
+                rows.append((step, fe, kl, neg_log_evidence, *params))
+                rejects = 0
+            else:
+                rejects += 1
+                if rejects >= DEMO_MAX_REJECTS:
+                    print(
+                        f"diverged: objective rose for {rejects} consecutive steps; "
+                        f"last state step={step} fe={fe!r} params={params.tolist()!r}",
+                        file=sys.stderr,
+                    )
+                    _write_demo_csv(args.out, rows)
+                    return 1
 
     _write_demo_csv(args.out, rows)
     print(
-        f"final fe={fe!r} kl_term={kl!r} mle_term={mle!r} "
+        f"final fe={fe!r} kl_term={kl!r} mle_term={neg_log_evidence!r} "
         f"neg_log_evidence={neg_log_evidence!r}",
         file=sys.stderr,
     )

@@ -11,6 +11,12 @@ Covariances must be symmetric PSD; eigenvalues in ``[-PSD_CLAMP, 0)`` are
 treated as roundoff and clamped to zero, anything lower is an error.
 Operations that need an inverse covariance raise ``SingularityError`` rather
 than regularizing silently.
+
+A *stack* of ``P`` states of one dimension ``d`` is a ``GaussState`` whose
+``mean`` is ``(P, d)`` and whose ``cov`` is ``(P, d, d)``; its constructor
+checks every entry as the entry's own construction would, in one pass.
+Only ``g_kl`` takes a stack (as its first state), giving each entry's
+divergence; every other operation raises ``ShapeError`` for one.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
 
 def _as_psd(m, what: str) -> np.ndarray:
     a = np.atleast_2d(np.asarray(m, dtype=float))
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{what} is not square: {a.shape}")
+    if a.ndim > 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{what} is not a square matrix: {a.shape}")
     if a.shape == (1, 1):
         v = _finite(a, what).item()
         if v < -PSD_CLAMP:
@@ -75,12 +81,66 @@ def _as_psd(m, what: str) -> np.ndarray:
     if w.size and w[0] < -PSD_CLAMP:
         raise ShapeError(f"{what} has eigenvalue {w[0]:.3e} < 0")
     if w.size and w[0] < 0:
-        # roundoff-scale negativity: project onto the PSD cone
-        vals, vecs = np.linalg.eigh(a)
-        a = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        a = 0.5 * (a + a.T)
+        a = _project_psd(a)
     a.setflags(write=False)
     return a
+
+
+def _project_psd(a: np.ndarray) -> np.ndarray:
+    """A symmetric matrix with roundoff-scale negativity, projected onto
+    the PSD cone."""
+    vals, vecs = np.linalg.eigh(a)
+    a = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    return 0.5 * (a + a.T)
+
+
+def _entry(what: str, bad: np.ndarray) -> str:
+    """``what``, naming the first stack entry ``bad`` marks."""
+    return f"{what} of stack entry {(int(np.argmax(bad)),)}"
+
+
+def _check_stack(mu: np.ndarray, cov) -> np.ndarray:
+    """The covariances of the stack of means ``mu``, checked entry by entry
+    as ``_as_psd`` checks one and stored as it stores one, in one pass over
+    the stack; an error names the first entry that fails the check it
+    reports."""
+    cov = np.asarray(cov, dtype=float)
+    if mu.ndim != 2 or not len(mu) or cov.shape != mu.shape + mu.shape[-1:]:
+        raise ShapeError(
+            "a stack of states needs means (P, d) and covariances (P, d, d) with P > 0, "
+            f"not {mu.shape} and {cov.shape}"
+        )
+    for arr, what in ((mu, "mean"), (cov, "covariance")):
+        bad = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
+        if bad.any():
+            raise ShapeError(f"{_entry(what, bad)} must hold finite numbers")
+    d = mu.shape[1]
+    if d == 1:
+        low = cov[:, 0, 0]  # a 1x1 entry is its own eigenvalue
+    else:
+        flipped = cov.swapaxes(-1, -2)
+        bad = np.max(np.abs(cov - flipped), axis=(-2, -1), initial=0.0) > PSD_CLAMP
+        if bad.any():
+            raise ShapeError(f"{_entry('covariance', bad)} is not symmetric")
+        cov = 0.5 * (cov + flipped)
+        low = np.linalg.eigvalsh(cov)[:, 0] if d else np.zeros(len(cov))
+    bad = low < -PSD_CLAMP
+    if bad.any():
+        raise ShapeError(f"{_entry('covariance', bad)} has eigenvalue {low[bad.argmax()]:.3e} < 0")
+    if d == 1:
+        cov = np.where(cov < 0.0, 0.0, cov)  # as ``max(v, 0.0)``, which keeps a -0.0
+    else:
+        for i in np.flatnonzero(low < 0):
+            cov[i] = _project_psd(cov[i])
+    cov.setflags(write=False)
+    return cov
+
+
+def _single(s: "GaussState", op: str) -> "GaussState":
+    """``s``, checked to be one state and not a stack: ``op`` takes one."""
+    if s.mean.ndim != 1:
+        raise ShapeError(f"{op} takes a single state, not a stack of {len(s.mean)}")
+    return s
 
 
 def _chol(cov: np.ndarray, what: str) -> np.ndarray:
@@ -92,22 +152,29 @@ def _chol(cov: np.ndarray, what: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussState:
-    """A Gaussian distribution: mean vector and symmetric PSD covariance."""
+    """A Gaussian distribution: mean vector and symmetric PSD covariance
+    (or a stack of them: means ``(P, d)``, covariances ``(P, d, d)``)."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mu = _finite(np.atleast_1d(np.asarray(self.mean, dtype=float)), "mean")
+        mu = np.asarray(self.mean, dtype=float)
+        if mu.ndim > 1:  # a stack, on its own branch: one state's checks cost no more
+            cov = _check_stack(mu, self.cov)
+        else:
+            mu = _finite(np.atleast_1d(mu), "mean")
+            cov = _as_psd(self.cov, "covariance")
+            if cov.shape != (mu.size, mu.size):
+                raise ShapeError("mean and covariance dimensions differ")
         object.__setattr__(self, "mean", mu)
-        object.__setattr__(self, "cov", _as_psd(self.cov, "covariance"))
-        if self.cov.shape != (mu.size, mu.size):
-            raise ShapeError("mean and covariance dimensions differ")
+        object.__setattr__(self, "cov", cov)
         mu.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.mean.size
+        """The dimension of the state (of each state of a stack)."""
+        return self.mean.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,14 +227,14 @@ def g_identity(dim: int) -> GaussChannel:
 def g_apply(c: GaussChannel, x) -> GaussState:
     """The conditional distribution at a single input point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != c.dom_dim:
-        raise ShapeError("input dimension does not match channel domain")
+    if x.ndim != 1 or x.size != c.dom_dim:
+        raise ShapeError(f"input of shape {x.shape} is not a point of the channel's domain")
     return GaussState(c.A @ x + c.b, c.noise)
 
 
 def g_push(c: GaussChannel, s: GaussState) -> GaussState:
     """Pushforward of a Gaussian state through the channel."""
-    if s.dim != c.dom_dim:
+    if _single(s, "g_push").dim != c.dom_dim:
         raise ShapeError("state dimension does not match channel domain")
     return GaussState(c.A @ s.mean + c.b, c.A @ s.cov @ c.A.T + c.noise)
 
@@ -236,7 +303,7 @@ def g_invert(c: GaussChannel, prior: GaussState) -> GaussChannel:
     """
     if c.copar_side != "left":
         raise ShapeError("can only invert a forward (left-coparameter) channel")
-    if prior.dim != c.dom_dim:
+    if _single(prior, "g_invert").dim != c.dom_dim:
         raise ShapeError("prior dimension does not match channel domain")
     dm = c.copar_dim
     mean_cod = c.A @ prior.mean + c.b
@@ -271,28 +338,31 @@ def g_invert(c: GaussChannel, prior: GaussState) -> GaussChannel:
     )
 
 
-def g_kl(p: GaussState, q: GaussState) -> float:
+def g_kl(p: GaussState, q: GaussState):
     """Relative entropy between Gaussians (nats); requires ``q`` nonsingular.
 
     A singular ``p`` is not absolutely continuous with respect to ``q`` and
-    yields ``+inf``.
+    yields ``+inf``.  For a stack ``p`` of ``P`` states this is the ``(P,)``
+    array of each entry's divergence from ``q``, bitwise equal to the
+    entry's own call; a singular entry gives ``+inf`` on its own.
     """
-    if p.dim != q.dim:
+    if p.dim != _single(q, "g_kl's second argument").dim:
         raise ShapeError("states have different dimensions")
     lq = _chol(q.cov, "second covariance")
-    trace = float(np.trace(np.linalg.solve(lq, np.linalg.solve(lq, p.cov).T)))
-    delta = np.linalg.solve(lq, q.mean - p.mean)
-    maha = float(delta @ delta)
+    # every step maps each entry alone (a stack of solves, of dot products)
+    root = np.linalg.solve(lq, p.cov).swapaxes(-1, -2)
+    trace = np.trace(np.linalg.solve(lq, root), axis1=-2, axis2=-1)
+    delta = np.linalg.solve(lq, (q.mean - p.mean)[..., None])[..., 0]
+    maha = np.vecdot(delta, delta)
     sign, logdet_p = np.linalg.slogdet(p.cov)
     logdet_q = 2.0 * float(np.log(np.diag(lq)).sum())
-    if sign <= 0:
-        return float("inf")
-    return 0.5 * (trace + maha - p.dim + logdet_q - logdet_p)
+    kl = np.where(sign > 0, 0.5 * (trace + maha - p.dim + logdet_q - logdet_p), np.inf)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def g_entropy(s: GaussState) -> float:
     """Differential entropy ``0.5 * ln det(2 pi e cov)`` in nats."""
-    l = _chol(s.cov, "covariance")
+    l = _chol(_single(s, "g_entropy").cov, "covariance")
     logdet = 2.0 * float(np.log(np.diag(l)).sum())
     return 0.5 * (s.dim * (1.0 + LOG_2PI) + logdet)
 
@@ -300,7 +370,7 @@ def g_entropy(s: GaussState) -> float:
 def g_logpdf(s: GaussState, x) -> float:
     """Multivariate normal log-density at a point."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != s.dim:
+    if x.ndim != 1 or x.size != _single(s, "g_logpdf").dim:
         raise ShapeError("point dimension does not match state")
     l = _chol(s.cov, "covariance")
     logdet = 2.0 * float(np.log(np.diag(l)).sum())
@@ -314,6 +384,8 @@ def g_logpdf(s: GaussState, x) -> float:
 
 
 def g_tensor_state(s1: GaussState, s2: GaussState) -> GaussState:
+    _single(s1, "g_tensor_state")
+    _single(s2, "g_tensor_state")
     mean = np.concatenate([s1.mean, s2.mean])
     cov = np.zeros((s1.dim + s2.dim, s1.dim + s2.dim))
     cov[: s1.dim, : s1.dim] = s1.cov
@@ -323,6 +395,7 @@ def g_tensor_state(s1: GaussState, s2: GaussState) -> GaussState:
 
 def g_marginal_state(s: GaussState, idx: Sequence[int]) -> GaussState:
     idx = np.asarray(idx, dtype=int)
+    _single(s, "g_marginal_state")
     return GaussState(s.mean[idx], s.cov[np.ix_(idx, idx)])
 
 
@@ -381,7 +454,7 @@ def gauss_hermite_expect(
     """
     nodes, weights = np.polynomial.hermite_e.hermegauss(order)
     weights = weights / math.sqrt(2.0 * math.pi)
-    vals, vecs = np.linalg.eigh(s.cov)
+    vals, vecs = np.linalg.eigh(_single(s, "gauss_hermite_expect").cov)
     factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
     total = 0.0
     d = s.dim

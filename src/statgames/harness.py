@@ -503,6 +503,11 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
     # every term is one loss for the three models, evaluated once
     models = (LossModel.KL, LossModel.MLE, LossModel.FE)
     of_composites = laxator_loss(models, ec, fd)(omega, joint_obs)
+    # each column's witness next: ``e`` and ``f`` were just inverted at the
+    # pushforwards of ``w1`` and ``w2``, which the tensored terms below
+    # reach as marginals of a joint pushforward, equal but not bitwise
+    along_c = laxness_witness(models, e, c, w1, z, composite=ec)
+    along_d = laxness_witness(models, f, d, w2, z2, composite=fd)
     across = laxness_witness(models, ef, cd, omega, joint_obs)
     # the laxators compose as losses on the tensored lenses
     first, second = laxator_loss(models, c, d, tensored=cd), laxator_loss(models, e, f, tensored=ef)
@@ -510,8 +515,8 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
         of_composites,
         across,
         loss_compose(second, first, ef, cd)(omega, joint_obs),
-        laxness_witness(models, e, c, w1, z, composite=ec),
-        laxness_witness(models, f, d, w2, z2, composite=fd),
+        along_c,
+        along_d,
     )
     pairs = [(lax + k, lax_composed + k1 + k2) for lax, k, lax_composed, k1, k2 in terms]
     return Outcome(digest, *_worst_pair(pairs))

@@ -495,14 +495,20 @@ class _DiscreteModels:
 
     def at_probes(self, loss, probes):
         """One form call at the stack of the probes' priors, each selecting
-        its own observation as the scalar call does."""
+        its own observation as the scalar call does.  A single probe's form
+        is taken at its prior as given, as the scalar call takes it, so a
+        lens's memo of its last prior sees one key from either call."""
         if not probes:
             return []
         space = probes[0][0].space
         if any(pi.space is not space and pi.space != space for pi, _ in probes):
             raise ShapeError("the probes' priors live on different spaces")
         ys = [DISCRETE.obs_index(loss.obs_dom, y) for _, y in probes]
-        form = loss.form(ds.Dist(space, np.stack([pi.mass for pi, _ in probes])), np.c_[ys])
+        if len(probes) == 1:
+            form = loss.form(probes[0][0], slice(ys[0], ys[0] + 1))
+            form = VecForm(form.values[..., None, :], form.defined[..., None, :])
+        else:
+            form = loss.form(ds.Dist(space, np.stack([pi.mass for pi, _ in probes])), np.c_[ys])
 
         def row(values, defined):
             return [
@@ -620,7 +626,11 @@ class _GaussianModels:
         return out
 
     def zero(self, n):
-        return lambda pi, sel=ALL, known=None: QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
+        def form(pi, sel=ALL, known=None):
+            gs._single(pi, "a Gaussian loss")
+            return QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
+
+        return form
 
     def stacker(self, models):
         raise InstanceError("only discrete forms carry a model axis")
@@ -633,6 +643,7 @@ class _GaussianModels:
             # KL(N(Ga y + ha, Sa) || N(Ge y + he, Se)) with D = Ge - Ga and
             # e = he - ha: the Mahalanobis term |Le^-1 (D y + e)|^2 / 2 plus
             # a constant in y, as in ``gaussian.g_kl``
+            gs._single(pi, "a Gaussian loss")
             approx = _backward(l, pi, known)
             exact = approx if l.exact else exact_inversion(l.fwd, pi)
             if approx.A.shape != exact.A.shape:
@@ -651,7 +662,7 @@ class _GaussianModels:
 
     def nll(self, state, sel=ALL):
         """The negative log-density of ``state``, a quadratic in the point."""
-        chol = gs._chol(state.cov, "covariance")
+        chol = gs._chol(gs._single(state, "a Gaussian loss").cov, "covariance")
         H, g, c = _half_square(chol, np.eye(state.dim), -state.mean)
         return QuadForm(H, g, c + 0.5 * (state.dim * gs.LOG_2PI + _logdet(chol)))
 
@@ -672,6 +683,7 @@ class _GaussianModels:
         def form(pi, sel=ALL, known=None):
             # the posterior mean z = B y + beta is affine in y, so the energy
             # there is a quadratic in y; the entropy does not depend on y
+            gs._single(pi, "a Gaussian loss")
             back = _backward(l, pi, known)
             chol_c = gs._chol(fwd.noise, "covariance")
             chol_pi = gs._chol(pi.cov, "covariance")
@@ -730,7 +742,7 @@ def _gauss_energy_hessian(fwd, pi) -> np.ndarray:
     dx = fwd.dom_dim
     lam_c = np.linalg.inv(gs._chol(fwd.noise, "channel noise"))
     lam_c = lam_c.T @ lam_c
-    lam_pi = np.linalg.inv(gs._chol(pi.cov, "prior covariance"))
+    lam_pi = np.linalg.inv(gs._chol(gs._single(pi, "the Laplace model").cov, "prior covariance"))
     lam_pi = lam_pi.T @ lam_pi
     w = _energy_residual_map(fwd)
     hess = w.T @ lam_c @ w

@@ -3,9 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from statgames import gaussian as gs
 from statgames.cli import main
+from statgames.lens import exact_lens
+from statgames.loss import mle_loss
 
 KERNEL = {
     "dom": ["x0", "x1"],
@@ -219,6 +223,25 @@ class TestTabulatedBackward:
 
 
 class TestEvalLoss:
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            {"mean": [[0.0], [1.0]], "cov": [[[1.0]], [[2.0]]]},
+            {"mean": [[0.0]], "cov": [[1.0]]},
+            {"mean": 0.0, "cov": [[1.0]]},
+        ],
+        ids=["stack", "one-row-matrix", "scalar"],
+    )
+    def test_a_gaussian_mean_that_is_no_vector_is_a_parse_error(self, tmp_path, capsys, prior):
+        model = write(tmp_path, "m.json", json.loads(GAUSS_MODEL))
+        path = write(tmp_path, "p.json", prior)
+        rc = main(["eval-loss", "--model", model, "--loss", "kl", "--prior", path, "--obs", "0.5"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("parse error: 'mean' has shape") and captured.err.count("\n") == 1
+        assert main(["inspect", "--model", path]) == 2
+        assert capsys.readouterr().err.startswith("parse error: 'mean' has shape")
+
     def test_exact_kl_is_zero(self, tmp_path, capsys):
         model = write(tmp_path, "m.json", {"fwd": KERNEL, "bwd": "exact"})
         prior = write(
@@ -436,6 +459,28 @@ class TestDemo:
         assert lines[0].startswith("error: ") and flag[0] in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "-0.01"])
+    def test_non_finite_or_negative_rate_is_a_usage_error(self, tmp_path, capsys, rate):
+        out = tmp_path / "t.csv"
+        rc = main(["demo", f"--lr={rate}", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and "--lr" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["1e300", "1e308"])
+    def test_overflowing_rate_diverges_with_one_stderr_line(self, tmp_path, capfd, rate):
+        # the first candidate's objective (or the candidate itself)
+        # overflows: a rise like any other, and no numpy warning
+        out = tmp_path / "d.csv"
+        rc = main(["demo", "--steps", "20", "--lr", rate, "--out", str(out)])
+        lines = capfd.readouterr().err.splitlines()
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("diverged: ")
+        assert len(out.read_text().splitlines()) == 2
+
     def test_deterministic_per_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["demo", "--steps", "50", "--seed", "9", "--out", str(a)])
@@ -447,6 +492,88 @@ class TestDemo:
         rc = main(["demo", "--steps", "100", "--lr", "1e6", "--out", str(out)])
         assert rc == 1
         assert "diverged" in capsys.readouterr().err
+
+
+def per_probe_demo(seed: int, steps: int, lr: float) -> tuple[int, str, str]:
+    """The demo's descent with one ``g_kl`` call per evaluation: the
+    candidate and each of its six central-difference probes on its own,
+    seven calls per step.  Returns the exit code, the CSV and the stderr
+    text ``demo`` gives for these settings."""
+    prior, y = gs.GaussState([0.0], [[1.0]]), np.array([1.0])
+    params = np.random.default_rng(np.random.SeedSequence([seed])).uniform(-0.1, 0.1, size=3)
+    lens = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
+    exact = gs.g_apply(lens.bwd(prior), y)
+    nle = mle_loss(lens)(prior, y)
+
+    def terms(p):
+        gain, offset, logvar = (float(v) for v in p)
+        posterior = gs.g_apply(gs.GaussChannel([[gain]], [offset], [[math.exp(logvar)]]), y)
+        kl = float(gs.g_kl(posterior, exact))
+        return kl + nle, kl
+
+    def gradient(p):
+        g = np.zeros_like(p)
+        for i in range(p.size):
+            up, down = p.copy(), p.copy()
+            up[i] += 1e-5
+            down[i] -= 1e-5
+            g[i] = (terms(up)[0] - terms(down)[0]) / (2 * 1e-5)
+        return g
+
+    fe, kl = terms(params)
+    rows, step, rejects = [(0, fe, kl, nle, *params)], 0, 0
+    rc, err = 0, None
+    while step < steps:
+        candidate = params - lr * gradient(params)
+        cand_fe, cand_kl = terms(candidate)
+        if cand_fe <= fe + 1e-6:
+            params, fe, kl, rejects = candidate, cand_fe, cand_kl, 0
+            step += 1
+            rows.append((step, fe, kl, nle, *params))
+        else:
+            rejects += 1
+            if rejects >= 50:
+                rc = 1
+                err = (
+                    f"diverged: objective rose for {rejects} consecutive steps; "
+                    f"last state step={step} fe={fe!r} params={params.tolist()!r}\n"
+                )
+                break
+    if err is None:
+        err = f"final fe={fe!r} kl_term={kl!r} mle_term={nle!r} neg_log_evidence={nle!r}\n"
+    lines = ["step,fe,kl_term,mle_term,gain,offset,logvar"]
+    lines += [str(r[0]) + "," + ",".join(repr(float(v)) for v in r[1:]) for r in rows]
+    return rc, "\n".join(lines) + "\n", err
+
+
+class TestDemoMatchesPerProbeDescent:
+    """One stacked ``g_kl`` call per step gives the trajectory, the exit
+    code and the stderr of seven separate calls, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "seed, steps, lr",
+        [
+            (0, 200, 1e-2),
+            (3, 200, 1e-2),
+            (7, 150, 1e-2),
+            (1, 200, 0.3),
+            (2, 120, 0.5),
+            (4, 200, 0.52),  # two accepted steps, then fifty rejections
+            (0, 100, 1e6),  # diverges at the first candidate
+            (5, 0, 1e-2),
+        ],
+    )
+    def test_csv_and_stderr_are_byte_identical(self, tmp_path, capsys, seed, steps, lr):
+        want_rc, want_csv, want_err = per_probe_demo(seed, steps, lr)
+        out = tmp_path / "t.csv"
+        rc = main(["demo", "--seed", str(seed), "--steps", str(steps), "--lr", repr(lr), "--out", str(out)])
+        assert rc == want_rc
+        got, want = out.read_text().splitlines(), want_csv.splitlines()
+        # the first line that differs, not a diff of two long texts
+        first = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+        assert (len(got), first) == (len(want), None)
+        assert out.read_text() == want_csv  # every byte, once the lines agree
+        assert capsys.readouterr().err == want_err
 
 
 class TestInspect:

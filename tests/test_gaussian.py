@@ -11,6 +11,7 @@ from math import inf, nan
 import numpy as np
 import pytest
 
+from statgames.backend import GAUSSIAN
 from statgames.errors import ShapeError, SingularityError
 from statgames.gaussian import (
     GaussChannel,
@@ -31,6 +32,8 @@ from statgames.gaussian import (
     gauss_expect_quadratic,
     gauss_hermite_expect,
 )
+from statgames.lens import exact_lens
+from statgames.loss import LossModel, fe_joint_form, loss_for, zero_loss
 
 
 def rng_for(seed):
@@ -373,3 +376,73 @@ class TestApply:
         out = g_apply(c, [3.0])
         assert out.mean[0] == pytest.approx(7.0)
         assert out.cov[0, 0] == pytest.approx(0.5)
+
+
+class TestStacks:
+    """A stack of states (means ``(P, d)``, covariances ``(P, d, d)``) is
+    taken by ``g_kl`` as its first argument and refused everywhere else."""
+
+    def stack(self):
+        return GaussState([[0.0, 1.0], [0.5, -1.0]], [np.eye(2), 2.0 * np.eye(2)])
+
+    def test_g_kl_gives_each_entry(self):
+        q = GaussState([0.0, 0.0], np.eye(2))
+        s = self.stack()
+        got = g_kl(s, q)
+        assert got.shape == (2,)
+        for i in range(2):
+            assert got[i] == g_kl(GaussState(s.mean[i], s.cov[i]), q)
+
+    def test_a_singular_entry_is_infinite_on_its_own(self):
+        q = GaussState([0.0], [[1.0]])
+        got = g_kl(GaussState([[1.0], [0.0], [2.0]], [[[1.0]], [[0.0]], [[0.5]]]), q)
+        assert got[1] == inf and np.isfinite(got[[0, 2]]).all()
+
+    @pytest.mark.parametrize(
+        "mean, cov, message",
+        [
+            ([[0.0], [nan]], [[[1.0]], [[1.0]]], r"mean of stack entry \(1,\) must hold finite"),
+            ([[0.0], [0.0]], [[[1.0]], [[-1.0]]], r"covariance of stack entry \(1,\) has eigenvalue"),
+            ([[0.0, 0.0]] * 2, [np.eye(2), [[1.0, 0.5], [0.0, 1.0]]], r"stack entry \(1,\) is not symmetric"),
+            ([[0.0, 0.0]] * 2, [[[1.0, 2.0], [2.0, 1.0]], np.eye(2)], r"stack entry \(0,\) has eigenvalue"),
+            ([[0.0], [0.0]], [[1.0]], "covariances"),
+            ([[0.0], [0.0]], [[[1.0]]], "covariances"),
+            (np.zeros((0, 1)), np.zeros((0, 1, 1)), "P > 0"),
+            ([0.0], [[[1.0]]], "covariance is not a square matrix"),
+        ],
+    )
+    def test_malformed_stacks_rejected(self, mean, cov, message):
+        with pytest.raises(ShapeError, match=message):
+            GaussState(mean, cov)
+
+    def test_a_stacked_noise_is_rejected(self):
+        with pytest.raises(ShapeError, match="not a square matrix"):
+            GaussChannel([[1.0]], [0.0], [[[1.0]], [[1.0]]])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: g_apply(GaussChannel(np.eye(2), np.zeros(2), np.eye(2)), s.mean),
+            lambda s: g_push(GaussChannel(np.eye(2), np.zeros(2), np.eye(2)), s),
+            lambda s: g_invert(GaussChannel(np.eye(2), np.zeros(2), np.eye(2)), s),
+            lambda s: exact_lens(GaussChannel(np.eye(2), np.zeros(2), np.eye(2))).bwd(s),
+            lambda s: g_entropy(s),
+            lambda s: g_logpdf(s, [0.0, 0.0]),
+            lambda s: g_tensor_state(s, GaussState([0.0], [[1.0]])),
+            lambda s: g_tensor_state(GaussState([0.0], [[1.0]]), s),
+            lambda s: g_marginal_state(s, [0]),
+            lambda s: gauss_hermite_expect(s, lambda x: 0.0),
+            lambda s: g_kl(GaussState([0.0, 0.0], np.eye(2)), s),
+            lambda s: GAUSSIAN.content_key(s),
+            lambda s: GAUSSIAN.state_to_obj(s),
+            *(
+                lambda s, m=m: loss_for(m, exact_lens(GaussChannel(np.eye(2), np.zeros(2), np.eye(2)))).form(s)
+                for m in LossModel
+            ),
+            lambda s: zero_loss(exact_lens(GaussChannel(np.eye(2), np.zeros(2), np.eye(2)))).form(s),
+            lambda s: fe_joint_form(exact_lens(GaussChannel(np.eye(2), np.zeros(2), np.eye(2)))).form(s),
+        ],
+    )
+    def test_operations_without_stacks_refuse_one(self, call):
+        with pytest.raises(ShapeError, match="takes a single state|not a point"):
+            call(self.stack())

@@ -237,8 +237,11 @@ class TestTrialInversionCounts:
         assert 0 < self.most_per_trial("laxators", counted) <= 4
 
     def test_one_lax_naturality_trial(self, monkeypatch):
+        # one inversion per distinct (channel, prior) pair: a single probe's
+        # witness calls the lenses at the prior's own shape, as the scalar
+        # laxator calls do, so the exact lenses' memos hit across the terms
         counted = self.counted(monkeypatch, ds, "bayes_invert")
-        assert 0 < self.most_per_trial("lax-naturality", counted) <= 21
+        assert 0 < self.most_per_trial("lax-naturality", counted) <= 11
 
     def test_one_gaussian_pair_witnesses_and_residual(self, monkeypatch):
         # the KL, MLE and FE witnesses and the buco residual of one pair,

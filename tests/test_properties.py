@@ -32,7 +32,7 @@ from statgames import modelio
 from statgames.backend import GAUSSIAN, backend_of
 from statgames.cli import main
 from statgames.errors import ShapeError, SingularityError, SupportError
-from statgames.lens import BayesLens, exact_inversion, exact_lens
+from statgames.lens import BayesLens, exact_inversion, exact_lens, lens_compose
 from statgames.loss import (
     ALL,
     LossFn,
@@ -271,6 +271,17 @@ def test_fe_joint_form_is_the_per_observation_scalar(case):
                 assert same_bits(joint(pi, y), want)
 
 
+@DETERMINISTIC
+@given(cases(n_lenses=2))
+def test_at_probes_is_the_scalar_calls_of_a_composite_lens(case):
+    # the composite's backward rows are a view into a copy-composite; its
+    # KL loss sums a row's relative entropy in one order either way
+    (c, d), priors = case
+    composite = lens_compose(d, c)
+    for loss in [*(loss_for(m, composite) for m in MODELS), fe_joint_form(composite)]:
+        assert_probes_are_scalar_calls(loss, priors)
+
+
 def test_at_probes_is_the_scalar_call_where_a_backward_row_is_strided():
     # the exact inversion of a lens with a one-point coparameter has rows
     # that are a strided view; a composite averages over them one row at a
@@ -401,6 +412,89 @@ def test_g_invert_is_the_block_assembly(case):
 
 
 # -- model files ---------------------------------------------------------------
+
+
+# -- stacked Gaussian states -------------------------------------------------
+
+
+#: kinds of stack entry: a valid covariance, one with an exactly singular
+#: last coordinate, one with a roundoff-scale negative eigenvalue (clamped);
+#: then entries each check refuses
+VALID_KINDS = ("regular", "singular", "roundoff")
+INVALID_KINDS = ("negative", "asymmetric", "nan covariance", "inf mean")
+
+
+def gauss_entry(rng, d, kind):
+    """A mean and a covariance of dimension ``d`` of the given kind."""
+    mean = rng.uniform(-2.0, 2.0, size=d)
+    l = rng.uniform(-1.0, 1.0, size=(d, d))
+    cov = l @ l.T + 0.1 * np.eye(d)
+    if kind in ("singular", "roundoff", "negative"):
+        cov[-1, :] = cov[:, -1] = 0.0
+        cov[-1, -1] = {"singular": 0.0, "roundoff": -0.5 * gs.PSD_CLAMP, "negative": -1e-3}[kind]
+    elif kind == "asymmetric":
+        cov[0, -1] += 1e-3 if d > 1 else -2.0  # a 1x1 entry is symmetric: make it negative
+    elif kind == "nan covariance":
+        cov[-1, 0] = math.nan
+    elif kind == "inf mean":
+        mean[-1] = math.inf
+    return mean, cov
+
+
+@st.composite
+def gauss_stacks(draw, kinds):
+    """``(kinds, means, covs)``: a stack of 1 to 4 entries of one dimension
+    from 1 to 3, each of a kind drawn from ``kinds``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    chosen = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4))
+    means, covs = zip(*(gauss_entry(rng, d, kind) for kind in chosen))
+    return chosen, np.array(means), np.array(covs)
+
+
+@DETERMINISTIC
+@given(gauss_stacks(VALID_KINDS), st.sampled_from(("regular", "singular")), st.integers(0, 2**32 - 1))
+def test_g_kl_of_a_stack_is_each_entrys_call(case, q_kind, seed):
+    kinds, means, covs = case
+    q = gs.GaussState(*gauss_entry(np.random.default_rng(seed), means.shape[1], q_kind))
+    singles = [gs.GaussState(m, c) for m, c in zip(means, covs)]
+    p = gs.GaussState(means, covs)
+    if q_kind == "singular":
+        with pytest.raises(SingularityError):
+            gs.g_kl(p, q)
+        for single in singles:
+            with pytest.raises(SingularityError):
+                gs.g_kl(single, q)
+        return
+    got = gs.g_kl(p, q)
+    assert got.shape == (len(kinds),)
+    for kind, single, value in zip(kinds, singles, got, strict=True):
+        want = gs.g_kl(single, q)
+        assert isinstance(want, float) and same_bits(value, want)
+        if kind != "roundoff":  # a clamped entry may be singular or not
+            assert (value == math.inf) == (kind == "singular")
+
+
+@DETERMINISTIC
+@given(gauss_stacks(VALID_KINDS + INVALID_KINDS))
+def test_a_stack_is_checked_as_its_entries_are(case):
+    _, means, covs = case
+    singles = []
+    for m, c in zip(means, covs):
+        try:
+            singles.append(gs.GaussState(m, c))
+        except ShapeError:
+            singles.append(None)
+    if all(singles):
+        stacked = gs.GaussState(means, covs)
+        for i, single in enumerate(singles):
+            assert stacked.mean[i].tobytes() == single.mean.tobytes()
+            assert stacked.cov[i].tobytes() == single.cov.tobytes()
+        return
+    with pytest.raises(ShapeError, match=r"of stack entry \((\d+),\)") as raised:
+        gs.GaussState(means, covs)
+    named = int(raised.value.args[0].split("stack entry (")[1].split(",")[0])
+    assert singles[named] is None
 
 
 def through_json(obj):
