@@ -334,7 +334,12 @@ class Gaussian:
         """The identity channel and its point-mass backward channel."""
         dim = int(dim)
         point = gs.GaussChannel(np.eye(dim), np.zeros(dim), np.zeros((dim, dim)), 0, "right")
-        return gs.g_identity(dim), lambda pi: point
+
+        def bwd(pi):
+            gs._single(pi, "a Gaussian backward family")
+            return point
+
+        return gs.g_identity(dim), bwd
 
     def per_prior(self, fn, prior):
         return fn(gs._single(prior, "a Gaussian backward family"))

@@ -533,9 +533,7 @@ def effect_precompose(g: Effect, k: CoparKernel) -> Effect:
 def rows_relative_entropy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Relative entropy of each row of ``p`` from that of ``q`` (leading axes
     broadcast); ``0 log 0 = 0`` and ``p > 0, q = 0`` gives ``+inf``."""
-    # contiguous, so that a row's sum runs in one order whether it comes as
-    # a view into a channel's rows or as a copy picked out of a stack
-    p, q = (np.ascontiguousarray(a) for a in np.broadcast_arrays(p, q))
+    p, q = np.broadcast_arrays(p, q)
     with np.errstate(divide="ignore"):
         ratio = np.divide(p, q, out=np.ones_like(p), where=p > 0)
     return np.einsum("...j,...j->...", p, np.log(ratio, out=ratio))

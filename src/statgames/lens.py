@@ -15,7 +15,8 @@ of a law that all need one stage's inversion at one prior invert it once.
 A discrete family is also called at a *stack* of priors (a ``Dist`` whose
 ``mass`` is ``(P, n)``) and returns a stack of channels, or one channel for
 every prior, as the families built here and in ``modelio`` do.  Only the
-discrete instance batches: a Gaussian family always gets one prior.
+discrete instance batches: a Gaussian family raises ``ShapeError`` for a
+stack of states.
 """
 
 from __future__ import annotations

@@ -497,7 +497,9 @@ class _DiscreteModels:
         """One form call at the stack of the probes' priors, each selecting
         its own observation as the scalar call does.  A single probe's form
         is taken at its prior as given, as the scalar call takes it, so a
-        lens's memo of its last prior sees one key from either call."""
+        lens's memo of its last prior sees one key from either call; its
+        observation is picked by a list, as a copy, as a stack's are, so
+        that its values are those of any stack it is part of."""
         if not probes:
             return []
         space = probes[0][0].space
@@ -505,7 +507,7 @@ class _DiscreteModels:
             raise ShapeError("the probes' priors live on different spaces")
         ys = [DISCRETE.obs_index(loss.obs_dom, y) for _, y in probes]
         if len(probes) == 1:
-            form = loss.form(probes[0][0], slice(ys[0], ys[0] + 1))
+            form = loss.form(probes[0][0], ys)
             form = VecForm(form.values[..., None, :], form.defined[..., None, :])
         else:
             form = loss.form(ds.Dist(space, np.stack([pi.mass for pi, _ in probes])), np.c_[ys])

@@ -32,7 +32,7 @@ from statgames.gaussian import (
     gauss_expect_quadratic,
     gauss_hermite_expect,
 )
-from statgames.lens import exact_lens
+from statgames.lens import exact_lens, identity_lens
 from statgames.loss import LossModel, fe_joint_form, loss_for, zero_loss
 
 
@@ -426,6 +426,7 @@ class TestStacks:
             lambda s: g_push(GaussChannel(np.eye(2), np.zeros(2), np.eye(2)), s),
             lambda s: g_invert(GaussChannel(np.eye(2), np.zeros(2), np.eye(2)), s),
             lambda s: exact_lens(GaussChannel(np.eye(2), np.zeros(2), np.eye(2))).bwd(s),
+            lambda s: identity_lens(2).bwd(s),
             lambda s: g_entropy(s),
             lambda s: g_logpdf(s, [0.0, 0.0]),
             lambda s: g_tensor_state(s, GaussState([0.0], [[1.0]])),

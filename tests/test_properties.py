@@ -32,7 +32,7 @@ from statgames import modelio
 from statgames.backend import GAUSSIAN, backend_of
 from statgames.cli import main
 from statgames.errors import ShapeError, SingularityError, SupportError
-from statgames.lens import BayesLens, exact_inversion, exact_lens, lens_compose
+from statgames.lens import BayesLens, exact_inversion, exact_lens
 from statgames.loss import (
     ALL,
     LossFn,
@@ -269,17 +269,6 @@ def test_fe_joint_form_is_the_per_observation_scalar(case):
                     joint(pi, y)
             else:
                 assert same_bits(joint(pi, y), want)
-
-
-@DETERMINISTIC
-@given(cases(n_lenses=2))
-def test_at_probes_is_the_scalar_calls_of_a_composite_lens(case):
-    # the composite's backward rows are a view into a copy-composite; its
-    # KL loss sums a row's relative entropy in one order either way
-    (c, d), priors = case
-    composite = lens_compose(d, c)
-    for loss in [*(loss_for(m, composite) for m in MODELS), fe_joint_form(composite)]:
-        assert_probes_are_scalar_calls(loss, priors)
 
 
 def test_at_probes_is_the_scalar_call_where_a_backward_row_is_strided():
