@@ -495,11 +495,11 @@ class _DiscreteModels:
 
     def at_probes(self, loss, probes):
         """One form call at the stack of the probes' priors, each selecting
-        its own observation as the scalar call does.  A single probe's form
-        is taken at its prior as given, as the scalar call takes it, so a
-        lens's memo of its last prior sees one key from either call; its
-        observation is picked by a list, as a copy, as a stack's are, so
-        that its values are those of any stack it is part of."""
+        its own observation as the scalar call does.  A single probe is
+        evaluated at its prior as given, the scalar call's shape, so that an
+        exact lens's memo sees one key from both calls; its observation is
+        picked by a one-entry list, a copy as in a stack, so that its
+        values are those it has in any stack of probes."""
         if not probes:
             return []
         space = probes[0][0].space
