@@ -212,34 +212,27 @@ def cmd_demo(args) -> int:
         return float(fe[0]), float(kl[0]), (fe[1::2] - fe[2::2]) / (2 * DEMO_FD_STEP)
 
     rows = []
-    rejects = 0
-    step = 0
     # a step too long overflows; its objective is then +inf or NaN, which
     # is a rise like any other, so the overflow is expected and silent
     with np.errstate(over="ignore", invalid="ignore"):
         fe, kl, grad = probed(params)
         rows.append((0, fe, kl, neg_log_evidence, *params))
-        while step < args.steps:
-            # a rejection leaves ``params`` and ``grad`` as they were, so the
-            # next try repeats this candidate until the rejects run out
+        for step in range(1, args.steps + 1):
             candidate = params - args.lr * grad
             cand_fe, cand_kl, cand_grad = probed(candidate)
-            if cand_fe <= fe + DEMO_SLACK:
-                # the accepted candidate's probes give the next gradient
-                params, fe, kl, grad = candidate, cand_fe, cand_kl, cand_grad
-                step += 1
-                rows.append((step, fe, kl, neg_log_evidence, *params))
-                rejects = 0
-            else:
-                rejects += 1
-                if rejects >= DEMO_MAX_REJECTS:
-                    print(
-                        f"diverged: objective rose for {rejects} consecutive steps; "
-                        f"last state step={step} fe={fe!r} params={params.tolist()!r}",
-                        file=sys.stderr,
-                    )
-                    _write_demo_csv(args.out, rows)
-                    return 1
+            if not cand_fe <= fe + DEMO_SLACK:
+                # a rejection changes nothing, so each of the allowed retries
+                # would repeat this candidate and its rise: one try decides
+                print(
+                    f"diverged: objective rose for {DEMO_MAX_REJECTS} consecutive steps; "
+                    f"last state step={step - 1} fe={fe!r} params={params.tolist()!r}",
+                    file=sys.stderr,
+                )
+                _write_demo_csv(args.out, rows)
+                return 1
+            # the accepted candidate's probes give the next gradient
+            params, fe, kl, grad = candidate, cand_fe, cand_kl, cand_grad
+            rows.append((step, fe, kl, neg_log_evidence, *params))
 
     _write_demo_csv(args.out, rows)
     print(

@@ -366,11 +366,13 @@ def copy_compose_copar(g: CoparKernel, f: CoparKernel) -> CoparKernel:
         raise ShapeError("output of first does not match domain of second")
     lead = f.rows.shape[:-2] or g.rows.shape[:-2]  # a single channel goes with a stack
     check_entries(math.prod(lead + f.rows.shape[-2:]) * g.rows.shape[-1], "copy-composite")
+    # C order, not an inversion's strided layout: each entry is one product,
+    # so no bits move, and a one-row slice sums as a stacked copy of it does
     if f.copar_side == "left":
-        joint = np.einsum("...amb,...bnz->...ambnz", f._split(), g._split())
+        joint = np.einsum("...amb,...bnz->...ambnz", f._split(), g._split(), order="C")
         copar = f.copar.product(f.out).product(g.copar)
     else:  # f maps dom -> out (x) copar, g applied to f's out block
-        joint = np.einsum("...abn,...bzm->...azmbn", f._split(), g._split())
+        joint = np.einsum("...abn,...bzm->...azmbn", f._split(), g._split(), order="C")
         copar = g.copar.product(f.out).product(f.copar)
     rows = joint.reshape(lead + (f.dom.size, -1))
     return CoparKernel(f.dom, copar, g.out, rows, f.copar_side)
@@ -410,7 +412,8 @@ def tensor_copar(f: CoparKernel, g: CoparKernel) -> CoparKernel:
         raise ShapeError("cannot tensor channels of mixed coparameter side")
     lead = f.rows.shape[:-2] or g.rows.shape[:-2]
     check_entries(math.prod(lead + f.rows.shape[-2:] + g.rows.shape[-2:]), "tensor")
-    joint = np.einsum("...apq,...brs->...abprqs", f._split(), g._split())
+    # C order, as in ``copy_compose_copar``
+    joint = np.einsum("...apq,...brs->...abprqs", f._split(), g._split(), order="C")
     rows = joint.reshape(lead + (f.dom.size * g.dom.size, -1))
     return CoparKernel(
         f.dom.product(g.dom),

@@ -24,34 +24,35 @@ with ``loss_compose`` like any other loss; unlike the four models, it is
 signed.
 
 A loss is its form.  A ``LossFn`` is built from its spaces and its
-``form``: the loss at one prior, computed once and read by the scalar call
-and by composition, and no loss is evaluated any other way.  A form is a
-``VecForm`` (a discrete loss over its observations) or a ``QuadForm`` (a
-Gaussian loss, a quadratic ``c + g.y + y.H.y / 2`` in the observation);
-each kind has ``at``, ``+`` and ``average`` under a backward channel, so
-``loss_compose`` is written once, in closed form: a matrix-vector product
-for vectors, the Gaussian expectation of a quadratic for quadratics.  The
-MLE model and the laxators are written once over forms; each instance's
-half of the models, picked once through the lens's backend, supplies the
-KL, Laplace and joint free-energy forms and the primitives they use
-(``nll``, the negative log-density of a state as a form).
+``form``: the loss at one prior, computed once and read by composition and
+by ``LossFn.at_probes``, whose one-probe case is the scalar call; no loss
+is evaluated any other way.  A form is a ``VecForm`` (a discrete loss over
+its observations) or a ``QuadForm`` (a Gaussian loss, a quadratic
+``c + g.y + y.H.y / 2`` in the observation); each kind has ``+`` and
+``average`` under a backward channel, so ``loss_compose`` is written once, in closed
+form: a matrix-vector product for vectors, the Gaussian expectation of a
+quadratic for quadratics.  The MLE model and the laxators are written once
+over forms; each instance's half of the models, picked once through the
+lens's backend, supplies the KL, Laplace and joint free-energy forms and
+the primitives they use (``nll``, the negative log-density of a state as a
+form).
 
 Each stage is inverted once per prior.  An ``exact_lens`` remembers its
 last prior and that prior's inversion, so the terms of a law that need a
-stage's inversion at one prior share it: a Gaussian pair's KL witness
-makes three inversions (each stage at its prior, the composite's forward
-at the prior), its MLE witness one, and its KL, MLE and FE witnesses and
-its buco residual five in all.  ``loss_compose`` also hands the second
-stage's backward channel to that stage's form (its ``known`` argument),
-which saves the evaluation for a lens that is not exact, and the KL loss
-of an ``exact_lens`` inverts nothing more.  On
-the discrete instance a form also takes a stack of priors (a ``Dist``
-whose ``mass`` is ``(P, n)``) and returns a ``VecForm`` with the same
-leading axis, so ``LossFn.at_probes`` evaluates a loss at many probes in
-one form call; only the discrete instance batches.  In the same way a tuple
-of models gives one discrete loss (``loss_for``) or laxator
-(``laxator_loss``) whose form has a leading model axis, one row per model,
-so the KL, MLE and FE values share one form call and its inversions.
+stage's inversion at one prior share it: a Gaussian pair's KL witness makes
+three inversions (each stage at its prior, the composite's forward at the
+prior), its MLE witness one, and its KL, MLE and FE witnesses and its buco
+residual five in all.  ``loss_compose`` also hands the second stage's
+backward channel to that stage's form (its ``known`` argument), which saves
+the evaluation for a lens that is not exact, and the KL loss of an
+``exact_lens`` inverts nothing more.  On the discrete instance a form also
+takes a stack of priors (a ``Dist`` whose ``mass`` is ``(P, n)``) and
+returns a ``VecForm`` with the same leading axis, so ``at_probes``
+evaluates a loss at many probes in one form call; only the discrete
+instance batches.  In the same way a tuple of models gives one discrete
+loss (``loss_for``) or laxator (``laxator_loss``) whose form has a leading
+model axis, one row per model, so the KL, MLE and FE values share one form
+call and its inversions.
 """
 
 from __future__ import annotations
@@ -140,15 +141,6 @@ class VecForm(NamedTuple):
     values: np.ndarray
     defined: np.ndarray
 
-    def at(self, i: int, label=lambda: None):
-        """The loss at the ``i``-th selected observation, or the tuple of
-        each model's loss there on a form with a model axis; ``label()``
-        names the observation when the loss (of any model) is undefined."""
-        if not self.defined[..., i].all():
-            raise _undefined(label())
-        value = self.values[..., i]
-        return tuple(value.tolist()) if value.ndim else float(value)
-
     def __add__(self, other: "VecForm") -> "VecForm":
         return VecForm(self.values + other.values, self.defined & other.defined)
 
@@ -223,9 +215,10 @@ class LossFn:
     family uses at that very prior.  Every loss is given by its form, and
     composition works on forms.
 
-    ``fn(prior, obs)``, the scalar call, reads one observation off the
-    form.  It stays a field only so that a tracer can swap in a wrapped
-    reader with ``dataclasses.replace``; nothing here sets it.
+    ``at_probes(probes)`` reads the loss at probes ``(prior, observation)``;
+    the scalar call ``fn(prior, obs)`` is its one-probe case, raising the
+    error it gives.  ``fn`` stays a field only so that a tracer can swap in
+    a wrapped reader with ``dataclasses.replace``; nothing here sets it.
     """
 
     prior_dom: object
@@ -235,7 +228,7 @@ class LossFn:
 
     def __post_init__(self):
         if self.fn is None:
-            object.__setattr__(self, "fn", _models(self.obs_dom).reader(self.form, self.obs_dom))
+            object.__setattr__(self, "fn", _one_probe(self.form, self.obs_dom))
 
     def __call__(self, prior, obs):
         """The loss at one prior and observation: a float, or a tuple of
@@ -245,14 +238,32 @@ class LossFn:
 
     def at_probes(self, probes) -> list:
         """The loss at each probe ``(prior, observation)``: a float, or the
-        ``SupportError`` or ``SingularityError`` the scalar call raises.  On
-        the discrete instance this evaluates ``form`` and never calls ``fn``;
-        a loss of several models gives one such list per model."""
-        return _models(self.obs_dom).at_probes(self, list(probes))
+        ``SupportError`` or ``SingularityError`` its form raises or leaves
+        undefined there; a loss of several models gives one such list per
+        model.  It reads ``form`` and never calls ``fn``."""
+        return _models(self.obs_dom).at_probes(self.form, self.obs_dom, list(probes))
 
     def reindex(self, ch) -> "LossFn":
         """Pre-compose the prior argument with a forward channel."""
         return LossFn(backend_of(ch).doms(ch)[0], self.obs_dom, reindex(self.form, ch))
+
+
+def _one_probe(form, obs_dom):
+    """The default scalar call: ``at_probes`` at the one probe, raising its
+    error.  A closure over the form, not a method of the loss, so that a
+    loss holds no reference to itself and is freed, with any inversion its
+    lens remembers, as soon as it is dropped."""
+    at_probes = _models(obs_dom).at_probes
+
+    def fn(pi, y):
+        out = at_probes(form, obs_dom, [(pi, y)])
+        several = isinstance(out[0], list)
+        values = [row[0] for row in out] if several else out
+        if errors := [v for v in values if isinstance(v, Exception)]:
+            raise errors[0]
+        return tuple(values) if several else values[0]
+
+    return fn
 
 
 def _loss_sum(a: LossFn, b: LossFn) -> LossFn:
@@ -484,43 +495,35 @@ def laxator(model: LossModel, c: BayesLens, d: BayesLens, omega, y, y2) -> float
 class _DiscreteModels:
     """The loss models on the discrete instance, as vector forms."""
 
-    def reader(self, form, obs_dom):
-        # the scalar call computes only the observation's own row; a slice
-        # selects it as a view, with no copy of a large channel's row
-        def fn(pi, y):
-            y = DISCRETE.obs_index(obs_dom, y)
-            return form(pi, slice(y, y + 1)).at(0, lambda: obs_dom.labels[y])
-
-        return fn
-
-    def at_probes(self, loss, probes):
+    def at_probes(self, form, obs_dom, probes):
         """One form call at the stack of the probes' priors, each selecting
-        its own observation as the scalar call does.  A single probe is
-        evaluated at its prior as given, the scalar call's shape, so that an
-        exact lens's memo sees one key from both calls; its observation is
-        picked by a one-entry list, a copy as in a stack, so that its
-        values are those it has in any stack of probes."""
+        its own observation.  A single probe is evaluated at its prior as
+        given, so that an exact lens's memo keeps one key for a prior read
+        alone or in a witness, and selects its observation by a one-row
+        slice, a view with no copy of a large channel's row.  The view sums
+        in the order a stacked copy does: a copy-composite's rows are
+        C-contiguous, and ``VecForm.average`` copies the rows it weighs."""
         if not probes:
             return []
-        space = probes[0][0].space
-        if any(pi.space is not space and pi.space != space for pi, _ in probes):
-            raise ShapeError("the probes' priors live on different spaces")
-        ys = [DISCRETE.obs_index(loss.obs_dom, y) for _, y in probes]
+        ys = [DISCRETE.obs_index(obs_dom, y) for _, y in probes]
         if len(probes) == 1:
-            form = loss.form(probes[0][0], ys)
-            form = VecForm(form.values[..., None, :], form.defined[..., None, :])
+            got = form(probes[0][0], slice(ys[0], ys[0] + 1))
+            got = VecForm(got.values[..., None, :], got.defined[..., None, :])
         else:
-            form = loss.form(ds.Dist(space, np.stack([pi.mass for pi, _ in probes])), np.c_[ys])
+            space = probes[0][0].space
+            if any(pi.space is not space and pi.space != space for pi, _ in probes):
+                raise ShapeError("the probes' priors live on different spaces")
+            got = form(ds.Dist(space, np.stack([pi.mass for pi, _ in probes])), np.c_[ys])
 
         def row(values, defined):
             return [
-                float(v) if ok else _undefined(loss.obs_dom.labels[y])
+                float(v) if ok else _undefined(obs_dom.labels[y])
                 for v, ok, y in zip(values, defined, ys)
             ]
 
-        if form.values.ndim == 2:
-            return row(form.values[:, 0], form.defined[:, 0])
-        return [row(v, ok) for v, ok in zip(form.values[..., 0], form.defined[..., 0])]
+        if got.values.ndim == 2:
+            return row(got.values[:, 0], got.defined[:, 0])
+        return [row(v, ok) for v, ok in zip(got.values[..., 0], got.defined[..., 0])]
 
     def zero(self, obs_dom):
         def form(pi, sel=ALL, known=None):
@@ -614,15 +617,12 @@ class _GaussianModels:
     """The loss models on the affine-Gaussian instance, as quadratic forms
     in the observation."""
 
-    def reader(self, form, obs_dom):
-        return lambda pi, y: form(pi).at(y)
-
-    def at_probes(self, loss, probes):
-        """One scalar call per probe."""
+    def at_probes(self, form, obs_dom, probes):
+        """One form per probe, read at its observation."""
         out = []
         for pi, y in probes:
             try:
-                out.append(loss(pi, y))
+                out.append(form(pi).at(y))
             except (SupportError, SingularityError) as e:
                 out.append(e)
         return out

@@ -493,6 +493,21 @@ class TestDemo:
         assert rc == 1
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["--lr", "1e6", "--steps", "100"], 2),  # the start, one candidate
+            (["--seed", "4", "--lr", "0.52", "--steps", "200"], 4),  # two steps accepted
+        ],
+    )
+    def test_a_rejected_candidate_is_computed_once(self, tmp_path, capsys, monkeypatch, argv, calls):
+        seen = []
+        g_kl = gs.g_kl
+        monkeypatch.setattr(gs, "g_kl", lambda *a: seen.append(1) or g_kl(*a))
+        rc = main(["demo", *argv, "--out", str(tmp_path / "d.csv")])
+        assert rc == 1 and "rose for 50 consecutive steps" in capsys.readouterr().err
+        assert len(seen) == calls
+
 
 def per_probe_demo(seed: int, steps: int, lr: float) -> tuple[int, str, str]:
     """The demo's descent with one ``g_kl`` call per evaluation: the

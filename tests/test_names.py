@@ -261,7 +261,12 @@ def test_every_loss_builder_gives_a_form_on_each_instance(name):
         prior, obs = prior_on(loss.prior_dom), obs_on(loss.obs_dom)
         form = loss.form(prior)
         assert isinstance(form, VecForm if instance == "discrete" else QuadForm)
-        assert loss(prior, obs) == form.at(obs)
+        if instance == "discrete":
+            assert form.defined[..., obs].all()
+            value = form.values[..., obs]
+            assert loss(prior, obs) == (tuple(value.tolist()) if value.ndim else value)
+        else:
+            assert loss(prior, obs) == form.at(obs)
 
 
 def test_a_loss_cannot_be_built_without_a_form():

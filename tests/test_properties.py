@@ -14,11 +14,13 @@ examples are derived from the test, not random, and no database is kept.
 
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
 import os
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +34,14 @@ from statgames import modelio
 from statgames.backend import GAUSSIAN, backend_of
 from statgames.cli import main
 from statgames.errors import ShapeError, SingularityError, SupportError
-from statgames.lens import BayesLens, exact_inversion, exact_lens
+from statgames.lens import (
+    BayesLens,
+    exact_inversion,
+    exact_lens,
+    lens_compose,
+    lens_tensor,
+    prior_marginals,
+)
 from statgames.loss import (
     ALL,
     LossFn,
@@ -44,6 +53,7 @@ from statgames.loss import (
     loss_for,
     zero_loss,
 )
+from test_games import mixed_pairs, rng_for
 
 DETERMINISTIC = settings(derandomize=True, database=None, max_examples=25, deadline=None)
 MODELS = (LossModel.KL, LossModel.MLE, LossModel.FE)
@@ -78,15 +88,16 @@ def perturbed_lens(rng, fwd, eps=0.3):
 
 
 @st.composite
-def cases(draw, n_lenses=1, chained=True):
+def cases(draw, n_lenses=1, chained=True, least=1):
     """``(lenses, priors)``: lenses run one after the other when
     ``chained``, side by side (to be tensored) otherwise, and 1 to 4 priors
-    on the first lens's domain or on the product of the domains."""
+    on the first lens's domain or on the product of the domains; each
+    factor has ``least`` to 3 outcomes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spaces = iter(range(100))
 
     def space():
-        n, k = draw(st.integers(1, 3)), next(spaces)
+        n, k = draw(st.integers(least, 3)), next(spaces)
         return ds.space([f"s{k}_{i}" for i in range(n)])
 
     lenses, dom = [], space()
@@ -211,6 +222,22 @@ def test_at_probes_is_the_scalar_calls_of_a_laxator(case):
 
 
 @DETERMINISTIC
+@given(cases(n_lenses=2))
+def test_at_probes_is_the_scalar_calls_of_a_composite_lens(case):
+    (c, d), priors = case
+    for m in MODELS:
+        assert_probes_are_scalar_calls(loss_for(m, lens_compose(d, c)), priors)
+
+
+@DETERMINISTIC
+@given(cases(n_lenses=2, chained=False))
+def test_at_probes_is_the_scalar_calls_of_a_tensored_lens(case):
+    (c, d), omegas = case
+    for m in MODELS:
+        assert_probes_are_scalar_calls(loss_for(m, lens_tensor(c, d)), omegas)
+
+
+@DETERMINISTIC
 @given(cases(), st.booleans())
 def test_model_axis_rows_are_the_single_model_losses(case, composed):
     (l,), priors = case
@@ -237,6 +264,43 @@ def test_model_axis_rows_are_the_single_model_laxators(case):
     for omega in [*omegas, stack(omegas)]:
         for row, single in zip(rows(several.form(omega)), singles, strict=True):
             assert_same_form(row, single.form(omega))
+
+
+def spread(first, second):
+    """Two forms over ``Y`` and ``Y2`` as forms over ``Y x Y2`` (the joint
+    observation ``y * |Y2| + y2``): each form's values, and where both are
+    finite."""
+
+    def joint(a, b):
+        return np.broadcast_arrays(a[..., :, None], b[..., None, :])
+
+    finite = [f.defined & np.isfinite(f.values) for f in (first, second)]
+    a, b = joint(first.values, second.values)
+    ok = np.logical_and(*joint(*finite))
+    lead = first.values.shape[:-1]
+    return a.reshape(lead + (-1,)), b.reshape(lead + (-1,)), ok.reshape(lead + (-1,))
+
+
+@DETERMINISTIC
+@given(cases(n_lenses=2, chained=False, least=2))
+def test_laxator_rows_are_the_tensored_loss_less_the_factors_losses(case):
+    # the laxators suite certifies this law to 1e-8; the closed form and the
+    # three losses add the same logarithms in other orders, so they differ by
+    # rounding only, and the suite's bound holds on every drawn case.
+    # One-outcome factors make most defects zero, so each factor here has
+    # two outcomes or more
+    (c, d), omegas = case
+    tensored = lens_tensor(c, d)
+    several = laxator_loss(MODELS, c, d, tensored=tensored)
+    for omega in [*omegas, stack(omegas)]:
+        w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+        for m, row in zip(MODELS, rows(several.form(omega)), strict=True):
+            whole = loss_for(m, tensored).form(omega)
+            first, second, finite = spread(loss_for(m, c).form(w1), loss_for(m, d).form(w2))
+            finite &= whole.defined & np.isfinite(whole.values)
+            assert row.defined[finite].all()
+            want = whole.values[finite] - first[finite] - second[finite]
+            np.testing.assert_allclose(row.values[finite], want, rtol=0, atol=1e-8)
 
 
 @DETERMINISTIC
@@ -284,6 +348,47 @@ def test_at_probes_is_the_scalar_call_where_a_backward_row_is_strided():
         priors = [ds.Dist(X, m / m.sum()) for m in rng.gamma(1.0, size=(3, X.size)) + 0.05]
         for m in MODELS:
             assert_probes_are_scalar_calls(loss_compose(loss_for(m, d), loss_for(m, c), d, c), priors)
+
+
+def test_at_probes_is_the_scalar_call_on_a_copy_composite():
+    # a copy-composite's rows once kept its factors' strided layout, and the
+    # scalar call summed a one-row view of them in another order than
+    # ``at_probes`` summed a stacked copy: 6 of these 10 probes differed
+    d, c, probes = next(mixed_pairs(rng_for(21), 12, 10))
+    loss = loss_for(LossModel.KL, lens_compose(d, c))
+    for (pi, y), got in zip(probes, loss.at_probes(probes), strict=True):
+        assert same_bits(got, loss(pi, y))
+
+
+def freed_at_del(build, pi, y) -> bool:
+    """Whether the loss ``build()`` gives, read once at ``(pi, y)``, is
+    freed when its last name is deleted."""
+    loss = build()
+    loss(pi, y)
+    ref = weakref.ref(loss)
+    del loss
+    return ref() is None
+
+
+def test_a_loss_is_freed_without_the_cyclic_collector():
+    # a default reader that refers back to its loss (a bound method) makes
+    # each loss a reference cycle, which keeps its exact lens's remembered
+    # inversion alive until the cyclic collector runs
+    rng = np.random.default_rng(5)
+    X, M, Y = (ds.space([f"{p}{i}" for i in range(3)]) for p in "xmy")
+    lens = exact_lens(random_kernel(rng, X, M, Y, False))
+    gauss = exact_lens(GAUSSIAN.random_channel(rng, 2, 1, 2))
+    losses = [
+        (lambda: loss_for(LossModel.KL, lens), ds.uniform(X), 0),
+        (lambda: loss_for(MODELS, lens), ds.uniform(X), 1),
+        (lambda: loss_for(LossModel.FE, gauss), GAUSSIAN.random_state(rng, 2), np.zeros(2)),
+    ]
+    gc.disable()
+    try:
+        for build, pi, y in losses:
+            assert freed_at_del(build, pi, y)
+    finally:
+        gc.enable()
 
 
 # -- the exact lens remembers its last prior ---------------------------------
