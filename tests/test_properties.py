@@ -221,7 +221,9 @@ def test_at_probes_is_the_scalar_calls_of_a_laxator(case):
         assert_probes_are_scalar_calls(laxator_loss(m, c, d), omegas)
 
 
-@DETERMINISTIC
+# 50 examples: the first 25 draw no composite whose rows, in a strided
+# layout, would sum differently on the two paths
+@settings(DETERMINISTIC, max_examples=50)
 @given(cases(n_lenses=2))
 def test_at_probes_is_the_scalar_calls_of_a_composite_lens(case):
     (c, d), priors = case
