@@ -150,10 +150,26 @@ def _chol(cov: np.ndarray, what: str) -> np.ndarray:
         raise SingularityError(f"{what} is singular") from None
 
 
+def _state_chol(s: "GaussState", what: str) -> np.ndarray:
+    """The Cholesky factor of one state's covariance, computed on first use
+    and kept on ``s`` for as long as it lives.  A singular covariance raises
+    ``SingularityError`` naming ``what`` on every call and is not
+    remembered."""
+    l = getattr(s, "_cholesky", None)
+    if l is None:
+        l = _chol(s.cov, what)
+        l.setflags(write=False)
+        object.__setattr__(s, "_cholesky", l)
+    return l
+
+
 @dataclass(frozen=True, eq=False)
 class GaussState:
     """A Gaussian distribution: mean vector and symmetric PSD covariance
-    (or a stack of them: means ``(P, d)``, covariances ``(P, d, d)``)."""
+    (or a stack of them: means ``(P, d)``, covariances ``(P, d, d)``).
+
+    A single state remembers the Cholesky factor of its covariance once a
+    density, a divergence from it or its entropy has needed it."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -348,7 +364,7 @@ def g_kl(p: GaussState, q: GaussState):
     """
     if p.dim != _single(q, "g_kl's second argument").dim:
         raise ShapeError("states have different dimensions")
-    lq = _chol(q.cov, "second covariance")
+    lq = _state_chol(q, "second covariance")
     # every step maps each entry alone (a stack of solves, of dot products)
     root = np.linalg.solve(lq, p.cov).swapaxes(-1, -2)
     trace = np.trace(np.linalg.solve(lq, root), axis1=-2, axis2=-1)
@@ -362,7 +378,7 @@ def g_kl(p: GaussState, q: GaussState):
 
 def g_entropy(s: GaussState) -> float:
     """Differential entropy ``0.5 * ln det(2 pi e cov)`` in nats."""
-    l = _chol(_single(s, "g_entropy").cov, "covariance")
+    l = _state_chol(_single(s, "g_entropy"), "covariance")
     logdet = 2.0 * float(np.log(np.diag(l)).sum())
     return 0.5 * (s.dim * (1.0 + LOG_2PI) + logdet)
 
@@ -372,7 +388,7 @@ def g_logpdf(s: GaussState, x) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1 or x.size != _single(s, "g_logpdf").dim:
         raise ShapeError("point dimension does not match state")
-    l = _chol(s.cov, "covariance")
+    l = _state_chol(s, "covariance")
     logdet = 2.0 * float(np.log(np.diag(l)).sum())
     u = np.linalg.solve(l, x - s.mean)
     return -0.5 * (s.dim * LOG_2PI + logdet + float(u @ u))

@@ -12,6 +12,15 @@ priors must yield identical backward channels.  The exact family remembers
 its last prior, by exact content, and that prior's inversion, so the terms
 of a law that all need one stage's inversion at one prior invert it once.
 
+A channel remembers what is derived from it, for as long as it lives: its
+discarded channel (``discarded``), computed once, and its map of priors
+(``prior_pushforward``), built once, which remembers its last prior, by
+exact content, and that prior's pushforward.  A composable pair's MLE term,
+``loss_compose``'s middle prior and the composite backward all read one
+pushforward, and the models on one pair share one discard of each
+remembered inversion.  What a channel remembers never refers back to it,
+so a dropped channel is freed at once, without the cyclic collector.
+
 A discrete family is also called at a *stack* of priors (a ``Dist`` whose
 ``mass`` is ``(P, n)``) and returns a stack of channels, or one channel for
 every prior, as the families built here and in ``modelio`` do.  Only the
@@ -35,6 +44,7 @@ __all__ = [
     "BayesLens",
     "exact_inversion",
     "prior_marginals",
+    "discarded",
     "prior_pushforward",
     "exact_lens",
     "identity_lens",
@@ -85,11 +95,51 @@ class BayesLens:
         return backend_of(self.fwd)
 
 
+def discarded(ch: Channel) -> Channel:
+    """``ch`` with its coparameter discarded, computed on first use and
+    kept on ``ch`` for as long as it lives.  A discard always builds a new
+    channel, so what ``ch`` keeps never refers back to it."""
+    plain = getattr(ch, "_discarded", None)
+    if plain is None:
+        plain = backend_of(ch).discard(ch)
+        object.__setattr__(ch, "_discarded", plain)
+    return plain
+
+
 def prior_pushforward(ch: Channel) -> Callable[[State], State]:
-    """The map of priors induced by a forward channel (discard, then push)."""
-    backend = backend_of(ch)
-    plain = backend.discard(ch)
-    return lambda pi: backend.push(plain, pi)
+    """The map of priors induced by a forward channel (discard, then push).
+
+    There is one map per channel, built on first use and kept on ``ch`` for
+    as long as it lives.  It remembers its last prior and that prior's
+    pushforward: called at a prior bitwise equal to the last one
+    (``Backend.content_key``; a stack of discrete priors is its own key), it
+    returns the same state without pushing again.  A push that raises is
+    not remembered.  The map refers to ``discarded(ch)``, not to ``ch``.
+    """
+    onto = getattr(ch, "_pushforward", None)
+    if onto is None:
+        onto = _Pushforward(discarded(ch))
+        object.__setattr__(ch, "_pushforward", onto)
+    return onto
+
+
+class _Pushforward:
+    """Push through a plain channel, remembering the last prior.  A class
+    and not a closure, so that a channel that keeps one still pickles."""
+
+    def __init__(self, plain: Channel):
+        self.plain = plain
+        self.last = (None, None)  # (key of the last prior, its pushforward)
+
+    def __call__(self, pi: State) -> State:
+        backend = backend_of(self.plain)
+        try:
+            key = backend.content_key(pi)
+        except ShapeError:  # a Gaussian stack has no key; the push refuses it in its own words
+            return backend.push(self.plain, pi)
+        if key != self.last[0]:
+            self.last = (key, backend.push(self.plain, pi))
+        return self.last[1]
 
 
 def reindex(statefn: Callable, ch: Channel) -> Callable:

@@ -45,11 +45,18 @@ prior), its MLE witness one, and its KL, MLE and FE witnesses and its buco
 residual five in all.  ``loss_compose`` also hands the second stage's
 backward channel to that stage's form (its ``known`` argument), which saves
 the evaluation for a lens that is not exact, and the KL loss of an
-``exact_lens`` inverts nothing more.  On the discrete instance a form also
-takes a stack of priors (a ``Dist`` whose ``mass`` is ``(P, n)``) and
-returns a ``VecForm`` with the same leading axis, so ``at_probes``
-evaluates a loss at many probes in one form call; only the discrete
-instance batches.  In the same way a tuple of models gives one discrete
+``exact_lens`` inverts nothing more.
+
+Each forward pushes a prior once: ``prior_pushforward`` keeps one map on
+each channel, remembering its last prior's pushforward, and ``discarded``
+keeps each channel's discard, so a pair's MLE term, the composite's middle
+prior and its backward share one push, and the models on one pair one
+discard of each remembered inversion.
+
+On the discrete instance a form also takes a stack of priors (a ``Dist``
+whose ``mass`` is ``(P, n)``) and returns a ``VecForm`` with the same
+leading axis, so ``at_probes`` evaluates a loss at many probes in one form
+call; only the discrete instance batches.  In the same way a tuple of models gives one discrete
 loss (``loss_for``) or laxator (``laxator_loss``) whose form has a leading
 model axis, one row per model, so the KL, MLE and FE values share one form
 call and its inversions.
@@ -70,6 +77,7 @@ from .backend import DISCRETE, GAUSSIAN, backend_of
 from .errors import InstanceError, ShapeError, SingularityError, SupportError
 from .lens import (
     BayesLens,
+    discarded,
     exact_inversion,
     lens_tensor,
     prior_marginals,
@@ -370,13 +378,12 @@ def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
     observation it is averaged over, and a Gaussian quadratic is averaged in
     closed form."""
     mid = prior_pushforward(c.fwd)
-    discard = d.backend.discard
 
     def form(pi, sel=ALL, known=None):
         mid_prior = mid(pi)
         back = d.bwd(mid_prior)
         first = Ld.form(mid_prior, sel, (d.bwd, mid_prior, back))
-        return first + Lc.form(pi).average(discard(back), sel)
+        return first + Lc.form(pi).average(discarded(back), sel)
 
     return LossFn(Lc.prior_dom, Ld.obs_dom, form)
 
@@ -468,7 +475,7 @@ def laxator_loss(model, c: BayesLens, d: BayesLens, tensored: BayesLens | None =
         terms = {}
         if with_fe:
             log_ratio = models.nll(omega) - models.nll(prod)
-            posterior = back(backend.discard(tensored.bwd(omega)))
+            posterior = back(discarded(tensored.bwd(omega)))
             evidence = (lambda: pushed) if with_mle else (lambda: onto(omega))
             fe_term = models.where_possible(log_ratio.average(posterior, sel), evidence, sel)
             terms[LossModel.FE] = terms[LossModel.LFE] = fe_term
@@ -664,7 +671,7 @@ class _GaussianModels:
 
     def nll(self, state, sel=ALL):
         """The negative log-density of ``state``, a quadratic in the point."""
-        chol = gs._chol(gs._single(state, "a Gaussian loss").cov, "covariance")
+        chol = gs._state_chol(gs._single(state, "a Gaussian loss"), "covariance")
         H, g, c = _half_square(chol, np.eye(state.dim), -state.mean)
         return QuadForm(H, g, c + 0.5 * (state.dim * gs.LOG_2PI + _logdet(chol)))
 
@@ -688,7 +695,7 @@ class _GaussianModels:
             gs._single(pi, "a Gaussian loss")
             back = _backward(l, pi, known)
             chol_c = gs._chol(fwd.noise, "covariance")
-            chol_pi = gs._chol(pi.cov, "covariance")
+            chol_pi = gs._state_chol(pi, "covariance")
             chol_post = gs._chol(back.noise, "covariance")
             const = 0.5 * (
                 (fwd.cod_dim + dx) * gs.LOG_2PI + _logdet(chol_c) + _logdet(chol_pi)
@@ -744,7 +751,7 @@ def _gauss_energy_hessian(fwd, pi) -> np.ndarray:
     dx = fwd.dom_dim
     lam_c = np.linalg.inv(gs._chol(fwd.noise, "channel noise"))
     lam_c = lam_c.T @ lam_c
-    lam_pi = np.linalg.inv(gs._chol(gs._single(pi, "the Laplace model").cov, "prior covariance"))
+    lam_pi = np.linalg.inv(gs._state_chol(gs._single(pi, "the Laplace model"), "prior covariance"))
     lam_pi = lam_pi.T @ lam_pi
     w = _energy_residual_map(fwd)
     hess = w.T @ lam_c @ w

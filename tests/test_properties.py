@@ -1,13 +1,16 @@
 """Property-based differential tests: each batched path of the discrete
 losses against the path it batches, compared bitwise on drawn shapes; the
-exact lens's remembered inversion against a fresh one; the Gaussian
+exact lens's remembered inversion, a channel's remembered discard and
+pushforward and a state's remembered Cholesky factor against fresh ones;
+the Gaussian
 inversion against its block assembly; model objects through JSON and back;
 and malformed model files against the command line.
 
-Hypothesis draws the structure of a case: factor sizes from 1 (a
-one-outcome factor) to 3, whether each kernel has support gaps (zero
-entries and an unreachable observation), whether each lens is exact,
-whether the priors have zero-mass outcomes, and a stack of 1 to 4 priors.
+Hypothesis draws the structure of a case: factor sizes from 2 to 3 (from
+1, a one-outcome factor, to 3 for one factor in six), whether each kernel
+has support gaps (zero entries and an unreachable observation), whether
+each lens is exact, whether the priors have zero-mass outcomes, and a stack
+of 1 to 4 priors.
 numpy draws the numbers from a drawn seed.  Runs are deterministic: the
 examples are derived from the test, not random, and no database is kept.
 """
@@ -19,6 +22,7 @@ import io
 import json
 import math
 import os
+import pickle
 import tempfile
 import weakref
 
@@ -36,11 +40,13 @@ from statgames.cli import main
 from statgames.errors import ShapeError, SingularityError, SupportError
 from statgames.lens import (
     BayesLens,
+    discarded,
     exact_inversion,
     exact_lens,
     lens_compose,
     lens_tensor,
     prior_marginals,
+    prior_pushforward,
 )
 from statgames.loss import (
     ALL,
@@ -92,12 +98,14 @@ def cases(draw, n_lenses=1, chained=True, least=1):
     """``(lenses, priors)``: lenses run one after the other when
     ``chained``, side by side (to be tensored) otherwise, and 1 to 4 priors
     on the first lens's domain or on the product of the domains; each
-    factor has ``least`` to 3 outcomes."""
+    factor has 2 to 3 outcomes, or for one factor in six ``least`` to 3."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spaces = iter(range(100))
 
     def space():
-        n, k = draw(st.integers(least, 3)), next(spaces)
+        # one factor in six may have one outcome, which makes most defects zero
+        low = least if draw(st.integers(0, 5)) == 5 else max(least, 2)
+        n, k = draw(st.integers(low, 3)), next(spaces)
         return ds.space([f"s{k}_{i}" for i in range(n)])
 
     lenses, dom = [], space()
@@ -480,6 +488,168 @@ def test_a_failed_inversion_is_not_remembered():
         with pytest.raises(SingularityError):
             l.bwd(singular)
     assert l.bwd(gs.GaussState([0.0], [[1.0]])) is good
+
+
+# -- a channel remembers its discard and its last pushforward ----------------
+
+
+@contextlib.contextmanager
+def counted(module, name):
+    """The calls made to ``module.<name>`` while the block runs; the backends
+    and ``gaussian`` reach it through the module at call time."""
+    calls, orig = [], getattr(module, name)
+    setattr(module, name, lambda *args: calls.append(args) or orig(*args))
+    try:
+        yield calls
+    finally:
+        setattr(module, name, orig)
+
+
+def same_state(a, b) -> bool:
+    """Two states of one instance agree bitwise, spaces included."""
+    fields = ("mass",) if hasattr(a, "mass") else ("mean", "cov")
+    return (
+        type(a) is type(b)
+        and getattr(a, "space", None) == getattr(b, "space", None)
+        and all(getattr(a, f).shape == getattr(b, f).shape for f in fields)
+        and all(getattr(a, f).tobytes() == getattr(b, f).tobytes() for f in fields)
+    )
+
+
+def raised(fn, *args) -> tuple:
+    """The type and message of the error ``fn(*args)`` raises."""
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def assert_pushes_once(ch, prior, refused):
+    """``prior_pushforward(ch)`` is one map, over one remembered discard,
+    that pushes a prior once until another prior comes, and is bitwise a
+    fresh ``push(discard(ch), prior)``; each prior in ``refused`` raises the
+    fresh push's error every time and is not remembered."""
+    backend, module = backend_of(ch), gs if hasattr(ch, "A") else ds
+    onto = prior_pushforward(ch)
+    assert prior_pushforward(ch) is onto and discarded(ch) is discarded(ch)
+    assert same_channel(discarded(ch), backend.discard(ch))
+
+    def fresh(pi):
+        return backend.push(backend.discard(ch), pi)
+
+    moved = nudged(prior)
+    want, want_moved, errors = fresh(prior), fresh(moved), [raised(fresh, pi) for pi in refused]
+    with counted(module, "g_push" if module is gs else "push") as pushes:
+        first = onto(prior)
+        assert same_state(first, want)
+        assert onto(copied(prior)) is first and len(pushes) == 1
+        for pi, error in zip(refused, errors, strict=True):
+            assert raised(onto, pi) == raised(onto, pi) == error
+        assert len(pushes) == 1 + 2 * len(refused)
+        assert onto(prior) is first
+        again = onto(moved)
+        assert again is not first and same_state(again, want_moved)
+        back = onto(prior)  # the one slot now holds the moved prior's pushforward
+        assert back is not first and same_state(back, want)
+        assert len(pushes) == 3 + 2 * len(refused)
+
+
+@DETERMINISTIC
+@given(cases())
+def test_a_channel_remembers_its_discrete_pushforward(case):
+    (l,), priors = case
+    other = ds.space([f"other{i}" for i in range(l.fwd.dom.size)])
+    assert_pushes_once(l.fwd, priors[0], [ds.Dist(other, priors[0].mass)])
+    # a stack is its own key: a stack of one prior is not that prior
+    onto, whole = prior_pushforward(l.fwd), stack(priors)
+    single, one = onto(priors[0]), onto(stack(priors[:1]))
+    assert one.mass.shape == (1,) + single.mass.shape
+    assert one.mass[0].tobytes() == single.mass.tobytes()
+    assert onto(priors[0]) is not single
+    pushed = onto(whole)
+    assert onto(stack(priors)) is pushed
+    assert same_state(pushed, ds.push(ds.discard_coparam(l.fwd), whole))
+
+
+@DETERMINISTIC
+@given(gauss_cases())
+def test_a_channel_remembers_its_gaussian_pushforward(case):
+    ch, prior = case
+    d = prior.dim
+    refused = [
+        gs.GaussState(np.stack([prior.mean] * 2), np.stack([prior.cov] * 2)),
+        gs.GaussState(np.zeros(d + 1), np.eye(d + 1)),
+    ]
+    assert_pushes_once(ch, prior, refused)
+
+
+@DETERMINISTIC
+@given(gauss_cases())
+def test_a_state_remembers_its_cholesky_factor(case):
+    ch, prior = case
+    nll = loss_module._models(prior).nll
+    p = gs.GaussState(prior.mean + 1.0, 2.0 * prior.cov)
+    reads = [
+        gs.g_entropy,
+        lambda s: gs.g_logpdf(s, p.mean),
+        lambda s: gs.g_kl(p, s),
+        lambda s: np.concatenate([nll(s).H.ravel(), nll(s).g, [nll(s).c]]),
+    ]
+    want = [np.float64(read(copied(prior))).tobytes() for read in reads]
+    with counted(gs, "_chol") as factors:
+        assert [np.float64(read(prior)).tobytes() for read in reads] == want
+        assert [np.float64(read(prior)).tobytes() for read in reads] == want
+        assert len(factors) == 1
+    singular = gs.GaussState(np.zeros(2), [[1.0, 0.0], [0.0, 0.0]])
+    q = gs.GaussState(np.zeros(2), np.eye(2))
+    with counted(gs, "_chol") as factors:
+        for _ in range(2):
+            assert raised(gs.g_kl, q, singular) == (SingularityError, "second covariance is singular")
+            assert raised(gs.g_entropy, singular) == (SingularityError, "covariance is singular")
+        assert len(factors) == 4
+
+
+def remembered(ch, pi) -> list:
+    """Weak references to ``ch``, to its exact lens's inversion at ``pi``,
+    and to all they remember once read."""
+    back = exact_lens(ch).bwd(pi)
+    onto = prior_pushforward(ch)
+    pushed = onto(pi)
+    if hasattr(pushed, "cov"):
+        gs.g_entropy(pushed)
+    return [weakref.ref(obj) for obj in (ch, discarded(ch), onto, pushed, back, discarded(back))]
+
+
+def channels_and_priors():
+    """A discrete and a Gaussian channel, each with a prior on its domain."""
+    rng = np.random.default_rng(5)
+    X, M, Y = (ds.space([f"{p}{i}" for i in range(3)]) for p in "xmy")
+    return [
+        (random_kernel(rng, X, M, Y, False), ds.uniform(X)),
+        (GAUSSIAN.random_channel(rng, 2, 1, 2), GAUSSIAN.random_state(rng, 2)),
+    ]
+
+
+def test_a_channel_and_what_it_remembers_are_freed_without_the_cyclic_collector():
+    # a channel's remembered map refers to its discard, never back to the
+    # channel, so nothing it keeps waits for the cyclic collector
+    made = channels_and_priors()
+    gc.disable()
+    try:
+        while made:
+            refs = remembered(*made.pop())
+            assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_a_channel_and_a_state_that_remember_still_pickle():
+    for ch, pi in channels_and_priors():
+        pushed = prior_pushforward(ch)(pi)
+        if hasattr(pi, "cov"):
+            gs.g_entropy(pi)
+        clone, prior = pickle.loads(pickle.dumps((ch, pi)))
+        assert same_channel(clone, ch) and same_state(prior, pi)
+        assert same_state(prior_pushforward(clone)(prior), pushed)
 
 
 # -- the inversion's blocks are copied, not recomputed -------------------------
