@@ -45,21 +45,17 @@ prior), its MLE witness one, and its KL, MLE and FE witnesses and its buco
 residual five in all.  ``loss_compose`` also hands the second stage's
 backward channel to that stage's form (its ``known`` argument), which saves
 the evaluation for a lens that is not exact, and the KL loss of an
-``exact_lens`` inverts nothing more.
-
-Each forward pushes a prior once: ``prior_pushforward`` keeps one map on
-each channel, remembering its last prior's pushforward, and ``discarded``
-keeps each channel's discard, so a pair's MLE term, the composite's middle
-prior and its backward share one push, and the models on one pair one
-discard of each remembered inversion.
+``exact_lens`` inverts nothing more.  Likewise a prior is pushed through a
+channel once, and a channel is discarded once (``lens.prior_pushforward``,
+``lens.discarded``).
 
 On the discrete instance a form also takes a stack of priors (a ``Dist``
 whose ``mass`` is ``(P, n)``) and returns a ``VecForm`` with the same
 leading axis, so ``at_probes`` evaluates a loss at many probes in one form
-call; only the discrete instance batches.  In the same way a tuple of models gives one discrete
-loss (``loss_for``) or laxator (``laxator_loss``) whose form has a leading
-model axis, one row per model, so the KL, MLE and FE values share one form
-call and its inversions.
+call; only the discrete instance batches.  In the same way a tuple of
+models gives one discrete loss (``loss_for``) or laxator (``laxator_loss``)
+whose form has a leading model axis, one row per model, so the KL, MLE and
+FE values share one form call and its inversions.
 """
 
 from __future__ import annotations

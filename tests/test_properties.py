@@ -585,7 +585,7 @@ def test_a_channel_remembers_its_gaussian_pushforward(case):
 @DETERMINISTIC
 @given(gauss_cases())
 def test_a_state_remembers_its_cholesky_factor(case):
-    ch, prior = case
+    _, prior = case
     nll = loss_module._models(prior).nll
     p = gs.GaussState(prior.mean + 1.0, 2.0 * prior.cov)
     reads = [
