@@ -39,11 +39,15 @@ def _via(module, name: str):
     return staticmethod(lambda *args: getattr(module, name)(*args))
 
 
-def _labels(obj, key) -> tuple[str, ...]:
+def _space(obj, key) -> ds.FiniteSpace:
+    """Field ``key`` as a finite space: a list of labels is one factor, and
+    a list of such lists a product of factors."""
     val = obj.get(key)
-    if not isinstance(val, Sequence) or isinstance(val, str) or not val:
+    nested = isinstance(val, list) and val and all(isinstance(f, list) for f in val)
+    factors = val if nested else [val]
+    if any(not isinstance(f, Sequence) or isinstance(f, str) or not f for f in factors):
         raise ModelParseError(f"field {key!r} must be a non-empty list of labels")
-    return tuple(str(x) for x in val)
+    return ds.FiniteSpace(tuple(tuple(str(x) for x in f) for f in factors))
 
 
 def _holds_bool(val) -> bool:
@@ -88,6 +92,12 @@ def _floats(arr) -> list:
 
 def _flat_labels(space: ds.FiniteSpace) -> list[str]:
     return ["|".join(l) if isinstance(l, tuple) else l for l in space.labels]
+
+
+def _written(space: ds.FiniteSpace) -> list:
+    """The labels of ``space`` in a model file: one list per factor of a
+    product."""
+    return [list(f) for f in space.factor_labels] if space.n_factors > 1 else _flat_labels(space)
 
 
 def _describe_space(s: ds.FiniteSpace) -> str:
@@ -181,8 +191,8 @@ class Discrete:
     # -- model JSON --------------------------------------------------------
 
     def parse_channel(self, obj):
-        dom, cod = ds.space(_labels(obj, "dom")), ds.space(_labels(obj, "cod"))
-        copar = ds.space(_labels(obj, "copar")) if "copar" in obj else ds.unit_space()
+        dom, cod = _space(obj, "dom"), _space(obj, "cod")
+        copar = _space(obj, "copar") if "copar" in obj else ds.unit_space()
         rows, shape = _numbers(obj, "rows"), (dom.size, copar.size * cod.size)
         if rows.ndim == 1 and rows.size != shape[0] * shape[1]:
             raise ModelParseError(f"'rows' has {rows.size} entries, expected {shape[0] * shape[1]}")
@@ -195,18 +205,18 @@ class Discrete:
         mass = _numbers(obj, "mass")
         if mass.ndim != 1:  # a file holds one prior; stacks are built in memory
             raise ModelParseError(f"'mass' has shape {mass.shape}, expected a vector")
-        return _built(ds.Dist, ds.space(_labels(obj, "space")), mass)
+        return _built(ds.Dist, _space(obj, "space"), mass)
 
     def channel_to_obj(self, ch) -> dict:
-        obj = {"dom": _flat_labels(ch.dom), "cod": _flat_labels(ch.out), "rows": _floats(ch.rows)}
+        obj = {"dom": _written(ch.dom), "cod": _written(ch.out), "rows": _floats(ch.rows)}
         if ch.copar.n_factors:  # a one-outcome coparameter is a factor too
-            obj["copar"] = _flat_labels(ch.copar)
+            obj["copar"] = _written(ch.copar)
         if ch.copar_side != "left":
             obj["copar_side"] = ch.copar_side
         return obj
 
     def state_to_obj(self, s) -> dict:
-        return {"space": _flat_labels(s.space), "mass": _floats(s.mass)}
+        return {"space": _written(s.space), "mass": _floats(s.mass)}
 
     def states_match(self, a, b) -> bool:
         return a.space == b.space and np.allclose(a.mass, b.mass, atol=1e-9)
@@ -378,7 +388,7 @@ class Gaussian:
         return a.dim == b.dim and all(np.allclose(u, v, atol=1e-9) for u, v in pairs)
 
     def content_key(self, s) -> tuple:
-        gs._single(s, "a Gaussian backward family")
+        gs._single(s, "a content key")
         return s.mean.shape, s.mean.tobytes(), s.cov.shape, s.cov.tobytes()
 
     # -- the command line --------------------------------------------------

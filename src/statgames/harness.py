@@ -35,7 +35,6 @@ from .lens import (
     exact_lens,
     lens_compose,
     lens_tensor,
-    prior_marginals,
 )
 from .loss import (
     LossModel,
@@ -448,7 +447,7 @@ def _laxator_pairs(rng, backend, sizes, model):
     prod = backend.tensor_state(backend.random_state(rng, dom), backend.random_state(rng, dom2))
     y, y2 = backend.random_obs(rng, out), backend.random_obs(rng, out2)
     joint_obs = backend.joint_obs(c.fwd, d.fwd, y, y2)
-    w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
+    w1, w2 = t.marginals(omega)
 
     def rows(value):
         return value if isinstance(model, tuple) else (value,)
@@ -495,9 +494,9 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
     z = int(rng.integers(0, sz))
     z2 = int(rng.integers(0, 2))
     digest = _digest(c.fwd.rows, d.fwd.rows, e.fwd.rows, f.fwd.rows, omega.mass)
-    w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
     cd = lens_tensor(c, d)
     ef = lens_tensor(e, f)
+    w1, w2 = cd.marginals(omega)
     ec, fd = lens_compose(e, c), lens_compose(f, d)
     joint_obs = DISCRETE.joint_obs(e.fwd, f.fwd, z, z2)
     # every term is one loss for the three models, evaluated once

@@ -8,9 +8,9 @@ with the discarded forward).
 
 Backward families are callables: priors form a continuum even in the
 discrete case, so they cannot be tabulated.  They must be pure -- equal
-priors must yield identical backward channels.  The exact family remembers
-its last prior, by exact content, and that prior's inversion, so the terms
-of a law that all need one stage's inversion at one prior invert it once.
+priors must yield identical backward channels -- so every lens remembers
+its last prior, by exact content, and that prior's channel (``_Last``),
+and the terms of a law that need one lens's channel at one prior share it.
 
 A channel remembers what is derived from it, for as long as it lives: its
 discarded channel (``discarded``), computed once, and its map of priors
@@ -30,6 +30,7 @@ stack of states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -79,15 +80,22 @@ class BayesLens:
 
     ``simple`` asserts the backward family's coparameter equals the
     forward's and the endpoints are diagonal, which is what makes exact
-    inversion (and hence the loss models) applicable.  ``exact`` marks the
-    lenses ``exact_lens`` builds, whose KL loss needs no second inversion;
-    it is not an argument, and ``dataclasses.replace`` drops it.
+    inversion (and hence the loss models) applicable.  ``bwd`` is kept as a
+    ``_Last``.  Two fields are not arguments, and ``dataclasses.replace``
+    drops them: ``exact`` marks the lenses ``exact_lens`` builds, whose KL
+    loss needs no second inversion, and ``marginals``, the ``_Last`` split
+    of a joint prior into the factors' priors, those ``lens_tensor`` builds.
     """
 
     fwd: Channel
     bwd: Callable[[State], Channel]
     simple: bool = True
     exact: bool = field(default=False, init=False, repr=False)
+    marginals: Callable | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.bwd, _Last):
+            object.__setattr__(self, "bwd", _Last(self.bwd))
 
     @property
     def backend(self):
@@ -109,36 +117,40 @@ def discarded(ch: Channel) -> Channel:
 def prior_pushforward(ch: Channel) -> Callable[[State], State]:
     """The map of priors induced by a forward channel (discard, then push).
 
-    There is one map per channel, built on first use and kept on ``ch`` for
-    as long as it lives.  It remembers its last prior and that prior's
-    pushforward: called at a prior bitwise equal to the last one
-    (``Backend.content_key``; a stack of discrete priors is its own key), it
-    returns the same state without pushing again.  A push that raises is
-    not remembered.  The map refers to ``discarded(ch)``, not to ``ch``.
+    There is one map per channel, a ``_Last``, built on first use and kept
+    on ``ch`` for as long as it lives.  It refers to ``discarded(ch)``, not
+    to ``ch``.
     """
     onto = getattr(ch, "_pushforward", None)
     if onto is None:
-        onto = _Pushforward(discarded(ch))
+        onto = _Last(functools.partial(_push, discarded(ch)))
         object.__setattr__(ch, "_pushforward", onto)
     return onto
 
 
-class _Pushforward:
-    """Push through a plain channel, remembering the last prior.  A class
-    and not a closure, so that a channel that keeps one still pickles."""
+def _push(plain: Channel, pi: State) -> State:
+    return backend_of(plain).push(plain, pi)
 
-    def __init__(self, plain: Channel):
-        self.plain = plain
-        self.last = (None, None)  # (key of the last prior, its pushforward)
 
-    def __call__(self, pi: State) -> State:
-        backend = backend_of(self.plain)
+class _Last:
+    """A pure function of a state, remembering its last state and result:
+    called at a state bitwise equal to the last (``Backend.content_key``; a
+    discrete stack is its own key), it returns the same result without
+    calling ``fn``.  A call that raises is not remembered, and a state with
+    no key (a Gaussian stack) goes to ``fn`` to be refused in its words.  A
+    class, not a closure, so that a channel that keeps one still pickles."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.last = (None, None)  # (key of the last state, its result)
+
+    def __call__(self, state):
         try:
-            key = backend.content_key(pi)
-        except ShapeError:  # a Gaussian stack has no key; the push refuses it in its own words
-            return backend.push(self.plain, pi)
+            key = backend_of(state).content_key(state)
+        except ShapeError:
+            return self.fn(state)
         if key != self.last[0]:
-            self.last = (key, backend.push(self.plain, pi))
+            self.last = (key, self.fn(state))
         return self.last[1]
 
 
@@ -153,25 +165,10 @@ def reindex(statefn: Callable, ch: Channel) -> Callable:
 
 
 def exact_lens(ch) -> BayesLens:
-    """The lens whose backward family is exact Bayesian inversion.
-
-    The family remembers its last prior and that prior's inversion: called
-    at a prior bitwise equal to the last one (``Backend.content_key``; a
-    stack of priors is its own key), it returns the same channel without
-    inverting again.  A failed inversion is not remembered.
-    """
+    """The lens whose backward family is exact Bayesian inversion."""
     if ch.copar_side != "left":
         raise ShapeError("forward channel must carry its coparameter leading")
-    last = (None, None)  # (key of the last prior, its inversion)
-
-    def bwd(pi):
-        nonlocal last
-        key = backend_of(pi).content_key(pi)
-        if key != last[0]:
-            last = (key, exact_inversion(ch, pi))
-        return last[1]
-
-    lens = BayesLens(fwd=ch, bwd=bwd, simple=True)
+    lens = BayesLens(fwd=ch, bwd=lambda pi: exact_inversion(ch, pi), simple=True)
     object.__setattr__(lens, "exact", True)
     return lens
 
@@ -208,12 +205,15 @@ def lens_tensor(l1: BayesLens, l2: BayesLens) -> BayesLens:
     measure)."""
     backend = backend_of(l1.fwd, l2.fwd)
     fwd = backend.tensor(l1.fwd, l2.fwd)
+    split = _Last(lambda omega: prior_marginals(omega, l1.fwd, l2.fwd))
 
     def bwd(omega):
-        w1, w2 = prior_marginals(omega, l1.fwd, l2.fwd)
+        w1, w2 = split(omega)
         return backend.tensor(l1.bwd(w1), l2.bwd(w2))
 
-    return BayesLens(fwd=fwd, bwd=bwd, simple=l1.simple and l2.simple)
+    lens = BayesLens(fwd=fwd, bwd=bwd, simple=l1.simple and l2.simple)
+    object.__setattr__(lens, "marginals", split)
+    return lens
 
 
 # ---------------------------------------------------------------------------

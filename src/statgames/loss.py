@@ -37,17 +37,15 @@ lens's backend, supplies the KL, Laplace and joint free-energy forms and
 the primitives they use (``nll``, the negative log-density of a state as a
 form).
 
-Each stage is inverted once per prior.  An ``exact_lens`` remembers its
-last prior and that prior's inversion, so the terms of a law that need a
-stage's inversion at one prior share it: a Gaussian pair's KL witness makes
-three inversions (each stage at its prior, the composite's forward at the
-prior), its MLE witness one, and its KL, MLE and FE witnesses and its buco
-residual five in all.  ``loss_compose`` also hands the second stage's
-backward channel to that stage's form (its ``known`` argument), which saves
-the evaluation for a lens that is not exact, and the KL loss of an
-``exact_lens`` inverts nothing more.  Likewise a prior is pushed through a
-channel once, and a channel is discarded once (``lens.prior_pushforward``,
-``lens.discarded``).
+Every lens remembers its last prior and that prior's backward channel, so
+the terms of a law that need one lens's channel at one prior share it: a
+Gaussian pair's KL witness makes three inversions (each stage at its prior,
+the composite's forward at the prior), its MLE witness one, and its KL, MLE
+and FE witnesses and its buco residual five in all; a composite or tensored
+lens builds its backward channel once for all the models read at one prior.
+The KL loss of an ``exact_lens`` inverts nothing more.  Likewise a prior is
+pushed through a channel once, and a channel is discarded once
+(``lens.prior_pushforward``, ``lens.discarded``).
 
 On the discrete instance a form also takes a stack of priors (a ``Dist``
 whose ``mass`` is ``(P, n)``) and returns a ``VecForm`` with the same
@@ -76,7 +74,6 @@ from .lens import (
     discarded,
     exact_inversion,
     lens_tensor,
-    prior_marginals,
     prior_pushforward,
     reindex,
 )
@@ -212,12 +209,10 @@ class LossFn:
     ``prior_dom`` and ``obs_dom`` are a finite space (discrete) or a
     dimension (Gaussian); they make composability checkable.
 
-    ``form(prior, sel=ALL, known=None)`` is the loss at one prior (or a
-    discrete stack): a ``VecForm`` over the observations ``sel`` indexes,
-    or a ``QuadForm``, which ignores ``sel``.  ``known`` may hold ``(family,
-    prior, family(prior))``, which a form whose lens has that backward
-    family uses at that very prior.  Every loss is given by its form, and
-    composition works on forms.
+    ``form(prior, sel=ALL)`` is the loss at one prior (or a discrete
+    stack): a ``VecForm`` over the observations ``sel`` indexes, or a
+    ``QuadForm``, which ignores ``sel``.  Every loss is given by its form,
+    and composition works on forms.
 
     ``at_probes(probes)`` reads the loss at probes ``(prior, observation)``;
     the scalar call ``fn(prior, obs)`` is its one-probe case, raising the
@@ -273,8 +268,8 @@ def _one_probe(form, obs_dom):
 def _loss_sum(a: LossFn, b: LossFn) -> LossFn:
     """The pointwise sum of two losses on the same spaces."""
 
-    def form(pi, sel=ALL, known=None):
-        return a.form(pi, sel, known) + b.form(pi, sel, known)
+    def form(pi, sel=ALL):
+        return a.form(pi, sel) + b.form(pi, sel)
 
     return LossFn(a.prior_dom, a.obs_dom, form)
 
@@ -307,11 +302,6 @@ def _simple(l: BayesLens) -> BayesLens:
     return l
 
 
-def _backward(l: BayesLens, pi, known):
-    """``l.bwd(pi)``, or the channel ``known`` holds when it is that one."""
-    return known[2] if known and known[0] is l.bwd and known[1] is pi else l.bwd(pi)
-
-
 def kl_loss(l: BayesLens) -> LossFn:
     """Divergence from the lens's posterior to the exact posterior."""
     return LossFn(*l.backend.doms(l.fwd), _models(l.fwd).kl(_simple(l)))
@@ -323,7 +313,7 @@ def mle_loss(l: BayesLens) -> LossFn:
     Zero-probability observations give ``+inf`` (a value, not an error).
     """
     nll, onto = _models(l.fwd).nll, prior_pushforward(l.fwd)
-    return LossFn(*l.backend.doms(l.fwd), lambda pi, sel=ALL, known=None: nll(onto(pi), sel))
+    return LossFn(*l.backend.doms(l.fwd), lambda pi, sel=ALL: nll(onto(pi), sel))
 
 
 def fe_loss(l: BayesLens) -> LossFn:
@@ -375,11 +365,10 @@ def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
     closed form."""
     mid = prior_pushforward(c.fwd)
 
-    def form(pi, sel=ALL, known=None):
+    def form(pi, sel=ALL):
         mid_prior = mid(pi)
-        back = d.bwd(mid_prior)
-        first = Ld.form(mid_prior, sel, (d.bwd, mid_prior, back))
-        return first + Lc.form(pi).average(discarded(back), sel)
+        back = d.bwd(mid_prior)  # remembered, so ``Ld``'s form reads it too
+        return Ld.form(mid_prior, sel) + Lc.form(pi).average(discarded(back), sel)
 
     return LossFn(Lc.prior_dom, Ld.obs_dom, form)
 
@@ -412,8 +401,8 @@ def loss_for(model, l: BayesLens) -> LossFn:
     needed = set(model) - {LossModel.FE} | ({LossModel.KL, LossModel.MLE} if with_fe else set())
     forms = {m: loss_for(m, l).form for m in needed}
 
-    def form(pi, sel=ALL, known=None):
-        terms = {m: f(pi, sel, known) for m, f in forms.items()}
+    def form(pi, sel=ALL):
+        terms = {m: f(pi, sel) for m, f in forms.items()}
         if with_fe:
             terms[LossModel.FE] = terms[LossModel.KL] + terms[LossModel.MLE]
         return pick(terms)
@@ -448,7 +437,7 @@ def laxator_loss(model, c: BayesLens, d: BayesLens, tensored: BayesLens | None =
     undefined at observations of zero evidence; none is defined where it
     is ``inf - inf``.  The tensored lens and its pushforward are built once;
     a caller that has built ``lens_tensor(c, d)`` already passes it as
-    ``tensored``.
+    ``tensored``, whose remembered split of ``omega`` gives the product prior.
 
     A tuple of models gives one loss with a leading model axis, as
     ``loss_for`` does: its FE term and its MLE term are computed once per
@@ -456,7 +445,7 @@ def laxator_loss(model, c: BayesLens, d: BayesLens, tensored: BayesLens | None =
     ``omega`` through the tensored forward at most once.
     """
     tensored = lens_tensor(c, d) if tensored is None else tensored
-    backend, models = tensored.backend, _models(tensored.fwd)
+    backend, models, split = tensored.backend, _models(tensored.fwd), tensored.marginals
     onto = prior_pushforward(tensored.fwd)
     pick = _select(model, models)
     chosen = (model,) if isinstance(model, LossModel) else model
@@ -465,8 +454,8 @@ def laxator_loss(model, c: BayesLens, d: BayesLens, tensored: BayesLens | None =
     # the Laplace defect averages over the posterior mean alone
     back = models.at_mean() if LossModel.LFE in chosen else lambda ch: ch
 
-    def form(omega, sel=ALL, known=None):
-        prod = backend.tensor_state(*prior_marginals(omega, c.fwd, d.fwd))
+    def form(omega, sel=ALL):
+        prod = backend.tensor_state(*split(omega))
         pushed = onto(omega) if with_mle else None
         terms = {}
         if with_fe:
@@ -501,7 +490,7 @@ class _DiscreteModels:
     def at_probes(self, form, obs_dom, probes):
         """One form call at the stack of the probes' priors, each selecting
         its own observation.  A single probe is evaluated at its prior as
-        given, so that an exact lens's memo keeps one key for a prior read
+        given, so that a lens's memo keeps one key for a prior read
         alone or in a witness, and selects its observation by a one-row
         slice, a view with no copy of a large channel's row.  The view sums
         in the order a stacked copy does: a copy-composite's rows are
@@ -529,7 +518,7 @@ class _DiscreteModels:
         return [row(v, ok) for v, ok in zip(got.values[..., 0], got.defined[..., 0])]
 
     def zero(self, obs_dom):
-        def form(pi, sel=ALL, known=None):
+        def form(pi, sel=ALL):
             values = _pick(np.zeros(pi.mass.shape[:-1] + (obs_dom.size,)), sel)
             return VecForm(values, np.ones(values.shape, dtype=bool))
 
@@ -559,10 +548,10 @@ class _DiscreteModels:
     def kl(self, l):
         if l.exact:  # the posterior is exact wherever the observation is possible
             onto = prior_pushforward(l.fwd)
-            return lambda pi, sel=ALL, known=None: self.support(onto(pi), sel)
+            return lambda pi, sel=ALL: self.support(onto(pi), sel)
 
-        def form(pi, sel=ALL, known=None):
-            approx = _pick(_backward(l, pi, known).rows, sel, rows=True)
+        def form(pi, sel=ALL):
+            approx = _pick(l.bwd(pi).rows, sel, rows=True)
             exact, mask = ds.bayes_invert(l.fwd, pi)
             divergence = ds.rows_relative_entropy(approx, _pick(exact.rows, sel, rows=True))
             return VecForm(divergence, _pick(mask.supported, sel))
@@ -575,23 +564,23 @@ class _DiscreteModels:
         with np.errstate(divide="ignore"):
             return VecForm(-np.log(mass), np.ones(mass.shape, dtype=bool))
 
-    def _posterior_energy(self, l, pi, sel, known=None):
+    def _posterior_energy(self, l, pi, sel):
         """The posterior rows at the observations ``sel`` and, for each, the
         energy ``-log p_fwd(m, y | x) - log p_pi(x)`` over ``(x, m)``
         (``+inf`` where the joint density vanishes)."""
         by_obs = _pick(l.fwd.rows.reshape(-1, l.fwd.out.size).T, sel, rows=True)  # (y, (x, m))
         with np.errstate(divide="ignore"):
             energy = -np.log(by_obs * np.repeat(pi.mass, l.fwd.copar.size, axis=-1)[..., None, :])
-        return _pick(_backward(l, pi, known).rows, sel, rows=True), energy
+        return _pick(l.bwd(pi).rows, sel, rows=True), energy
 
     def fe_joint(self, l):
         onto = prior_pushforward(l.fwd)
 
-        def form(pi, sel=ALL, known=None):
+        def form(pi, sel=ALL):
             # E_rho[log rho + energy] over rho > 0, one ``np.dot`` per row:
             # a BLAS dot's order of summation depends on its operands' length
             # and layout, so a batched product would move the values' bits
-            rho, energy = self._posterior_energy(l, pi, sel, known)
+            rho, energy = self._posterior_energy(l, pi, sel)
             values = np.empty(rho.shape[:-1])
             for at in np.ndindex(values.shape):
                 pos = rho[at] > 0
@@ -631,7 +620,7 @@ class _GaussianModels:
         return out
 
     def zero(self, n):
-        def form(pi, sel=ALL, known=None):
+        def form(pi, sel=ALL):
             gs._single(pi, "a Gaussian loss")
             return QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
 
@@ -644,12 +633,12 @@ class _GaussianModels:
         return form  # a Gaussian pushforward has positive density everywhere
 
     def kl(self, l):
-        def form(pi, sel=ALL, known=None):
+        def form(pi, sel=ALL):
             # KL(N(Ga y + ha, Sa) || N(Ge y + he, Se)) with D = Ge - Ga and
             # e = he - ha: the Mahalanobis term |Le^-1 (D y + e)|^2 / 2 plus
             # a constant in y, as in ``gaussian.g_kl``
             gs._single(pi, "a Gaussian loss")
-            approx = _backward(l, pi, known)
+            approx = l.bwd(pi)
             exact = approx if l.exact else exact_inversion(l.fwd, pi)
             if approx.A.shape != exact.A.shape:
                 raise ShapeError(
@@ -685,11 +674,11 @@ class _GaussianModels:
         w = _energy_residual_map(fwd)
         obs_rows = np.eye(fwd.cod_dim)[:, fwd.copar_dim :]
 
-        def form(pi, sel=ALL, known=None):
+        def form(pi, sel=ALL):
             # the posterior mean z = B y + beta is affine in y, so the energy
             # there is a quadratic in y; the entropy does not depend on y
             gs._single(pi, "a Gaussian loss")
-            back = _backward(l, pi, known)
+            back = l.bwd(pi)
             chol_c = gs._chol(fwd.noise, "covariance")
             chol_pi = gs._state_chol(pi, "covariance")
             chol_post = gs._chol(back.noise, "covariance")

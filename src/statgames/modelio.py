@@ -7,9 +7,9 @@ Discrete kernel::
 ``rows`` is row-major, one row per domain point, flat or nested; ``copar``
 marks the leading block of the codomain (pass ``"copar_side": "right"`` for
 a trailing block, as inversions have).  A distribution is
-``{"space": [labels], "mass": [numbers]}``.  A product space is written
-flat, each outcome's factor labels joined by ``|``, and is read back as one
-atomic space.
+``{"space": [labels], "mass": [numbers]}``.  A product space is written as
+one list of labels per factor, ``[[labels], [labels], ...]``, and read back
+with its factors; a flat list of labels is one factor.
 
 Gaussian channel::
 

@@ -91,8 +91,8 @@ def exact_pair(rng, sizes=(3, 2, 3, 2, 3)):
 def shifted_loss(loss, value):
     """``loss`` plus ``value`` at every prior and observation, in its form."""
 
-    def form(pi, sel=ALL, known=None):
-        f = loss.form(pi, sel, known)
+    def form(pi, sel=ALL):
+        f = loss.form(pi, sel)
         if isinstance(f, VecForm):
             return VecForm(f.values + value, f.defined)
         return f._replace(c=f.c + value)

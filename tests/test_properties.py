@@ -1,8 +1,8 @@
 """Property-based differential tests: each batched path of the discrete
-losses against the path it batches, compared bitwise on drawn shapes; the
-exact lens's remembered inversion, a channel's remembered discard and
-pushforward and a state's remembered Cholesky factor against fresh ones;
-the Gaussian
+losses against the path it batches, compared bitwise on drawn shapes; every
+memo site (each family's remembered backward channel, a tensored lens's
+remembered split, a channel's remembered discard and pushforward) and a
+state's remembered Cholesky factor against fresh ones; the Gaussian
 inversion against its block assembly; model objects through JSON and back;
 and malformed model files against the command line.
 
@@ -138,7 +138,7 @@ def tabulated(fn, prior_dom, obs_dom) -> LossFn:
     called at one prior of a stack and one observation at a time; where
     ``fn`` raises ``SupportError`` the entry is undefined."""
 
-    def form(pi, sel=ALL, known=None):
+    def form(pi, sel=ALL):
         obs = loss_module._pick(np.arange(obs_dom.size), sel)
         obs = np.broadcast_to(obs, pi.mass.shape[:-1] + obs.shape[-1:])
         values, defined = np.zeros(obs.shape), np.ones(obs.shape, dtype=bool)
@@ -315,15 +315,23 @@ def test_laxator_rows_are_the_tensored_loss_less_the_factors_losses(case):
 
 @DETERMINISTIC
 @given(cases())
-def test_a_form_given_known_is_a_fresh_form(case):
+def test_a_form_at_a_remembered_prior_is_a_fresh_form(case):
+    # every form reads the lens's remembered backward channel; read at the
+    # prior the lens last saw, it is bitwise the form of a lens that has
+    # seen no prior
     (l,), priors = case
-    losses = [*(loss_for(m, l) for m in MODELS), fe_joint_form(l)]
+
+    def unseen():
+        return exact_lens(l.fwd) if l.exact else BayesLens(l.fwd, l.bwd.fn)
+
+    remembering = unseen()
     for pi in [*priors, stack(priors)]:
-        known = (l.bwd, pi, l.bwd(pi))
-        for loss in losses:
-            assert_same_form(loss.form(pi, ALL, known), loss.form(pi))
-        for row, fresh in zip(rows(loss_for(MODELS, l).form(pi, ALL, known)), losses):
-            assert_same_form(row, fresh.form(pi))
+        fresh = unseen()
+        remembering.bwd(pi)
+        for build in (*(lambda l, m=m: loss_for(m, l) for m in MODELS), fe_joint_form):
+            assert_same_form(build(remembering).form(pi), build(fresh).form(pi))
+        for row, single in zip(rows(loss_for(MODELS, remembering).form(pi)), MODELS):
+            assert_same_form(row, loss_for(single, fresh).form(pi))
 
 
 @DETERMINISTIC
@@ -439,44 +447,6 @@ def nudged(state):
     if hasattr(state, "mass"):
         return ds.Dist(state.space, moved)
     return gs.GaussState(moved, state.cov)
-
-
-def assert_remembers(ch, prior):
-    l = exact_lens(ch)
-    first = l.bwd(prior)
-    assert same_channel(first, exact_inversion(ch, prior))
-    assert l.bwd(copied(prior)) is first
-    moved = nudged(prior)
-    assert backend_of(prior).content_key(moved) != backend_of(prior).content_key(prior)
-    again = l.bwd(moved)
-    assert again is not first and same_channel(again, exact_inversion(ch, moved))
-    back = l.bwd(prior)  # the one slot now holds the moved prior's inversion
-    assert back is not first and same_channel(back, first)
-
-
-@DETERMINISTIC
-@given(cases())
-def test_an_exact_lens_remembers_its_last_discrete_prior(case):
-    (l,), priors = case
-    assert_remembers(l.fwd, priors[0])
-    # a stack is its own key: a stack of one prior is not that prior
-    l = exact_lens(l.fwd)
-    single, one = l.bwd(priors[0]), l.bwd(stack(priors[:1]))
-    assert one.rows.shape == (1,) + single.rows.shape
-    assert one.rows[0].tobytes() == single.rows.tobytes()
-    back = l.bwd(priors[0])
-    assert back is not single and same_channel(back, single)
-    # the same mass on another space is no prior of the lens
-    other = ds.space([f"other{i}" for i in range(l.fwd.dom.size)])
-    with pytest.raises(ShapeError):
-        l.bwd(ds.Dist(other, priors[0].mass))
-    assert l.bwd(priors[0]) is back
-
-
-@DETERMINISTIC
-@given(gauss_cases())
-def test_an_exact_lens_remembers_its_last_gaussian_prior(case):
-    assert_remembers(*case)
 
 
 def test_a_failed_inversion_is_not_remembered():
@@ -606,6 +576,227 @@ def test_a_state_remembers_its_cholesky_factor(case):
             assert raised(gs.g_kl, q, singular) == (SingularityError, "second covariance is singular")
             assert raised(gs.g_entropy, singular) == (SingularityError, "covariance is singular")
         assert len(factors) == 4
+
+
+# -- every memo site: one slot keyed on content ------------------------------
+
+
+def discrete_stages(rng, n, sizes=(3, 2, 3)):
+    """``n`` exact discrete lenses run one after the other."""
+    lenses, dom = [], None
+    for i in range(n):
+        dom = dom or ds.space([f"s{i}_{k}" for k in range(sizes[0])])
+        copar = ds.space([f"m{i}_{k}" for k in range(sizes[1])])
+        out = ds.space([f"s{i + 1}_{k}" for k in range(sizes[2])])
+        lenses.append(exact_lens(random_kernel(rng, dom, copar, out, False)))
+        dom = out
+    return lenses
+
+
+def a_prior(rng, dom):
+    return ds.Dist(dom, (lambda m: m / m.sum())(rng.gamma(1.0, size=dom.size) + 0.05))
+
+
+def elsewhere(pi):
+    """The mass of ``pi`` on a space of other labels: no prior of its lens."""
+    return ds.Dist(ds.space([f"other{i}" for i in range(pi.space.size)]), pi.mass)
+
+
+def exact_site(rng):
+    (l,) = discrete_stages(rng, 1)
+    pi = a_prior(rng, l.fwd.dom)
+    return l, l.bwd, pi, nudged(pi), elsewhere(pi)
+
+
+def gaussian_exact_site(rng):
+    l = exact_lens(GAUSSIAN.random_channel(rng, 2, 1, 2))
+    pi = GAUSSIAN.random_state(rng, 2)
+    return l, l.bwd, pi, nudged(pi), gs.GaussState(np.zeros(3), np.eye(3))
+
+
+def composite_site(rng):
+    c, d = discrete_stages(rng, 2)
+    l = lens_compose(d, c)
+    pi = a_prior(rng, l.fwd.dom)
+    return l, l.bwd, pi, nudged(pi), elsewhere(pi)
+
+
+def tensored_lens(rng):
+    c, d = discrete_stages(rng, 2)
+    l = lens_tensor(c, d)
+    return l, a_prior(rng, l.fwd.dom)
+
+
+def tensored_site(rng):
+    l, omega = tensored_lens(rng)
+    return l, l.bwd, omega, nudged(omega), elsewhere(omega)
+
+
+def split_site(rng):
+    l, omega = tensored_lens(rng)
+    return l, l.marginals, omega, nudged(omega), elsewhere(omega)
+
+
+def perturbed_site(rng):
+    (l,) = discrete_stages(rng, 1)
+    l = perturbed_lens(rng, l.fwd)
+    pi = a_prior(rng, l.fwd.dom)
+    return l, l.bwd, pi, nudged(pi), elsewhere(pi)
+
+
+def model_file_site(rng):
+    # a table matches a prior within a tolerance, so the other prior is
+    # another tabulated one, and the refused prior one the table lacks
+    (l,) = discrete_stages(rng, 1)
+    pi, other, missing = (a_prior(rng, l.fwd.dom) for _ in range(3))
+    table = [
+        {"prior": modelio.state_to_obj(p), "channel": modelio.channel_to_obj(exact_inversion(l.fwd, p))}
+        for p in (pi, other)
+    ]
+    l = modelio.parse_lens(through_json({"fwd": modelio.channel_to_obj(l.fwd), "bwd": table}))
+    return l, l.bwd, pi, other, missing
+
+
+def pushforward_site(rng):
+    (l,) = discrete_stages(rng, 1)
+    pi = a_prior(rng, l.fwd.dom)
+    return l.fwd, prior_pushforward(l.fwd), pi, nudged(pi), elsewhere(pi)
+
+
+def gaussian_pushforward_site(rng):
+    # a stack has no key: it goes to the push, which refuses it
+    ch, pi = GAUSSIAN.random_channel(rng, 2, 1, 2), GAUSSIAN.random_state(rng, 2)
+    refused = gs.GaussState(np.stack([pi.mean] * 2), np.stack([pi.cov] * 2))
+    return ch, prior_pushforward(ch), pi, nudged(pi), refused
+
+
+#: each memo site: ``rng -> (owner, memo, prior, other prior, refused
+#: prior)``, where dropping ``owner`` drops the memo
+MEMO_SITES = {
+    "exact": exact_site,
+    "gaussian-exact": gaussian_exact_site,
+    "composite": composite_site,
+    "tensored": tensored_site,
+    "tensored-split": split_site,
+    "perturbed": perturbed_site,
+    "model-file": model_file_site,
+    "pushforward": pushforward_site,
+    "gaussian-pushforward": gaussian_pushforward_site,
+}
+
+
+def same_value(a, b) -> bool:
+    """Two channels, states or tuples of states agree bitwise."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(same_value, a, b))
+    return same_channel(a, b) if hasattr(a, "copar_side") else same_state(a, b)
+
+
+def held(value) -> list:
+    """``value``, or the states of a tuple of them (a tuple has no weak
+    references)."""
+    return list(value) if isinstance(value, tuple) else [value]
+
+
+def memo_and_reads(site, seed) -> list:
+    """Weak references to a site's owner, its memo and what the memo holds
+    once read."""
+    owner, memo, pi, _, _ = site(np.random.default_rng(seed))
+    return [weakref.ref(obj) for obj in (owner, memo, *held(memo(pi)))]
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_SITES))
+def test_every_memo_site_remembers_one_prior_by_content(name):
+    site = MEMO_SITES[name]
+    for seed in range(5):
+        _, memo, pi, other, refused = site(np.random.default_rng(seed))
+        calls, fn = [], memo.fn
+        memo.fn = lambda state: calls.append(state) or fn(state)
+
+        def fresh(state):
+            return site(np.random.default_rng(seed))[1](state)
+
+        # a bitwise equal prior returns the same object, bitwise a fresh read
+        first = memo(pi)
+        assert memo(copied(pi)) is first and len(calls) == 1
+        assert same_value(first, fresh(pi))
+        # a refused prior raises a fresh read's error each time and is not kept
+        assert raised(memo, refused) == raised(memo, refused) == raised(fresh, refused)
+        assert memo(pi) is first and len(calls) == 3
+        # another prior takes the one slot
+        assert same_value(memo(other), fresh(other))
+        assert len(calls) == 4
+        back = memo(pi)
+        assert same_value(back, first) and len(calls) == 5
+        if hasattr(pi, "mass"):  # a stack is its own key: a stack of one prior is not that prior
+            one = stack([pi])
+            assert same_value(memo(one), fresh(one))
+            assert len(calls) == 6
+    # a dropped owner is freed at once, with what its memo holds
+    gc.disable()
+    try:
+        refs = memo_and_reads(site, 0)
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def deep_chain(rng, depth=7):
+    """Deep-chain's shape in memory: ``depth`` exact 3-state lenses with
+    2-point coparameters, their composites and a prior."""
+    stages = discrete_stages(rng, depth)
+    composites = [stages[0]]
+    for stage in stages[1:]:
+        composites.append(lens_compose(stage, composites[-1]))
+    return stages, composites, a_prior(rng, stages[0].fwd.dom)
+
+
+def test_a_composite_builds_its_backward_channel_once_per_prior():
+    # the direct KL and FE losses read the composite backward at one prior
+    # for every observation: 6 forward and 6 backward copy-compositions,
+    # where a composite that remembers nothing made 6 + 36
+    with counted(ds, "copy_compose_copar") as calls:
+        stages, composites, pi = deep_chain(np.random.default_rng(7))
+        for model in MODELS:
+            folded = loss_for(model, stages[0])
+            for stage, before in zip(stages[1:], composites):
+                folded = loss_compose(loss_for(model, stage), folded, stage, before)
+            direct = loss_for(model, composites[-1])
+            for z in range(3):
+                folded(pi, z) - direct(pi, z)
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("model", [LossModel.KL, LossModel.FE, MODELS], ids=["kl", "fe", "models"])
+def test_a_non_exact_second_stage_inverts_once_per_prior(model):
+    # a composed loss reads the second stage's backward channel and its form
+    # reads it again: one evaluation of a non-exact family per prior, one
+    # inversion more for its KL term; 8 calls when the family remembered
+    # nothing and the channel was handed to the form
+    rng = np.random.default_rng(11)
+    X, M, Y, N, Z = (ds.space([f"{p}{i}" for i in range(3)]) for p in "xmynz")
+    c = exact_lens(random_kernel(rng, X, M, Y, False))
+    d = perturbed_lens(rng, random_kernel(rng, Y, N, Z, False))
+    pi = a_prior(rng, X)
+    loss = loss_compose(loss_for(model, d), loss_for(model, c), d, c)
+    with counted(ds, "bayes_invert") as calls:
+        for z in range(3):
+            loss(pi, z)
+        loss.at_probes([(pi, z) for z in range(3)])
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("family", ["exact", "composite", "tensored"])
+def test_a_gaussian_stack_is_refused_by_every_family(family):
+    rng = np.random.default_rng(13)
+    c, d = (exact_lens(GAUSSIAN.random_channel(rng, 2, 1, 2)) for _ in range(2))
+    l = {"exact": c, "composite": lens_compose(d, c), "tensored": lens_tensor(c, d)}[family]
+    dim = l.fwd.dom_dim
+    pi = GAUSSIAN.random_state(rng, dim)
+    for _ in range(2):
+        with pytest.raises(ShapeError):
+            l.bwd(gs.GaussState(np.stack([pi.mean] * 2), np.stack([pi.cov] * 2)))
+    assert same_channel(l.bwd(pi), BayesLens(l.fwd, l.bwd.fn).bwd(pi))
 
 
 def remembered(ch, pi) -> list:
@@ -768,13 +959,16 @@ def through_json(obj):
 
 
 @DETERMINISTIC
-@given(cases())
+@given(cases(n_lenses=2))
 def test_discrete_model_objects_round_trip(case):
-    (l,), priors = case
-    back = exact_inversion(l.fwd, priors[0])
-    for ch in (l.fwd, back):
+    # a composite's and a tensor's spaces are products, which keep their factors
+    (c, d), priors = case
+    composite, tensored = lens_compose(d, c).fwd, lens_tensor(c, d).fwd
+    channels = [c.fwd, composite, tensored]
+    channels += [exact_inversion(ch, ds.uniform(ch.dom)) for ch in channels]
+    for ch in channels:
         assert same_channel(modelio.parse_channel(through_json(modelio.channel_to_obj(ch))), ch)
-    for pi in priors:
+    for pi in [*priors, ds.tensor_dist(priors[0], ds.uniform(d.fwd.dom))]:
         again = modelio.parse_state(through_json(modelio.state_to_obj(pi)))
         assert again.space == pi.space and again.mass.tobytes() == pi.mass.tobytes()
 
