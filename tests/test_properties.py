@@ -581,20 +581,19 @@ def test_a_state_remembers_its_cholesky_factor(case):
 # -- every memo site: one slot keyed on content ------------------------------
 
 
-def discrete_stages(rng, n, sizes=(3, 2, 3)):
-    """``n`` exact discrete lenses run one after the other."""
-    lenses, dom = [], None
-    for i in range(n):
-        dom = dom or ds.space([f"s{i}_{k}" for k in range(sizes[0])])
-        copar = ds.space([f"m{i}_{k}" for k in range(sizes[1])])
-        out = ds.space([f"s{i + 1}_{k}" for k in range(sizes[2])])
-        lenses.append(exact_lens(random_kernel(rng, dom, copar, out, False)))
-        dom = out
-    return lenses
+def discrete_stages(rng, n):
+    """``n`` exact discrete lenses run one after the other, on 3-state
+    spaces with 2-point coparameters (deep-chain's shape)."""
+    states = [ds.space([f"s{i}_{k}" for k in range(3)]) for i in range(n + 1)]
+    return [
+        exact_lens(random_kernel(rng, dom, ds.space([f"m{i}_0", f"m{i}_1"]), out, False))
+        for i, (dom, out) in enumerate(zip(states, states[1:]))
+    ]
 
 
 def a_prior(rng, dom):
-    return ds.Dist(dom, (lambda m: m / m.sum())(rng.gamma(1.0, size=dom.size) + 0.05))
+    mass = rng.gamma(1.0, size=dom.size) + 0.05
+    return ds.Dist(dom, mass / mass.sum())
 
 
 def elsewhere(pi):
@@ -741,22 +740,18 @@ def test_every_memo_site_remembers_one_prior_by_content(name):
         gc.enable()
 
 
-def deep_chain(rng, depth=7):
-    """Deep-chain's shape in memory: ``depth`` exact 3-state lenses with
-    2-point coparameters, their composites and a prior."""
-    stages = discrete_stages(rng, depth)
-    composites = [stages[0]]
-    for stage in stages[1:]:
-        composites.append(lens_compose(stage, composites[-1]))
-    return stages, composites, a_prior(rng, stages[0].fwd.dom)
-
-
 def test_a_composite_builds_its_backward_channel_once_per_prior():
-    # the direct KL and FE losses read the composite backward at one prior
-    # for every observation: 6 forward and 6 backward copy-compositions,
-    # where a composite that remembers nothing made 6 + 36
+    # a depth-7 chain read as the deep-chain benchmark reads it: the direct
+    # KL and FE losses read the composite backward at one prior for every
+    # observation, so 6 forward and 6 backward copy-compositions, where a
+    # composite that remembers nothing made 6 + 36
+    rng = np.random.default_rng(7)
+    stages = discrete_stages(rng, 7)
+    pi = a_prior(rng, stages[0].fwd.dom)
     with counted(ds, "copy_compose_copar") as calls:
-        stages, composites, pi = deep_chain(np.random.default_rng(7))
+        composites = [stages[0]]
+        for stage in stages[1:]:
+            composites.append(lens_compose(stage, composites[-1]))
         for model in MODELS:
             folded = loss_for(model, stages[0])
             for stage, before in zip(stages[1:], composites):
