@@ -7,7 +7,6 @@ from .discrete import (
     Effect,
     FiniteKernel,
     FiniteSpace,
-    SupportMask,
     bayes_invert,
     compose,
     copy_compose,

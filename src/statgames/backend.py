@@ -109,18 +109,10 @@ def _eigen_range(m: np.ndarray) -> str:
     return f"[{eig.min():.3e}, {eig.max():.3e}]"
 
 
-def random_rows(rng, n_rows: int, n_cols: int, degenerate: bool = False) -> np.ndarray:
-    """Seeded row-stochastic rows; strictly positive entries unless
-    ``degenerate`` asks for support gaps."""
+def random_rows(rng, n_rows: int, n_cols: int) -> np.ndarray:
+    """Seeded row-stochastic rows with strictly positive entries."""
     ds.check_entries(n_rows * n_cols, "random draw")
     raw = rng.gamma(1.0, size=(n_rows, n_cols))
-    if degenerate and n_cols > 1:
-        kill = rng.random(size=raw.shape) < 0.3
-        keep_one = np.zeros_like(raw, dtype=bool)
-        keep_one[np.arange(n_rows), rng.integers(0, n_cols, size=n_rows)] = True
-        raw = np.where(kill & ~keep_one, 0.0, raw)
-        raw += np.where(keep_one & (raw.sum(axis=1, keepdims=True) == 0), 1.0, 0.0)
-        return raw / raw.sum(axis=1, keepdims=True)
     rows = raw / raw.sum(axis=1, keepdims=True)
     return (1.0 - POSITIVITY_MIX) * rows + POSITIVITY_MIX / n_cols
 
@@ -143,9 +135,7 @@ class Discrete:
     copy_compose = _via(ds, "copy_compose_copar")
     tensor = _via(ds, "tensor_copar")
     tensor_state = _via(ds, "tensor_dist")
-
-    def invert(self, ch, prior):
-        return ds.bayes_invert(ch, prior)[0]
+    invert = _via(ds, "bayes_invert")
 
     def doms(self, ch):
         """The spaces of the priors and observations of a lens on ``ch``."""
@@ -173,9 +163,9 @@ class Discrete:
         return float(np.max(np.abs(k1.rows[supported] - k2.rows[supported]), initial=0.0))
 
     def identity(self, dom):
-        """The identity channel on ``dom`` and its exact backward family."""
-        fwd = ds.identity_kernel(dom)
-        return fwd, lambda pi: self.invert(fwd, pi)
+        """The identity channel on ``dom``, with no backward family: its
+        lens's family is the exact one."""
+        return ds.identity_kernel(dom), None
 
     def per_prior(self, fn, prior):
         """The channel ``fn`` gives each prior of a stack, one at a time:

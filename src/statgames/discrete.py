@@ -46,7 +46,6 @@ __all__ = [
     "FiniteKernel",
     "CoparKernel",
     "Effect",
-    "SupportMask",
     "space",
     "product_space",
     "unit_space",
@@ -216,24 +215,6 @@ class Dist:
             )
         _check_rows(m, "distribution")
         m.setflags(write=False)
-
-    def support(self) -> "SupportMask":
-        return SupportMask(self.space, self.mass > 0)
-
-
-@dataclass(frozen=True, eq=False)
-class SupportMask:
-    """Marks the outcomes of positive mass under a reference state (or each of a stack)."""
-
-    space: FiniteSpace
-    supported: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.supported, dtype=bool)
-        object.__setattr__(self, "supported", s)
-        if s.shape[-1:] != (self.space.size,):
-            raise ShapeError("mask length does not match space size")
-        s.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,7 +430,7 @@ def marginal_dist(p: Dist, keep: Iterable[int]) -> Dist:
 # ---------------------------------------------------------------------------
 
 
-def bayes_invert(f: CoparKernel, pi: Dist) -> tuple[CoparKernel, SupportMask]:
+def bayes_invert(f: CoparKernel, pi: Dist) -> CoparKernel:
     """Exact Bayesian inversion of a coparameterized channel at a prior.
 
     Returns the backward channel ``out -> dom (x) copar`` (coparameter
@@ -458,8 +439,8 @@ def bayes_invert(f: CoparKernel, pi: Dist) -> tuple[CoparKernel, SupportMask]:
 
         rho(a, m | b) * p(b) = f(m, b | a) * pi(a)
 
-    Rows at unsupported observations are uniform; the mask records which
-    observations are supported; a stack of priors gives stacks of both.
+    Rows at unsupported observations are uniform; a stack of priors gives a
+    stack of channels.
     """
     if pi.space != f.dom:
         raise ShapeError("prior space does not match channel domain")
@@ -477,8 +458,7 @@ def bayes_invert(f: CoparKernel, pi: Dist) -> tuple[CoparKernel, SupportMask]:
     back /= np.where(supported, evidence, 1.0)[..., None]
     if np.count_nonzero(supported) < supported.size:
         back[~supported] = 1.0 / (a * m)
-    inv = CoparKernel(f.out, f.copar, pi.space, back, copar_side="right")
-    return inv, SupportMask(f.out, supported)
+    return CoparKernel(f.out, f.copar, pi.space, back, copar_side="right")
 
 
 # ---------------------------------------------------------------------------

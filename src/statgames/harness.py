@@ -55,11 +55,6 @@ __all__ = [
     "SuiteReport",
     "SUITES",
     "SUITE_DEFAULTS",
-    "gen_kernel",
-    "gen_copar_kernel",
-    "gen_dist",
-    "gen_gauss_channel",
-    "gen_gauss_state",
     "check_suite",
     "run_suite",
 ]
@@ -94,40 +89,8 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *path]))
 
 
-# ---------------------------------------------------------------------------
-# generators
-# ---------------------------------------------------------------------------
-
-
-def gen_kernel(seed: int, dom_size: int, cod_size: int, degenerate: bool = False) -> ds.FiniteKernel:
-    """Seeded random row-stochastic kernel; strictly positive entries unless
-    ``degenerate`` asks for support gaps."""
-    rows = random_rows(_rng(seed), dom_size, cod_size, degenerate)
-    return ds.FiniteKernel(DISCRETE.space("a", dom_size), DISCRETE.space("b", cod_size), rows)
-
-
-def gen_copar_kernel(
-    seed: int, dom_size: int, copar_size: int, out_size: int
-) -> ds.CoparKernel:
-    sizes = zip("amb", (dom_size, copar_size, out_size))
-    return _random_channel(_rng(seed), DISCRETE, *sizes)
-
-
-def gen_dist(seed: int, size: int) -> ds.Dist:
-    return DISCRETE.random_state(_rng(seed), DISCRETE.space("a", size))
-
-
-def gen_gauss_channel(seed: int, dom_dim: int, cod_dim: int, copar_dim: int = 0) -> gs.GaussChannel:
-    """Seeded random affine-Gaussian channel with strictly PD noise."""
-    return GAUSSIAN.random_channel(_rng(seed), dom_dim, copar_dim, cod_dim - copar_dim)
-
-
-def gen_gauss_state(seed: int, dim: int) -> gs.GaussState:
-    return GAUSSIAN.random_state(_rng(seed), dim)
-
-
 def _perturbed_lens_from_rng(rng, fwd, eps=0.3) -> BayesLens:
-    """Simple lens with a fixed non-exact backward mixture."""
+    """A lens with a fixed non-exact backward mixture."""
     noise = random_rows(rng, fwd.out.size, fwd.dom.size * fwd.copar.size)
 
     def bwd(pi):
@@ -135,7 +98,7 @@ def _perturbed_lens_from_rng(rng, fwd, eps=0.3) -> BayesLens:
         rows = (1 - eps) * exact.rows + eps * noise
         return ds.CoparKernel(fwd.out, fwd.copar, fwd.dom, rows, "right")
 
-    return BayesLens(fwd=fwd, bwd=bwd, simple=True)
+    return BayesLens(fwd=fwd, bwd=bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +318,14 @@ def _mle_lax_trial(rng, cfg: SuiteConfig) -> Outcome:
     return Outcome(_digest(c.fwd.rows, d.fwd.rows), *_worst_pair(pairs), ok=nonneg_ok)
 
 
-def _random_simple_lens(rng, cfg):
+def _random_lens(rng, cfg):
     sx, sm, sy = _sizes(rng, cfg, 3)
     fwd = _random_channel(rng, DISCRETE, ("x", sx), ("m", sm), ("y", sy))
     return _perturbed_lens_from_rng(rng, fwd), sy
 
 
 def _fe_sum_trial(rng, cfg: SuiteConfig) -> Outcome:
-    lens, sy = _random_simple_lens(rng, cfg)
+    lens, sy = _random_lens(rng, cfg)
     pi = DISCRETE.random_state(rng, lens.fwd.dom)
     y = int(rng.integers(0, sy))
     lhs = fe_loss(lens)(pi, y)
@@ -371,7 +334,7 @@ def _fe_sum_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 
 def _fe_joint_trial(rng, cfg: SuiteConfig) -> Outcome:
-    lens, sy = _random_simple_lens(rng, cfg)
+    lens, sy = _random_lens(rng, cfg)
     pi = DISCRETE.random_state(rng, lens.fwd.dom)
     joint, fe = fe_joint_form(lens), fe_loss(lens)
     pairs = [(joint(pi, y), fe(pi, y)) for y in range(sy)]
@@ -379,7 +342,7 @@ def _fe_joint_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 
 def _thermo_trial(rng, cfg: SuiteConfig) -> Outcome:
-    lens, sy = _random_simple_lens(rng, cfg)
+    lens, sy = _random_lens(rng, cfg)
     pi = DISCRETE.random_state(rng, lens.fwd.dom)
     y = int(rng.integers(0, sy))
     energy, entropy = energy_entropy_decomp(lens, pi, y)
@@ -391,7 +354,7 @@ def _laplace_style_lens(fwd, exact, cov):
     ``fwd`` at one prior, with its covariance replaced by ``cov``; it is
     evaluated at that prior only."""
     back = gs.GaussChannel(exact.A, exact.b, cov, exact.copar_dim, "right")
-    return BayesLens(fwd=fwd, bwd=lambda pi: back, simple=True)
+    return BayesLens(fwd=fwd, bwd=lambda pi: back)
 
 
 def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
@@ -570,7 +533,7 @@ def _stochasticity_trial(rng, cfg: SuiteConfig) -> Outcome:
         ds.compose(d, c).rows,
         ds.copy_compose(d, c).rows,
         ds.tensor(c, d).rows,
-        ds.bayes_invert(fcop, pi)[0].rows,
+        ds.bayes_invert(fcop, pi).rows,
     ]
     worst = max(float(np.max(np.abs(a.sum(axis=1) - 1.0))) for a in arrays)
     return Outcome(_digest(c.rows, d.rows, fcop.rows, pi.mass), worst, 0.0)

@@ -11,6 +11,11 @@ discrete case, so they cannot be tabulated.  They must be pure -- equal
 priors must yield identical backward channels -- so every lens remembers
 its last prior, by exact content, and that prior's channel (``_Last``),
 and the terms of a law that need one lens's channel at one prior share it.
+A lens also has one remembered exact inversion of its forward
+(``BayesLens.inverse``), made on first use; a lens built with no backward
+family uses it as its family and is *exact*, so its KL loss inverts
+nothing more, and any other lens's KL loss inverts its forward once per
+prior.
 
 A channel remembers what is derived from it, for as long as it lives: its
 discarded channel (``discarded``), computed once, and its map of priors
@@ -78,24 +83,36 @@ def prior_marginals(omega: State, ch1: Channel, ch2: Channel):
 class BayesLens:
     """Forward channel plus prior-indexed backward family.
 
-    ``simple`` asserts the backward family's coparameter equals the
-    forward's and the endpoints are diagonal, which is what makes exact
-    inversion (and hence the loss models) applicable.  ``bwd`` is kept as a
-    ``_Last``.  Two fields are not arguments, and ``dataclasses.replace``
-    drops them: ``exact`` marks the lenses ``exact_lens`` builds, whose KL
-    loss needs no second inversion, and ``marginals``, the ``_Last`` split
-    of a joint prior into the factors' priors, those ``lens_tensor`` builds.
+    ``bwd`` is kept as a ``_Last``; left out, it is ``inverse``, and the
+    lens is ``exact``.  ``marginals`` is not an argument, and
+    ``dataclasses.replace`` drops it, as it drops exactness (the new lens is
+    handed the old one's family): the ``_Last`` split of a joint prior into
+    the factors' priors, on the lenses ``lens_tensor`` builds.
     """
 
     fwd: Channel
-    bwd: Callable[[State], Channel]
-    simple: bool = True
-    exact: bool = field(default=False, init=False, repr=False)
+    bwd: Callable[[State], Channel] | None = None
     marginals: Callable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.bwd, _Last):
+        if self.bwd is None:
+            object.__setattr__(self, "bwd", self.inverse)
+        elif not isinstance(self.bwd, _Last):
             object.__setattr__(self, "bwd", _Last(self.bwd))
+
+    @property
+    def inverse(self) -> "_Last":
+        """The exact inversion of ``fwd``, as a ``_Last``, made on first use."""
+        inverse = self.__dict__.get("_inverse")
+        if inverse is None:
+            inverse = _Last(functools.partial(_invert, self.fwd))
+            object.__setattr__(self, "_inverse", inverse)
+        return inverse
+
+    @property
+    def exact(self) -> bool:
+        """Whether the backward family is ``inverse``."""
+        return self.bwd is self.__dict__.get("_inverse")
 
     @property
     def backend(self):
@@ -130,6 +147,10 @@ def prior_pushforward(ch: Channel) -> Callable[[State], State]:
 
 def _push(plain: Channel, pi: State) -> State:
     return backend_of(plain).push(plain, pi)
+
+
+def _invert(ch: Channel, pi: State) -> Channel:
+    return exact_inversion(ch, pi)  # looked up at call time, as a tracer wraps it
 
 
 class _Last:
@@ -168,9 +189,7 @@ def exact_lens(ch) -> BayesLens:
     """The lens whose backward family is exact Bayesian inversion."""
     if ch.copar_side != "left":
         raise ShapeError("forward channel must carry its coparameter leading")
-    lens = BayesLens(fwd=ch, bwd=lambda pi: exact_inversion(ch, pi), simple=True)
-    object.__setattr__(lens, "exact", True)
-    return lens
+    return BayesLens(ch)
 
 
 def identity_lens(dom) -> BayesLens:
@@ -178,8 +197,7 @@ def identity_lens(dom) -> BayesLens:
 
     ``dom`` is a finite space (discrete) or a dimension (Gaussian).
     """
-    fwd, bwd = backend_of(dom).identity(dom)
-    return BayesLens(fwd=fwd, bwd=bwd, simple=True)
+    return BayesLens(*backend_of(dom).identity(dom))
 
 
 def lens_compose(d: BayesLens, c: BayesLens) -> BayesLens:
@@ -195,7 +213,7 @@ def lens_compose(d: BayesLens, c: BayesLens) -> BayesLens:
         back_c = c.bwd(pi)
         return backend.copy_compose(back_c, back_d)
 
-    return BayesLens(fwd=fwd, bwd=bwd, simple=d.simple and c.simple)
+    return BayesLens(fwd=fwd, bwd=bwd)
 
 
 def lens_tensor(l1: BayesLens, l2: BayesLens) -> BayesLens:
@@ -211,7 +229,7 @@ def lens_tensor(l1: BayesLens, l2: BayesLens) -> BayesLens:
         w1, w2 = split(omega)
         return backend.tensor(l1.bwd(w1), l2.bwd(w2))
 
-    lens = BayesLens(fwd=fwd, bwd=bwd, simple=l1.simple and l2.simple)
+    lens = BayesLens(fwd=fwd, bwd=bwd)
     object.__setattr__(lens, "marginals", split)
     return lens
 
@@ -230,8 +248,6 @@ def buco_residual(c: BayesLens, d: BayesLens, pi: State) -> float:
     composite pushforward.  Discrete channels are compared entrywise on
     supported observations; Gaussian ones by their parameter triples.
     """
-    if not (c.simple and d.simple):
-        raise ShapeError("residual is defined for simple lenses")
     composite = lens_compose(d, c)
     direct = exact_inversion(composite.fwd, pi)
     return composite.backend.deviation(composite.bwd(pi), direct, composite.fwd, pi)

@@ -43,8 +43,11 @@ Gaussian pair's KL witness makes three inversions (each stage at its prior,
 the composite's forward at the prior), its MLE witness one, and its KL, MLE
 and FE witnesses and its buco residual five in all; a composite or tensored
 lens builds its backward channel once for all the models read at one prior.
-The KL loss of an ``exact_lens`` inverts nothing more.  Likewise a prior is
-pushed through a channel once, and a channel is discarded once
+The KL loss reads the lens's remembered exact inversion
+(``BayesLens.inverse``), so it inverts a lens's forward once per prior, and
+that of an exact lens inverts nothing more; a discrete KL loss is defined
+where the prior's pushforward has mass.  Likewise a prior is pushed through
+a channel once, and a channel is discarded once
 (``lens.prior_pushforward``, ``lens.discarded``).
 
 On the discrete instance a form also takes a stack of priors (a ``Dist``
@@ -69,14 +72,7 @@ from . import discrete as ds
 from . import gaussian as gs
 from .backend import DISCRETE, GAUSSIAN, backend_of
 from .errors import InstanceError, ShapeError, SingularityError, SupportError
-from .lens import (
-    BayesLens,
-    discarded,
-    exact_inversion,
-    lens_tensor,
-    prior_pushforward,
-    reindex,
-)
+from .lens import BayesLens, discarded, lens_tensor, prior_pushforward, reindex
 
 __all__ = [
     "LossFn",
@@ -296,15 +292,9 @@ def _logdet(chol) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _simple(l: BayesLens) -> BayesLens:
-    if not l.simple:
-        raise ShapeError("loss models apply to simple lenses")
-    return l
-
-
 def kl_loss(l: BayesLens) -> LossFn:
     """Divergence from the lens's posterior to the exact posterior."""
-    return LossFn(*l.backend.doms(l.fwd), _models(l.fwd).kl(_simple(l)))
+    return LossFn(*l.backend.doms(l.fwd), _models(l.fwd).kl(l))
 
 
 def mle_loss(l: BayesLens) -> LossFn:
@@ -326,7 +316,7 @@ def fe_joint_form(l: BayesLens) -> LossFn:
     divergence of the posterior from (prior tensor flat), minus the expected
     joint log-density.  Agrees with ``fe_loss`` wherever both are finite,
     and shares none of its arithmetic."""
-    return LossFn(*l.backend.doms(l.fwd), _models(_simple(l).fwd).fe_joint(l))
+    return LossFn(*l.backend.doms(l.fwd), _models(l.fwd).fe_joint(l))
 
 
 def energy_entropy_decomp(l: BayesLens, pi, y) -> tuple[float, float]:
@@ -546,15 +536,17 @@ class _DiscreteModels:
         return form + self.support(pushed(), sel)
 
     def kl(self, l):
+        """Defined where the pushforward of the prior has mass."""
+        onto = prior_pushforward(l.fwd)
         if l.exact:  # the posterior is exact wherever the observation is possible
-            onto = prior_pushforward(l.fwd)
             return lambda pi, sel=ALL: self.support(onto(pi), sel)
+        inverse = l.inverse
 
         def form(pi, sel=ALL):
             approx = _pick(l.bwd(pi).rows, sel, rows=True)
-            exact, mask = ds.bayes_invert(l.fwd, pi)
-            divergence = ds.rows_relative_entropy(approx, _pick(exact.rows, sel, rows=True))
-            return VecForm(divergence, _pick(mask.supported, sel))
+            exact = _pick(inverse(pi).rows, sel, rows=True)
+            divergence = ds.rows_relative_entropy(approx, exact)
+            return VecForm(divergence, _pick(onto(pi).mass, sel) > 0)
 
         return form
 
@@ -633,13 +625,15 @@ class _GaussianModels:
         return form  # a Gaussian pushforward has positive density everywhere
 
     def kl(self, l):
+        inverse = None if l.exact else l.inverse
+
         def form(pi, sel=ALL):
             # KL(N(Ga y + ha, Sa) || N(Ge y + he, Se)) with D = Ge - Ga and
             # e = he - ha: the Mahalanobis term |Le^-1 (D y + e)|^2 / 2 plus
             # a constant in y, as in ``gaussian.g_kl``
             gs._single(pi, "a Gaussian loss")
             approx = l.bwd(pi)
-            exact = approx if l.exact else exact_inversion(l.fwd, pi)
+            exact = approx if inverse is None else inverse(pi)
             if approx.A.shape != exact.A.shape:
                 raise ShapeError(
                     "the backward channel's dimensions differ from the exact inversion's"
@@ -668,7 +662,6 @@ class _GaussianModels:
     def lfe(self, l, expected=False):
         """The energy at the posterior mean (``expected``: averaged over the
         posterior, the joint free energy) minus the posterior entropy."""
-        _simple(l)
         fwd = l.fwd
         dx, nz = fwd.dom_dim, fwd.dom_dim + fwd.copar_dim
         w = _energy_residual_map(fwd)

@@ -102,7 +102,7 @@ def parse_lens(obj) -> BayesLens:
                 return ch
         raise ShapeError("no backward channel tabulated for this prior")
 
-    return BayesLens(fwd=fwd, bwd=lambda pi: backend_of(pi).per_prior(lookup, pi), simple=True)
+    return BayesLens(fwd=fwd, bwd=lambda pi: backend_of(pi).per_prior(lookup, pi))
 
 
 def _check_backward(fwd, ch, i: int) -> None:

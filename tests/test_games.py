@@ -78,7 +78,7 @@ def perturbed_lens(rng, fwd, eps=0.3):
         rows = (1 - eps) * exact_inversion(fwd, pi).rows + eps * noise
         return ds.CoparKernel(fwd.out, fwd.copar, fwd.dom, rows, "right")
 
-    return BayesLens(fwd=fwd, bwd=bwd, simple=True)
+    return BayesLens(fwd=fwd, bwd=bwd)
 
 
 def exact_pair(rng, sizes=(3, 2, 3, 2, 3)):

@@ -14,11 +14,7 @@ from statgames.harness import (
     SUITE_DEFAULTS,
     SUITES,
     SuiteConfig,
-    gen_copar_kernel,
-    gen_dist,
-    gen_gauss_channel,
-    gen_gauss_state,
-    gen_kernel,
+    _rng,
     run_suite,
 )
 from statgames.lens import buco_residual, exact_lens
@@ -40,58 +36,53 @@ REGISTERED = {
 }
 
 
+def rows(seed, n_rows, n_cols):
+    return random_rows(_rng(seed), n_rows, n_cols)
+
+
 class TestGenerators:
     def test_same_seed_same_kernel(self):
-        a = gen_kernel(123, 3, 4)
-        b = gen_kernel(123, 3, 4)
-        assert np.array_equal(a.rows, b.rows)
-        c = gen_kernel(124, 3, 4)
-        assert not np.array_equal(a.rows, c.rows)
+        a = rows(123, 3, 4)
+        assert np.array_equal(a, rows(123, 3, 4))
+        assert not np.array_equal(a, rows(124, 3, 4))
 
     def test_cod_size_one_is_discard(self):
-        k = gen_kernel(5, 4, 1)
-        assert np.array_equal(k.rows, np.ones((4, 1)))
+        assert np.array_equal(rows(5, 4, 1), np.ones((4, 1)))
 
     def test_normalization_audit(self):
         # ten thousand rows across many draws, all stochastic to 1e-12
         total_rows = 0
         for seed in range(2000):
-            k = gen_kernel(seed, 5, 3)
-            assert np.all(np.abs(k.rows.sum(axis=1) - 1.0) <= 1e-12)
+            r = rows(seed, 5, 3)
+            assert np.all(np.abs(r.sum(axis=1) - 1.0) <= 1e-12)
             total_rows += 5
         assert total_rows == 10_000
 
     def test_strictly_positive_by_default(self):
         for seed in range(50):
-            assert gen_kernel(seed, 4, 6).rows.min() > 0
-
-    def test_degenerate_flag_creates_support_gaps(self):
-        zeros = sum(
-            (gen_kernel(seed, 4, 6, degenerate=True).rows == 0).sum()
-            for seed in range(20)
-        )
-        assert zeros > 0
+            assert rows(seed, 4, 6).min() > 0
 
     def test_copar_kernel_shapes(self):
-        k = gen_copar_kernel(7, 3, 2, 4)
+        a, m, b = (DISCRETE.space(p, n) for p, n in zip("amb", (3, 2, 4)))
+        k = DISCRETE.random_channel(_rng(7), a, m, b)
         assert k.dom.size == 3 and k.copar.size == 2 and k.out.size == 4
 
     def test_gauss_channel_deterministic_and_pd(self):
-        a = gen_gauss_channel(9, 2, 3)
-        b = gen_gauss_channel(9, 2, 3)
+        a = GAUSSIAN.random_channel(_rng(9), 2, 0, 3)
+        b = GAUSSIAN.random_channel(_rng(9), 2, 0, 3)
         assert np.array_equal(a.A, b.A) and np.array_equal(a.noise, b.noise)
         for seed in range(50):
-            ch = gen_gauss_channel(seed, 2, 3)
+            ch = GAUSSIAN.random_channel(_rng(seed), 2, 0, 3)
             assert np.linalg.eigvalsh(ch.noise).min() >= 1e-6 - 1e-12
 
     def test_gauss_scalar_channel(self):
-        ch = gen_gauss_channel(3, 1, 1)
+        ch = GAUSSIAN.random_channel(_rng(3), 1, 0, 1)
         assert ch.noise[0, 0] > 0
 
     def test_dist_and_state(self):
-        d = gen_dist(11, 6)
+        d = DISCRETE.random_state(_rng(11), DISCRETE.space("a", 6))
         assert d.mass.min() > 0
-        s = gen_gauss_state(11, 3)
+        s = GAUSSIAN.random_state(_rng(11), 3)
         assert np.linalg.eigvalsh(s.cov).min() > 0
 
 

@@ -1,6 +1,8 @@
 """Tests for lens composition, tensoring, reindexing, and the
 compositionality residual."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from statgames import discrete as ds
 from statgames import gaussian as gs
 from statgames.errors import ShapeError
 from statgames.lens import (
+    BayesLens,
     buco_residual,
     exact_inversion,
     exact_lens,
@@ -98,6 +101,22 @@ class TestExactLens:
         lens = exact_lens(k)
         assert lens.fwd.copar.size == 1
         assert np.allclose(ds.discard_coparam(lens.fwd).rows, k.rows)
+
+    def test_exactness_is_the_remembered_inversion_as_family(self):
+        rng = rng_for(4)
+        X, M, Y = spaces(3, 2, 3)
+        lens = exact_lens(random_copar(rng, X, M, Y))
+        assert lens.exact and lens.bwd is lens.inverse
+        assert identity_lens(X).exact
+        assert exact_lens(random_gauss_channel(rng, 2, 1, 2)).exact
+        # a lens handed a family is not exact, even its own lens's inversion
+        assert not dataclasses.replace(lens).exact
+        assert not BayesLens(lens.fwd, lens.bwd).exact
+        assert not lens_compose(exact_lens(random_copar(rng, Y, M, X)), lens).exact
+        # the inversion of a lens that is not exact is its forward's
+        other = BayesLens(lens.fwd, lens.inverse)
+        pi = random_dist(rng, X)
+        assert np.array_equal(other.inverse(pi).rows, exact_inversion(lens.fwd, pi).rows)
 
 
 class TestLensCompose:

@@ -90,7 +90,7 @@ def perturbed_lens(rng, fwd, eps=0.3):
         rows = (1 - eps) * exact_inversion(fwd, pi).rows + eps * noise
         return ds.CoparKernel(fwd.out, fwd.copar, fwd.dom, rows, "right")
 
-    return BayesLens(fwd=fwd, bwd=bwd, simple=True)
+    return BayesLens(fwd=fwd, bwd=bwd)
 
 
 @st.composite
@@ -762,12 +762,32 @@ def test_a_composite_builds_its_backward_channel_once_per_prior():
     assert len(calls) == 12
 
 
+def test_a_composite_inverts_its_forward_once_per_prior():
+    # the direct KL and FE losses of a depth-7 chain, read at one prior for
+    # every observation, compare the composite backward with the remembered
+    # inversion of the composite forward; a form that inverted at every call
+    # made 6
+    rng = np.random.default_rng(7)
+    stages = discrete_stages(rng, 7)
+    pi = a_prior(rng, stages[0].fwd.dom)
+    composite = stages[0]
+    for stage in stages[1:]:
+        composite = lens_compose(stage, composite)
+    direct = [loss_for(model, composite) for model in (LossModel.KL, LossModel.FE)]
+    with counted(ds, "bayes_invert") as calls:
+        for loss in direct:
+            for z in range(3):
+                loss(pi, z)
+    assert [args[0] is composite.fwd for args in calls].count(True) == 1
+
+
 @pytest.mark.parametrize("model", [LossModel.KL, LossModel.FE, MODELS], ids=["kl", "fe", "models"])
 def test_a_non_exact_second_stage_inverts_once_per_prior(model):
     # a composed loss reads the second stage's backward channel and its form
-    # reads it again: one evaluation of a non-exact family per prior, one
-    # inversion more for its KL term; 8 calls when the family remembered
-    # nothing and the channel was handed to the form
+    # reads it again: one evaluation of a non-exact family per prior, and one
+    # remembered inversion for its KL term; 6 calls when the KL term
+    # inverted at every form call, 8 when the family remembered nothing and
+    # the channel was handed to the form
     rng = np.random.default_rng(11)
     X, M, Y, N, Z = (ds.space([f"{p}{i}" for i in range(3)]) for p in "xmynz")
     c = exact_lens(random_kernel(rng, X, M, Y, False))
@@ -778,7 +798,7 @@ def test_a_non_exact_second_stage_inverts_once_per_prior(model):
         for z in range(3):
             loss(pi, z)
         loss.at_probes([(pi, z) for z in range(3)])
-    assert len(calls) == 6
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("family", ["exact", "composite", "tensored"])
