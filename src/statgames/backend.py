@@ -163,8 +163,7 @@ class Discrete:
         return float(np.max(np.abs(k1.rows[supported] - k2.rows[supported]), initial=0.0))
 
     def identity(self, dom):
-        """The identity channel on ``dom``, with no backward family: its
-        lens's family is the exact one."""
+        """The identity channel on ``dom``, and no family: its lens is exact."""
         return ds.identity_kernel(dom), None
 
     def per_prior(self, fn, prior):

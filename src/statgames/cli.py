@@ -31,7 +31,7 @@ from .errors import (
     SingularityError,
     SupportError,
 )
-from .harness import SUITE_DEFAULTS, SUITES, SuiteConfig, check_suite, run_suite
+from .harness import SUITE_DEFAULTS, SuiteConfig, check_suite, run_suite
 from .lens import exact_lens
 from .loss import (
     LossModel,
@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--max-dim", type=int, default=None)
     v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--instance", choices=sorted(BACKENDS), default="discrete")
+    v.add_argument("--instance", choices=sorted(BACKENDS), help="default: each suite's first")
     v.add_argument("--report", default=None, help="write a combined JSON report here")
 
     e = sub.add_parser("eval-loss", help="evaluate a loss on a JSON model")
@@ -83,20 +83,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _suite_config(name: str, args) -> SuiteConfig:
-    defaults = SUITE_DEFAULTS[name][args.instance]
+    instance = check_suite(name, args.instance)
+    defaults = SUITE_DEFAULTS[name][instance]
     given = dict(trials=args.trials, max_dim=args.max_dim, tolerance=args.tol)
     return SuiteConfig(
         suite=name,
         seed=args.seed,
-        instance=args.instance,
+        instance=instance,
         **{k: defaults[k] if v is None else v for k, v in given.items()},
     )
 
 
 def cmd_verify(args) -> int:
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        check_suite(name, args.instance)
+    at = sorted(s for s, rows in SUITE_DEFAULTS.items() if args.instance in (None, *rows))
+    names = at if args.suite == "all" else [args.suite]
     # every configuration is checked before any suite runs or writes
     configs = [_suite_config(name, args) for name in names]
     report_dir = os.environ.get("STATGAMES_REPORT_DIR", "reports")

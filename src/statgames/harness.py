@@ -70,9 +70,11 @@ class SuiteConfig:
     seed: int = 0
     max_dim: int = 4
     tolerance: float = 1e-9
-    instance: str = "discrete"
+    instance: str | None = None
 
     def __post_init__(self):
+        if self.instance is None:  # the suite's first; an unknown suite is refused when it runs
+            object.__setattr__(self, "instance", next(iter(SUITE_DEFAULTS.get(self.suite, BACKENDS))))
         if self.trials < 1:
             raise ShapeError("trials must be >= 1")
         if self.seed < 0:
@@ -545,7 +547,8 @@ def _stochasticity_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 #: defaults per suite and per instance it supports: trial counts sized so
 #: the default run is the full certification, tolerances as tight as the
-#: arithmetic supports.  A suite runs only on the instances listed here.
+#: arithmetic supports.  A suite runs only on the instances listed here, and
+#: by default on the first.
 SUITE_DEFAULTS: dict[str, dict[str, dict]] = {
     "buco": {
         "discrete": dict(trials=500, max_dim=5, tolerance=1e-9),
@@ -557,7 +560,7 @@ SUITE_DEFAULTS: dict[str, dict[str, dict]] = {
     "fe-sum": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-12)},
     "fe-joint": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-9)},
     "thermo": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-9)},
-    "laplace": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-8)},
+    "laplace": {"gaussian": dict(trials=100, max_dim=4, tolerance=1e-8)},
     "laxators": {"discrete": dict(trials=200, max_dim=3, tolerance=1e-8)},
     "lax-naturality": {"discrete": dict(trials=100, max_dim=3, tolerance=1e-8)},
     "bilinear": {"discrete": dict(trials=500, max_dim=4, tolerance=1e-12)},
@@ -607,17 +610,20 @@ SUITES: dict[str, Callable] = {
 }
 
 
-def check_suite(suite: str, instance: str) -> None:
-    """Raise ``ShapeError`` unless ``suite`` is registered for ``instance``."""
+def check_suite(suite: str, instance: str | None = None) -> str:
+    """Raise ``ShapeError`` unless ``suite`` is registered for ``instance``
+    (by default its first registered instance); return that instance."""
     if suite not in SUITES:
         known = ", ".join(sorted(SUITES))
         raise ShapeError(f"unknown suite {suite!r}; registered suites: {known}")
+    instance = instance or next(iter(SUITE_DEFAULTS[suite]))
     if instance not in SUITE_DEFAULTS[suite]:
         having = sorted(s for s, rows in SUITE_DEFAULTS.items() if instance in rows)
         raise ShapeError(
             f"suite {suite!r} has no {instance} instance; suites with one: "
             + ", ".join(having)
         )
+    return instance
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:

@@ -11,11 +11,9 @@ discrete case, so they cannot be tabulated.  They must be pure -- equal
 priors must yield identical backward channels -- so every lens remembers
 its last prior, by exact content, and that prior's channel (``_Last``),
 and the terms of a law that need one lens's channel at one prior share it.
-A lens also has one remembered exact inversion of its forward
-(``BayesLens.inverse``), made on first use; a lens built with no backward
-family uses it as its family and is *exact*, so its KL loss inverts
-nothing more, and any other lens's KL loss inverts its forward once per
-prior.
+A lens also remembers the exact inversion of its forward
+(``BayesLens.inverse``, made on first use); a lens built with no backward
+family has it as its family and is *exact*.
 
 A channel remembers what is derived from it, for as long as it lives: its
 discarded channel (``discarded``), computed once, and its map of priors
@@ -103,11 +101,9 @@ class BayesLens:
     @property
     def inverse(self) -> "_Last":
         """The exact inversion of ``fwd``, as a ``_Last``, made on first use."""
-        inverse = self.__dict__.get("_inverse")
-        if inverse is None:
-            inverse = _Last(functools.partial(_invert, self.fwd))
-            object.__setattr__(self, "_inverse", inverse)
-        return inverse
+        if "_inverse" not in self.__dict__:
+            self.__dict__["_inverse"] = _Last(functools.partial(_invert, self.fwd))
+        return self.__dict__["_inverse"]
 
     @property
     def exact(self) -> bool:

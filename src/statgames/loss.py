@@ -43,11 +43,9 @@ Gaussian pair's KL witness makes three inversions (each stage at its prior,
 the composite's forward at the prior), its MLE witness one, and its KL, MLE
 and FE witnesses and its buco residual five in all; a composite or tensored
 lens builds its backward channel once for all the models read at one prior.
-The KL loss reads the lens's remembered exact inversion
-(``BayesLens.inverse``), so it inverts a lens's forward once per prior, and
-that of an exact lens inverts nothing more; a discrete KL loss is defined
-where the prior's pushforward has mass.  Likewise a prior is pushed through
-a channel once, and a channel is discarded once
+The KL loss reads the lens's remembered inversion (``BayesLens.inverse``),
+and that of an exact lens inverts nothing.  Likewise a prior is pushed
+through a channel once, and a channel is discarded once
 (``lens.prior_pushforward``, ``lens.discarded``).
 
 On the discrete instance a form also takes a stack of priors (a ``Dist``
@@ -536,8 +534,7 @@ class _DiscreteModels:
         return form + self.support(pushed(), sel)
 
     def kl(self, l):
-        """Defined where the pushforward of the prior has mass."""
-        onto = prior_pushforward(l.fwd)
+        onto = prior_pushforward(l.fwd)  # defined where the pushforward has mass
         if l.exact:  # the posterior is exact wherever the observation is possible
             return lambda pi, sel=ALL: self.support(onto(pi), sel)
         inverse = l.inverse

@@ -8,6 +8,7 @@ import pytest
 
 from statgames import gaussian as gs
 from statgames.cli import main
+from statgames.harness import SUITES
 from statgames.lens import exact_lens
 from statgames.loss import mle_loss
 
@@ -97,13 +98,36 @@ class TestVerify:
         assert body["config"]["tolerance"] == 1e-8
         assert body["config"]["instance"] == "gaussian"
 
-    @pytest.mark.parametrize("suite", ["kl-strict", "all"])
+    @pytest.mark.parametrize("suite", ["kl-strict"])
     def test_unsupported_instance_exits_2(self, report_dir, capsys, suite):
         rc = main(["verify", "--suite", suite, "--instance", "gaussian"])
         assert rc == 2
         captured = capsys.readouterr()
-        assert "buco" in captured.err and captured.out == ""
+        assert "buco, laplace" in captured.err and captured.out == ""
         assert not report_dir.exists()
+
+    @pytest.mark.parametrize(
+        "instance, suites",
+        [("gaussian", ["buco", "laplace"]), ("discrete", sorted(set(SUITES) - {"laplace"}))],
+        ids=["gaussian", "discrete"],
+    )
+    def test_all_runs_the_suites_at_the_given_instance(self, report_dir, capsys, instance, suites):
+        assert main(["verify", "--suite", "all", "--instance", instance, "--trials", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1].rstrip(":") for line in lines] == suites
+        for suite in suites:
+            body = json.loads((report_dir / f"{suite}.json").read_text())
+            assert body["config"]["instance"] == instance
+
+    def test_a_suite_runs_at_its_first_instance_by_default(self, report_dir, capsys):
+        # laplace runs on the Gaussian instance only, with no --instance given
+        assert main(["verify", "--suite", "laplace", "--trials", "3"]) == 0
+        body = json.loads((report_dir / "laplace.json").read_text())
+        assert body["config"]["instance"] == "gaussian" and body["n_trials"] == 3
+        assert main(["verify", "--suite", "all", "--trials", "1"]) == 0
+        body = json.loads((report_dir / "laplace.json").read_text())
+        assert body["config"]["instance"] == "gaussian"
+        assert json.loads((report_dir / "buco.json").read_text())["config"]["instance"] == "discrete"
 
     @pytest.mark.parametrize(
         "flag", [["--trials", "0"], ["--max-dim", "1"], ["--tol", "0"]]

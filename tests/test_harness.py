@@ -139,10 +139,21 @@ class TestRunSuite:
     def test_registry_is_complete(self):
         assert set(SUITES) == REGISTERED
 
-    def test_every_suite_has_discrete_defaults(self):
+    def test_every_suite_has_defaults_at_its_instances(self):
         assert set(SUITE_DEFAULTS) == REGISTERED
-        for rows in SUITE_DEFAULTS.values():
-            assert set(rows["discrete"]) == {"trials", "max_dim", "tolerance"}
+        for name, rows in SUITE_DEFAULTS.items():
+            want = {"buco": ["discrete", "gaussian"], "laplace": ["gaussian"]}.get(name, ["discrete"])
+            assert list(rows) == want
+            for row in rows.values():
+                assert set(row) == {"trials", "max_dim", "tolerance"}
+
+    def test_a_suite_runs_at_its_first_instance_by_default(self):
+        assert SuiteConfig("laplace").instance == "gaussian"
+        assert SuiteConfig("buco").instance == "discrete"
+        assert SuiteConfig("buco", instance="gaussian").instance == "gaussian"
+        assert SuiteConfig("laplace", trials=2).instance == "gaussian"
+        report = json.loads(run_suite(SuiteConfig("laplace", trials=2)).to_json())
+        assert report["config"]["instance"] == "gaussian" and report["pass"]
 
     def test_unsupported_instance_rejected(self):
         with pytest.raises(ShapeError, match="buco"):
@@ -154,8 +165,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("name", sorted(REGISTERED))
     def test_each_suite_passes_smoke(self, name):
-        tol = SUITE_DEFAULTS[name]["discrete"]["tolerance"]
-        cfg = SuiteConfig(suite=name, trials=5, seed=7, max_dim=3, tolerance=tol)
+        (row, *_) = SUITE_DEFAULTS[name].values()
+        cfg = SuiteConfig(suite=name, trials=5, seed=7, max_dim=3, tolerance=row["tolerance"])
         report = run_suite(cfg)
         assert report.passed, report.summary_line()
         assert len(report.records) == 5
@@ -213,7 +224,8 @@ class TestTrialInversionCounts:
         most = 0
         for seed in seeds:
             counted["n"] = 0
-            run_suite(SuiteConfig(suite=suite, **dict(SUITE_DEFAULTS[suite]["discrete"], trials=1, seed=seed)))
+            (row, *_) = SUITE_DEFAULTS[suite].values()
+            run_suite(SuiteConfig(suite=suite, **dict(row, trials=1, seed=seed)))
             most = max(most, counted["n"])
         return most
 
