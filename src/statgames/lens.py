@@ -81,11 +81,12 @@ def prior_marginals(omega: State, ch1: Channel, ch2: Channel):
 class BayesLens:
     """Forward channel plus prior-indexed backward family.
 
-    ``bwd`` is kept as a ``_Last``; left out, it is ``inverse``, and the
-    lens is ``exact``.  ``marginals`` is not an argument, and
-    ``dataclasses.replace`` drops it, as it drops exactness (the new lens is
-    handed the old one's family): the ``_Last`` split of a joint prior into
-    the factors' priors, on the lenses ``lens_tensor`` builds.
+    ``bwd`` is kept as a ``_Last``.  Left out, it is ``inverse``, the
+    remembered exact inversion of ``fwd``, and the lens is ``exact``; a lens
+    handed a family, even another lens's ``inverse`` by
+    ``dataclasses.replace``, is not.  ``marginals`` is not an argument, and
+    ``dataclasses.replace`` drops it: the ``_Last`` split of a joint prior
+    into the factors' priors, on the lenses ``lens_tensor`` builds.
     """
 
     fwd: Channel
