@@ -234,7 +234,7 @@ class Discrete:
             label = tuple(label.split("|"))
         try:
             return out.index(label)
-        except (ValueError, ShapeError, TypeError):
+        except ShapeError:
             raise ModelParseError(
                 f"observation {literal!r} is not an outcome of the codomain"
             ) from None

@@ -131,15 +131,16 @@ class FiniteSpace:
         return tuple(itertools.product(*self.factor_labels))
 
     def index(self, label: Label) -> int:
-        """Linear index of an outcome name (atomic or tuple)."""
-        if self.n_factors == 1:
-            if not isinstance(label, str) and isinstance(label, Sequence):
-                (label,) = label
-            return self.factor_labels[0].index(label)
-        if not isinstance(label, Sequence) or len(label) != self.n_factors:
+        """Linear index of an outcome name: an atomic name, or a tuple of
+        one name per factor (a 1-tuple on an atomic space).  A string is
+        always one name, never a tuple of its characters."""
+        parts = label if isinstance(label, Sequence) and not isinstance(label, str) else (label,)
+        if len(parts) != self.n_factors:
             raise ShapeError(f"expected a {self.n_factors}-tuple, got {label!r}")
         idx = 0
-        for fl, part in zip(self.factor_labels, label):
+        for fl, part in zip(self.factor_labels, parts):
+            if part not in fl:
+                raise ShapeError(f"no outcome {label!r} in {self!r}")
             idx = idx * len(fl) + fl.index(part)
         return idx
 

@@ -152,15 +152,14 @@ def _chol(cov: np.ndarray, what: str) -> np.ndarray:
 
 def _state_chol(s: "GaussState", what: str) -> np.ndarray:
     """The Cholesky factor of one state's covariance, computed on first use
-    and kept on ``s`` for as long as it lives.  A singular covariance raises
-    ``SingularityError`` naming ``what`` on every call and is not
-    remembered."""
-    l = getattr(s, "_cholesky", None)
-    if l is None:
-        l = _chol(s.cov, what)
+    and kept in a slot of ``s`` for as long as it lives.  A singular
+    covariance raises ``SingularityError`` naming ``what`` on every call and
+    is not remembered."""
+    slots = s.__dict__
+    if "_cholesky" not in slots:
+        slots["_cholesky"] = l = _chol(s.cov, what)
         l.setflags(write=False)
-        object.__setattr__(s, "_cholesky", l)
-    return l
+    return slots["_cholesky"]
 
 
 @dataclass(frozen=True, eq=False)

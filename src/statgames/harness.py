@@ -18,20 +18,18 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import discrete as ds
-from . import gaussian as gs
 from .backend import BACKENDS, DISCRETE, GAUSSIAN, random_rows
 from .errors import ShapeError
 from .games import laxness_witness, laxness_witnesses
 from .lens import (
     BayesLens,
     buco_residual,
-    exact_inversion,
     exact_lens,
     lens_compose,
     lens_tensor,
@@ -94,10 +92,10 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
 def _perturbed_lens_from_rng(rng, fwd, eps=0.3) -> BayesLens:
     """A lens with a fixed non-exact backward mixture."""
     noise = random_rows(rng, fwd.out.size, fwd.dom.size * fwd.copar.size)
+    inverse = exact_lens(fwd).bwd
 
     def bwd(pi):
-        exact = exact_inversion(fwd, pi)
-        rows = (1 - eps) * exact.rows + eps * noise
+        rows = (1 - eps) * inverse(pi).rows + eps * noise
         return ds.CoparKernel(fwd.out, fwd.copar, fwd.dom, rows, "right")
 
     return BayesLens(fwd=fwd, bwd=bwd)
@@ -351,12 +349,11 @@ def _thermo_trial(rng, cfg: SuiteConfig) -> Outcome:
     return Outcome(_digest(lens.fwd.rows, pi.mass), energy - entropy, fe_loss(lens)(pi, y))
 
 
-def _laplace_style_lens(fwd, exact, cov):
-    """The lens whose backward channel is the exact inversion ``exact`` of
-    ``fwd`` at one prior, with its covariance replaced by ``cov``; it is
-    evaluated at that prior only."""
-    back = gs.GaussChannel(exact.A, exact.b, cov, exact.copar_dim, "right")
-    return BayesLens(fwd=fwd, bwd=lambda pi: back)
+def _laplace_style_lens(fwd, cov):
+    """The lens whose backward channel at a prior is the exact inversion of
+    ``fwd`` there, with its covariance replaced by ``cov``."""
+    inverse = exact_lens(fwd).bwd
+    return BayesLens(fwd=fwd, bwd=lambda pi: replace(inverse(pi), noise=cov))
 
 
 def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
@@ -374,14 +371,13 @@ def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
     nz = dx + dm
     l = rng.uniform(-1.0, 1.0, size=(nz, nz))
     cov = l @ l.T + 0.1 * np.eye(nz)
-    exact = gs.g_invert(fwd, pi)
 
     def gap(cov):
-        lens = _laplace_style_lens(fwd, exact, cov)
+        lens = _laplace_style_lens(fwd, cov)
         return fe_loss(lens)(pi, y) - lfe_loss(lens)(pi, y)
 
     # gap equals half the trace of (cov x Hessian)
-    sigma = laplace_sigma(_laplace_style_lens(fwd, exact, cov), pi, y)
+    sigma = laplace_sigma(_laplace_style_lens(fwd, cov), pi, y)
     want = 0.5 * float(np.trace(np.linalg.solve(sigma, cov)))
     gap0 = gap(cov)
     # scaling: one decade in covariance scales the gap by ten

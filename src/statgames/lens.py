@@ -8,21 +8,23 @@ with the discarded forward).
 
 Backward families are callables: priors form a continuum even in the
 discrete case, so they cannot be tabulated.  They must be pure -- equal
-priors must yield identical backward channels -- so every lens remembers
-its last prior, by exact content, and that prior's channel (``_Last``),
+priors must yield identical backward channels -- so each is a ``_Last``,
+which remembers its last prior, by exact content, and that prior's channel,
 and the terms of a law that need one lens's channel at one prior share it.
-A lens also remembers the exact inversion of its forward
-(``BayesLens.inverse``, made on first use); a lens built with no backward
-family has it as its family and is *exact*.
 
-A channel remembers what is derived from it, for as long as it lives: its
-discarded channel (``discarded``), computed once, and its map of priors
-(``prior_pushforward``), built once, which remembers its last prior, by
-exact content, and that prior's pushforward.  A composable pair's MLE term,
-``loss_compose``'s middle prior and the composite backward all read one
-pushforward, and the models on one pair share one discard of each
-remembered inversion.  What a channel remembers never refers back to it,
-so a dropped channel is freed at once, without the cyclic collector.
+Every value derived from one object lives in a named slot of that object's
+``__dict__``, for as long as the object lives, and nothing a slot holds
+refers back to its owner, so a dropped object is freed at once, without the
+cyclic collector.  A family's ``(prior, channel)`` pair is a slot of the
+family itself.  A channel's slots are its discarded channel
+(``discarded``), computed once; its last prior and that prior's pushforward
+(``prior_pushforward``); and its last prior and that prior's exact
+inversion (``BayesLens.inverse``).  The inversion is a property of the
+forward, not of a lens: every lens on one forward shares its slot, and a
+lens whose family is that inversion is *exact*.  A composable pair's MLE
+term, ``loss_compose``'s middle prior and the composite backward all read
+one pushforward, and the models on one pair share one discard of each
+remembered inversion.
 
 A discrete family is also called at a *stack* of priors (a ``Dist`` whose
 ``mass`` is ``(P, n)``) and returns a stack of channels, or one channel for
@@ -82,9 +84,9 @@ class BayesLens:
     """Forward channel plus prior-indexed backward family.
 
     ``bwd`` is kept as a ``_Last``.  Left out, it is ``inverse``, the
-    remembered exact inversion of ``fwd``, and the lens is ``exact``; a lens
-    handed a family, even another lens's ``inverse`` by
-    ``dataclasses.replace``, is not.  ``marginals`` is not an argument, and
+    remembered exact inversion of ``fwd``, and the lens is ``exact``, as is
+    a lens handed that inversion by ``dataclasses.replace``; a lens handed
+    any other family is not.  ``marginals`` is not an argument, and
     ``dataclasses.replace`` drops it: the ``_Last`` split of a joint prior
     into the factors' priors, on the lenses ``lens_tensor`` builds.
     """
@@ -95,21 +97,19 @@ class BayesLens:
 
     def __post_init__(self):
         if self.bwd is None:
-            object.__setattr__(self, "bwd", self.inverse)
+            object.__setattr__(self, "bwd", _inversion(self.fwd))
         elif not isinstance(self.bwd, _Last):
             object.__setattr__(self, "bwd", _Last(self.bwd))
 
     @property
     def inverse(self) -> "_Last":
-        """The exact inversion of ``fwd``, as a ``_Last``, made on first use."""
-        if "_inverse" not in self.__dict__:
-            self.__dict__["_inverse"] = _Last(functools.partial(_invert, self.fwd))
-        return self.__dict__["_inverse"]
+        """The exact inversion of ``fwd``, remembered on ``fwd``."""
+        return self.bwd if self.exact else _inversion(self.fwd)
 
     @property
     def exact(self) -> bool:
-        """Whether the backward family is ``inverse``."""
-        return self.bwd is self.__dict__.get("_inverse")
+        """Whether the backward family is ``fwd``'s own inversion."""
+        return self.bwd.home is self.fwd
 
     @property
     def backend(self):
@@ -119,27 +119,23 @@ class BayesLens:
 
 def discarded(ch: Channel) -> Channel:
     """``ch`` with its coparameter discarded, computed on first use and
-    kept on ``ch`` for as long as it lives.  A discard always builds a new
-    channel, so what ``ch`` keeps never refers back to it."""
-    plain = getattr(ch, "_discarded", None)
-    if plain is None:
-        plain = backend_of(ch).discard(ch)
-        object.__setattr__(ch, "_discarded", plain)
-    return plain
+    kept in a slot of ``ch``.  A discard always builds a new channel."""
+    slots = ch.__dict__
+    if "_discarded" not in slots:
+        slots["_discarded"] = backend_of(ch).discard(ch)
+    return slots["_discarded"]
 
 
 def prior_pushforward(ch: Channel) -> Callable[[State], State]:
-    """The map of priors induced by a forward channel (discard, then push).
+    """The map of priors induced by a forward channel (discard, then push):
+    a ``_Last`` over ``discarded(ch)`` whose slot is on ``ch``, so every map
+    of one channel shares one push."""
+    return _Last(functools.partial(_push, discarded(ch)), ch, "_pushforward")
 
-    There is one map per channel, a ``_Last``, built on first use and kept
-    on ``ch`` for as long as it lives.  It refers to ``discarded(ch)``, not
-    to ``ch``.
-    """
-    onto = getattr(ch, "_pushforward", None)
-    if onto is None:
-        onto = _Last(functools.partial(_push, discarded(ch)))
-        object.__setattr__(ch, "_pushforward", onto)
-    return onto
+
+def _inversion(fwd: Channel) -> "_Last":
+    """The exact inversion of ``fwd``, a ``_Last`` whose slot is on ``fwd``."""
+    return _Last(functools.partial(_invert, fwd), fwd, "_inverse")
 
 
 def _push(plain: Channel, pi: State) -> State:
@@ -151,25 +147,28 @@ def _invert(ch: Channel, pi: State) -> Channel:
 
 
 class _Last:
-    """A pure function of a state, remembering its last state and result:
-    called at a state bitwise equal to the last (``Backend.content_key``; a
-    discrete stack is its own key), it returns the same result without
-    calling ``fn``.  A call that raises is not remembered, and a state with
-    no key (a Gaussian stack) goes to ``fn`` to be refused in its words.  A
-    class, not a closure, so that a channel that keeps one still pickles."""
+    """A pure function of a state, remembering its last state and result
+    as ``(key, result)`` in the slot ``slot`` of its home's ``__dict__``:
+    ``home`` is a channel, whose memos of one slot share it, or ``None``,
+    the memo itself.  Called at a state bitwise equal to the last
+    (``Backend.content_key``; a discrete stack is its own key), it returns
+    the same result without calling ``fn``.  A call that raises is not
+    remembered, and a state with no key (a Gaussian stack) goes to ``fn``
+    to be refused in its words."""
 
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self.last = (None, None)  # (key of the last state, its result)
+    def __init__(self, fn: Callable, home: Channel | None = None, slot: str = "last"):
+        self.fn, self.home, self.slot = fn, home, slot
 
     def __call__(self, state):
         try:
             key = backend_of(state).content_key(state)
         except ShapeError:
             return self.fn(state)
-        if key != self.last[0]:
-            self.last = (key, self.fn(state))
-        return self.last[1]
+        slots = (self if self.home is None else self.home).__dict__
+        last = slots.get(self.slot)
+        if last is None or key != last[0]:
+            last = slots[self.slot] = (key, self.fn(state))
+        return last[1]
 
 
 def reindex(statefn: Callable, ch: Channel) -> Callable:

@@ -43,8 +43,9 @@ Gaussian pair's KL witness makes three inversions (each stage at its prior,
 the composite's forward at the prior), its MLE witness one, and its KL, MLE
 and FE witnesses and its buco residual five in all; a composite or tensored
 lens builds its backward channel once for all the models read at one prior.
-The KL loss reads the lens's remembered inversion (``BayesLens.inverse``),
-and that of an exact lens inverts nothing.  Likewise a prior is pushed
+The KL loss reads the remembered inversion of the lens's forward
+(``BayesLens.inverse``), which every lens on that forward shares, and that
+of an exact lens inverts nothing.  Likewise a prior is pushed
 through a channel once, and a channel is discarded once
 (``lens.prior_pushforward``, ``lens.discarded``).
 

@@ -94,6 +94,18 @@ CASES = {
     # discrete
     "FiniteSpace-empty-factor": (lambda: ds.FiniteSpace(((),)), ShapeError, "at least one outcome"),
     "FiniteSpace-index": (lambda: X2.product(Y2).index(("x0",)), ShapeError, "expected a 2-tuple"),
+    "FiniteSpace-index-string": (
+        lambda: X2.product(Y2).index("x0"),
+        ShapeError,
+        "expected a 2-tuple, got 'x0'",
+    ),
+    "FiniteSpace-index-part": (
+        lambda: X2.product(Y2).index(("x0", "zz")),
+        ShapeError,
+        "no outcome ('x0', 'zz') in FiniteSpace(2x2)",
+    ),
+    "FiniteSpace-index-atomic": (lambda: X2.index("zz"), ShapeError, "no outcome 'zz' in FiniteSpace(2)"),
+    "point_mass": (lambda: ds.point_mass(X2, "zz"), ShapeError, "no outcome 'zz'"),
     "CoparKernel-side": (
         lambda: ds.CoparKernel(X2, UNIT, Y2, HALF, "middle"),
         ShapeError,

@@ -262,5 +262,14 @@ class TestTrialInversionCounts:
         assert counted["n"] <= 5
 
     def test_one_laplace_trial(self, monkeypatch):
+        # every Laplace-style lens of a trial reads its forward's one
+        # inversion at the trial's prior
         counted = self.counted(monkeypatch, gs, "g_invert")
-        assert 0 < self.most_per_trial("laplace", counted) <= 6
+        assert 0 < self.most_per_trial("laplace", counted) <= 1
+
+    @pytest.mark.parametrize("suite", ["fe-sum", "fe-joint", "thermo"])
+    def test_one_perturbed_lens_trial(self, monkeypatch, suite):
+        # the perturbed family and the KL term read the forward's one
+        # inversion at the trial's prior
+        counted = self.counted(monkeypatch, ds, "bayes_invert")
+        assert 0 < self.most_per_trial(suite, counted) <= 1

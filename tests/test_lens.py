@@ -109,13 +109,18 @@ class TestExactLens:
         assert lens.exact and lens.bwd is lens.inverse
         assert identity_lens(X).exact
         assert exact_lens(random_gauss_channel(rng, 2, 1, 2)).exact
-        # a lens handed a family is not exact, even its own lens's inversion
-        assert not dataclasses.replace(lens).exact
-        assert not BayesLens(lens.fwd, lens.bwd).exact
+        # the inversion is the forward's: handed it on that forward, a lens
+        # is exact; on another forward, or handed any other family, it is not
+        assert dataclasses.replace(lens).exact and BayesLens(lens.fwd, lens.bwd).exact
+        elsewhere = random_copar(rng, X, M, Y)
+        assert not dataclasses.replace(lens, fwd=elsewhere).exact
+        assert not BayesLens(elsewhere, lens.bwd).exact
         assert not lens_compose(exact_lens(random_copar(rng, Y, M, X)), lens).exact
-        # the inversion of a lens that is not exact is its forward's
-        other = BayesLens(lens.fwd, lens.inverse)
+        # a lens that is not exact reads its forward's inversion
+        other = BayesLens(lens.fwd, lens.bwd.fn)
+        assert not other.exact
         pi = random_dist(rng, X)
+        assert other.inverse(pi) is lens.bwd(pi)
         assert np.array_equal(other.inverse(pi).rows, exact_inversion(lens.fwd, pi).rows)
 
 

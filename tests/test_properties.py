@@ -1,7 +1,8 @@
 """Property-based differential tests: each batched path of the discrete
 losses against the path it batches, compared bitwise on drawn shapes; every
 memo site (each family's remembered backward channel, a tensored lens's
-remembered split, a channel's remembered discard and pushforward) and a
+remembered split, a channel's remembered discard, pushforward and exact
+inversion, the last shared by every lens on the channel) and a
 state's remembered Cholesky factor against fresh ones; the Gaussian
 inversion against its block assembly; model objects through JSON and back;
 and malformed model files against the command line.
@@ -17,6 +18,7 @@ examples are derived from the test, not random, and no database is kept.
 
 import contextlib
 import copy
+import dataclasses
 import gc
 import io
 import json
@@ -494,13 +496,14 @@ def raised(fn, *args) -> tuple:
 
 
 def assert_pushes_once(ch, prior, refused):
-    """``prior_pushforward(ch)`` is one map, over one remembered discard,
-    that pushes a prior once until another prior comes, and is bitwise a
-    fresh ``push(discard(ch), prior)``; each prior in ``refused`` raises the
-    fresh push's error every time and is not remembered."""
+    """Two maps ``prior_pushforward(ch)`` share one push, over one
+    remembered discard: a prior is pushed once until another prior comes,
+    by either map, and bitwise as a fresh ``push(discard(ch), prior)``; each
+    prior in ``refused`` raises the fresh push's error every time and is not
+    remembered."""
     backend, module = backend_of(ch), gs if hasattr(ch, "A") else ds
-    onto = prior_pushforward(ch)
-    assert prior_pushforward(ch) is onto and discarded(ch) is discarded(ch)
+    onto, also = prior_pushforward(ch), prior_pushforward(ch)
+    assert discarded(ch) is discarded(ch)
     assert same_channel(discarded(ch), backend.discard(ch))
 
     def fresh(pi):
@@ -511,12 +514,12 @@ def assert_pushes_once(ch, prior, refused):
     with counted(module, "g_push" if module is gs else "push") as pushes:
         first = onto(prior)
         assert same_state(first, want)
-        assert onto(copied(prior)) is first and len(pushes) == 1
+        assert onto(copied(prior)) is first and also(copied(prior)) is first and len(pushes) == 1
         for pi, error in zip(refused, errors, strict=True):
-            assert raised(onto, pi) == raised(onto, pi) == error
+            assert raised(onto, pi) == raised(also, pi) == error
         assert len(pushes) == 1 + 2 * len(refused)
-        assert onto(prior) is first
-        again = onto(moved)
+        assert also(prior) is first
+        again = also(moved)
         assert again is not first and same_state(again, want_moved)
         back = onto(prior)  # the one slot now holds the moved prior's pushforward
         assert back is not first and same_state(back, want)
@@ -735,6 +738,49 @@ def test_every_memo_site_remembers_one_prior_by_content(name):
     gc.disable()
     try:
         refs = memo_and_reads(site, 0)
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def lenses_on_one_forward(rng):
+    """An exact lens, a lens on its forward whose family mixes the exact
+    lens's channel with a fixed random kernel, and a prior."""
+    (exact,) = discrete_stages(rng, 1)
+    fwd = exact.fwd
+    noise = random_kernel(rng, fwd.out, ds.unit_space(), fwd.dom.product(fwd.copar), False).rows
+
+    def bwd(pi):
+        rows = 0.7 * exact.bwd(pi).rows + 0.3 * noise
+        return ds.CoparKernel(fwd.out, fwd.copar, fwd.dom, rows, "right")
+
+    return exact, BayesLens(fwd, bwd), a_prior(rng, fwd.dom)
+
+
+def test_lenses_on_one_forward_share_one_inversion():
+    # the exact inversion is a slot of the forward, not of a lens: an exact
+    # lens, a perturbed lens and a replace of either invert one prior once
+    # between them, and the KL and FE losses of both read it
+    exact, perturbed, pi = lenses_on_one_forward(np.random.default_rng(17))
+    with counted(ds, "bayes_invert") as calls:
+        back = perturbed.inverse(pi)
+        assert exact.bwd(pi) is back and dataclasses.replace(exact).bwd(pi) is back
+        assert dataclasses.replace(perturbed).inverse(pi) is back
+        assert not perturbed.exact and dataclasses.replace(exact).exact
+        for model in (LossModel.KL, LossModel.FE):
+            for lens in (exact, perturbed):
+                loss_for(model, lens)(pi, 0)
+    assert len(calls) == 1
+    # the forward's slot goes with the forward, and pickles with it
+    clone = pickle.loads(pickle.dumps(exact))
+    assert clone.exact and same_channel(clone.bwd(pi), back)
+    assert same_channel(exact_inversion(clone.fwd, pi), back)
+    gc.disable()
+    try:
+        exact, perturbed, pi = lenses_on_one_forward(np.random.default_rng(17))
+        kept = [exact, perturbed, exact.fwd, exact.bwd(pi), perturbed.bwd(pi)]
+        refs = [weakref.ref(obj) for obj in kept]
+        del exact, perturbed, kept
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
