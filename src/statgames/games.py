@@ -110,10 +110,10 @@ def game_vcompose(w2: TwoCellWitness, w1: TwoCellWitness) -> TwoCellWitness:
     )
 
 
-def _witness_losses(model, d: BayesLens, c: BayesLens, composite=None) -> tuple[LossFn, LossFn]:
+def _witness_losses(model, d: BayesLens, c: BayesLens) -> tuple[LossFn, LossFn]:
     """The composed losses of a pair and the loss of its composite."""
     composed = loss_compose(loss_for(model, d), loss_for(model, c), d, c)
-    return composed, loss_for(model, lens_compose(d, c) if composite is None else composite)
+    return composed, loss_for(model, lens_compose(d, c))
 
 
 def _defects(composed: list, direct: list) -> list:
@@ -123,10 +123,10 @@ def _defects(composed: list, direct: list) -> list:
     ]
 
 
-def _witness_values(model, d: BayesLens, c: BayesLens, probes, composite=None) -> list:
+def _witness_values(model, d: BayesLens, c: BayesLens, probes) -> list:
     """The composition defect at each probe, or the error raised there (one
     such list per model for a tuple of models)."""
-    losses = _witness_losses(model, d, c, composite)
+    losses = _witness_losses(model, d, c)
     composed, direct = (loss.at_probes(probes) for loss in losses)
     if isinstance(model, LossModel):
         return _defects(composed, direct)
@@ -135,18 +135,16 @@ def _witness_values(model, d: BayesLens, c: BayesLens, probes, composite=None) -
     return [_defects(a, b) for a, b in zip(composed, direct)]
 
 
-def laxness_witnesses(model, d: BayesLens, c: BayesLens, probes, composite=None) -> list:
+def laxness_witnesses(model, d: BayesLens, c: BayesLens, probes) -> list:
     """Composition defect of a loss model on one composable pair at each
     probe ``(prior, observation)``: composed losses minus the loss of the
     composite.  The losses are built once and evaluated at all probes in
-    one pass (``LossFn.at_probes``); the first undefined probe raises.  A
-    caller that has built ``lens_compose(d, c)`` already passes it as
-    ``composite``.
+    one pass (``LossFn.at_probes``); the first undefined probe raises.
 
     A tuple of discrete models gives one list per model, from one composite
     and one form call per loss for all of them (``loss_for``); the first
     undefined probe of the first model that has one raises."""
-    ks = _witness_values(model, d, c, probes, composite)
+    ks = _witness_values(model, d, c, probes)
     for row in [ks] if isinstance(model, LossModel) else ks:
         for k in row:
             if isinstance(k, Exception):
@@ -154,10 +152,10 @@ def laxness_witnesses(model, d: BayesLens, c: BayesLens, probes, composite=None)
     return ks
 
 
-def laxness_witness(model, d: BayesLens, c: BayesLens, pi, obs, composite=None):
+def laxness_witness(model, d: BayesLens, c: BayesLens, pi, obs):
     """``laxness_witnesses`` at a single probe: a float, or a tuple of
     floats for a tuple of models."""
-    ks = laxness_witnesses(model, d, c, [(pi, obs)], composite)
+    ks = laxness_witnesses(model, d, c, [(pi, obs)])
     return ks[0] if isinstance(model, LossModel) else tuple(row[0] for row in ks)
 
 

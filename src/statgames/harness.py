@@ -466,8 +466,8 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
     # each column's witness next: ``e`` and ``f`` were just inverted at the
     # pushforwards of ``w1`` and ``w2``, which the tensored terms below
     # reach as marginals of a joint pushforward, equal but not bitwise
-    along_c = laxness_witness(models, e, c, w1, z, composite=ec)
-    along_d = laxness_witness(models, f, d, w2, z2, composite=fd)
+    along_c = laxness_witness(models, e, c, w1, z)
+    along_d = laxness_witness(models, f, d, w2, z2)
     across = laxness_witness(models, ef, cd, omega, joint_obs)
     # the laxators compose as losses on the tensored lenses
     first, second = laxator_loss(models, c, d, tensored=cd), laxator_loss(models, e, f, tensored=ef)

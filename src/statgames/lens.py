@@ -18,13 +18,15 @@ refers back to its owner, so a dropped object is freed at once, without the
 cyclic collector.  A family's ``(prior, channel)`` pair is a slot of the
 family itself.  A channel's slots are its discarded channel
 (``discarded``), computed once; its last prior and that prior's pushforward
-(``prior_pushforward``); and its last prior and that prior's exact
-inversion (``BayesLens.inverse``).  The inversion is a property of the
-forward, not of a lens: every lens on one forward shares its slot, and a
-lens whose family is that inversion is *exact*.  A composable pair's MLE
-term, ``loss_compose``'s middle prior and the composite backward all read
-one pushforward, and the models on one pair share one discard of each
-remembered inversion.
+(``prior_pushforward``); its last prior and that prior's exact inversion
+(``BayesLens.inverse``); and its last copy-composite run before or after
+another channel (``lens_compose``), so every composite of one pair of
+lenses shares one forward, with its slots, and one backward per prior.
+The inversion is a property of the forward, not of a lens: every lens on
+one forward shares its slot, and a lens whose family is that inversion is
+*exact*.  A composable pair's MLE term, ``loss_compose``'s middle prior
+and the composite backward all read one pushforward, and the models on one
+pair share one discard of each remembered inversion.
 
 A discrete family is also called at a *stack* of priors (a ``Dist`` whose
 ``mass`` is ``(P, n)``) and returns a stack of channels, or one channel for
@@ -200,16 +202,27 @@ def lens_compose(d: BayesLens, c: BayesLens) -> BayesLens:
     """Optic composition: forwards copy-compose; the composite backward at
     ``pi`` runs ``d``'s backward at the pushed prior, then ``c``'s backward,
     retaining the intermediate observation."""
-    backend = backend_of(d.fwd, c.fwd)
-    fwd = backend.copy_compose(d.fwd, c.fwd)
+    fwd = _copy_composed(d.fwd, c.fwd)
     onto = prior_pushforward(c.fwd)
 
     def bwd(pi):
         back_d = d.bwd(onto(pi))
-        back_c = c.bwd(pi)
-        return backend.copy_compose(back_c, back_d)
+        return _copy_composed(c.bwd(pi), back_d)
 
     return BayesLens(fwd=fwd, bwd=bwd)
+
+
+def _copy_composed(g: Channel, f: Channel) -> Channel:
+    """``copy_compose(g, f)`` as ``(id(g), h)`` in ``f``'s slot ``_then`` and
+    ``(id(f), h)`` in ``g``'s ``_after``.  A hit needs both ids and one ``h``
+    in both slots: neither channel pins the other, and a reused id or a
+    pickled clone (whose slots hold a clone of ``h``) misses."""
+    then, after = f.__dict__.get("_then"), g.__dict__.get("_after")
+    if then and after and then[1] is after[1] and (then[0], after[0]) == (id(g), id(f)):
+        return then[1]
+    h = backend_of(g, f).copy_compose(g, f)
+    f.__dict__["_then"], g.__dict__["_after"] = (id(g), h), (id(f), h)
+    return h
 
 
 def lens_tensor(l1: BayesLens, l2: BayesLens) -> BayesLens:
@@ -245,5 +258,4 @@ def buco_residual(c: BayesLens, d: BayesLens, pi: State) -> float:
     supported observations; Gaussian ones by their parameter triples.
     """
     composite = lens_compose(d, c)
-    direct = exact_inversion(composite.fwd, pi)
-    return composite.backend.deviation(composite.bwd(pi), direct, composite.fwd, pi)
+    return composite.backend.deviation(composite.bwd(pi), composite.inverse(pi), composite.fwd, pi)

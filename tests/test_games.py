@@ -17,7 +17,7 @@ from statgames.games import (
     laxness_witnesses,
     section_check,
 )
-from statgames.lens import BayesLens, exact_inversion, exact_lens, lens_compose
+from statgames.lens import BayesLens, buco_residual, exact_inversion, exact_lens, lens_compose
 from statgames.loss import (
     ALL,
     LossFn,
@@ -407,21 +407,45 @@ class TestWitnessModelAxis:
                     laxness_witnesses(several, d, c, probes)
         assert undefined > 0
 
-    def test_a_built_composite_is_not_built_again(self, monkeypatch):
-        import statgames.games as games_module
-
+    def test_a_pair_is_copy_composed_once(self, monkeypatch):
+        # a copy-composite is remembered by its pair of channels, so a second
+        # call on one pair composes neither the forwards nor the backwards
+        # at its priors again, and gives the first call's values
         rng = rng_for(22)
         d, c = exact_pair(rng)
         probes = [(random_dist(rng, c.fwd.dom), z) for z in range(3)]
-        composite = lens_compose(d, c)
+        composed, orig = [], ds.copy_compose_copar
+        monkeypatch.setattr(ds, "copy_compose_copar", lambda g, f: composed.append((g, f)) or orig(g, f))
         want = laxness_witnesses(tuple(MODELS), d, c, probes)
+        made = list(composed)
+        assert np.array_equal(laxness_witnesses(tuple(MODELS), d, c, probes), want, equal_nan=True)
+        assert len(composed) == len(made) == 2
+        (fwd_g, fwd_f), (bwd_g, bwd_f) = made
+        assert fwd_g is d.fwd and fwd_f is c.fwd
+        assert bwd_g.copar_side == bwd_f.copar_side == "right"
 
-        def refuse(*args):
-            raise AssertionError("the composite was built again")
-
-        monkeypatch.setattr(games_module, "lens_compose", refuse)
-        got = laxness_witnesses(tuple(MODELS), d, c, probes, composite=composite)
-        assert np.array_equal(got, want, equal_nan=True)
+    @pytest.mark.parametrize("instance", ["discrete", "gaussian"])
+    def test_a_pairs_witnesses_and_residual_share_one_composite(self, instance, monkeypatch):
+        # the KL, MLE and FE witnesses and the buco residual of one pair at
+        # one prior copy-compose its forwards once and its backwards once, and
+        # invert each stage and the composite forward once; each instance
+        # made 7 and 5 when every call built its own composite
+        rng = rng_for(23)
+        if instance == "discrete":
+            d, c = exact_pair(rng)
+            pi, obs, module, names = random_dist(rng, c.fwd.dom), 1, ds, ("copy_compose_copar", "bayes_invert")
+        else:
+            c = exact_lens(GAUSSIAN.random_channel(rng, 2, 1, 2))
+            d = exact_lens(GAUSSIAN.random_channel(rng, 2, 0, 1))
+            pi, obs, module, names = GAUSSIAN.random_state(rng, 2), [0.3], gs, ("g_copy_compose", "g_invert")
+        calls = {name: [] for name in names}
+        for name in names:
+            orig = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, n=name, o=orig: calls[n].append(args) or o(*args))
+        for model in (LossModel.KL, LossModel.MLE, LossModel.FE):
+            laxness_witness(model, d, c, pi, obs)
+        buco_residual(c, d, pi)
+        assert [len(calls[name]) for name in names] == [2, 3]
 
     @pytest.mark.parametrize(
         "model, inversions",

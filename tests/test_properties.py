@@ -2,8 +2,9 @@
 losses against the path it batches, compared bitwise on drawn shapes; every
 memo site (each family's remembered backward channel, a tensored lens's
 remembered split, a channel's remembered discard, pushforward and exact
-inversion, the last shared by every lens on the channel) and a
-state's remembered Cholesky factor against fresh ones; the Gaussian
+inversion, the last shared by every lens on the channel, and a pair of
+channels' remembered copy-composite) and a state's remembered Cholesky
+factor against fresh ones; the Gaussian
 inversion against its block assembly; model objects through JSON and back;
 and malformed model files against the command line.
 
@@ -672,12 +673,24 @@ def gaussian_pushforward_site(rng):
     return ch, prior_pushforward(ch), pi, nudged(pi), refused
 
 
+def composite_forward_site(rng):
+    # a second composite of one pair has the first one's forward, and with
+    # it that forward's inversion slot
+    c, d = discrete_stages(rng, 2)
+    first = lens_compose(d, c)
+    l = lens_compose(d, c)
+    assert l.fwd is first.fwd
+    pi = a_prior(rng, l.fwd.dom)
+    return c, l.inverse, pi, nudged(pi), elsewhere(pi)
+
+
 #: each memo site: ``rng -> (owner, memo, prior, other prior, refused
 #: prior)``, where dropping ``owner`` drops the memo
 MEMO_SITES = {
     "exact": exact_site,
     "gaussian-exact": gaussian_exact_site,
     "composite": composite_site,
+    "composite-forward": composite_forward_site,
     "tensored": tensored_site,
     "tensored-split": split_site,
     "perturbed": perturbed_site,
@@ -825,6 +838,81 @@ def test_a_composite_inverts_its_forward_once_per_prior():
             for z in range(3):
                 loss(pi, z)
     assert [args[0] is composite.fwd for args in calls].count(True) == 1
+
+
+def endomorphisms(rng, n):
+    """``n`` exact discrete lenses on one 3-state space, with 2-point
+    coparameters."""
+    X, M = ds.space(["x0", "x1", "x2"]), ds.space(["m0", "m1"])
+    return [exact_lens(random_kernel(rng, X, M, X, False)) for _ in range(n)]
+
+
+def test_a_copy_composite_is_remembered_by_the_identity_of_its_pair():
+    # the key is which two channels compose, not their content: a content
+    # equal but distinct channel misses and takes the one slot, a refused
+    # composition is not kept, and two endomorphisms keep one composite
+    # in each order
+    rng = np.random.default_rng(19)
+    c, d = discrete_stages(rng, 2)
+    pi = a_prior(rng, c.fwd.dom)
+    with counted(ds, "copy_compose_copar") as calls:
+        l = lens_compose(d, c)
+        back = l.bwd(pi)
+        again = lens_compose(d, c)
+        assert again.fwd is l.fwd and again.bwd(copied(pi)) is back and len(calls) == 2
+        twin = lens_compose(BayesLens(dataclasses.replace(d.fwd)), c)
+        assert twin.fwd is not l.fwd and same_channel(twin.fwd, l.fwd) and len(calls) == 3
+        moved = lens_compose(d, c).fwd
+        assert moved is not l.fwd and same_channel(moved, l.fwd) and len(calls) == 4
+        assert raised(lens_compose, c, c) == raised(lens_compose, c, c)
+        assert lens_compose(d, c).fwd is moved and len(calls) == 6
+        a, b = endomorphisms(rng, 2)
+        ab, ba = lens_compose(a, b).fwd, lens_compose(b, a).fwd
+        assert lens_compose(a, b).fwd is ab and lens_compose(b, a).fwd is ba and len(calls) == 8
+    assert same_channel(ab, ds.copy_compose_copar(a.fwd, b.fwd))
+    assert same_channel(ba, ds.copy_compose_copar(b.fwd, a.fwd))
+
+
+def composed_and_read(rng) -> list:
+    """Weak references to exact lenses, among them two endomorphisms, to
+    their composites in both orders and to what those remember once read."""
+    lenses = [*discrete_stages(rng, 2), *endomorphisms(rng, 2)]
+    c, d, a, b = lenses
+    kept = list(lenses)
+    for second, first in ((d, c), (a, b), (b, a), (a, a)):
+        for l in (lens_compose(second, first), lens_compose(second, first)):
+            pi = a_prior(rng, l.fwd.dom)
+            kept += [l, l.fwd, l.bwd(pi), l.inverse(pi), discarded(l.fwd)]
+    return [weakref.ref(obj) for obj in kept]
+
+
+def test_composites_and_their_pairs_are_freed_without_the_cyclic_collector():
+    # each channel of a pair keeps the composite, which refers to neither
+    gc.disable()
+    try:
+        refs = composed_and_read(np.random.default_rng(29))
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_a_copy_composed_channel_still_pickles():
+    # a clone's slots hold a clone of the composite, with the originals'
+    # ids: a clone misses, alone or pickled with its partner, and composes
+    # bitwise equal
+    rng = np.random.default_rng(31)
+    gaussian = [exact_lens(GAUSSIAN.random_channel(rng, 2, 1, 2)) for _ in range(2)]
+    for c, d in (discrete_stages(rng, 2), gaussian):
+        pi = a_prior(rng, c.fwd.dom) if hasattr(c.fwd, "rows") else GAUSSIAN.random_state(rng, 2)
+        l = lens_compose(d, c)
+        back = l.bwd(pi)
+        one = pickle.loads(pickle.dumps(c.fwd))
+        both = pickle.loads(pickle.dumps((c.fwd, d.fwd)))
+        for first, second in ((one, d.fwd), both):
+            pickled = first.__dict__["_then"][1]
+            clone = lens_compose(BayesLens(second), BayesLens(first))
+            assert pickled is not l.fwd and clone.fwd is not pickled
+            assert same_channel(clone.fwd, l.fwd) and same_channel(clone.bwd(pi), back)
 
 
 @pytest.mark.parametrize("model", [LossModel.KL, LossModel.FE, MODELS], ids=["kl", "fe", "models"])
