@@ -9,7 +9,8 @@ Subcommands:
 * ``inspect``   -- print the structure and stochasticity audit of a model
 
 Exit codes: 0 success, 1 numeric failure (failed suite, unsupported
-observation, singular covariance, divergent demo), 2 usage or parse error.
+observation, singular covariance, divergent demo), 2 usage or parse error,
+an output location that cannot be written included.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ def cmd_verify(args) -> int:
     # every configuration is checked before any suite runs or writes
     configs = [_suite_config(name, args) for name in names]
     report_dir = os.environ.get("STATGAMES_REPORT_DIR", "reports")
+    written = [os.path.join(report_dir, f"{n}.{ext}") for n in names for ext in ("json", "csv")]
+    for path in written if args.report is None else [args.report]:
+        _check_writable(path, makes_dirs=args.report is None)
     reports = []
     all_pass = True
     for name, cfg in zip(names, configs):
@@ -115,10 +119,24 @@ def cmd_verify(args) -> int:
                 fh.write(report.to_csv())
     if args.report is not None:
         with open(args.report, "w") as fh:
-            json.dump(
-                [json.loads(r.to_json()) for r in reports], fh, sort_keys=True, indent=1
-            )
+            json.dump([json.loads(r.to_json()) for r in reports], fh, sort_keys=True, indent=1)
     return 0 if all_pass else 1
+
+
+def _check_writable(path: str, makes_dirs: bool = False) -> None:
+    """Raise, before any work, the ``OSError`` that writing ``path`` would
+    (after making its missing directories, with ``makes_dirs``), and leave
+    nothing behind: a file that is there is left as it is."""
+    folder = os.path.dirname(path) or "."
+    while makes_dirs and not os.path.exists(folder):
+        folder, path = os.path.dirname(folder) or ".", None
+    if path is None:  # the directories are made under ``folder``
+        return os.scandir(folder).close()
+    there = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not there:
+        os.remove(path)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +212,8 @@ def cmd_demo(args) -> int:
             raise ShapeError(f"{flag} must be >= 0, not {value}")
     if not (math.isfinite(args.lr) and args.lr >= 0):
         raise ShapeError(f"--lr must be a finite number >= 0, not {args.lr}")
+    if args.out is not None:
+        _check_writable(args.out)
     prior = gs.GaussState([0.0], [[1.0]])
     y = np.array([DEMO_OBSERVATION])
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
@@ -300,7 +320,7 @@ def main(argv=None) -> int:
     except ModelParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except ShapeError as e:
+    except (ShapeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (SupportError, SingularityError, InstanceError) as e:

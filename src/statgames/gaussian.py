@@ -155,11 +155,17 @@ def _state_chol(s: "GaussState", what: str) -> np.ndarray:
     and kept in a slot of ``s`` for as long as it lives.  A singular
     covariance raises ``SingularityError`` naming ``what`` on every call and
     is not remembered."""
-    slots = s.__dict__
-    if "_cholesky" not in slots:
-        slots["_cholesky"] = l = _chol(s.cov, what)
+    l = getattr(s, "_cholesky", None)
+    if l is None:
+        l = _chol(s.cov, what)
         l.setflags(write=False)
-    return slots["_cholesky"]
+        object.__setattr__(s, "_cholesky", l)
+    return l
+
+
+def _logdet(chol: np.ndarray) -> float:
+    """The log-determinant of the covariance whose Cholesky factor is ``chol``."""
+    return 2.0 * float(np.log(np.diag(chol)).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,16 +376,14 @@ def g_kl(p: GaussState, q: GaussState):
     delta = np.linalg.solve(lq, (q.mean - p.mean)[..., None])[..., 0]
     maha = np.vecdot(delta, delta)
     sign, logdet_p = np.linalg.slogdet(p.cov)
-    logdet_q = 2.0 * float(np.log(np.diag(lq)).sum())
-    kl = np.where(sign > 0, 0.5 * (trace + maha - p.dim + logdet_q - logdet_p), np.inf)
+    kl = np.where(sign > 0, 0.5 * (trace + maha - p.dim + _logdet(lq) - logdet_p), np.inf)
     return float(kl) if kl.ndim == 0 else kl
 
 
 def g_entropy(s: GaussState) -> float:
     """Differential entropy ``0.5 * ln det(2 pi e cov)`` in nats."""
     l = _state_chol(_single(s, "g_entropy"), "covariance")
-    logdet = 2.0 * float(np.log(np.diag(l)).sum())
-    return 0.5 * (s.dim * (1.0 + LOG_2PI) + logdet)
+    return 0.5 * (s.dim * (1.0 + LOG_2PI) + _logdet(l))
 
 
 def g_logpdf(s: GaussState, x) -> float:
@@ -388,9 +392,8 @@ def g_logpdf(s: GaussState, x) -> float:
     if x.ndim != 1 or x.size != _single(s, "g_logpdf").dim:
         raise ShapeError("point dimension does not match state")
     l = _state_chol(s, "covariance")
-    logdet = 2.0 * float(np.log(np.diag(l)).sum())
     u = np.linalg.solve(l, x - s.mean)
-    return -0.5 * (s.dim * LOG_2PI + logdet + float(u @ u))
+    return -0.5 * (s.dim * LOG_2PI + _logdet(l) + float(u @ u))
 
 
 # ---------------------------------------------------------------------------

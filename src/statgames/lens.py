@@ -12,11 +12,14 @@ priors must yield identical backward channels -- so each is a ``_Last``,
 which remembers its last prior, by exact content, and that prior's channel,
 and the terms of a law that need one lens's channel at one prior share it.
 
-Every value derived from one object lives in a named slot of that object's
-``__dict__``, for as long as the object lives, and nothing a slot holds
+Every value derived from one object lives in a named slot, an attribute
+of that object, for as long as the object lives, and nothing a slot holds
 refers back to its owner, so a dropped object is freed at once, without the
-cyclic collector.  A family's ``(prior, channel)`` pair is a slot of the
-family itself.  A channel's slots are its discarded channel
+cyclic collector.  A slot is read with ``getattr`` and written with
+``object.__setattr__``, never through ``__dict__``: on CPython 3.11 reading
+an instance's ``__dict__`` slows every later attribute load on it.  A
+family's ``(prior, channel)`` pair is a slot of the family itself.  A
+channel's slots are its discarded channel
 (``discarded``), computed once; its last prior and that prior's pushforward
 (``prior_pushforward``); its last prior and that prior's exact inversion
 (``BayesLens.inverse``); and its last copy-composite run before or after
@@ -122,10 +125,11 @@ class BayesLens:
 def discarded(ch: Channel) -> Channel:
     """``ch`` with its coparameter discarded, computed on first use and
     kept in a slot of ``ch``.  A discard always builds a new channel."""
-    slots = ch.__dict__
-    if "_discarded" not in slots:
-        slots["_discarded"] = backend_of(ch).discard(ch)
-    return slots["_discarded"]
+    plain = getattr(ch, "_discarded", None)
+    if plain is None:
+        plain = backend_of(ch).discard(ch)
+        object.__setattr__(ch, "_discarded", plain)
+    return plain
 
 
 def prior_pushforward(ch: Channel) -> Callable[[State], State]:
@@ -150,7 +154,7 @@ def _invert(ch: Channel, pi: State) -> Channel:
 
 class _Last:
     """A pure function of a state, remembering its last state and result
-    as ``(key, result)`` in the slot ``slot`` of its home's ``__dict__``:
+    as ``(key, result)`` in the attribute ``slot`` of its home:
     ``home`` is a channel, whose memos of one slot share it, or ``None``,
     the memo itself.  Called at a state bitwise equal to the last
     (``Backend.content_key``; a discrete stack is its own key), it returns
@@ -166,10 +170,11 @@ class _Last:
             key = backend_of(state).content_key(state)
         except ShapeError:
             return self.fn(state)
-        slots = (self if self.home is None else self.home).__dict__
-        last = slots.get(self.slot)
+        home = self if self.home is None else self.home
+        last = getattr(home, self.slot, None)
         if last is None or key != last[0]:
-            last = slots[self.slot] = (key, self.fn(state))
+            last = (key, self.fn(state))
+            object.__setattr__(home, self.slot, last)
         return last[1]
 
 
@@ -217,11 +222,12 @@ def _copy_composed(g: Channel, f: Channel) -> Channel:
     ``(id(f), h)`` in ``g``'s ``_after``.  A hit needs both ids and one ``h``
     in both slots: neither channel pins the other, and a reused id or a
     pickled clone (whose slots hold a clone of ``h``) misses."""
-    then, after = f.__dict__.get("_then"), g.__dict__.get("_after")
+    then, after = getattr(f, "_then", None), getattr(g, "_after", None)
     if then and after and then[1] is after[1] and (then[0], after[0]) == (id(g), id(f)):
         return then[1]
     h = backend_of(g, f).copy_compose(g, f)
-    f.__dict__["_then"], g.__dict__["_after"] = (id(g), h), (id(f), h)
+    object.__setattr__(f, "_then", (id(g), h))
+    object.__setattr__(g, "_after", (id(f), h))
     return h
 
 

@@ -37,17 +37,16 @@ lens's backend, supplies the KL, Laplace and joint free-energy forms and
 the primitives they use (``nll``, the negative log-density of a state as a
 form).
 
-Every lens remembers its last prior and that prior's backward channel, so
-the terms of a law that need one lens's channel at one prior share it: a
-Gaussian pair's KL witness makes three inversions (each stage at its prior,
-the composite's forward at the prior), its MLE witness one, and its KL, MLE
-and FE witnesses and its buco residual five in all; a composite or tensored
-lens builds its backward channel once for all the models read at one prior.
-The KL loss reads the remembered inversion of the lens's forward
-(``BayesLens.inverse``), which every lens on that forward shares, and that
-of an exact lens inverts nothing.  Likewise a prior is pushed
-through a channel once, and a channel is discarded once
-(``lens.prior_pushforward``, ``lens.discarded``).
+Every lens remembers its backward channel at its last prior, every forward
+its exact inversion there (``BayesLens.inverse``), and every channel its
+discard and its last pushforward (``lens``), so the terms of a law share
+them: one pair's KL, MLE and FE witnesses and buco residual make three
+inversions.  The KL loss of an exact lens is the zero form, computing no
+divergence of a channel from itself: on the discrete instance it is defined
+where the observation has positive evidence, on the Gaussian one wherever
+the lens's inversion exists (reading it checks that).  A Gaussian state
+keeps its ``nll`` form in its slot ``_nll``, so the witnesses that read one
+pushforward build it once.
 
 On the discrete instance a form also takes a stack of priors (a ``Dist``
 whose ``mass`` is ``(P, n)``) and returns a ``VecForm`` with the same
@@ -280,10 +279,6 @@ def _half_square(chol, M, r) -> QuadForm:
     W = np.linalg.solve(chol, M)
     u = np.linalg.solve(chol, r)
     return QuadForm(W.T @ W, W.T @ u, 0.5 * float(u @ u))
-
-
-def _logdet(chol) -> float:
-    return 2.0 * float(np.log(np.diag(chol)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -623,15 +618,22 @@ class _GaussianModels:
         return form  # a Gaussian pushforward has positive density everywhere
 
     def kl(self, l):
-        inverse = None if l.exact else l.inverse
+        if l.exact:  # zero wherever the inversion exists, which ``bwd`` checks
+            n = l.fwd.out_dim
+
+            def exact_form(pi, sel=ALL):
+                l.bwd(gs._single(pi, "a Gaussian loss"))
+                return QuadForm(np.zeros((n, n)), np.zeros(n), 0.0)
+
+            return exact_form
+        inverse = l.inverse
 
         def form(pi, sel=ALL):
             # KL(N(Ga y + ha, Sa) || N(Ge y + he, Se)) with D = Ge - Ga and
             # e = he - ha: the Mahalanobis term |Le^-1 (D y + e)|^2 / 2 plus
             # a constant in y, as in ``gaussian.g_kl``
             gs._single(pi, "a Gaussian loss")
-            approx = l.bwd(pi)
-            exact = approx if inverse is None else inverse(pi)
+            approx, exact = l.bwd(pi), inverse(pi)
             if approx.A.shape != exact.A.shape:
                 raise ShapeError(
                     "the backward channel's dimensions differ from the exact inversion's"
@@ -642,15 +644,23 @@ class _GaussianModels:
             if sign <= 0:
                 return QuadForm(H, g, math.inf)
             trace = float(np.trace(np.linalg.solve(le, np.linalg.solve(le, approx.noise).T)))
-            return QuadForm(H, g, c + 0.5 * (trace - approx.cod_dim + _logdet(le) - logdet_a))
+            return QuadForm(H, g, c + 0.5 * (trace - approx.cod_dim + gs._logdet(le) - logdet_a))
 
         return form
 
     def nll(self, state, sel=ALL):
-        """The negative log-density of ``state``, a quadratic in the point."""
-        chol = gs._state_chol(gs._single(state, "a Gaussian loss"), "covariance")
-        H, g, c = _half_square(chol, np.eye(state.dim), -state.mean)
-        return QuadForm(H, g, c + 0.5 * (state.dim * gs.LOG_2PI + _logdet(chol)))
+        """The negative log-density of ``state``, a quadratic in the point,
+        computed on first use and kept in the slot ``_nll`` of ``state``
+        (not for a singular covariance, which raises on every call)."""
+        form = getattr(gs._single(state, "a Gaussian loss"), "_nll", None)
+        if form is None:
+            chol = gs._state_chol(state, "covariance")
+            H, g, c = _half_square(chol, np.eye(state.dim), -state.mean)
+            for a in (H, g):
+                a.setflags(write=False)
+            form = QuadForm(H, g, c + 0.5 * (state.dim * gs.LOG_2PI + gs._logdet(chol)))
+            object.__setattr__(state, "_nll", form)
+        return form
 
     def at_mean(self):
         """The map of a channel to the point mass at its mean, over which
@@ -674,8 +684,8 @@ class _GaussianModels:
             chol_pi = gs._state_chol(pi, "covariance")
             chol_post = gs._chol(back.noise, "covariance")
             const = 0.5 * (
-                (fwd.cod_dim + dx) * gs.LOG_2PI + _logdet(chol_c) + _logdet(chol_pi)
-                - nz * (1.0 + gs.LOG_2PI) - _logdet(chol_post)
+                (fwd.cod_dim + dx) * gs.LOG_2PI + gs._logdet(chol_c) + gs._logdet(chol_pi)
+                - nz * (1.0 + gs.LOG_2PI) - gs._logdet(chol_post)
             )
             if expected:  # E[energy] adds tr(S H) / 2, a sum of |W L|^2 / 2 for S = L L'
                 root_c = np.linalg.solve(chol_c, w @ chol_post)

@@ -162,6 +162,81 @@ class TestVerify:
         assert first == second
 
 
+def one_error_line(captured) -> str:
+    """The one ``error:`` line a usage error prints, with nothing on stdout."""
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+class TestOutputPaths:
+    """An output location that cannot be written is a usage error, found
+    before any suite runs or any descent step is taken."""
+
+    @pytest.fixture()
+    def suites_run(self, monkeypatch):
+        import statgames.cli as cli
+
+        ran, run_suite = [], cli.run_suite
+        monkeypatch.setattr(cli, "run_suite", lambda cfg: ran.append(cfg) or run_suite(cfg))
+        return ran
+
+    def test_a_report_in_a_missing_directory(self, tmp_path, capsys, suites_run):
+        path = tmp_path / "missing" / "x.json"
+        rc = main(["verify", "--suite", "buco", "--trials", "2", "--report", str(path)])
+        assert rc == 2 and suites_run == []
+        assert str(path) in one_error_line(capsys.readouterr())
+        assert not path.parent.exists()
+
+    def test_a_report_that_is_a_directory(self, tmp_path, capsys, suites_run):
+        rc = main(["verify", "--suite", "buco", "--trials", "2", "--report", str(tmp_path)])
+        assert rc == 2 and suites_run == []
+        one_error_line(capsys.readouterr())
+
+    def test_an_existing_report_is_left_as_it_is_until_written(self, tmp_path, suites_run):
+        path = tmp_path / "x.json"
+        path.write_text("old")
+        assert main(["verify", "--suite", "buco", "--trials", "2", "--report", str(path)]) == 0
+        assert len(suites_run) == 1 and json.loads(path.read_text())[0]["suite"] == "buco"
+
+    def test_a_report_dir_under_a_regular_file(self, tmp_path, monkeypatch, capsys, suites_run):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("STATGAMES_REPORT_DIR", str(blocker / "reports"))
+        rc = main(["verify", "--suite", "buco", "--trials", "2"])
+        assert rc == 2 and suites_run == []
+        assert str(blocker) in one_error_line(capsys.readouterr())
+
+    def test_a_report_file_that_is_a_directory(self, report_dir, capsys, suites_run):
+        (report_dir / "buco.csv").mkdir(parents=True)
+        rc = main(["verify", "--suite", "buco", "--trials", "2"])
+        assert rc == 2 and suites_run == []
+        assert "buco.csv" in one_error_line(capsys.readouterr())
+        assert not (report_dir / "buco.json").exists()
+
+    def test_a_demo_csv_in_a_missing_directory(self, tmp_path, capsys, monkeypatch):
+        import statgames.cli as cli
+
+        steps = []
+        monkeypatch.setattr(cli, "_demo_kl", lambda *a: steps.append(a))
+        path = tmp_path / "missing" / "d.csv"
+        rc = main(["demo", "--steps", "3", "--out", str(path)])
+        assert rc == 2 and steps == []
+        assert str(path) in one_error_line(capsys.readouterr())
+
+    def test_a_failed_write_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        # a location that passed the check but fails when written
+        import statgames.cli as cli
+
+        def refuse(path, rows):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "_write_demo_csv", refuse)
+        rc = main(["demo", "--steps", "3", "--out", str(tmp_path / "d.csv")])
+        assert rc == 2
+        assert "Permission denied" in one_error_line(capsys.readouterr())
+
+
 #: the exact backward channel of KERNEL at the uniform prior, tabulated
 UNIFORM = {"space": ["x0", "x1"], "mass": [0.5, 0.5]}
 KERNEL_BACK = {"dom": ["y0", "y1"], "cod": ["x0", "x1"], "rows": [[0.5, 0.5], [0.5, 0.5]]}

@@ -573,13 +573,21 @@ def test_a_state_remembers_its_cholesky_factor(case):
         assert [np.float64(read(prior)).tobytes() for read in reads] == want
         assert [np.float64(read(prior)).tobytes() for read in reads] == want
         assert len(factors) == 1
+    # the negative log-density form is kept too: one read-only object, bitwise
+    # a fresh state's form
+    form, fresh = nll(prior), nll(copied(prior))
+    assert nll(prior) is form and nll(copied(prior)) is not fresh
+    assert [np.asarray(x).tobytes() for x in form] == [np.asarray(x).tobytes() for x in fresh]
+    assert not form.H.flags.writeable and not form.g.flags.writeable
     singular = gs.GaussState(np.zeros(2), [[1.0, 0.0], [0.0, 0.0]])
     q = gs.GaussState(np.zeros(2), np.eye(2))
     with counted(gs, "_chol") as factors:
         for _ in range(2):
             assert raised(gs.g_kl, q, singular) == (SingularityError, "second covariance is singular")
             assert raised(gs.g_entropy, singular) == (SingularityError, "covariance is singular")
-        assert len(factors) == 4
+            assert raised(nll, singular) == (SingularityError, "covariance is singular")
+        assert len(factors) == 6
+    assert getattr(singular, "_nll", None) is None
 
 
 # -- every memo site: one slot keyed on content ------------------------------
