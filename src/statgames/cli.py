@@ -119,7 +119,9 @@ def cmd_verify(args) -> int:
                 fh.write(report.to_csv())
     if args.report is not None:
         with open(args.report, "w") as fh:
-            json.dump([json.loads(r.to_json()) for r in reports], fh, sort_keys=True, indent=1)
+            json.dump(
+                [json.loads(r.to_json()) for r in reports], fh, sort_keys=True, indent=1
+            )
     return 0 if all_pass else 1
 
 
@@ -130,8 +132,9 @@ def _check_writable(path: str, makes_dirs: bool = False) -> None:
     folder = os.path.dirname(path) or "."
     while makes_dirs and not os.path.exists(folder):
         folder, path = os.path.dirname(folder) or ".", None
-    if path is None:  # the directories are made under ``folder``
-        return os.scandir(folder).close()
+    if path is None:  # the writer makes the missing directories under ``folder``
+        os.scandir(folder).close()
+        return
     there = os.path.exists(path)
     with open(path, "a"):
         pass

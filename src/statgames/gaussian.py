@@ -174,7 +174,8 @@ class GaussState:
     (or a stack of them: means ``(P, d)``, covariances ``(P, d, d)``).
 
     A single state remembers the Cholesky factor of its covariance once a
-    density, a divergence from it or its entropy has needed it."""
+    density, a divergence from it or its entropy has needed it, and the
+    loss models keep its negative log-density form next to it."""
 
     mean: np.ndarray
     cov: np.ndarray
