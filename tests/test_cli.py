@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from statgames import cli
 from statgames import gaussian as gs
 from statgames.cli import main
 from statgames.harness import SUITES
@@ -175,8 +176,6 @@ class TestOutputPaths:
 
     @pytest.fixture()
     def suites_run(self, monkeypatch):
-        import statgames.cli as cli
-
         ran, run_suite = [], cli.run_suite
         monkeypatch.setattr(cli, "run_suite", lambda cfg: ran.append(cfg) or run_suite(cfg))
         return ran
@@ -215,8 +214,6 @@ class TestOutputPaths:
         assert not (report_dir / "buco.json").exists()
 
     def test_a_demo_csv_in_a_missing_directory(self, tmp_path, capsys, monkeypatch):
-        import statgames.cli as cli
-
         steps = []
         monkeypatch.setattr(cli, "_demo_kl", lambda *a: steps.append(a))
         path = tmp_path / "missing" / "d.csv"
@@ -226,8 +223,6 @@ class TestOutputPaths:
 
     def test_a_failed_write_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
         # a location that passed the check but fails when written
-        import statgames.cli as cli
-
         def refuse(path, rows):
             raise PermissionError(13, "Permission denied", path)
 

@@ -185,6 +185,16 @@ class TestKLLoss:
         with pytest.raises(ShapeError, match="a single state"):
             loss(stack, [0.3])
 
+    def test_exact_gaussian_lens_at_a_point_mass_prior(self):
+        # the inversion exists and its posterior is a point mass: the exact
+        # lens's KL loss is 0, so its FE loss is its MLE loss, where factoring
+        # the posterior covariance to compute KL(p || p) raised
+        lens = exact_lens(gs.GaussChannel([[1.0], [0.5]], [0.0, 0.1], [[1.0, 0.2], [0.2, 1.0]], 1))
+        point = gs.GaussState([0.4], [[0.0]])
+        assert lens.bwd(point).noise[0, 0] == 0.0  # x is known: a singular posterior
+        assert kl_loss(lens)(point, [0.3]) == 0.0
+        assert fe_loss(lens)(point, [0.3]) == mle_loss(lens)(point, [0.3])
+
     def test_perturbed_gaussian_lens_keeps_its_arithmetic(self):
         # a lens that is not exact computes its divergence as before, bitwise:
         # the Mahalanobis form in the exact posterior's Cholesky factor plus
