@@ -463,6 +463,9 @@ _TYPES = (
     (DISCRETE, (ds.CoparKernel, ds.Dist, ds.FiniteSpace)),
     (GAUSSIAN, (gs.GaussChannel, gs.GaussState, numbers.Integral)),
 )
+#: the backends of the exact types the library makes, found without the scan
+_BY_TYPE = {t: b for b, types in _TYPES for t in types if t is not numbers.Integral}
+_BY_TYPE.update({ds.FiniteKernel: DISCRETE, int: GAUSSIAN})
 
 
 def backend_of(obj, *more):
@@ -480,6 +483,9 @@ def backend_of(obj, *more):
 
 
 def _select(obj):
+    backend = _BY_TYPE.get(type(obj))
+    if backend is not None:
+        return backend
     for backend, types in _TYPES:
         if isinstance(obj, types):
             return backend

@@ -16,6 +16,7 @@ an output location that cannot be written included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,7 +44,9 @@ from .loss import (
 from .modelio import load_json, parse_channel, parse_lens, parse_state
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state in it."""
     p = argparse.ArgumentParser(
         prog="statgames",
         description="compositional approximate inference: verification and evaluation",
@@ -310,8 +313,7 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args)

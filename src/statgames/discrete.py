@@ -17,6 +17,10 @@ product spaces are kept in flattened form (a tuple of atomic factors), so
 re-bracketing a coparameter never changes the stored array and structural
 equalities reduce to entrywise array comparisons.
 
+Pickling rebuilds a state or a channel through its constructor, which
+checks it again and leaves its arrays read-only; a channel's slots go with
+it, each value they hold rebuilt in the same way.
+
 A *stack* of ``P`` priors on one space is a ``Dist`` whose ``mass`` has
 shape ``(P, n)``; a single prior is the case with no leading axis.  The
 operations carry leading axes through, so inverting at a stack gives a
@@ -96,7 +100,8 @@ class FiniteSpace:
     An atomic space has a single entry; products concatenate the entries of
     their factors, which makes the product strictly associative, and the
     one-point space with no entry its strict unit.  Points of a product are
-    indexed in C order (first factor slowest).
+    indexed in C order (first factor slowest).  ``size``, the number of
+    points, is counted once, and is no field: a space is its labels.
     """
 
     factor_labels: tuple[tuple[str, ...], ...]
@@ -107,17 +112,11 @@ class FiniteSpace:
                 raise ShapeError("a factor needs at least one outcome")
             if len(set(fl)) != len(fl):
                 raise ShapeError(f"duplicate labels in factor {fl!r}")
+        object.__setattr__(self, "size", math.prod(map(len, self.factor_labels)))
 
     @property
     def factor_sizes(self) -> tuple[int, ...]:
         return tuple(len(fl) for fl in self.factor_labels)
-
-    @property
-    def size(self) -> int:
-        n = 1
-        for fl in self.factor_labels:
-            n *= len(fl)
-        return n
 
     @property
     def n_factors(self) -> int:
@@ -181,15 +180,19 @@ _UNIT = unit_space()
 def _check_rows(r: np.ndarray, what: str) -> None:
     """Raise unless every vector along the last axis of ``r`` is a
     probability vector; ``what`` is ``"distribution"`` or ``"row"``."""
-    # ``not min >= 0`` also holds for NaN, in the same single pass
-    if not r.min() >= 0:
+    # ``not min >= 0`` also holds for NaN, in the same single pass; the
+    # ufuncs reduce directly, as ``ndarray.min`` and ``sum`` add a call each
+    if not np.minimum.reduce(r, axis=None) >= 0:
         raise ShapeError(f"{_which(~(r >= 0).all(axis=-1), what)} has a negative or NaN entry")
-    sums = r.sum(axis=-1)
-    # a single vector's sum is a scalar, compared as a float
-    bad = np.abs(sums - 1.0) > NORMALIZATION_ATOL if sums.ndim else abs(float(sums) - 1.0) > NORMALIZATION_ATOL
-    if np.count_nonzero(bad):
-        at = tuple(np.argwhere(bad)[0])
-        raise ShapeError(f"{_which(bad, what)} sums to {float(sums[at])!r}, not 1")
+    sums = np.add.reduce(r, axis=-1)
+    if sums.ndim == 0:  # a single vector: one float compare
+        if abs(float(sums) - 1.0) > NORMALIZATION_ATOL:
+            raise ShapeError(f"{what} sums to {float(sums)!r}, not 1")
+    else:
+        bad = np.abs(sums - 1.0) > NORMALIZATION_ATOL
+        if np.count_nonzero(bad):
+            at = tuple(np.argwhere(bad)[0])
+            raise ShapeError(f"{_which(bad, what)} sums to {float(sums[at])!r}, not 1")
 
 
 def _which(bad: np.ndarray, what: str) -> str:
@@ -216,6 +219,9 @@ class Dist:
             )
         _check_rows(m, "distribution")
         m.setflags(write=False)
+
+    def __reduce__(self):
+        return type(self), (self.space, self.mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,21 +252,22 @@ class CoparKernel:
         _check_rows(r, "row")
         r.setflags(write=False)
 
+    def __reduce__(self):
+        slots = {k: v for k, v in vars(self).items() if k not in self.__dataclass_fields__}
+        return type(self), (self.dom, self.copar, self.out, self.rows, self.copar_side), slots
+
     @property
     def cod(self) -> FiniteSpace:
-        if self.copar_side == "left":
-            return self.copar.product(self.out)
-        return self.out.product(self.copar)
-
-    def _split_shape(self) -> tuple[int, int, int]:
-        """(dom, leading block, trailing block) sizes of ``rows``."""
-        if self.copar_side == "left":
-            return self.dom.size, self.copar.size, self.out.size
-        return self.dom.size, self.out.size, self.copar.size
+        cod = getattr(self, "_cod", None)  # built on first use, kept in a slot
+        if cod is None:
+            cod = self.copar.product(self.out) if self.copar_side == "left" else self.out.product(self.copar)
+            object.__setattr__(self, "_cod", cod)
+        return cod
 
     def _split(self) -> np.ndarray:
-        """``rows`` with the codomain split into its two blocks."""
-        return self.rows.reshape(self.rows.shape[:-2] + self._split_shape())
+        """``rows`` with the codomain split into its leading and trailing blocks."""
+        lead, trail = (self.copar, self.out) if self.copar_side == "left" else (self.out, self.copar)
+        return self.rows.reshape(self.rows.shape[:-2] + (self.dom.size, lead.size, trail.size))
 
 
 class FiniteKernel(CoparKernel):
@@ -274,6 +281,10 @@ class FiniteKernel(CoparKernel):
     # benchmark's tracer (perfbench/tracer.py) wraps each class's
     # ``__dict__["__post_init__"]`` and counts plain channels through it
     __post_init__ = CoparKernel.__post_init__
+
+    def __reduce__(self):
+        cls, (dom, _, out, rows, _), slots = super().__reduce__()
+        return cls, (dom, out, rows), slots
 
 
 # ---------------------------------------------------------------------------

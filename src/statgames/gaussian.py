@@ -17,6 +17,9 @@ A *stack* of ``P`` states of one dimension ``d`` is a ``GaussState`` whose
 checks every entry as the entry's own construction would, in one pass.
 Only ``g_kl`` takes a stack (as its first state), giving each entry's
 divergence; every other operation raises ``ShapeError`` for one.
+
+States and channels pickle as discrete ones do, through their constructors;
+a state leaves its slots, which hold arrays, behind.
 """
 
 from __future__ import annotations
@@ -74,13 +77,13 @@ def _as_psd(m, what: str) -> np.ndarray:
         a = np.array([[max(v, 0.0)]])
         a.setflags(write=False)
         return a
-    if a.size and np.max(np.abs(_finite(a, what) - a.T)) > PSD_CLAMP:
+    if a.size and np.maximum.reduce(np.abs(_finite(a, what) - a.T), axis=None) > PSD_CLAMP:
         raise ShapeError(f"{what} is not symmetric")
     a = 0.5 * (a + a.T)
     w = np.linalg.eigvalsh(a)
-    if w.size and w[0] < -PSD_CLAMP:
-        raise ShapeError(f"{what} has eigenvalue {w[0]:.3e} < 0")
     if w.size and w[0] < 0:
+        if w[0] < -PSD_CLAMP:
+            raise ShapeError(f"{what} has eigenvalue {w[0]:.3e} < 0")
         a = _project_psd(a)
     a.setflags(write=False)
     return a
@@ -193,6 +196,9 @@ class GaussState:
         object.__setattr__(self, "cov", cov)
         mu.setflags(write=False)
 
+    def __reduce__(self):
+        return type(self), (self.mean, self.cov)
+
     @property
     def dim(self) -> int:
         """The dimension of the state (of each state of a stack)."""
@@ -228,6 +234,10 @@ class GaussChannel:
             raise ShapeError("copar_dim exceeds codomain dimension")
         A.setflags(write=False)
         b.setflags(write=False)
+
+    def __reduce__(self):
+        slots = {k: v for k, v in vars(self).items() if k not in self.__dataclass_fields__}
+        return type(self), (self.A, self.b, self.noise, self.copar_dim, self.copar_side), slots
 
     @property
     def dom_dim(self) -> int:

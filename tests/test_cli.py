@@ -1,5 +1,6 @@
 """Tests for the command-line interface, invoked in-process."""
 
+import argparse
 import json
 import math
 
@@ -734,3 +735,46 @@ class TestInspect:
         rc = main(["inspect", "--model", model])
         assert rc == 0
         assert "backward: exact inversion" in capsys.readouterr().out
+
+
+class TestOneParserPerProcess:
+    """``main`` parses every call with one parser, built on first use; no
+    option of one call carries over to the next."""
+
+    def test_the_parser_is_built_once(self, monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(3):
+            assert main(["verify", "--suite", "nonsense"]) == 2
+        assert built.count("statgames") <= 1
+
+    def test_a_report_file_is_not_remembered(self, tmp_path, report_dir, capsys):
+        combined = tmp_path / "combined.json"
+        argv = ["verify", "--suite", "stochasticity", "--trials", "3"]
+        assert main([*argv, "--report", str(combined)]) == 0
+        assert combined.exists() and not report_dir.exists()
+        combined.unlink()
+        assert main(argv) == 0
+        assert not combined.exists()
+        assert sorted(p.name for p in report_dir.iterdir()) == ["stochasticity.csv", "stochasticity.json"]
+
+    def test_a_seed_is_not_remembered(self, tmp_path, capsys):
+        nine, then, zero = (tmp_path / f"{name}.csv" for name in ("nine", "then", "zero"))
+        main(["demo", "--seed", "9", "--steps", "5", "--out", str(nine)])
+        main(["demo", "--steps", "5", "--out", str(then)])
+        main(["demo", "--seed", "0", "--steps", "5", "--out", str(zero)])
+        assert then.read_text() == zero.read_text() != nine.read_text()
+
+    def test_json_output_is_not_remembered(self, tmp_path, capsys):
+        model = write(tmp_path, "m.json", {"fwd": KERNEL, "bwd": "exact"})
+        prior = write(tmp_path, "p.json", {"space": ["x0", "x1"], "mass": [0.5, 0.5]})
+        argv = ["eval-loss", "--model", model, "--loss", "mle", "--prior", prior, "--obs", "y1"]
+        assert main([*argv, "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"loss"}
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"loss = {-math.log(0.25)!r}\n"

@@ -5,7 +5,10 @@ below) or checked against brute-force enumeration oracles that share no code
 with the operations under test.
 """
 
+import dataclasses
 import itertools
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from statgames.discrete import (
     Dist,
     Effect,
     FiniteKernel,
+    FiniteSpace,
     almost_sure_eq,
     bayes_invert,
     compose,
@@ -85,6 +89,26 @@ class TestSpaces:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ShapeError):
             space(["a", "a"])
+
+    def test_a_space_is_its_labels(self):
+        # the size is kept, but a space is still equal to, hashes as, prints
+        # as and pickles as its labels alone
+        a = product_space(X2, Y2, space(["w"]))
+        b = FiniteSpace((("x0", "x1"), ("y0", "y1"), ("w",)))
+        assert a == b and hash(a) == hash(b) and repr(a) == "FiniteSpace(2x2x1)"
+        assert a != product_space(Y2, X2, space(["w"])) and a != product_space(X2, Y2)
+        assert a.size == 4 == math.prod(a.factor_sizes) and unit_space().size == 1
+        assert [f.name for f in dataclasses.fields(FiniteSpace)] == ["factor_labels"]
+        clone = pickle.loads(pickle.dumps(a))
+        assert clone == a and hash(clone) == hash(a) and repr(clone) == repr(a) and clone.size == 4
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_channel_keeps_its_codomain(self, side):
+        M = space(["m0", "m1", "m2"])
+        k = CoparKernel(X2, M, Y2, np.full((2, 6), 1 / 6), side)
+        assert k.cod is k.cod
+        assert k.cod == (M.product(Y2) if side == "left" else Y2.product(M))
+        assert FiniteKernel(X2, Y2, np.full((2, 2), 0.5)).cod == Y2
 
 
 class TestPush:
@@ -523,6 +547,22 @@ class TestValidation:
     def test_row_sum_error_prints_a_plain_float(self):
         with pytest.raises(ShapeError, match=r"^row 1 sums to 0\.9, not 1$"):
             FiniteKernel(X2, Y2, [[0.5, 0.5], [0.5, 0.4]])
+
+    def test_each_check_names_what_fails(self):
+        # one distribution, a row, and an entry of a stack of either
+        cases = [
+            (lambda: Dist(X2, [0.5, 0.4]), r"^distribution sums to 0\.9, not 1$"),
+            (lambda: Dist(X2, [1.5, -0.5]), r"^distribution has a negative or NaN entry$"),
+            (lambda: Dist(X2, [[0.5, 0.5], [0.5, 0.5], [0.7, 0.5]]), r"^distribution of stack entry \(2,\) sums to 1\.2, not 1$"),
+            (lambda: FiniteKernel(X2, Y2, [[1.5, -0.5], [0.5, 0.5]]), r"^row 0 has a negative or NaN entry$"),
+            (
+                lambda: FiniteKernel(X2, Y2, [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.25]]]),
+                r"^row 1 of stack entry \(1,\) sums to 0\.75, not 1$",
+            ),
+        ]
+        for build, message in cases:
+            with pytest.raises(ShapeError, match=message):
+                build()
 
     @pytest.mark.parametrize(
         "build",

@@ -257,3 +257,35 @@ def test_every_error_path_raises_its_documented_type(name, tmp_path):
     with pytest.raises(error) as raised:
         build(*args)
     assert type(raised.value) is error and fragment in str(raised.value)
+
+
+class OwnKernel(ds.CoparKernel):
+    """A channel type the backend selector does not name."""
+
+
+@pytest.mark.parametrize(
+    "obj, backend",
+    [
+        (3, GAUSSIAN),
+        (True, GAUSSIAN),
+        (np.int64(2), GAUSSIAN),
+        (kernel(), DISCRETE),
+        (OwnKernel(X2, UNIT, Y2, HALF), DISCRETE),
+        (X2, DISCRETE),
+        (ds.uniform(X2), DISCRETE),
+        (gauss(), GAUSSIAN),
+        (state(), GAUSSIAN),
+    ],
+    ids=["int", "bool", "int64", "kernel", "subclass", "space", "dist", "channel", "state"],
+)
+def test_the_backend_of_a_type_is_the_scans(obj, backend):
+    # the selector answers known types from a table: its answer is the
+    # answer of an isinstance scan, for a subclass and any integer too
+    assert backend_of(obj) is backend and backend_of(obj, obj) is backend
+
+
+def test_an_unknown_type_is_refused_every_time():
+    for _ in range(3):
+        for obj in ("x0", 1.5, None, np.float64(1.0)):
+            with pytest.raises(ShapeError, match=f"not a channel, state or space: {type(obj).__name__}$"):
+                backend_of(obj)

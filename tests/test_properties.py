@@ -1000,6 +1000,85 @@ def test_a_channel_and_a_state_that_remember_still_pickle():
         assert same_state(prior_pushforward(clone)(prior), pushed)
 
 
+def reachable_arrays(obj) -> list:
+    """Every array reachable from ``obj`` through attributes, tuples, lists
+    and dict values."""
+    found, seen, todo = [], set(), [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            found.append(x)
+        elif isinstance(x, (tuple, list)):
+            todo.extend(x)
+        elif isinstance(x, dict):
+            todo.extend(x.values())
+        elif hasattr(x, "__dict__") and not isinstance(x, type):
+            todo.extend(vars(x).values())
+    return found
+
+
+def test_an_unpickled_value_is_read_only():
+    # pickling rebuilds each value through its constructor, so every array a
+    # clone reaches is read-only, its slots' values included, and a slot
+    # holding an array (a Cholesky factor, an ``nll`` form) is left behind
+    for ch, pi in channels_and_priors():
+        exact_lens(ch).bwd(pi)
+        pushed = prior_pushforward(ch)(pi)
+        if hasattr(pi, "cov"):
+            loss_module._models(pi).nll(pushed)
+            gs.g_entropy(pi)
+            assert getattr(pushed, "_nll", None) is not None
+        stack = (
+            ds.Dist(pi.space, np.stack([pi.mass] * 2))
+            if hasattr(pi, "mass")
+            else gs.GaussState(np.stack([pi.mean] * 2), np.stack([pi.cov] * 2))
+        )
+        plain = ds.FiniteKernel(ds.space("ab"), ds.space("xyz"), np.full((2, 3), 1 / 3))
+        values = (ch, discarded(ch), pi, pushed, stack, plain)
+        clones = pickle.loads(pickle.dumps(values))
+        arrays = reachable_arrays(clones)
+        assert len(arrays) >= 7 and not any(a.flags.writeable for a in arrays)
+        assert [type(c) for c in clones] == [type(v) for v in values]
+        assert all(getattr(c, slot, None) is None for c in clones for slot in ("_cholesky", "_nll"))
+        assert same_channel(clones[0], ch) and same_channel(clones[1], discarded(ch))
+        assert same_state(clones[2], pi) and same_state(clones[3], pushed)
+        assert same_state(clones[4], stack) and same_channel(clones[5], values[5])
+        assert same_state(prior_pushforward(clones[0])(clones[2]), pushed)
+        if hasattr(pi, "cov"):
+            form, fresh = loss_module._models(pi).nll(clones[3]), loss_module._models(pi).nll(pushed)
+            assert [np.asarray(x).tobytes() for x in form] == [np.asarray(x).tobytes() for x in fresh]
+
+
+def edited_pickle(value, field: str, scale: float) -> bytes:
+    """``value`` pickled with the array ``field`` multiplied by ``scale``."""
+    arr = getattr(value, field)
+    data = pickle.dumps(value)
+    assert data.count(arr.tobytes()) == 1
+    return data.replace(arr.tobytes(), (scale * arr).tobytes())
+
+
+@pytest.mark.parametrize(
+    "make, field, scale, message",
+    [
+        (lambda: ds.Dist(ds.space("abc"), [0.2, 0.3, 0.5]), "mass", 0.9, "distribution sums to"),
+        (lambda: ds.FiniteKernel(ds.space("ab"), ds.space("xy"), [[0.5, 0.5], [0.25, 0.75]]), "rows", 0.9, "row 0 sums to"),
+        (lambda: gs.GaussState([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]]), "cov", -1.0, "eigenvalue"),
+        (lambda: gs.GaussChannel([[1.0, 0.0]], [0.0], [[1.5]]), "noise", -1.0, "eigenvalue"),
+    ],
+    ids=["dist", "kernel", "state", "channel"],
+)
+def test_an_unpickled_value_is_checked_again(make, field, scale, message):
+    # a pickle whose arrays were edited into an invalid value is refused on
+    # load, in the constructor's words
+    value = make()
+    assert pickle.loads(pickle.dumps(value)).__class__ is type(value)
+    with pytest.raises(ShapeError, match=message):
+        pickle.loads(edited_pickle(value, field, scale))
+
+
 # -- the inversion's blocks are copied, not recomputed -------------------------
 
 
