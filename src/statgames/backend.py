@@ -3,11 +3,12 @@
 The discrete and the affine-Gaussian instances support the same operations
 (channel algebra, prior marginals, backward-channel comparison, the spaces
 a lens's losses live on, model JSON, command-line observations and seeded
-random draws); each has one backend object holding them, and ``backend_of``
-picks it once from an object's type.  Backends reach the instance modules
-through their attributes at call time (``ds.push``, ``gs.g_invert``) and
-keep no function objects, so a wrapper installed on a module attribute sees
-every call.
+random draws); each has one backend object holding them.  ``backend_of``
+picks it by an object's exact type from a table of the library's types, or
+else (a subclass, ``bool``, a numpy integer) by an ``isinstance`` scan; it
+remembers no refusal.  Backends reach the instance modules through their
+attributes at call time (``ds.push``, ``gs.g_invert``) and keep no function
+objects, so a wrapper installed on a module attribute sees every call.
 """
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ Every value derived from one object lives in a named slot, an attribute
 of that object, for as long as the object lives, and nothing a slot holds
 refers back to its owner, so a dropped object is freed at once, without the
 cyclic collector.  A slot is read with ``getattr`` and written with
-``object.__setattr__``, never through ``__dict__``: on CPython 3.11 reading
-an instance's ``__dict__`` slows every later attribute load on it.  A
-family's ``(prior, channel)`` pair is a slot of the family itself.  A
-channel's slots are its discarded channel
+``object.__setattr__``, never through ``__dict__`` (only pickling reads it):
+on CPython 3.11 reading an instance's ``__dict__`` slows every later
+attribute load on it.  A family's ``(prior, channel)`` pair is a slot of
+the family itself.  A channel's slots are its discarded channel
 (``discarded``), computed once; its last prior and that prior's pushforward
 (``prior_pushforward``); its last prior and that prior's exact inversion
 (``BayesLens.inverse``); and its last copy-composite run before or after

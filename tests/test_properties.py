@@ -5,7 +5,8 @@ remembered split, a channel's remembered discard, pushforward and exact
 inversion, the last shared by every lens on the channel, and a pair of
 channels' remembered copy-composite) and a state's remembered Cholesky
 factor against fresh ones; the Gaussian
-inversion against its block assembly; model objects through JSON and back;
+inversion against its block assembly; model objects through JSON and back,
+and through pickling, which checks them again and leaves them read-only;
 and malformed model files against the command line.
 
 Hypothesis draws the structure of a case: factor sizes from 2 to 3 (from
