@@ -17,9 +17,9 @@ product spaces are kept in flattened form (a tuple of atomic factors), so
 re-bracketing a coparameter never changes the stored array and structural
 equalities reduce to entrywise array comparisons.
 
-Pickling rebuilds a state or a channel through its constructor, which
-checks it again and leaves its arrays read-only; a channel's slots go with
-it, each value they hold rebuilt in the same way.
+Pickling rebuilds a space, a state, a channel or an effect through its
+constructor, which checks it again and leaves its arrays read-only; a
+channel's slots go with it, each value they hold rebuilt in the same way.
 
 A *stack* of ``P`` priors on one space is a ``Dist`` whose ``mass`` has
 shape ``(P, n)``; a single prior is the case with no leading axis.  The
@@ -34,7 +34,6 @@ of ``-log 0``); expectations use the measure-theoretic convention
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,7 +41,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, _which
 
 __all__ = [
     "FiniteSpace",
@@ -114,6 +113,9 @@ class FiniteSpace:
                 raise ShapeError(f"duplicate labels in factor {fl!r}")
         object.__setattr__(self, "size", math.prod(map(len, self.factor_labels)))
 
+    def __reduce__(self):
+        return type(self), (self.factor_labels,)
+
     @property
     def factor_sizes(self) -> tuple[int, ...]:
         return tuple(len(fl) for fl in self.factor_labels)
@@ -143,8 +145,9 @@ class FiniteSpace:
             idx = idx * len(fl) + fl.index(part)
         return idx
 
-    def product(self, other: "FiniteSpace") -> "FiniteSpace":
-        return FiniteSpace(self.factor_labels + other.factor_labels)
+    def product(self, *others: "FiniteSpace") -> "FiniteSpace":
+        """The product of this space and ``others``, in order, built once."""
+        return FiniteSpace(sum((o.factor_labels for o in others), self.factor_labels))
 
     def subspace(self, factor_indices: Iterable[int]) -> "FiniteSpace":
         return FiniteSpace(tuple(self.factor_labels[i] for i in factor_indices))
@@ -160,7 +163,7 @@ def space(labels: Iterable[str]) -> FiniteSpace:
 
 
 def product_space(*spaces: FiniteSpace) -> FiniteSpace:
-    return functools.reduce(FiniteSpace.product, spaces)
+    return spaces[0].product(*spaces[1:])
 
 
 def unit_space() -> FiniteSpace:
@@ -193,14 +196,6 @@ def _check_rows(r: np.ndarray, what: str) -> None:
         if np.count_nonzero(bad):
             at = tuple(np.argwhere(bad)[0])
             raise ShapeError(f"{_which(bad, what)} sums to {float(sums[at])!r}, not 1")
-
-
-def _which(bad: np.ndarray, what: str) -> str:
-    """The first vector ``bad`` marks, with its row and stack entry."""
-    at = [int(j) for j in np.argwhere(bad)[0]]
-    if what == "row":
-        what = f"row {at.pop()}"
-    return what + (f" of stack entry {tuple(at)}" if at else "")
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,10 +358,10 @@ def copy_compose_copar(g: CoparKernel, f: CoparKernel) -> CoparKernel:
     # so no bits move, and a one-row slice sums as a stacked copy of it does
     if f.copar_side == "left":
         joint = np.einsum("...amb,...bnz->...ambnz", f._split(), g._split(), order="C")
-        copar = f.copar.product(f.out).product(g.copar)
+        copar = f.copar.product(f.out, g.copar)
     else:  # f maps dom -> out (x) copar, g applied to f's out block
         joint = np.einsum("...abn,...bzm->...azmbn", f._split(), g._split(), order="C")
-        copar = g.copar.product(f.out).product(f.copar)
+        copar = g.copar.product(f.out, f.copar)
     rows = joint.reshape(lead + (f.dom.size, -1))
     return CoparKernel(f.dom, copar, g.out, rows, f.copar_side)
 
@@ -493,6 +488,9 @@ class Effect:
         if not v.min() >= 0:
             raise ShapeError("effect entries must be in [0, +inf]")
         v.setflags(write=False)
+
+    def __reduce__(self):
+        return type(self), (self.space, self.values)
 
 
 def effect_add(g: Effect, g2: Effect) -> Effect:

@@ -5,6 +5,8 @@ support and singularity errors are properties of the data that suites must
 be able to catch, count, and skip.
 """
 
+import numpy as np
+
 
 class ShapeError(ValueError):
     """Domains, codomains, or factor structures do not line up."""
@@ -29,3 +31,12 @@ class CompositionError(ValueError):
 
 class ModelParseError(ValueError):
     """A JSON model file is malformed; message names the offending field."""
+
+
+def _which(bad: np.ndarray, what: str) -> str:
+    """``what``, naming the first vector or matrix ``bad`` marks by its stack
+    entry (nothing for an unstacked one) and, for a ``"row"``, its row."""
+    at = [int(j) for j in np.argwhere(bad)[0]]
+    if what == "row":
+        what = f"row {at.pop()}"
+    return what + (f" of stack entry {tuple(at)}" if at else "")

@@ -8,13 +8,15 @@ can be certified in closed form here.
 Codomain block conventions mirror the discrete module: forward channels keep
 their retained (coparameter) block leading, inversions keep it trailing.
 Covariances must be symmetric PSD; eigenvalues in ``[-PSD_CLAMP, 0)`` are
-treated as roundoff and clamped to zero, anything lower is an error.
+treated as roundoff and clamped to zero, anything lower is an error; one
+check does this for every covariance, a channel's noise included.
 Operations that need an inverse covariance raise ``SingularityError`` rather
 than regularizing silently.
 
 A *stack* of ``P`` states of one dimension ``d`` is a ``GaussState`` whose
 ``mean`` is ``(P, d)`` and whose ``cov`` is ``(P, d, d)``; its constructor
-checks every entry as the entry's own construction would, in one pass.
+checks and stores every entry as the entry's own construction would, in one
+pass, naming the first entry that fails.
 Only ``g_kl`` takes a stack (as its first state), giving each entry's
 divergence; every other operation raises ``ShapeError`` for one.
 
@@ -30,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, SingularityError
+from .errors import ShapeError, SingularityError, _which
 
 __all__ = [
     "GaussState",
@@ -57,34 +59,45 @@ PSD_CLAMP = 1e-10
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    """``a``, checked to hold finite numbers.  Constructors run this on
+def _finite(a: np.ndarray, what: str, lead: int = 0) -> np.ndarray:
+    """``a``, checked to hold finite numbers; under ``lead`` stack axes, an
+    error names the first entry that does not.  Constructors run this on
     every array, so it avoids ``ndarray.all``'s Python-level overhead: one
     ``math.isfinite`` for a single entry, a C-level count otherwise."""
     if not (math.isfinite(a.item()) if a.size == 1 else np.count_nonzero(np.isfinite(a)) == a.size):
-        raise ShapeError(f"{what} must hold finite numbers")
+        bad = ~np.isfinite(a.reshape(a.shape[:lead] + (-1,))).all(axis=-1)
+        raise ShapeError(f"{_which(bad, what)} must hold finite numbers")
     return a
 
 
-def _as_psd(m, what: str) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(m, dtype=float))
-    if a.ndim > 2 or a.shape[0] != a.shape[1]:
+def _as_psd(m, what: str, lead: int = 0) -> np.ndarray:
+    """``m``, checked to be a symmetric PSD matrix (a stack of them under
+    ``lead`` leading axes) and stored read-only, symmetrized, roundoff-scale
+    negativity clamped: a state's covariance, each entry of a stack and a
+    channel's noise alike.  An error names the first entry that fails."""
+    a = np.asarray(m, dtype=float)
+    a = a if a.ndim > 1 else a.reshape(1, -1)  # ``np.atleast_2d``, without its call overhead
+    if a.ndim != lead + 2 or a.shape[-2] != a.shape[-1]:
         raise ShapeError(f"{what} is not a square matrix: {a.shape}")
-    if a.shape == (1, 1):
-        v = _finite(a, what).item()
-        if v < -PSD_CLAMP:
-            raise ShapeError(f"{what} has eigenvalue {v:.3e} < 0")
-        a = np.array([[max(v, 0.0)]])
-        a.setflags(write=False)
-        return a
-    if a.size and np.maximum.reduce(np.abs(_finite(a, what) - a.T), axis=None) > PSD_CLAMP:
-        raise ShapeError(f"{what} is not symmetric")
-    a = 0.5 * (a + a.T)
-    w = np.linalg.eigvalsh(a)
-    if w.size and w[0] < 0:
-        if w[0] < -PSD_CLAMP:
-            raise ShapeError(f"{what} has eigenvalue {w[0]:.3e} < 0")
-        a = _project_psd(a)
+    _finite(a, what, lead)
+    if a.shape[-1] == 1:  # a 1x1 entry is symmetric and its own eigenvalue
+        a = a.copy()
+        w = a[..., 0]
+    else:
+        t = a.mT
+        asym = np.abs(a - t)
+        if asym.size and np.maximum.reduce(asym, axis=None) > PSD_CLAMP:
+            raise ShapeError(f"{_which(np.max(asym, axis=(-2, -1)) > PSD_CLAMP, what)} is not symmetric")
+        a = 0.5 * (a + t)
+        w = np.linalg.eigvalsh(a)
+    if w.size and min(w[..., 0].flat) < 0:
+        low = w[..., 0]
+        bad = low < -PSD_CLAMP
+        if bad.any():
+            raise ShapeError(f"{_which(bad, what)} has eigenvalue {low[bad][0]:.3e} < 0")
+        for i in map(tuple, np.argwhere(low < 0)):
+            # a 1x1 entry is clamped as ``max(v, 0.0)`` would, keeping a -0.0
+            a[i] = _project_psd(a[i]) if a.shape[-1] > 1 else 0.0
     a.setflags(write=False)
     return a
 
@@ -95,48 +108,6 @@ def _project_psd(a: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(a)
     a = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
     return 0.5 * (a + a.T)
-
-
-def _entry(what: str, bad: np.ndarray) -> str:
-    """``what``, naming the first stack entry ``bad`` marks."""
-    return f"{what} of stack entry {(int(np.argmax(bad)),)}"
-
-
-def _check_stack(mu: np.ndarray, cov) -> np.ndarray:
-    """The covariances of the stack of means ``mu``, checked entry by entry
-    as ``_as_psd`` checks one and stored as it stores one, in one pass over
-    the stack; an error names the first entry that fails the check it
-    reports."""
-    cov = np.asarray(cov, dtype=float)
-    if mu.ndim != 2 or not len(mu) or cov.shape != mu.shape + mu.shape[-1:]:
-        raise ShapeError(
-            "a stack of states needs means (P, d) and covariances (P, d, d) with P > 0, "
-            f"not {mu.shape} and {cov.shape}"
-        )
-    for arr, what in ((mu, "mean"), (cov, "covariance")):
-        bad = ~np.isfinite(arr.reshape(len(arr), -1)).all(axis=1)
-        if bad.any():
-            raise ShapeError(f"{_entry(what, bad)} must hold finite numbers")
-    d = mu.shape[1]
-    if d == 1:
-        low = cov[:, 0, 0]  # a 1x1 entry is its own eigenvalue
-    else:
-        flipped = cov.swapaxes(-1, -2)
-        bad = np.max(np.abs(cov - flipped), axis=(-2, -1), initial=0.0) > PSD_CLAMP
-        if bad.any():
-            raise ShapeError(f"{_entry('covariance', bad)} is not symmetric")
-        cov = 0.5 * (cov + flipped)
-        low = np.linalg.eigvalsh(cov)[:, 0] if d else np.zeros(len(cov))
-    bad = low < -PSD_CLAMP
-    if bad.any():
-        raise ShapeError(f"{_entry('covariance', bad)} has eigenvalue {low[bad.argmax()]:.3e} < 0")
-    if d == 1:
-        cov = np.where(cov < 0.0, 0.0, cov)  # as ``max(v, 0.0)``, which keeps a -0.0
-    else:
-        for i in np.flatnonzero(low < 0):
-            cov[i] = _project_psd(cov[i])
-    cov.setflags(write=False)
-    return cov
 
 
 def _single(s: "GaussState", op: str) -> "GaussState":
@@ -174,7 +145,8 @@ def _logdet(chol: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class GaussState:
     """A Gaussian distribution: mean vector and symmetric PSD covariance
-    (or a stack of them: means ``(P, d)``, covariances ``(P, d, d)``).
+    (or a stack of them: means ``(P, d)``, covariances ``(P, d, d)``, each
+    entry checked and stored as a single state's).
 
     A single state remembers the Cholesky factor of its covariance once a
     density, a divergence from it or its entropy has needed it, and the
@@ -184,14 +156,19 @@ class GaussState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mean, dtype=float)
-        if mu.ndim > 1:  # a stack, on its own branch: one state's checks cost no more
-            cov = _check_stack(mu, self.cov)
-        else:
-            mu = _finite(np.atleast_1d(mu), "mean")
-            cov = _as_psd(self.cov, "covariance")
-            if cov.shape != (mu.size, mu.size):
-                raise ShapeError("mean and covariance dimensions differ")
+        mu = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        lead, cov = mu.ndim - 1, self.cov
+        if lead:  # a stack's shape is checked before its entries
+            cov = np.asarray(cov, dtype=float)
+            if lead > 1 or not len(mu) or cov.shape != mu.shape + mu.shape[-1:]:
+                raise ShapeError(
+                    "a stack of states needs means (P, d) and covariances (P, d, d) with P > 0, "
+                    f"not {mu.shape} and {cov.shape}"
+                )
+        mu = _finite(mu, "mean", lead)
+        cov = _as_psd(cov, "covariance", lead)
+        if cov.shape[-1] != mu.shape[-1]:
+            raise ShapeError("mean and covariance dimensions differ")
         object.__setattr__(self, "mean", mu)
         object.__setattr__(self, "cov", cov)
         mu.setflags(write=False)

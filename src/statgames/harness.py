@@ -249,7 +249,10 @@ def _sizes(rng, cfg: SuiteConfig, n: int):
 
 
 def _random_channel(rng, backend, *spaces):
-    """A random channel on ``(prefix, size)`` domain, coparameter and output."""
+    """A random channel on ``(prefix, size)`` domain, coparameter and output;
+    a discrete draw over the limit is refused before any label is built."""
+    if backend is DISCRETE:
+        ds.check_entries(math.prod(n for _, n in spaces), "random draw")
     return backend.random_channel(rng, *(backend.space(*p) for p in spaces))
 
 
@@ -277,11 +280,12 @@ def _buco_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 def _chain_rule_trial(rng, cfg: SuiteConfig) -> Outcome:
     sa, sb, sc = _sizes(rng, cfg, 3)
+    # the rows are drawn before the spaces are labelled, as in every trial
+    # below: a draw over the limit is refused before any label is built
+    drawn = [random_rows(rng, m, n) for m, n in ((sa, sb), (sa, sb), (sb, sc), (sb, sc))]
     A, B, C = (DISCRETE.space(p, n) for p, n in zip("abc", (sa, sb, sc)))
-    alpha = ds.FiniteKernel(A, B, random_rows(rng, sa, sb))
-    alpha2 = ds.FiniteKernel(A, B, random_rows(rng, sa, sb))
-    beta = ds.FiniteKernel(B, C, random_rows(rng, sb, sc))
-    beta2 = ds.FiniteKernel(B, C, random_rows(rng, sb, sc))
+    alpha, alpha2 = (ds.FiniteKernel(A, B, r) for r in drawn[:2])
+    beta, beta2 = (ds.FiniteKernel(B, C, r) for r in drawn[2:])
     # law side: divergence between copy-composites
     lhs_eff = ds.relative_entropy_effect(
         ds.copy_compose(beta, alpha),
@@ -488,8 +492,9 @@ def _dyadic(rng, size, scale=2**20):
 
 def _bilinear_trial(rng, cfg: SuiteConfig) -> Outcome:
     sa, sb = _sizes(rng, cfg, 2)
+    drawn = random_rows(rng, sa, sb)
     A, B = DISCRETE.space("a", sa), DISCRETE.space("b", sb)
-    f = ds.FiniteKernel(A, B, random_rows(rng, sa, sb))
+    f = ds.FiniteKernel(A, B, drawn)
     g = ds.Effect(B, rng.uniform(0.0, 3.0, size=sb))
     g2 = ds.Effect(B, rng.uniform(0.0, 3.0, size=sb))
     lhs_eff = ds.effect_precompose(ds.effect_add(g, g2), f)
@@ -521,10 +526,10 @@ def _bilinear_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 def _stochasticity_trial(rng, cfg: SuiteConfig) -> Outcome:
     sa, sb, sc, sm = _sizes(rng, cfg, 4)
-    A, B, C, M = (DISCRETE.space(p, n) for p, n in zip("abcm", (sa, sb, sc, sm)))
-    c = ds.FiniteKernel(A, B, random_rows(rng, sa, sb))
-    d = ds.FiniteKernel(B, C, random_rows(rng, sb, sc))
-    fcop = DISCRETE.random_channel(rng, A, M, B)
+    drawn = random_rows(rng, sa, sb), random_rows(rng, sb, sc)
+    fcop = _random_channel(rng, DISCRETE, ("a", sa), ("m", sm), ("b", sb))
+    A, B, C = fcop.dom, fcop.out, DISCRETE.space("c", sc)
+    c, d = ds.FiniteKernel(A, B, drawn[0]), ds.FiniteKernel(B, C, drawn[1])
     pi = DISCRETE.random_state(rng, A)
     arrays = [
         ds.push(c, pi).mass[None, :],

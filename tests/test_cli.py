@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,35 @@ class TestVerify:
         assert captured.err.startswith("error: the random draw would hold 277,548,544 entries")
         assert captured.err.count("\n") == 1
         assert not report_dir.exists()
+
+    @pytest.mark.parametrize(
+        "suite, entries",
+        [
+            ("chain-rule", 541_815_801_250),
+            ("bilinear", 541_815_801_250),
+            ("stochasticity", 541_815_801_250),
+            ("buco", 276_942_103_203_521_250),
+            ("kl-strict", 276_942_103_203_521_250),
+            ("fe-sum", 276_942_103_203_521_250),
+        ],
+    )
+    def test_a_huge_max_dim_is_refused_before_any_label_is_built(self, report_dir, capsys, suite, entries):
+        # trial 0 at seed 0 draws spaces of up to a million outcomes; the
+        # first draw over the limit is refused in its own words before any
+        # of their labels is built, so the refusal allocates almost nothing
+        tracemalloc.start()
+        try:
+            rc = main(["verify", "--suite", suite, "--trials", "1", "--max-dim", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: the random draw would hold {entries:,} entries ({8 * entries:,} bytes), "
+            "over the limit of 67,108,864\n"
+        )
+        assert peak < 2**20
 
     def test_gaussian_instance(self, report_dir, capsys):
         rc = main(

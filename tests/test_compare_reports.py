@@ -70,3 +70,44 @@ def test_a_run_that_wrote_no_reports_differs_by_every_file(compare_reports, tmp_
     got = compare_reports.differences(parent, (2, [], tmp_path / "none"))
     assert got[0] == "exit code 0 -> 2"
     assert got[-2:] == ["buco.csv: written at one revision only", "buco.json: written at one revision only"]
+
+
+def test_each_seed_compares_both_certifications_and_the_demo(compare_reports, tmp_path, monkeypatch, capsys):
+    # at each seed both revisions run verify on the default suites, verify on
+    # the Gaussian instance and the demo, each in its own report directory;
+    # a demo trajectory that differs fails the comparison
+    workdir, calls = tmp_path / "work", []
+
+    def fake_run(root, args, report_dir):
+        folder = pathlib.Path(report_dir)
+        calls.append((pathlib.Path(root).name, args, folder.relative_to(workdir / "reports").parts))
+        folder.mkdir(parents=True)
+        if args[0] != "demo":
+            return 0, LINES
+        moved = pathlib.Path(root).name == "change" and args[2] == "42"
+        (folder / args[-1]).write_text("step,fe\n0,0.25\n" if not moved else "step,fe\n0,0.5\n")
+        return 0, []
+
+    monkeypatch.setattr(compare_reports, "export", lambda rev, dest: None)
+    monkeypatch.setattr(compare_reports, "run", fake_run)
+    argv = ["--parent", "p", "--change", "c", "--workdir", str(workdir), "--seeds", "0", "42"]
+    assert compare_reports.main(argv) == 1
+    commands = {
+        "verify": ["verify", "--suite", "all", "--seed", "{}"],
+        "verify-gaussian": ["verify", "--suite", "all", "--seed", "{}", "--instance", "gaussian"],
+        "demo": ["demo", "--seed", "{}", "--out", "demo.csv"],
+    }
+    assert calls == [
+        (side, [a.format(seed) for a in args], (side, seed, name))
+        for seed in ("0", "42")
+        for name, args in commands.items()
+        for side in ("parent", "change")
+    ]
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 0 verify: no difference",
+        "seed 0 verify-gaussian: no difference",
+        "seed 0 demo: no difference",
+        "seed 42 verify: no difference",
+        "seed 42 verify-gaussian: no difference",
+        "seed 42 demo: demo.csv differs",
+    ]

@@ -1038,15 +1038,18 @@ def test_an_unpickled_value_is_read_only():
             else gs.GaussState(np.stack([pi.mean] * 2), np.stack([pi.cov] * 2))
         )
         plain = ds.FiniteKernel(ds.space("ab"), ds.space("xyz"), np.full((2, 3), 1 / 3))
-        values = (ch, discarded(ch), pi, pushed, stack, plain)
+        effect, labels = ds.Effect(ds.space("ab"), [0.5, math.inf]), ds.space("pq")
+        values = (ch, discarded(ch), pi, pushed, stack, plain, effect, labels)
         clones = pickle.loads(pickle.dumps(values))
         arrays = reachable_arrays(clones)
-        assert len(arrays) >= 7 and not any(a.flags.writeable for a in arrays)
+        assert len(arrays) >= 8 and not any(a.flags.writeable for a in arrays)
         assert [type(c) for c in clones] == [type(v) for v in values]
         assert all(getattr(c, slot, None) is None for c in clones for slot in ("_cholesky", "_nll"))
         assert same_channel(clones[0], ch) and same_channel(clones[1], discarded(ch))
         assert same_state(clones[2], pi) and same_state(clones[3], pushed)
         assert same_state(clones[4], stack) and same_channel(clones[5], values[5])
+        assert clones[6].space == effect.space and clones[6].values.tobytes() == effect.values.tobytes()
+        assert clones[7] == labels and clones[7].size == 2
         assert same_state(prior_pushforward(clones[0])(clones[2]), pushed)
         if hasattr(pi, "cov"):
             form, fresh = loss_module._models(pi).nll(clones[3]), loss_module._models(pi).nll(pushed)
@@ -1061,23 +1064,36 @@ def edited_pickle(value, field: str, scale: float) -> bytes:
     return data.replace(arr.tobytes(), (scale * arr).tobytes())
 
 
+def relabelled_pickle(value, old: str, new: str) -> bytes:
+    """``value`` pickled with its one-character label ``old`` renamed ``new``."""
+    data = pickle.dumps(value)
+    assert data.count(b"\x8c\x01" + old.encode()) == 1
+    return data.replace(b"\x8c\x01" + old.encode(), b"\x8c\x01" + new.encode())
+
+
 @pytest.mark.parametrize(
-    "make, field, scale, message",
+    "make, edit, message",
     [
-        (lambda: ds.Dist(ds.space("abc"), [0.2, 0.3, 0.5]), "mass", 0.9, "distribution sums to"),
-        (lambda: ds.FiniteKernel(ds.space("ab"), ds.space("xy"), [[0.5, 0.5], [0.25, 0.75]]), "rows", 0.9, "row 0 sums to"),
-        (lambda: gs.GaussState([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]]), "cov", -1.0, "eigenvalue"),
-        (lambda: gs.GaussChannel([[1.0, 0.0]], [0.0], [[1.5]]), "noise", -1.0, "eigenvalue"),
+        (lambda: ds.Dist(ds.space("abc"), [0.2, 0.3, 0.5]), lambda v: edited_pickle(v, "mass", 0.9), "distribution sums to"),
+        (
+            lambda: ds.FiniteKernel(ds.space("ab"), ds.space("xy"), [[0.5, 0.5], [0.25, 0.75]]),
+            lambda v: edited_pickle(v, "rows", 0.9),
+            "row 0 sums to",
+        ),
+        (lambda: gs.GaussState([0.0, 1.0], [[2.0, 0.5], [0.5, 1.0]]), lambda v: edited_pickle(v, "cov", -1.0), "eigenvalue"),
+        (lambda: gs.GaussChannel([[1.0, 0.0]], [0.0], [[1.5]]), lambda v: edited_pickle(v, "noise", -1.0), "eigenvalue"),
+        (lambda: ds.Effect(ds.space("ab"), [0.5, 2.0]), lambda v: edited_pickle(v, "values", -1.0), r"effect entries must be in \[0"),
+        (lambda: ds.space("ab"), lambda v: relabelled_pickle(v, "b", "a"), "duplicate labels"),
     ],
-    ids=["dist", "kernel", "state", "channel"],
+    ids=["dist", "kernel", "state", "channel", "effect", "space"],
 )
-def test_an_unpickled_value_is_checked_again(make, field, scale, message):
-    # a pickle whose arrays were edited into an invalid value is refused on
-    # load, in the constructor's words
+def test_an_unpickled_value_is_checked_again(make, edit, message):
+    # a pickle edited into an invalid value (an array's entries, a label) is
+    # refused on load, in the constructor's words
     value = make()
     assert pickle.loads(pickle.dumps(value)).__class__ is type(value)
     with pytest.raises(ShapeError, match=message):
-        pickle.loads(edited_pickle(value, field, scale))
+        pickle.loads(edit(value))
 
 
 # -- the inversion's blocks are copied, not recomputed -------------------------
@@ -1126,6 +1142,8 @@ def gauss_entry(rng, d, kind):
     if kind in ("singular", "roundoff", "negative"):
         cov[-1, :] = cov[:, -1] = 0.0
         cov[-1, -1] = {"singular": 0.0, "roundoff": -0.5 * gs.PSD_CLAMP, "negative": -1e-3}[kind]
+    elif kind == "negative zero":
+        cov[-1, :] = cov[:, -1] = -0.0
     elif kind == "asymmetric":
         cov[0, -1] += 1e-3 if d > 1 else -2.0  # a 1x1 entry is symmetric: make it negative
     elif kind == "nan covariance":
@@ -1189,6 +1207,32 @@ def test_a_stack_is_checked_as_its_entries_are(case):
         gs.GaussState(means, covs)
     named = int(raised.value.args[0].split("stack entry (")[1].split(",")[0])
     assert singles[named] is None
+
+
+def stored_or_refused(make) -> tuple | str:
+    """The bits, shape and write flag of the matrix ``make`` stores, or the
+    words it is refused in, the checked matrix's name left out."""
+    try:
+        m = make()
+    except ShapeError as e:
+        return str(e).replace("channel noise", "covariance")
+    return m.tobytes(), m.shape, m.flags.writeable
+
+
+@DETERMINISTIC
+@given(gauss_stacks(VALID_KINDS + ("negative zero", "negative", "asymmetric", "nan covariance")))
+def test_a_noise_is_stored_and_refused_as_a_covariance(case):
+    # one check stores a channel's noise bit for bit as a state's covariance
+    # of the same matrix, a -0.0 and a clamped roundoff eigenvalue included,
+    # and refuses both in the same words
+    _, _, covs = case
+    for cov in covs:
+        d = len(cov)
+        state = stored_or_refused(lambda: gs.GaussState(np.zeros(d), cov).cov)
+        noise = stored_or_refused(lambda: gs.GaussChannel(np.zeros((d, 1)), np.zeros(d), cov).noise)
+        assert noise == state
+        if d == 1 and isinstance(state, tuple) and math.copysign(1.0, cov[0, 0]) < 0 <= cov[0, 0]:
+            assert math.copysign(1.0, np.frombuffer(state[0])[0]) < 0  # a 1x1 -0.0 is kept
 
 
 def through_json(obj):

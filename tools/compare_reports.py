@@ -1,4 +1,4 @@
-"""Compare what ``statgames verify --suite all`` writes at two revisions.
+"""Compare what ``statgames verify`` and ``statgames demo`` write at two revisions.
 
 Usage (from the root of a git checkout)::
 
@@ -7,9 +7,11 @@ Usage (from the root of a git checkout)::
 
 Both revisions are exported with ``git archive`` into ``<workdir>/parent``
 and ``<workdir>/change``, as ``tools/bench_pairs.py`` exports them.  At each
-seed, each copy runs ``python3 -m statgames.cli verify --suite all --seed
-<seed>`` from its own ``src``, with its reports written to
-``<workdir>/reports/<side>/<seed>``.  Every CSV report that is not
+seed, each copy runs three commands from its own ``src``: ``python3 -m
+statgames.cli verify --suite all --seed <seed>``, the same with
+``--instance gaussian``, and ``demo --seed <seed>``.  Each runs in
+``<workdir>/reports/<side>/<seed>/<command>`` and writes its reports (the
+demo its trajectory, ``demo.csv``) there.  Every CSV report that is not
 byte-identical, every JSON report that is unequal once its ``wall_time_s``
 is removed, every summary line that is unequal once its ``time=`` field is
 removed, and a differing exit code is printed.  The exit code is 1 if
@@ -31,12 +33,26 @@ from bench_pairs import export
 SIDES = ("parent", "change")
 
 
-def verify(root: str, seed: int, report_dir: str) -> tuple[int, list]:
-    """``verify --suite all`` at ``seed`` from the copy at ``root``: its exit
-    code and its summary lines."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), STATGAMES_REPORT_DIR=report_dir)
-    cmd = [sys.executable, "-m", "statgames.cli", "verify", "--suite", "all", "--seed", str(seed)]
-    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+def commands(seed: int) -> dict:
+    """The commands compared at ``seed``, by name."""
+    verify = ["verify", "--suite", "all", "--seed", str(seed)]
+    return {
+        "verify": verify,
+        "verify-gaussian": [*verify, "--instance", "gaussian"],
+        "demo": ["demo", "--seed", str(seed), "--out", "demo.csv"],
+    }
+
+
+def run(root: str, args: list, report_dir: str) -> tuple[int, list]:
+    """The command-line ``args`` from the copy at ``root``, run in
+    ``report_dir``, where it writes its reports: its exit code and its
+    summary lines."""
+    report_dir = os.path.abspath(report_dir)
+    os.makedirs(report_dir, exist_ok=True)
+    src = os.path.join(os.path.abspath(root), "src")
+    env = dict(os.environ, PYTHONPATH=src, STATGAMES_REPORT_DIR=report_dir)
+    cmd = [sys.executable, "-m", "statgames.cli", *args]
+    proc = subprocess.run(cmd, cwd=report_dir, env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout.splitlines()
 
 
@@ -93,14 +109,15 @@ def main(argv=None) -> int:
         export(rev, roots[side])
     found = 0
     for seed in args.seeds:
-        runs = []
-        for side in SIDES:
-            folder = os.path.join(args.workdir, "reports", side, str(seed))
-            runs.append((*verify(roots[side], seed, folder), folder))
-        diffs = differences(*runs)
-        for line in diffs or ["no difference"]:
-            print(f"seed {seed}: {line}", flush=True)
-        found += len(diffs)
+        for name, command in commands(seed).items():
+            runs = []
+            for side in SIDES:
+                folder = os.path.join(args.workdir, "reports", side, str(seed), name)
+                runs.append((*run(roots[side], command, folder), folder))
+            diffs = differences(*runs)
+            for line in diffs or ["no difference"]:
+                print(f"seed {seed} {name}: {line}", flush=True)
+            found += len(diffs)
     return 1 if found else 0
 
 
