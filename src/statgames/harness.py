@@ -280,8 +280,8 @@ def _buco_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 def _chain_rule_trial(rng, cfg: SuiteConfig) -> Outcome:
     sa, sb, sc = _sizes(rng, cfg, 3)
-    # the rows are drawn before the spaces are labelled, as in every trial
-    # below: a draw over the limit is refused before any label is built
+    # the rows are drawn before the spaces are labelled: a draw over the
+    # limit is refused before any label is built
     drawn = [random_rows(rng, m, n) for m, n in ((sa, sb), (sa, sb), (sb, sc), (sb, sc))]
     A, B, C = (DISCRETE.space(p, n) for p, n in zip("abc", (sa, sb, sc)))
     alpha, alpha2 = (ds.FiniteKernel(A, B, r) for r in drawn[:2])
