@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one way a check's
+message names the entry of a stack that fails it.
 
 The split matters for callers: shape/instance mismatches are caller bugs,
 support and singularity errors are properties of the data that suites must

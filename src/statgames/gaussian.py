@@ -85,7 +85,7 @@ def _as_psd(m, what: str, lead: int = 0) -> np.ndarray:
         w = a[..., 0]
     else:
         t = a.mT
-        asym = np.abs(a - t)
+        asym = a - t  # antisymmetric, so its largest entry is its largest magnitude
         if asym.size and np.maximum.reduce(asym, axis=None) > PSD_CLAMP:
             raise ShapeError(f"{_which(np.max(asym, axis=(-2, -1)) > PSD_CLAMP, what)} is not symmetric")
         a = 0.5 * (a + t)
@@ -156,7 +156,8 @@ class GaussState:
     cov: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        mu = np.asarray(self.mean, dtype=float)
+        mu = mu if mu.ndim else mu.reshape(1)  # ``np.atleast_1d``, without its call overhead
         lead, cov = mu.ndim - 1, self.cov
         if lead:  # a stack's shape is checked before its entries
             cov = np.asarray(cov, dtype=float)
