@@ -101,6 +101,8 @@ class TestVerify:
         # trial 0 at seed 0 draws spaces of up to a million outcomes; the
         # first draw over the limit is refused in its own words before any
         # of their labels is built, so the refusal allocates almost nothing
+        # (the parser, built once per process, is built before measuring)
+        cli.build_parser()
         tracemalloc.start()
         try:
             rc = main(["verify", "--suite", suite, "--trials", "1", "--max-dim", "1000000"])

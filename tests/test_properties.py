@@ -1188,7 +1188,7 @@ def test_g_kl_of_a_stack_is_each_entrys_call(case, q_kind, seed):
 
 
 @DETERMINISTIC
-@given(gauss_stacks(VALID_KINDS + INVALID_KINDS))
+@given(gauss_stacks(VALID_KINDS + ("negative zero",) + INVALID_KINDS))
 def test_a_stack_is_checked_as_its_entries_are(case):
     _, means, covs = case
     singles = []
