@@ -13,6 +13,7 @@ objects, so a wrapper installed on a module attribute sees every call.
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from typing import Sequence
@@ -260,7 +261,9 @@ class Discrete:
 
     # -- seeded generation -------------------------------------------------
 
-    def space(self, prefix: str, n: int):
+    @staticmethod
+    @functools.lru_cache(maxsize=128)  # a fixed bound: every space of a default round, built once
+    def space(prefix: str, n: int):
         return ds.space([f"{prefix}{i}" for i in range(n)])
 
     def random_channel(self, rng, dom, copar, out):

@@ -22,6 +22,11 @@ divergence; every other operation raises ``ShapeError`` for one.
 
 States and channels pickle as discrete ones do, through their constructors;
 a state leaves its slots, which hold arrays, behind.
+
+Every matrix here is small, so ``solve``, ``cholesky``, ``eigvalsh``, ``inv``
+and ``slogdet``, the one route to LAPACK here and in the loss models, call
+the gufunc of numpy 2.x's ``numpy.linalg._umath_linalg`` that ``np.linalg``'s
+function of that name calls, as it does but without its input checks.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _linalg, _umath_linalg as _lapack
 
 from .errors import ShapeError, SingularityError, _which
 
@@ -57,6 +63,27 @@ __all__ = [
 #: magnitude below which a negative covariance eigenvalue counts as roundoff
 PSD_CLAMP = 1e-10
 LOG_2PI = math.log(2.0 * math.pi)
+_LAPACK_ERRORS = dict(invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@np.errstate(call=_linalg._raise_linalgerror_singular, **_LAPACK_ERRORS)
+def solve(a, b):
+    return (_lapack.solve1 if b.ndim == 1 else _lapack.solve)(a, b, signature="dd->d")
+
+@np.errstate(call=_linalg._raise_linalgerror_nonposdef, **_LAPACK_ERRORS)
+def cholesky(a):
+    return _lapack.cholesky_lo(a, signature="d->d")
+
+@np.errstate(call=_linalg._raise_linalgerror_eigenvalues_nonconvergence, **_LAPACK_ERRORS)
+def eigvalsh(a):
+    return _lapack.eigvalsh_lo(a, signature="d->d")
+
+@np.errstate(call=_linalg._raise_linalgerror_singular, **_LAPACK_ERRORS)
+def inv(a):
+    return _lapack.inv(a, signature="d->d")
+
+def slogdet(a):  # in the caller's error state, as numpy runs it
+    return _lapack.slogdet(a, signature="d->dd")
 
 
 def _finite(a: np.ndarray, what: str, lead: int = 0) -> np.ndarray:
@@ -89,7 +116,7 @@ def _as_psd(m, what: str, lead: int = 0) -> np.ndarray:
         if asym.size and np.maximum.reduce(asym, axis=None) > PSD_CLAMP:
             raise ShapeError(f"{_which(np.max(asym, axis=(-2, -1)) > PSD_CLAMP, what)} is not symmetric")
         a = 0.5 * (a + t)
-        w = np.linalg.eigvalsh(a)
+        w = eigvalsh(a)
     if w.size and min(w[..., 0].flat) < 0:
         low = w[..., 0]
         bad = low < -PSD_CLAMP
@@ -119,7 +146,7 @@ def _single(s: "GaussState", op: str) -> "GaussState":
 
 def _chol(cov: np.ndarray, what: str) -> np.ndarray:
     try:
-        return np.linalg.cholesky(cov)
+        return cholesky(cov)
     except np.linalg.LinAlgError:
         raise SingularityError(f"{what} is singular") from None
 
@@ -333,7 +360,7 @@ def g_invert(c: GaussChannel, prior: GaussState) -> GaussChannel:
     cov_zy[dx:] = cov_cod[:dm, dm:]
     cov_yy = cov_cod[dm:, dm:]
     try:
-        gain = np.linalg.solve(cov_yy, cov_zy.T).T
+        gain = solve(cov_yy, cov_zy.T).T
     except np.linalg.LinAlgError:
         raise SingularityError("output covariance block is singular") from None
     if not np.all(np.isfinite(gain)):
@@ -360,11 +387,11 @@ def g_kl(p: GaussState, q: GaussState):
         raise ShapeError("states have different dimensions")
     lq = _state_chol(q, "second covariance")
     # every step maps each entry alone (a stack of solves, of dot products)
-    root = np.linalg.solve(lq, p.cov).swapaxes(-1, -2)
-    trace = np.trace(np.linalg.solve(lq, root), axis1=-2, axis2=-1)
-    delta = np.linalg.solve(lq, (q.mean - p.mean)[..., None])[..., 0]
+    root = solve(lq, p.cov).swapaxes(-1, -2)
+    trace = np.trace(solve(lq, root), axis1=-2, axis2=-1)
+    delta = solve(lq, (q.mean - p.mean)[..., None])[..., 0]
     maha = np.vecdot(delta, delta)
-    sign, logdet_p = np.linalg.slogdet(p.cov)
+    sign, logdet_p = slogdet(p.cov)
     kl = np.where(sign > 0, 0.5 * (trace + maha - p.dim + _logdet(lq) - logdet_p), np.inf)
     return float(kl) if kl.ndim == 0 else kl
 
@@ -381,7 +408,7 @@ def g_logpdf(s: GaussState, x) -> float:
     if x.ndim != 1 or x.size != _single(s, "g_logpdf").dim:
         raise ShapeError("point dimension does not match state")
     l = _state_chol(s, "covariance")
-    u = np.linalg.solve(l, x - s.mean)
+    u = solve(l, x - s.mean)
     return -0.5 * (s.dim * LOG_2PI + _logdet(l) + float(u @ u))
 
 

@@ -276,8 +276,8 @@ def zero_loss(l: BayesLens) -> LossFn:
 def _half_square(chol, M, r) -> QuadForm:
     """The form of ``y -> |chol^-1 (M y + r)|^2 / 2``, for a Cholesky
     factor ``chol`` of the covariance whose precision weighs the residual."""
-    W = np.linalg.solve(chol, M)
-    u = np.linalg.solve(chol, r)
+    W = gs.solve(chol, M)
+    u = gs.solve(chol, r)
     return QuadForm(W.T @ W, W.T @ u, 0.5 * float(u @ u))
 
 
@@ -640,10 +640,10 @@ class _GaussianModels:
                 )
             le = gs._chol(exact.noise, "second covariance")
             H, g, c = _half_square(le, exact.A - approx.A, exact.b - approx.b)
-            sign, logdet_a = np.linalg.slogdet(approx.noise)
+            sign, logdet_a = gs.slogdet(approx.noise)
             if sign <= 0:
                 return QuadForm(H, g, math.inf)
-            trace = float(np.trace(np.linalg.solve(le, np.linalg.solve(le, approx.noise).T)))
+            trace = float(np.trace(gs.solve(le, gs.solve(le, approx.noise).T)))
             return QuadForm(H, g, c + 0.5 * (trace - approx.cod_dim + gs._logdet(le) - logdet_a))
 
         return form
@@ -688,8 +688,8 @@ class _GaussianModels:
                 - nz * (1.0 + gs.LOG_2PI) - gs._logdet(chol_post)
             )
             if expected:  # E[energy] adds tr(S H) / 2, a sum of |W L|^2 / 2 for S = L L'
-                root_c = np.linalg.solve(chol_c, w @ chol_post)
-                root_pi = np.linalg.solve(chol_pi, chol_post[:dx])
+                root_c = gs.solve(chol_c, w @ chol_post)
+                root_pi = gs.solve(chol_pi, chol_post[:dx])
                 const += 0.5 * (float(np.sum(root_c**2)) + float(np.sum(root_pi**2)))
             return (
                 _half_square(chol_c, w @ back.A + obs_rows, w @ back.b - fwd.b)
@@ -702,7 +702,7 @@ class _GaussianModels:
     def laplace_sigma(self, l, pi):
         hess = _gauss_energy_hessian(l.fwd, pi)
         try:
-            return np.linalg.inv(hess)
+            return gs.inv(hess)
         except np.linalg.LinAlgError:
             raise SingularityError("energy Hessian is singular") from None
 
@@ -735,9 +735,9 @@ def _energy_residual_map(fwd) -> np.ndarray:
 
 def _gauss_energy_hessian(fwd, pi) -> np.ndarray:
     dx = fwd.dom_dim
-    lam_c = np.linalg.inv(gs._chol(fwd.noise, "channel noise"))
+    lam_c = gs.inv(gs._chol(fwd.noise, "channel noise"))
     lam_c = lam_c.T @ lam_c
-    lam_pi = np.linalg.inv(gs._state_chol(gs._single(pi, "the Laplace model"), "prior covariance"))
+    lam_pi = gs.inv(gs._state_chol(gs._single(pi, "the Laplace model"), "prior covariance"))
     lam_pi = lam_pi.T @ lam_pi
     w = _energy_residual_map(fwd)
     hess = w.T @ lam_c @ w

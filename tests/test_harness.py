@@ -67,6 +67,17 @@ class TestGenerators:
         k = DISCRETE.random_channel(_rng(7), a, m, b)
         assert k.dom.size == 3 and k.copar.size == 2 and k.out.size == 4
 
+    def test_each_discrete_space_is_labelled_once(self):
+        # one shared space per (prefix, size), in a memo whose bound is
+        # fixed: a wider --max-dim adds no room to it
+        first = DISCRETE.space("a", 3)
+        assert DISCRETE.space("a", 3) is first and first.labels == ("a0", "a1", "a2")
+        assert DISCRETE.space("a", 4) is not first and DISCRETE.space("b", 3) is not first
+        bound = DISCRETE.space.cache_info().maxsize
+        run_suite(SuiteConfig("buco", trials=3, max_dim=40))
+        info = DISCRETE.space.cache_info()
+        assert info.maxsize == bound == 128 and info.currsize <= bound
+
     def test_gauss_channel_deterministic_and_pd(self):
         a = GAUSSIAN.random_channel(_rng(9), 2, 0, 3)
         b = GAUSSIAN.random_channel(_rng(9), 2, 0, 3)

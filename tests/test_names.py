@@ -16,6 +16,10 @@ each instance where its model is defined, no package module sets ``fn``
 itself, and no package module but ``gaussian.py`` refers to Gauss-Hermite
 quadrature, which the tests keep as an oracle.
 
+The Gaussian module and the loss models reach LAPACK one way, through the
+Gaussian module's helpers: neither calls a ``np.linalg`` function but
+``eigh`` at its two sites, so new code cannot go back to the wrappers.
+
 The instance (discrete or Gaussian) is picked in one place: no module
 compares against an instance name or tests for an instance type outside the
 backend selector, the suite registry and the command line's ``--instance``
@@ -192,6 +196,58 @@ def test_dispatch_checker_sees_nested_and_class_scopes(tmp_path):
         "    return isinstance(ch, dict) and ch.get('discrete') == 1\n"
     )
     assert dispatch_sites(src) == [("X", 1), ("f", 5), ("f", 4), ("C", 8)]
+
+
+# -- one route to LAPACK ------------------------------------------------------------
+
+#: (module, top-level definition, function) of each ``np.linalg`` function
+#: the Gaussian module and the loss models may use: eigenvectors, which the
+#: helpers do not give
+LINALG_SITES = {("gaussian.py", "_project_psd", "eigh"), ("gaussian.py", "gauss_hermite_expect", "eigh")}
+
+
+def linalg_uses(path: pathlib.Path) -> set:
+    """``(top-level definition, function)`` of every ``np.linalg.<function>``
+    a module reads, its error type aside, and of every name it imports from
+    ``numpy.linalg`` but the helpers' gufunc modules."""
+    uses = set()
+    for top in ast.parse(path.read_text()).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and _names(node.value.value) == ["np"]
+                and node.attr != "LinAlgError"
+            ):
+                uses.add((scope, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+                uses |= {(scope, a.name) for a in node.names if a.name not in ("_linalg", "_umath_linalg")}
+    return uses
+
+
+@pytest.mark.parametrize("name", ["gaussian.py", "loss.py"])
+def test_lapack_is_reached_through_the_gaussian_helpers(name):
+    uses = {(name, *use) for use in linalg_uses(PACKAGE / name)}
+    assert uses == {site for site in LINALG_SITES if site[0] == name}
+
+
+def test_linalg_checker_sees_calls_references_and_imports(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from numpy.linalg import _umath_linalg, slogdet\n"
+        "def f(a):\n"
+        "    try:\n"
+        "        return np.linalg.solve(a, a), np.linalg.eigh(a)\n"
+        "    except np.linalg.LinAlgError:\n"
+        "        raise np.linalg.LinAlgError('x')\n"
+        "class C:\n"
+        "    inv = np.linalg.inv\n"
+        "def fine(a):\n"
+        "    return gs.solve(a, a), _umath_linalg.inv(a), scipy.linalg.inv(a)\n"
+    )
+    assert linalg_uses(src) == {("<module>", "slogdet"), ("f", "solve"), ("f", "eigh"), ("C", "inv")}
 
 
 # -- the loss contract the tracer relies on -------------------------------------

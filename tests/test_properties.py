@@ -7,7 +7,9 @@ channels' remembered copy-composite) and a state's remembered Cholesky
 factor against fresh ones; the Gaussian
 inversion against its block assembly; model objects through JSON and back,
 and through pickling, which checks them again and leaves them read-only;
-and malformed model files against the command line.
+malformed model files against the command line; and the Gaussian module's
+LAPACK helpers against the ``np.linalg`` functions they stand for, bitwise
+on 1x1 to 6x6 matrices and stacks, and error for error.
 
 Hypothesis draws the structure of a case: factor sizes from 2 to 3 (from
 1, a one-outcome factor, to 3 for one factor in six), whether each kernel
@@ -28,6 +30,7 @@ import math
 import os
 import pickle
 import tempfile
+import warnings
 import weakref
 
 import numpy as np
@@ -58,6 +61,7 @@ from statgames.loss import (
     LossModel,
     VecForm,
     fe_joint_form,
+    laplace_sigma,
     laxator_loss,
     loss_compose,
     loss_for,
@@ -1374,3 +1378,103 @@ def test_an_empty_backward_table_is_one_error_line(tmp_path):
     rc, err = run_cli(["inspect", "--model", str(path)])
     assert_one_error_line(rc, err)
     assert err.startswith("parse error: 'bwd' must be")
+
+
+# -- the Gaussian module's LAPACK calls ----------------------------------------
+
+#: each helper of the Gaussian module and the arguments it takes, as functions
+#: of a drawn matrix (a stack of them) and its 1-D and 2-D right-hand sides
+LAPACK_CALLS = {
+    "solve": lambda a, b1, b2: [(a, b1), (a, b2)],
+    "cholesky": lambda a, b1, b2: [(a,)],
+    "eigvalsh": lambda a, b1, b2: [(a,)],
+    "slogdet": lambda a, b1, b2: [(a,)],
+    "inv": lambda a, b1, b2: [(a,)],
+}
+#: matrix kinds: general, positive definite, symmetric (often indefinite),
+#: singular (a zero row), positive semidefinite of rank one, and a row
+#: repeated (singular up to roundoff)
+MATRIX_KINDS = ("general", "pd", "symmetric", "zero-row", "rank-one", "repeated-row")
+
+
+@st.composite
+def lapack_cases(draw):
+    """A matrix of size 1 to 6, alone or in a stack of 1 to 3, of a drawn
+    kind (one stack entry of the drawn kind, the others positive definite),
+    and a 1-D and a 2-D right-hand side."""
+    n, lead = draw(st.integers(1, 6)), draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    kind, k = draw(st.sampled_from(MATRIX_KINDS)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=lead + (n, n))
+    a = g @ g.mT + n * np.eye(n)
+    entry = (0,) * len(lead)
+    g = g[entry]
+    a[entry] = {
+        "general": g,
+        "pd": a[entry],
+        "symmetric": 0.5 * (g + g.T),
+        "zero-row": np.vstack([np.zeros((1, n)), g[1:]]),
+        "rank-one": np.outer(g[0], g[0]),
+        "repeated-row": np.vstack([g[:1], g[:-1]]) if n > 1 else g,
+    }[kind]
+    return a, rng.normal(size=n), rng.normal(size=(n, k))
+
+
+def lapack_outcome(fn, *args) -> tuple:
+    """What ``fn(*args)`` gives: the type, shape, dtype and bytes of each
+    result, or the type and message of the ``LinAlgError`` it raises; a
+    ``RuntimeWarning`` is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            out = fn(*args)
+        except np.linalg.LinAlgError as e:
+            return type(e), str(e)
+    outs = tuple(out) if isinstance(out, tuple) else (out,)
+    return tuple((type(o), np.shape(o), o.dtype, np.asarray(o).tobytes()) for o in outs)
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(lapack_cases())
+def test_the_lapack_helpers_are_numpys_functions(case):
+    raising = set()
+    for name, calls in LAPACK_CALLS.items():
+        for args in calls(*case):
+            want = lapack_outcome(getattr(np.linalg, name), *args)
+            assert lapack_outcome(getattr(gs, name), *args) == want, name
+            raising |= {name} if want[0] is np.linalg.LinAlgError else set()
+    assert raising <= {"solve", "cholesky", "inv"}
+
+
+def test_the_lapack_helpers_raise_where_numpy_raises():
+    # a singular solve and inverse, a non-PD Cholesky factor, alone and in a stack
+    singular, indefinite = np.array([[1.0, 2.0], [0.0, 0.0]]), np.array([[1.0, 2.0], [2.0, 1.0]])
+    cases = [
+        ("solve", singular, np.ones(2)),
+        ("solve", singular, np.ones((2, 3))),
+        ("solve", np.stack([np.eye(2), singular]), np.ones(2)),
+        ("inv", singular),
+        ("inv", np.zeros((1, 1))),
+        ("cholesky", indefinite),
+        ("cholesky", np.zeros((3, 3))),
+        ("cholesky", np.stack([np.eye(2), indefinite])),
+    ]
+    for name, *args in cases:
+        want = lapack_outcome(getattr(np.linalg, name), *args)
+        assert want[0] is np.linalg.LinAlgError
+        assert lapack_outcome(getattr(gs, name), *args) == want
+
+
+def test_a_lapack_failure_is_the_librarys_singularity_error():
+    prior = gs.GaussState([0.0], [[1.0]])
+    flat = np.array([[1.0, 1.0], [1.0, 1.0]])
+    # the Hessian [[1 + 1e-300, -1], [-1, 1]] rounds to a singular matrix
+    laplace = exact_lens(gs.GaussChannel([[1.0], [0.0]], [0.0, 0.0], np.eye(2), copar_dim=1))
+    cases = [
+        (lambda: gs.g_invert(gs.GaussChannel([[0.0]], [0.0], [[0.0]]), prior), "output covariance block is singular"),
+        (lambda: gs._chol(gs.GaussChannel(np.eye(2), [0.0, 0.0], flat).noise, "channel noise"), "channel noise is singular"),
+        (lambda: gs.g_logpdf(gs.GaussState([0.0, 0.0], flat), [0.0, 0.0]), "covariance is singular"),
+        (lambda: laplace_sigma(laplace, gs.GaussState([0.0], [[1e300]]), [0.0]), "energy Hessian is singular"),
+    ]
+    for fn, message in cases:
+        assert raised(fn) == (SingularityError, message)
