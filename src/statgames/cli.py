@@ -33,7 +33,7 @@ from .errors import (
     SingularityError,
     SupportError,
 )
-from .harness import SUITE_DEFAULTS, SuiteConfig, check_suite, run_suite
+from .harness import SuiteConfig, run_suite, suites_with
 from .lens import exact_lens
 from .loss import (
     LossModel,
@@ -86,23 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _suite_config(name: str, args) -> SuiteConfig:
-    instance = check_suite(name, args.instance)
-    defaults = SUITE_DEFAULTS[name][instance]
-    given = dict(trials=args.trials, max_dim=args.max_dim, tolerance=args.tol)
-    return SuiteConfig(
-        suite=name,
-        seed=args.seed,
-        instance=instance,
-        **{k: defaults[k] if v is None else v for k, v in given.items()},
-    )
-
-
 def cmd_verify(args) -> int:
-    at = sorted(s for s, rows in SUITE_DEFAULTS.items() if args.instance in (None, *rows))
-    names = at if args.suite == "all" else [args.suite]
+    names = suites_with(args.instance) if args.suite == "all" else [args.suite]
     # every configuration is checked before any suite runs or writes
-    configs = [_suite_config(name, args) for name in names]
+    configs = [
+        SuiteConfig(name, args.trials, args.seed, args.max_dim, args.tol, args.instance)
+        for name in names
+    ]
     report_dir = os.environ.get("STATGAMES_REPORT_DIR", "reports")
     written = [os.path.join(report_dir, f"{n}.{ext}") for n in names for ext in ("json", "csv")]
     for path in written if args.report is None else [args.report]:
@@ -168,7 +158,9 @@ def cmd_eval_loss(args) -> int:
             energy = value + entropy  # the Laplace energy, at the posterior mean
         lines += [("energy", energy), ("entropy", entropy)]
     if args.json:
-        print(json.dumps({k: v for k, v in lines}, sort_keys=True))
+        # strict JSON: an infinite loss is written as the string "inf" or "-inf"
+        body = {k: v if math.isfinite(v) else str(v) for k, v in lines}
+        print(json.dumps(body, sort_keys=True, allow_nan=False))
     else:
         for key, val in lines:
             print(f"{key} = {val!r}")

@@ -3,6 +3,10 @@
 Every compositional law in this package has a registered suite here: a
 trial function that draws one random instance and evaluates both sides of
 the law, run by one driver that seeds each trial and builds its record.
+One table names each suite once, with its trial and its defaults (trials,
+maximum dimension, tolerance) at each instance it runs on; ``SuiteConfig``
+alone resolves a run's instance and fills in and checks its settings from
+that table, for the library and the command line alike.
 Oracle sides are computed with plain index loops in this module, sharing
 nothing with the operations under test beyond primitive arithmetic.
 
@@ -26,7 +30,7 @@ import numpy as np
 from . import discrete as ds
 from .backend import BACKENDS, DISCRETE, GAUSSIAN, random_rows
 from .errors import ShapeError
-from .games import laxness_witness, laxness_witnesses
+from .games import NONNEG_FLOOR, laxness_witness, laxness_witnesses
 from .lens import (
     BayesLens,
     buco_residual,
@@ -53,8 +57,8 @@ __all__ = [
     "SuiteReport",
     "SUITES",
     "SUITE_DEFAULTS",
-    "check_suite",
     "run_suite",
+    "suites_with",
 ]
 
 #: probes evaluated per lens pair in the strictness/laxness suites
@@ -63,26 +67,40 @@ PROBES_PER_PAIR = 20
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """One suite's run; settings left at ``None`` take the defaults of the
+    suite's row at its instance (by default the first in ``SUITE_DEFAULTS``)."""
+
     suite: str
-    trials: int = 100
+    trials: int | None = None
     seed: int = 0
-    max_dim: int = 4
-    tolerance: float = 1e-9
+    max_dim: int | None = None
+    tolerance: float | None = None
     instance: str | None = None
 
     def __post_init__(self):
-        if self.instance is None:  # the suite's first; an unknown suite is refused when it runs
-            object.__setattr__(self, "instance", next(iter(SUITE_DEFAULTS.get(self.suite, BACKENDS))))
+        if self.suite not in SUITE_DEFAULTS:
+            known = ", ".join(sorted(SUITE_DEFAULTS))
+            raise ShapeError(f"unknown suite {self.suite!r}; registered suites: {known}")
+        rows = SUITE_DEFAULTS[self.suite]
+        object.__setattr__(self, "instance", next(iter(rows)) if self.instance is None else self.instance)
+        if self.instance not in BACKENDS:
+            raise ShapeError(f"unknown instance {self.instance!r}")
+        if self.instance not in rows:
+            raise ShapeError(
+                f"suite {self.suite!r} has no {self.instance} instance; suites with one: "
+                + ", ".join(suites_with(self.instance))
+            )
+        for key, default in rows[self.instance].items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, default)
         if self.trials < 1:
             raise ShapeError("trials must be >= 1")
         if self.seed < 0:
             raise ShapeError("seed must be >= 0")
         if self.max_dim < 2:
             raise ShapeError("max_dim must be >= 2")
-        if not self.tolerance > 0:
-            raise ShapeError("tolerance must be positive")
-        if self.instance not in BACKENDS:
-            raise ShapeError(f"unknown instance {self.instance!r}")
+        if not 0 < self.tolerance < math.inf:
+            raise ShapeError("tolerance must be positive and finite")
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -244,8 +262,8 @@ def _worst_pair(pairs) -> tuple[float, float]:
     return pair
 
 
-def _sizes(rng, cfg: SuiteConfig, n: int):
-    return tuple(int(v) for v in rng.integers(1, cfg.max_dim + 1, size=n))
+def _sizes(rng, cfg: SuiteConfig, n: int, low: int = 1):
+    return tuple(int(v) for v in rng.integers(low, cfg.max_dim + 1, size=n))
 
 
 def _random_channel(rng, backend, *spaces):
@@ -311,26 +329,25 @@ def _kl_strict_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 
 def _mle_lax_trial(rng, cfg: SuiteConfig) -> Outcome:
-    floor = -1e-12
     c, d, sz = _exact_pair_from_rng(rng, cfg)
     probes = list(_probes(rng, c, sz))
     witnesses = laxness_witnesses(LossModel.MLE, d, c, probes)
     pairs = [
         (k, _oracle_mle_witness(c, d, pi, z)) for k, (pi, z) in zip(witnesses, probes)
     ]
-    nonneg_ok = not any(k < floor for k, _ in pairs)
+    nonneg_ok = not any(k < NONNEG_FLOOR for k, _ in pairs)
     return Outcome(_digest(c.fwd.rows, d.fwd.rows), *_worst_pair(pairs), ok=nonneg_ok)
 
 
 def _random_lens(rng, cfg):
+    """A perturbed lens, a prior on its domain and the size of its output."""
     sx, sm, sy = _sizes(rng, cfg, 3)
     fwd = _random_channel(rng, DISCRETE, ("x", sx), ("m", sm), ("y", sy))
-    return _perturbed_lens_from_rng(rng, fwd), sy
+    return _perturbed_lens_from_rng(rng, fwd), DISCRETE.random_state(rng, fwd.dom), sy
 
 
 def _fe_sum_trial(rng, cfg: SuiteConfig) -> Outcome:
-    lens, sy = _random_lens(rng, cfg)
-    pi = DISCRETE.random_state(rng, lens.fwd.dom)
+    lens, pi, sy = _random_lens(rng, cfg)
     y = int(rng.integers(0, sy))
     lhs = fe_loss(lens)(pi, y)
     rhs = kl_loss(lens)(pi, y) + mle_loss(lens)(pi, y)
@@ -338,16 +355,14 @@ def _fe_sum_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 
 def _fe_joint_trial(rng, cfg: SuiteConfig) -> Outcome:
-    lens, sy = _random_lens(rng, cfg)
-    pi = DISCRETE.random_state(rng, lens.fwd.dom)
+    lens, pi, sy = _random_lens(rng, cfg)
     joint, fe = fe_joint_form(lens), fe_loss(lens)
     pairs = [(joint(pi, y), fe(pi, y)) for y in range(sy)]
     return Outcome(_digest(lens.fwd.rows, pi.mass), *_worst_pair(pairs))
 
 
 def _thermo_trial(rng, cfg: SuiteConfig) -> Outcome:
-    lens, sy = _random_lens(rng, cfg)
-    pi = DISCRETE.random_state(rng, lens.fwd.dom)
+    lens, pi, sy = _random_lens(rng, cfg)
     y = int(rng.integers(0, sy))
     energy, entropy = energy_entropy_decomp(lens, pi, y)
     return Outcome(_digest(lens.fwd.rows, pi.mass), energy - entropy, fe_loss(lens)(pi, y))
@@ -361,11 +376,10 @@ def _laplace_style_lens(fwd, cov):
 
 
 def _laplace_trial(rng, cfg: SuiteConfig) -> Outcome:
-    max_dim = min(cfg.max_dim, 4)
     dx, dm, dy = (
-        int(rng.integers(1, max_dim)),
+        int(rng.integers(1, cfg.max_dim)),
         int(rng.integers(0, 2)),
-        int(rng.integers(1, max_dim)),
+        int(rng.integers(1, cfg.max_dim)),
     )
     # conditioning: the gap identity is checked at an absolute
     # tolerance, so keep precision-matrix magnitudes moderate here
@@ -437,11 +451,11 @@ def _laxators_trial(rng, cfg: SuiteConfig) -> Outcome:
     # discrete models on a correlated and a product prior; the Gaussian
     # instance carries the Laplace model
     pairs, product_defects, digest = _laxator_pairs(
-        rng, DISCRETE, rng.integers(2, min(cfg.max_dim, 3) + 1, size=6),
+        rng, DISCRETE, _sizes(rng, cfg, 6, low=2),
         (LossModel.KL, LossModel.MLE, LossModel.FE),
     )
     gauss_pairs, gauss_defects, _ = _laxator_pairs(
-        rng, GAUSSIAN, rng.integers(1, 3, size=6), LossModel.LFE
+        rng, GAUSSIAN, rng.integers(1, cfg.max_dim, size=6), LossModel.LFE
     )
     ok = all(abs(lam0) <= product_tol for lam0 in product_defects + gauss_defects)
     return Outcome(digest, *_worst_pair(pairs + gauss_pairs), ok=ok)
@@ -449,8 +463,7 @@ def _laxators_trial(rng, cfg: SuiteConfig) -> Outcome:
 
 def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
     # two composable columns: c then e, and d then f
-    sizes = [int(v) for v in rng.integers(2, 3 + 1, size=4)]
-    sx, sy, sz, sm = sizes
+    sx, sy, sz, sm = _sizes(rng, cfg, 4, low=2)
     c = exact_lens(_random_channel(rng, DISCRETE, ("x", sx), ("m", 2), ("y", sy)))
     e = exact_lens(_random_channel(rng, DISCRETE, ("y", sy), ("n", 2), ("z", sz)))
     d = exact_lens(_random_channel(rng, DISCRETE, ("u", 2), ("v", 2), ("w", sm)))
@@ -546,27 +559,34 @@ def _stochasticity_trial(rng, cfg: SuiteConfig) -> Outcome:
 # registry and driver
 # ---------------------------------------------------------------------------
 
-#: defaults per suite and per instance it supports: trial counts sized so
-#: the default run is the full certification, tolerances as tight as the
-#: arithmetic supports.  A suite runs only on the instances listed here, and
-#: by default on the first.
-SUITE_DEFAULTS: dict[str, dict[str, dict]] = {
-    "buco": {
+#: each suite's trial and its defaults per instance it supports: trial
+#: counts sized so the default run is the full certification, tolerances as
+#: tight as the arithmetic supports.  A suite runs only on the instances
+#: listed here, and by default on the first.
+_SUITE_TABLE: dict[str, tuple[Callable, dict[str, dict]]] = {
+    "buco": (_buco_trial, {
         "discrete": dict(trials=500, max_dim=5, tolerance=1e-9),
         "gaussian": dict(trials=100, max_dim=3, tolerance=1e-8),
-    },
-    "chain-rule": {"discrete": dict(trials=500, max_dim=4, tolerance=1e-9)},
-    "kl-strict": {"discrete": dict(trials=200, max_dim=4, tolerance=1e-9)},
-    "mle-lax": {"discrete": dict(trials=200, max_dim=4, tolerance=1e-9)},
-    "fe-sum": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-12)},
-    "fe-joint": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-9)},
-    "thermo": {"discrete": dict(trials=100, max_dim=4, tolerance=1e-9)},
-    "laplace": {"gaussian": dict(trials=100, max_dim=4, tolerance=1e-8)},
-    "laxators": {"discrete": dict(trials=200, max_dim=3, tolerance=1e-8)},
-    "lax-naturality": {"discrete": dict(trials=100, max_dim=3, tolerance=1e-8)},
-    "bilinear": {"discrete": dict(trials=500, max_dim=4, tolerance=1e-12)},
-    "stochasticity": {"discrete": dict(trials=200, max_dim=4, tolerance=1e-12)},
+    }),
+    "chain-rule": (_chain_rule_trial, {"discrete": dict(trials=500, max_dim=4, tolerance=1e-9)}),
+    "kl-strict": (_kl_strict_trial, {"discrete": dict(trials=200, max_dim=4, tolerance=1e-9)}),
+    "mle-lax": (_mle_lax_trial, {"discrete": dict(trials=200, max_dim=4, tolerance=1e-9)}),
+    "fe-sum": (_fe_sum_trial, {"discrete": dict(trials=100, max_dim=4, tolerance=1e-12)}),
+    "fe-joint": (_fe_joint_trial, {"discrete": dict(trials=100, max_dim=4, tolerance=1e-9)}),
+    "thermo": (_thermo_trial, {"discrete": dict(trials=100, max_dim=4, tolerance=1e-9)}),
+    "laplace": (_laplace_trial, {"gaussian": dict(trials=100, max_dim=4, tolerance=1e-8)}),
+    "laxators": (_laxators_trial, {"discrete": dict(trials=200, max_dim=3, tolerance=1e-8)}),
+    "lax-naturality": (_lax_naturality_trial, {"discrete": dict(trials=100, max_dim=3, tolerance=1e-8)}),
+    "bilinear": (_bilinear_trial, {"discrete": dict(trials=500, max_dim=4, tolerance=1e-12)}),
+    "stochasticity": (_stochasticity_trial, {"discrete": dict(trials=200, max_dim=4, tolerance=1e-12)}),
 }
+SUITE_DEFAULTS: dict[str, dict[str, dict]] = {name: rows for name, (_, rows) in _SUITE_TABLE.items()}
+
+
+def suites_with(instance: str | None = None) -> list[str]:
+    """The sorted names of the suites that run on ``instance``; with none
+    given, of every suite."""
+    return sorted(s for s, rows in SUITE_DEFAULTS.items() if instance in (None, *rows))
 
 
 def _run_trials(suite: str, trial: Callable, cfg: SuiteConfig) -> list[dict]:
@@ -593,43 +613,12 @@ def _run_trials(suite: str, trial: Callable, cfg: SuiteConfig) -> list[dict]:
 
 
 SUITES: dict[str, Callable] = {
-    name: functools.partial(_run_trials, name, trial)
-    for name, trial in {
-        "buco": _buco_trial,
-        "chain-rule": _chain_rule_trial,
-        "kl-strict": _kl_strict_trial,
-        "mle-lax": _mle_lax_trial,
-        "fe-sum": _fe_sum_trial,
-        "fe-joint": _fe_joint_trial,
-        "thermo": _thermo_trial,
-        "laplace": _laplace_trial,
-        "laxators": _laxators_trial,
-        "lax-naturality": _lax_naturality_trial,
-        "bilinear": _bilinear_trial,
-        "stochasticity": _stochasticity_trial,
-    }.items()
+    name: functools.partial(_run_trials, name, trial) for name, (trial, _) in _SUITE_TABLE.items()
 }
-
-
-def check_suite(suite: str, instance: str | None = None) -> str:
-    """Raise ``ShapeError`` unless ``suite`` is registered for ``instance``
-    (by default its first registered instance); return that instance."""
-    if suite not in SUITES:
-        known = ", ".join(sorted(SUITES))
-        raise ShapeError(f"unknown suite {suite!r}; registered suites: {known}")
-    instance = instance or next(iter(SUITE_DEFAULTS[suite]))
-    if instance not in SUITE_DEFAULTS[suite]:
-        having = sorted(s for s, rows in SUITE_DEFAULTS.items() if instance in rows)
-        raise ShapeError(
-            f"suite {suite!r} has no {instance} instance; suites with one: "
-            + ", ".join(having)
-        )
-    return instance
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
     """Execute one registered suite and collect its records."""
-    check_suite(cfg.suite, cfg.instance)
     start = time.perf_counter()
     records = SUITES[cfg.suite](cfg)
     return SuiteReport(

@@ -95,6 +95,9 @@ class TestVerify:
             ("buco", 276_942_103_203_521_250),
             ("kl-strict", 276_942_103_203_521_250),
             ("fe-sum", 276_942_103_203_521_250),
+            ("laxators", 276_942_537_989_431_875),
+            ("lax-naturality", 1_083_633_303_750),
+            ("laplace", 696_046_943_394),
         ],
     )
     def test_a_huge_max_dim_is_refused_before_any_label_is_built(self, report_dir, capsys, suite, entries):
@@ -110,9 +113,10 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         captured = capsys.readouterr()
+        what = "channel" if suite == "laplace" else "draw"  # laplace's is a Gaussian channel
         assert rc == 2 and captured.out == ""
         assert captured.err == (
-            f"error: the random draw would hold {entries:,} entries ({8 * entries:,} bytes), "
+            f"error: the random {what} would hold {entries:,} entries ({8 * entries:,} bytes), "
             "over the limit of 67,108,864\n"
         )
         assert peak < 2**20
@@ -164,7 +168,7 @@ class TestVerify:
         assert json.loads((report_dir / "buco.json").read_text())["config"]["instance"] == "discrete"
 
     @pytest.mark.parametrize(
-        "flag", [["--trials", "0"], ["--max-dim", "1"], ["--tol", "0"]]
+        "flag", [["--trials", "0"], ["--max-dim", "1"], ["--tol", "0"], ["--tol", "inf"]]
     )
     @pytest.mark.parametrize("suite", ["buco", "all"])
     def test_bad_config_is_a_usage_error(self, report_dir, capsys, suite, flag):
@@ -394,6 +398,22 @@ class TestEvalLoss:
         assert rc == 0
         body = json.loads(capsys.readouterr().out)
         assert body["loss"] == pytest.approx(-math.log(0.25), abs=1e-9)
+
+    def test_an_infinite_loss_is_written_as_strict_json(self, tmp_path, capsys):
+        # the prior puts no mass where y1 can be seen: its code length is
+        # infinite, which RFC 8259 JSON has no number for
+        fwd = {"dom": ["x0", "x1"], "cod": ["y0", "y1"], "rows": [[1, 0], [0.5, 0.5]]}
+        model = write(tmp_path, "m.json", {"fwd": fwd, "bwd": "exact"})
+        prior = write(tmp_path, "p.json", {"space": ["x0", "x1"], "mass": [1, 0]})
+        args = ["eval-loss", "--model", model, "--loss", "mle", "--prior", prior, "--obs", "y1"]
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert main([*args, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out, parse_constant=refuse) == {"loss": "inf"}
+        assert main(args) == 0
+        assert capsys.readouterr().out == "loss = inf\n"
 
     def test_gaussian_lfe_decompose(self, tmp_path, capsys):
         model = write(

@@ -1,6 +1,7 @@
 """Tests for the generators and the suite driver."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -138,7 +139,22 @@ class TestSuiteConfig:
         with pytest.raises(ShapeError):
             SuiteConfig(suite="buco", tolerance=0.0)
         with pytest.raises(ShapeError):
+            SuiteConfig(suite="buco", tolerance=math.inf)
+        with pytest.raises(ShapeError):
             SuiteConfig(suite="buco", instance="quantum")
+
+    @pytest.mark.parametrize(
+        "name, instance",
+        [(name, instance) for name, rows in SUITE_DEFAULTS.items() for instance in rows],
+    )
+    def test_unset_settings_take_the_row_of_the_suite_at_its_instance(self, name, instance):
+        # the library and the command line share this one table: fe-sum
+        # certifies at 1e-12 and laxators draws sizes up to 3 either way
+        row = SUITE_DEFAULTS[name][instance]
+        cfg = SuiteConfig(name, instance=instance)
+        assert (cfg.trials, cfg.max_dim, cfg.tolerance) == (row["trials"], row["max_dim"], row["tolerance"])
+        if instance == next(iter(SUITE_DEFAULTS[name])):
+            assert SuiteConfig(name) == cfg
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ShapeError, match="seed"):
