@@ -543,7 +543,7 @@ def relative_entropy_effect(k1: CoparKernel, k2: CoparKernel) -> Effect:
 def entropy(p: np.ndarray) -> float:
     """Shannon entropy of a mass vector, in nats."""
     pos = p > 0
-    return float(-np.dot(p[pos], np.log(p[pos])))
+    return float(0.0 - np.dot(p[pos], np.log(p[pos])))  # +0.0 for a point mass
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,7 @@ def _laxator_pairs(rng, backend, sizes, model):
     def rows(value):
         return value if isinstance(model, tuple) else (value,)
 
-    defect = laxator_loss(model, c, d, tensored=t)
+    defect = laxator_loss(model, c, d)
     lhs, first, second, at_omega, at_prod = (
         rows(v)
         for v in (
@@ -487,7 +487,7 @@ def _lax_naturality_trial(rng, cfg: SuiteConfig) -> Outcome:
     along_d = laxness_witness(models, f, d, w2, z2)
     across = laxness_witness(models, ef, cd, omega, joint_obs)
     # the laxators compose as losses on the tensored lenses
-    first, second = laxator_loss(models, c, d, tensored=cd), laxator_loss(models, e, f, tensored=ef)
+    first, second = laxator_loss(models, c, d), laxator_loss(models, e, f)
     terms = zip(
         of_composites,
         across,

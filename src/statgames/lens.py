@@ -25,6 +25,8 @@ the family itself.  A channel's slots are its discarded channel
 (``BayesLens.inverse``); and its last copy-composite run before or after
 another channel (``lens_compose``), so every composite of one pair of
 lenses shares one forward, with its slots, and one backward per prior.
+A lens's slots are its last tensor with a lens on either side, so every
+``lens_tensor`` of one pair is one lens; a lens pickles through its fields.
 The inversion is a property of the forward, not of a lens: every lens on
 one forward shares its slot, and a lens whose family is that inversion is
 *exact*.  A composable pair's MLE term, ``loss_compose``'s middle prior
@@ -100,6 +102,9 @@ class BayesLens:
     bwd: Callable[[State], Channel] | None = None
     marginals: Callable | None = field(default=None, init=False, repr=False)
 
+    def __reduce__(self):
+        return BayesLens, (self.fwd, self.bwd)
+
     def __post_init__(self):
         if self.bwd is None:
             object.__setattr__(self, "bwd", _inversion(self.fwd))
@@ -136,16 +141,12 @@ def prior_pushforward(ch: Channel) -> Callable[[State], State]:
     """The map of priors induced by a forward channel (discard, then push):
     a ``_Last`` over ``discarded(ch)`` whose slot is on ``ch``, so every map
     of one channel shares one push."""
-    return _Last(functools.partial(_push, discarded(ch)), ch, "_pushforward")
+    return _Last(functools.partial(backend_of(ch).push, discarded(ch)), ch, "_pushforward")
 
 
 def _inversion(fwd: Channel) -> "_Last":
     """The exact inversion of ``fwd``, a ``_Last`` whose slot is on ``fwd``."""
     return _Last(functools.partial(_invert, fwd), fwd, "_inverse")
-
-
-def _push(plain: Channel, pi: State) -> State:
-    return backend_of(plain).push(plain, pi)
 
 
 def _invert(ch: Channel, pi: State) -> Channel:
@@ -207,44 +208,53 @@ def lens_compose(d: BayesLens, c: BayesLens) -> BayesLens:
     """Optic composition: forwards copy-compose; the composite backward at
     ``pi`` runs ``d``'s backward at the pushed prior, then ``c``'s backward,
     retaining the intermediate observation."""
-    fwd = _copy_composed(d.fwd, c.fwd)
     onto = prior_pushforward(c.fwd)
 
     def bwd(pi):
         back_d = d.bwd(onto(pi))
         return _copy_composed(c.bwd(pi), back_d)
 
-    return BayesLens(fwd=fwd, bwd=bwd)
+    return BayesLens(fwd=_copy_composed(d.fwd, c.fwd), bwd=bwd)
 
 
-def _copy_composed(g: Channel, f: Channel) -> Channel:
-    """``copy_compose(g, f)`` as ``(id(g), h)`` in ``f``'s slot ``_then`` and
-    ``(id(f), h)`` in ``g``'s ``_after``.  A hit needs both ids and one ``h``
-    in both slots: neither channel pins the other, and a reused id or a
-    pickled clone (whose slots hold a clone of ``h``) misses."""
-    then, after = getattr(f, "_then", None), getattr(g, "_after", None)
-    if then and after and then[1] is after[1] and (then[0], after[0]) == (id(g), id(f)):
-        return then[1]
-    h = backend_of(g, f).copy_compose(g, f)
-    object.__setattr__(f, "_then", (id(g), h))
-    object.__setattr__(g, "_after", (id(f), h))
+def _paired(a, b, make: Callable, slots: tuple[str, str]):
+    """``make(a, b)``, kept as ``(id(b), h)`` in ``a``'s slot ``slots[0]``
+    and ``(id(a), h)`` in ``b``'s ``slots[1]``.  A hit needs both ids and one
+    ``h`` in both slots: neither factor pins the other, a reused id or a
+    pickled clone misses, and a ``make`` that raises keeps nothing."""
+    mine, theirs = getattr(a, slots[0], None), getattr(b, slots[1], None)
+    if mine and theirs and mine[1] is theirs[1] and (mine[0], theirs[0]) == (id(b), id(a)):
+        return mine[1]
+    h = make(a, b)
+    object.__setattr__(a, slots[0], (id(b), h))
+    object.__setattr__(b, slots[1], (id(a), h))
     return h
 
 
+def _copy_composed(g: Channel, f: Channel) -> Channel:
+    """``copy_compose(g, f)``, kept in ``g``'s slot ``_after`` and ``f``'s ``_then``."""
+    return _paired(g, f, lambda g, f: backend_of(g, f).copy_compose(g, f), ("_after", "_then"))
+
+
 def lens_tensor(l1: BayesLens, l2: BayesLens) -> BayesLens:
-    """Parallel composite.  The backward family at a joint prior uses the
-    marginal priors of the factors; correlations in the joint prior are
-    invisible to it (which is exactly what the loss-model laxators
-    measure)."""
-    backend = backend_of(l1.fwd, l2.fwd)
-    fwd = backend.tensor(l1.fwd, l2.fwd)
-    split = _Last(lambda omega: prior_marginals(omega, l1.fwd, l2.fwd))
+    """Parallel composite, kept in ``l1``'s slot ``_left_of`` and ``l2``'s
+    ``_right_of``.  The backward family at a joint prior uses the marginal
+    priors of the factors; correlations in the joint prior are invisible to
+    it (which is exactly what the loss-model laxators measure)."""
+    return _paired(l1, l2, _tensor, ("_left_of", "_right_of"))
+
+
+def _tensor(l1: BayesLens, l2: BayesLens) -> BayesLens:
+    # the factors' slots hold this lens, so its closures hold their parts
+    (f1, b1), (f2, b2) = (l1.fwd, l1.bwd), (l2.fwd, l2.bwd)
+    backend = backend_of(f1, f2)
+    split = _Last(lambda omega: prior_marginals(omega, f1, f2))
 
     def bwd(omega):
         w1, w2 = split(omega)
-        return backend.tensor(l1.bwd(w1), l2.bwd(w2))
+        return backend.tensor(b1(w1), b2(w2))
 
-    lens = BayesLens(fwd=fwd, bwd=bwd)
+    lens = BayesLens(fwd=backend.tensor(f1, f2), bwd=bwd)
     object.__setattr__(lens, "marginals", split)
     return lens
 

@@ -357,15 +357,6 @@ def loss_compose(Ld: LossFn, Lc: LossFn, d: BayesLens, c: BayesLens) -> LossFn:
     return LossFn(Lc.prior_dom, Ld.obs_dom, form)
 
 
-def _select(model, models):
-    """The map from each model's form to the form of ``model``: that model's
-    own form, or for a tuple of models their forms on a leading model axis
-    (discrete forms only: a Gaussian tuple raises ``InstanceError``)."""
-    if isinstance(model, LossModel):
-        return lambda terms: terms[model]
-    return models.stacker(model)
-
-
 def loss_for(model, l: BayesLens) -> LossFn:
     """The loss of ``model`` on ``l``.  A tuple of models gives one loss
     whose form has a leading model axis, one row per model in that order;
@@ -380,7 +371,7 @@ def loss_for(model, l: BayesLens) -> LossFn:
             LossModel.LFE: lfe_loss,
         }[model]
         return builder(l)
-    pick = _select(model, _models(l.fwd))
+    stack = _models(l.fwd).stacker(model)  # a Gaussian tuple raises ``InstanceError``
     with_fe = LossModel.FE in model
     needed = set(model) - {LossModel.FE} | ({LossModel.KL, LossModel.MLE} if with_fe else set())
     forms = {m: loss_for(m, l).form for m in needed}
@@ -389,7 +380,7 @@ def loss_for(model, l: BayesLens) -> LossFn:
         terms = {m: f(pi, sel) for m, f in forms.items()}
         if with_fe:
             terms[LossModel.FE] = terms[LossModel.KL] + terms[LossModel.MLE]
-        return pick(terms)
+        return stack(terms)
 
     return LossFn(*l.backend.doms(l.fwd), form)
 
@@ -399,7 +390,7 @@ def loss_for(model, l: BayesLens) -> LossFn:
 # ---------------------------------------------------------------------------
 
 
-def laxator_loss(model, c: BayesLens, d: BayesLens, tensored: BayesLens | None = None) -> LossFn:
+def laxator_loss(model, c: BayesLens, d: BayesLens) -> LossFn:
     """The tensoring defect of a loss model, as a loss on the priors and
     observations of ``lens_tensor(c, d)``.
 
@@ -419,20 +410,19 @@ def laxator_loss(model, c: BayesLens, d: BayesLens, tensored: BayesLens | None =
     Gaussian one a ``QuadForm``, so laxators compose in closed form.  Like
     the tensored lens's KL and FE losses, defects with an FE term are
     undefined at observations of zero evidence; none is defined where it
-    is ``inf - inf``.  The tensored lens and its pushforward are built once;
-    a caller that has built ``lens_tensor(c, d)`` already passes it as
-    ``tensored``, whose remembered split of ``omega`` gives the product prior.
+    is ``inf - inf``.  The tensored lens is ``lens_tensor(c, d)``, whose
+    remembered split of ``omega`` gives the product prior.
 
     A tuple of models gives one loss with a leading model axis, as
     ``loss_for`` does: its FE term and its MLE term are computed once per
     prior, and the KL row is their difference.  Each form call pushes
     ``omega`` through the tensored forward at most once.
     """
-    tensored = lens_tensor(c, d) if tensored is None else tensored
+    tensored = lens_tensor(c, d)
     backend, models, split = tensored.backend, _models(tensored.fwd), tensored.marginals
     onto = prior_pushforward(tensored.fwd)
-    pick = _select(model, models)
     chosen = (model,) if isinstance(model, LossModel) else model
+    pick = (lambda terms: terms[model]) if isinstance(model, LossModel) else models.stacker(model)
     with_fe = any(m is not LossModel.MLE for m in chosen)
     with_mle = LossModel.MLE in chosen or LossModel.KL in chosen
     # the Laplace defect averages over the posterior mean alone

@@ -415,6 +415,17 @@ class TestEvalLoss:
         assert main(args) == 0
         assert capsys.readouterr().out == "loss = inf\n"
 
+    def test_the_entropy_of_a_point_mass_posterior_prints_as_zero(self, tmp_path, capsys):
+        fwd = {"dom": ["a", "b"], "cod": ["x", "y"], "rows": [[0.5, 0.5], [1.0, 0.0]]}
+        model = write(tmp_path, "m.json", {"fwd": fwd, "bwd": "exact"})
+        prior = write(tmp_path, "p.json", {"space": ["a", "b"], "mass": [1, 0]})
+        args = ["eval-loss", "--model", model, "--loss", "fe", "--prior", prior, "--obs", "y", "--decompose"]
+        assert main(args) == 0
+        assert "entropy = 0.0\n" in capsys.readouterr().out
+        assert main([*args, "--json"]) == 0
+        entropy = json.loads(capsys.readouterr().out)["entropy"]
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
     def test_gaussian_lfe_decompose(self, tmp_path, capsys):
         model = write(
             tmp_path,

@@ -31,6 +31,7 @@ from statgames.discrete import (
     discard_kernel,
     effect_add,
     effect_precompose,
+    entropy,
     identity_kernel,
     marginal_dist,
     point_mass,
@@ -606,6 +607,11 @@ class TestRowHelpers:
         assert got[0] == pytest.approx(want, abs=1e-15)
         assert got[1] == np.inf
         assert got[2] == 0.0
+
+    def test_the_entropy_of_a_point_mass_is_positive_zero(self):
+        # a negated dot product of zeros is -0.0, which reports print as "-0.0"
+        assert math.copysign(1.0, entropy(np.array([1.0, 0.0]))) == 1.0
+        assert entropy(np.array([0.5, 0.5])) == math.log(2.0)
 
 
 class TestAlmostSureEq:

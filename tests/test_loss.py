@@ -12,6 +12,7 @@ import pytest
 
 from statgames import discrete as ds
 from statgames import gaussian as gs
+from statgames import lens as lens_module
 from statgames import loss as loss_module
 from statgames.errors import InstanceError, ShapeError, SingularityError, SupportError
 from statgames.games import Game, TwoCellWitness, game_vcompose
@@ -1117,16 +1118,20 @@ class TestModelAxis:
         assert checked > 0 and raised > 0
 
     def test_a_built_tensored_lens_is_not_built_again(self, monkeypatch):
+        # the laxator reads the lens an earlier tensor of the pair built;
+        # twins of ``c`` and ``d`` pair anew and give the defect to compare
         rng = rng_for(65)
         c, d, omegas = next(self.cases(rng, 1))
         tensored = lens_tensor(c, d)
-        want = laxator_loss(MODEL_AXIS, c, d).form(omegas[0])
+        twins = (BayesLens(l.fwd, l.bwd) for l in (c, d))
+        want = laxator_loss(MODEL_AXIS, *twins).form(omegas[0])
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("the tensored lens was built again")
 
-        monkeypatch.setattr(loss_module, "lens_tensor", refuse)
-        assert_same_form(laxator_loss(MODEL_AXIS, c, d, tensored=tensored).form(omegas[0]), want)
+        monkeypatch.setattr(lens_module, "BayesLens", refuse)
+        assert_same_form(laxator_loss(MODEL_AXIS, c, d).form(omegas[0]), want)
+        assert lens_tensor(c, d) is tensored
 
     def test_gaussian_forms_carry_no_model_axis(self):
         c = exact_lens(gs.GaussChannel([[1.0]], [0.0], [[1.0]]))
@@ -1143,9 +1148,10 @@ class TestModelAxis:
             return push(k, pi)
 
         rng = rng_for(64)
-        c, d, omegas = next(self.cases(rng, 1))
-        omega = omegas[0]
         for model in [*MODEL_AXIS, MODEL_AXIS]:
+            # a fresh pair: the tensored lens of a used one remembers its push
+            c, d, omegas = next(self.cases(rng, 1))
+            omega = omegas[0]
             defect = laxator_loss(model, c, d)
             monkeypatch.setattr(ds, "push", counting)
             pushed.clear()

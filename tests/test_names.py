@@ -21,9 +21,9 @@ Gaussian module's helpers: neither calls a ``np.linalg`` function but
 ``eigh`` at its two sites, so new code cannot go back to the wrappers.
 
 The instance (discrete or Gaussian) is picked in one place: no module
-compares against an instance name or tests for an instance type outside the
-backend selector, the suite registry and the command line's ``--instance``
-choices.
+compares against an instance name or a backend object, or tests for an
+instance type, outside the backend selector, the suite registry, the
+command line's ``--instance`` choices and the size check of a random draw.
 """
 
 import ast
@@ -121,6 +121,8 @@ def test_traced_method_is_in_its_class_dict(module, cls, method):
 # -- one dispatch point -------------------------------------------------------
 
 INSTANCE_NAMES = {"discrete", "gaussian"}
+#: the backend objects: comparing with one tests for an instance as a name does
+BACKEND_NAMES = {"DISCRETE", "GAUSSIAN"}
 INSTANCE_TYPES = {"CoparKernel", "FiniteKernel", "Dist", "GaussChannel", "GaussState", "FiniteSpace"}
 #: (module, top-level definition) where instances may be named or tested
 DISPATCH_POINTS = {
@@ -129,6 +131,8 @@ DISPATCH_POINTS = {
     ("backend.py", "_TYPES"),
     ("harness.py", "SUITE_DEFAULTS"),
     ("harness.py", "SuiteConfig"),
+    # a discrete draw over the size limit is refused before its labels are built
+    ("harness.py", "_random_channel"),
     ("cli.py", "build_parser"),
 }
 
@@ -149,7 +153,8 @@ def _names(node) -> list:
 
 def dispatch_sites(path: pathlib.Path) -> list:
     """``(top-level definition, line)`` of every comparison against an
-    instance name and every ``isinstance`` on an instance type."""
+    instance name or a backend object and every ``isinstance`` on an
+    instance type."""
     sites = []
     for top in ast.parse(path.read_text()).body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
@@ -162,7 +167,7 @@ def dispatch_sites(path: pathlib.Path) -> list:
         for node in ast.walk(top):
             if isinstance(node, ast.Compare):
                 operands = [node.left, *node.comparators]
-                if any(v in INSTANCE_NAMES for o in operands for v in _names(o)):
+                if any(v in INSTANCE_NAMES | BACKEND_NAMES for o in operands for v in _names(o)):
                     sites.append((scope, node.lineno))
             elif (
                 isinstance(node, ast.Call)
@@ -194,8 +199,10 @@ def test_dispatch_checker_sees_nested_and_class_scopes(tmp_path):
         "        return isinstance(s, GaussState) or s != 'x'\n"
         "def fine(ch):\n"
         "    return isinstance(ch, dict) and ch.get('discrete') == 1\n"
+        "def h(backend):\n"
+        "    return backend is DISCRETE or backend != be.GAUSSIAN\n"
     )
-    assert dispatch_sites(src) == [("X", 1), ("f", 5), ("f", 4), ("C", 8)]
+    assert dispatch_sites(src) == [("X", 1), ("f", 5), ("f", 4), ("C", 8), ("h", 12), ("h", 12)]
 
 
 # -- one route to LAPACK ------------------------------------------------------------

@@ -309,7 +309,7 @@ def test_laxator_rows_are_the_tensored_loss_less_the_factors_losses(case):
     # two outcomes or more
     (c, d), omegas = case
     tensored = lens_tensor(c, d)
-    several = laxator_loss(MODELS, c, d, tensored=tensored)
+    several = laxator_loss(MODELS, c, d)
     for omega in [*omegas, stack(omegas)]:
         w1, w2 = prior_marginals(omega, c.fwd, d.fwd)
         for m, row in zip(MODELS, rows(several.form(omega)), strict=True):
@@ -926,6 +926,65 @@ def test_a_copy_composed_channel_still_pickles():
             clone = lens_compose(BayesLens(second), BayesLens(first))
             assert pickled is not l.fwd and clone.fwd is not pickled
             assert same_channel(clone.fwd, l.fwd) and same_channel(clone.bwd(pi), back)
+
+
+def tensor_pairs(rng) -> list:
+    """A pair of exact lenses on each instance, and a prior on each pair's
+    joint domain."""
+    gaussian = [exact_lens(GAUSSIAN.random_channel(rng, 2, 1, 2)) for _ in range(2)]
+    c, d = discrete_stages(rng, 2)
+    return [
+        (c, d, a_prior(rng, c.fwd.dom.product(d.fwd.dom))),
+        (*gaussian, GAUSSIAN.random_state(rng, 4)),
+    ]
+
+
+def test_a_tensored_lens_is_remembered_by_the_identity_of_its_pair():
+    # as a copy-composite is: the key is which two lenses tensor, in which
+    # order, not their content; a content-equal twin and a new partner take
+    # the one slot, and a refused tensor is not kept
+    rng = np.random.default_rng(37)
+    pairs = tensor_pairs(rng)
+    for (l1, l2, omega), other in zip(pairs, (pairs[1][0], pairs[0][0])):
+        t = lens_tensor(l1, l2)
+        back, split = t.bwd(omega), t.marginals(omega)
+        again = lens_tensor(l1, l2)
+        assert again is t and again.bwd(copied(omega)) is back and again.marginals(copied(omega)) is split
+        flipped = lens_tensor(l2, l1)
+        assert flipped is not t and lens_tensor(l1, l2) is t and lens_tensor(l2, l1) is flipped
+        twin = lens_tensor(dataclasses.replace(l1), l2)
+        assert twin is not t and same_channel(twin.fwd, t.fwd) and same_channel(twin.bwd(omega), back)
+        moved = lens_tensor(l1, l2)
+        assert moved is not t and same_channel(moved.fwd, t.fwd)
+        assert raised(lens_tensor, l1, other) == raised(lens_tensor, l1, other)
+        assert lens_tensor(l1, l2) is moved
+        partner = lens_tensor(l1, l1)
+        assert partner is not moved and lens_tensor(l1, l1) is partner and lens_tensor(l1, l2) is not moved
+        # a lens pickles through its fields, leaving its tensors behind
+        clone = pickle.loads(pickle.dumps(l1))
+        assert clone.exact and same_channel(lens_tensor(clone, l2).fwd, lens_tensor(l1, l2).fwd)
+
+
+def tensored_and_read(rng) -> list:
+    """Weak references to a pair of exact lenses on each instance, to their
+    tensored lens, its forward and what it remembers once read."""
+    kept = []
+    for l1, l2, omega in tensor_pairs(rng):
+        t = lens_tensor(l1, l2)
+        laxator_loss(MODELS if hasattr(omega, "mass") else LossModel.LFE, l1, l2).form(omega)
+        assert lens_tensor(l1, l2) is t
+        kept += [l1, l2, t, t.fwd, t.bwd(omega), t.marginals(omega)[0]]
+    return [weakref.ref(obj) for obj in kept]
+
+
+def test_tensored_lenses_and_their_pairs_are_freed_without_the_cyclic_collector():
+    # each lens of a pair keeps the tensored lens, which refers to neither
+    gc.disable()
+    try:
+        refs = tensored_and_read(np.random.default_rng(41))
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("model", [LossModel.KL, LossModel.FE, MODELS], ids=["kl", "fe", "models"])
