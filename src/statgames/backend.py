@@ -9,6 +9,10 @@ else (a subclass, ``bool``, a numpy integer) by an ``isinstance`` scan; it
 remembers no refusal.  Backends reach the instance modules through their
 attributes at call time (``ds.push``, ``gs.g_invert``) and keep no function
 objects, so a wrapper installed on a module attribute sees every call.
+
+Each backend object also carries its instance's half of the loss models as
+``models``.  The ``loss`` module sets it once, right after it defines the
+two halves, so this module imports no loss code and no import cycle forms.
 """
 
 from __future__ import annotations
@@ -351,12 +355,8 @@ class Gaussian:
 
     def parse_channel(self, obj):
         A, b, noise = (_numbers(obj, key) for key in ("A", "b", "noise"))
-        copar_dim = obj.get("copar_dim", 0)
-        if not isinstance(copar_dim, int) or isinstance(copar_dim, bool):
-            raise ModelParseError(
-                f"field 'copar_dim' must be an integer, not {copar_dim!r}"
-            )
-        side = obj.get("copar_side", "left")
+        # both checked by the constructor
+        copar_dim, side = obj.get("copar_dim", 0), obj.get("copar_side", "left")
         return _built(gs.GaussChannel, A, b, noise, copar_dim=copar_dim, copar_side=side)
 
     def parse_state(self, obj):

@@ -16,6 +16,7 @@ an output location that cannot be written included.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -210,8 +211,6 @@ def cmd_demo(args) -> int:
             raise ShapeError(f"{flag} must be >= 0, not {value}")
     if not (math.isfinite(args.lr) and args.lr >= 0):
         raise ShapeError(f"--lr must be a finite number >= 0, not {args.lr}")
-    if args.out is not None:
-        _check_writable(args.out)
     prior = gs.GaussState([0.0], [[1.0]])
     y = np.array([DEMO_OBSERVATION])
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
@@ -229,12 +228,17 @@ def cmd_demo(args) -> int:
         fe = kl + neg_log_evidence
         return float(fe[0]), float(kl[0]), (fe[1::2] - fe[2::2]) / (2 * DEMO_FD_STEP)
 
-    rows = []
+    # opened before the first step: a location that cannot be written costs no descent
+    sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
     # a step too long overflows; its objective is then +inf or NaN, which
     # is a rise like any other, so the overflow is expected and silent
-    with np.errstate(over="ignore", invalid="ignore"):
+    with sink as out, np.errstate(over="ignore", invalid="ignore"):
+        def write(step, *vals):  # one row, written as it is accepted
+            out.write(str(step) + "," + ",".join(repr(float(v)) for v in vals) + "\n")
+
+        out.write("step,fe,kl_term,mle_term,gain,offset,logvar\n")
         fe, kl, grad = probed(params)
-        rows.append((0, fe, kl, neg_log_evidence, *params))
+        write(0, fe, kl, neg_log_evidence, *params)
         for step in range(1, args.steps + 1):
             candidate = params - args.lr * grad
             cand_fe, cand_kl, cand_grad = probed(candidate)
@@ -246,32 +250,17 @@ def cmd_demo(args) -> int:
                     f"last state step={step - 1} fe={fe!r} params={params.tolist()!r}",
                     file=sys.stderr,
                 )
-                _write_demo_csv(args.out, rows)
                 return 1
             # the accepted candidate's probes give the next gradient
             params, fe, kl, grad = candidate, cand_fe, cand_kl, cand_grad
-            rows.append((step, fe, kl, neg_log_evidence, *params))
+            write(step, fe, kl, neg_log_evidence, *params)
 
-    _write_demo_csv(args.out, rows)
     print(
         f"final fe={fe!r} kl_term={kl!r} mle_term={neg_log_evidence!r} "
         f"neg_log_evidence={neg_log_evidence!r}",
         file=sys.stderr,
     )
     return 0
-
-
-def _write_demo_csv(path, rows) -> None:
-    lines = ["step,fe,kl_term,mle_term,gain,offset,logvar"]
-    for row in rows:
-        step, *vals = row
-        lines.append(str(step) + "," + ",".join(repr(float(v)) for v in vals))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 # ---------------------------------------------------------------------------

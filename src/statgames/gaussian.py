@@ -32,6 +32,7 @@ function of that name calls, as it does but without its input checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -214,7 +215,8 @@ class GaussState:
 class GaussChannel:
     """The affine-Gaussian channel ``x -> N(A x + b, noise)``.
 
-    ``copar_dim`` marks the size of the retained block of the codomain;
+    ``copar_dim``, an integer from 0 to the codomain's dimension (a numpy
+    integer too, ``bool`` not), marks the size of its retained block;
     ``copar_side`` says whether it leads ("left", forward channels) or
     trails ("right", inversions).
     """
@@ -235,8 +237,12 @@ class GaussChannel:
             raise ShapeError("A, b, noise dimensions are inconsistent")
         if self.copar_side not in ("left", "right"):
             raise ShapeError(f"bad copar_side {self.copar_side!r}")
-        if not 0 <= self.copar_dim <= A.shape[0]:
-            raise ShapeError("copar_dim exceeds codomain dimension")
+        c = self.copar_dim  # an exact-type test first: ``isinstance`` on an ABC is slow
+        if type(c) is not int and (isinstance(c, bool) or not isinstance(c, numbers.Integral)):
+            raise ShapeError(f"copar_dim must be an integer, not {c!r}")
+        if not 0 <= c <= A.shape[0]:
+            why = f"must be >= 0, not {c}" if c < 0 else "exceeds codomain dimension"
+            raise ShapeError(f"copar_dim {why}")
         A.setflags(write=False)
         b.setflags(write=False)
 

@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -93,6 +94,12 @@ class SuiteConfig:
         for key, default in rows[self.instance].items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, default)
+        # kept as a plain ``int`` or ``float``, which a report writes as a JSON number
+        for key in ("trials", "seed", "max_dim", "tolerance"):
+            value, real = getattr(self, key), key == "tolerance"
+            if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Integral):
+                raise ShapeError(f"{key} must be {'a real number' if real else 'an integer'}, not {value!r}")
+            object.__setattr__(self, key, float(value) if real else int(value))
         if self.trials < 1:
             raise ShapeError("trials must be >= 1")
         if self.seed < 0:

@@ -32,10 +32,10 @@ its observations) or a ``QuadForm`` (a Gaussian loss, a quadratic
 ``average`` under a backward channel, so ``loss_compose`` is written once, in closed
 form: a matrix-vector product for vectors, the Gaussian expectation of a
 quadratic for quadratics.  The MLE model and the laxators are written once
-over forms; each instance's half of the models, picked once through the
-lens's backend, supplies the KL, Laplace and joint free-energy forms and
-the primitives they use (``nll``, the negative log-density of a state as a
-form).
+over forms; each instance's half of the models, the ``models`` attribute of
+its backend object (set here, below the two halves), supplies the KL,
+Laplace and joint free-energy forms and the primitives they use (``nll``,
+the negative log-density of a state as a form).
 
 Every lens remembers its backward channel at its last prior, every forward
 its exact inversion there (``BayesLens.inverse``), and every channel its
@@ -234,7 +234,7 @@ class LossFn:
         ``SupportError`` or ``SingularityError`` its form raises or leaves
         undefined there; a loss of several models gives one such list per
         model.  It reads ``form`` and never calls ``fn``."""
-        return _models(self.obs_dom).at_probes(self.form, self.obs_dom, list(probes))
+        return backend_of(self.obs_dom).models.at_probes(self.form, self.obs_dom, list(probes))
 
     def reindex(self, ch) -> "LossFn":
         """Pre-compose the prior argument with a forward channel."""
@@ -246,7 +246,7 @@ def _one_probe(form, obs_dom):
     error.  A closure over the form, not a method of the loss, so that a
     loss holds no reference to itself and is freed, with any inversion its
     lens remembers, as soon as it is dropped."""
-    at_probes = _models(obs_dom).at_probes
+    at_probes = backend_of(obs_dom).models.at_probes
 
     def fn(pi, y):
         out = at_probes(form, obs_dom, [(pi, y)])
@@ -270,7 +270,7 @@ def _loss_sum(a: LossFn, b: LossFn) -> LossFn:
 
 def zero_loss(l: BayesLens) -> LossFn:
     prior_dom, obs_dom = l.backend.doms(l.fwd)
-    return LossFn(prior_dom, obs_dom, _models(obs_dom).zero(obs_dom))
+    return LossFn(prior_dom, obs_dom, l.backend.models.zero(obs_dom))
 
 
 def _half_square(chol, M, r) -> QuadForm:
@@ -288,7 +288,7 @@ def _half_square(chol, M, r) -> QuadForm:
 
 def kl_loss(l: BayesLens) -> LossFn:
     """Divergence from the lens's posterior to the exact posterior."""
-    return LossFn(*l.backend.doms(l.fwd), _models(l.fwd).kl(l))
+    return LossFn(*l.backend.doms(l.fwd), l.backend.models.kl(l))
 
 
 def mle_loss(l: BayesLens) -> LossFn:
@@ -296,7 +296,7 @@ def mle_loss(l: BayesLens) -> LossFn:
 
     Zero-probability observations give ``+inf`` (a value, not an error).
     """
-    nll, onto = _models(l.fwd).nll, prior_pushforward(l.fwd)
+    nll, onto = l.backend.models.nll, prior_pushforward(l.fwd)
     return LossFn(*l.backend.doms(l.fwd), lambda pi, sel=ALL: nll(onto(pi), sel))
 
 
@@ -310,19 +310,19 @@ def fe_joint_form(l: BayesLens) -> LossFn:
     divergence of the posterior from (prior tensor flat), minus the expected
     joint log-density.  Agrees with ``fe_loss`` wherever both are finite,
     and shares none of its arithmetic."""
-    return LossFn(*l.backend.doms(l.fwd), _models(l.fwd).fe_joint(l))
+    return LossFn(*l.backend.doms(l.fwd), l.backend.models.fe_joint(l))
 
 
 def energy_entropy_decomp(l: BayesLens, pi, y) -> tuple[float, float]:
     """(expected energy, posterior entropy) whose difference is the free
     energy: the thermodynamic split."""
-    return _models(pi).energy_entropy(l, pi, y)
+    return backend_of(pi).models.energy_entropy(l, pi, y)
 
 
 def lfe_loss(l: BayesLens) -> LossFn:
     """Laplacian free energy: energy at the posterior mean minus posterior
     entropy.  Gaussian lenses only."""
-    return LossFn(*l.backend.doms(l.fwd), _models(l.fwd).lfe(l))
+    return LossFn(*l.backend.doms(l.fwd), l.backend.models.lfe(l))
 
 
 def laplace_sigma(l: BayesLens, pi, y) -> np.ndarray:
@@ -331,7 +331,7 @@ def laplace_sigma(l: BayesLens, pi, y) -> np.ndarray:
     For affine-Gaussian models the Hessian is constant and this equals the
     exact posterior covariance, which is what makes the Laplace model exact
     there."""
-    return _models(l.fwd).laplace_sigma(l, pi)
+    return l.backend.models.laplace_sigma(l, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ def loss_for(model, l: BayesLens) -> LossFn:
             LossModel.LFE: lfe_loss,
         }[model]
         return builder(l)
-    stack = _models(l.fwd).stacker(model)  # a Gaussian tuple raises ``InstanceError``
+    stack = l.backend.models.stacker(model)  # a Gaussian tuple raises ``InstanceError``
     with_fe = LossModel.FE in model
     needed = set(model) - {LossModel.FE} | ({LossModel.KL, LossModel.MLE} if with_fe else set())
     forms = {m: loss_for(m, l).form for m in needed}
@@ -419,7 +419,8 @@ def laxator_loss(model, c: BayesLens, d: BayesLens) -> LossFn:
     ``omega`` through the tensored forward at most once.
     """
     tensored = lens_tensor(c, d)
-    backend, models, split = tensored.backend, _models(tensored.fwd), tensored.marginals
+    backend, split = tensored.backend, tensored.marginals
+    models = backend.models
     onto = prior_pushforward(tensored.fwd)
     chosen = (model,) if isinstance(model, LossModel) else model
     pick = (lambda terms: terms[model]) if isinstance(model, LossModel) else models.stacker(model)
@@ -430,16 +431,14 @@ def laxator_loss(model, c: BayesLens, d: BayesLens) -> LossFn:
 
     def form(omega, sel=ALL):
         prod = backend.tensor_state(*split(omega))
-        pushed = onto(omega) if with_mle else None
         terms = {}
         if with_fe:
             log_ratio = models.nll(omega) - models.nll(prod)
             posterior = back(discarded(tensored.bwd(omega)))
-            evidence = (lambda: pushed) if with_mle else (lambda: onto(omega))
-            fe_term = models.where_possible(log_ratio.average(posterior, sel), evidence, sel)
+            fe_term = models.where_possible(log_ratio.average(posterior, sel), onto, omega, sel)
             terms[LossModel.FE] = terms[LossModel.LFE] = fe_term
-        if with_mle:
-            terms[LossModel.MLE] = models.nll(pushed, sel) - models.nll(onto(prod), sel)
+        if with_mle:  # ``onto`` remembers ``omega``'s push from the FE term
+            terms[LossModel.MLE] = models.nll(onto(omega), sel) - models.nll(onto(prod), sel)
         if with_fe and with_mle:
             terms[LossModel.KL] = terms[LossModel.FE] - terms[LossModel.MLE]
         return pick(terms)
@@ -513,11 +512,11 @@ class _DiscreteModels:
         mass = _pick(state.mass, sel)
         return VecForm(np.zeros(mass.shape), mass > 0)
 
-    def where_possible(self, form, pushed, sel=ALL):
+    def where_possible(self, form, onto, prior, sel=ALL):
         """``form``, left undefined at the observations of zero evidence
-        under the pushforward ``pushed()``: a backward channel's rows there
-        are no posterior."""
-        return form + self.support(pushed(), sel)
+        under the pushforward ``onto(prior)``: a backward channel's rows
+        there are no posterior."""
+        return form + self.support(onto(prior), sel)
 
     def kl(self, l):
         onto = prior_pushforward(l.fwd)  # defined where the pushforward has mass
@@ -604,7 +603,7 @@ class _GaussianModels:
     def stacker(self, models):
         raise InstanceError("only discrete forms carry a model axis")
 
-    def where_possible(self, form, pushed, sel=ALL):
+    def where_possible(self, form, onto, prior, sel=ALL):
         return form  # a Gaussian pushforward has positive density everywhere
 
     def kl(self, l):
@@ -713,6 +712,9 @@ class _GaussianModels:
         return gs.gauss_expect_quadratic(val, hess, state.cov), gs.g_entropy(state)
 
 
+DISCRETE.models, GAUSSIAN.models = _DiscreteModels(), _GaussianModels()
+
+
 def _energy_residual_map(fwd) -> np.ndarray:
     """The matrix ``w`` with ``(m, y) - (A x + b) = w @ z + (0, y) - b`` for
     ``z = (x, m)``."""
@@ -733,12 +735,3 @@ def _gauss_energy_hessian(fwd, pi) -> np.ndarray:
     hess = w.T @ lam_c @ w
     hess[:dx, :dx] += lam_pi
     return hess
-
-
-_MODELS = {DISCRETE: _DiscreteModels(), GAUSSIAN: _GaussianModels()}
-
-
-def _models(obj):
-    """The loss models on the instance ``obj`` (a channel, a state, or a
-    space) lives in."""
-    return _MODELS[backend_of(obj)]

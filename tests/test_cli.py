@@ -1,6 +1,7 @@
 """Tests for the command-line interface, invoked in-process."""
 
 import argparse
+import io
 import json
 import math
 import tracemalloc
@@ -259,11 +260,12 @@ class TestOutputPaths:
         assert str(path) in one_error_line(capsys.readouterr())
 
     def test_a_failed_write_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
-        # a location that passed the check but fails when written
-        def refuse(path, rows):
-            raise PermissionError(13, "Permission denied", path)
+        # a location that opens but fails when written
+        class Refusing(io.StringIO):
+            def write(self, text):
+                raise PermissionError(13, "Permission denied", "d.csv")
 
-        monkeypatch.setattr(cli, "_write_demo_csv", refuse)
+        monkeypatch.setattr(cli, "open", lambda path, mode: Refusing(), raising=False)
         rc = main(["demo", "--steps", "3", "--out", str(tmp_path / "d.csv")])
         assert rc == 2
         assert "Permission denied" in one_error_line(capsys.readouterr())
@@ -639,6 +641,19 @@ class TestDemo:
         assert len(lines) == 1 and lines[0].startswith("diverged: ")
         assert len(out.read_text().splitlines()) == 2
 
+    def test_each_row_is_written_as_it_is_accepted(self, capsys, monkeypatch):
+        # the descent holds no trajectory: before each probe of a step, the
+        # header and every row accepted so far are already on stdout
+        seen, demo_kl = [], cli._demo_kl
+
+        def counted(*args):
+            seen.append(len(capsys.readouterr().out.splitlines()))
+            return demo_kl(*args)
+
+        monkeypatch.setattr(cli, "_demo_kl", counted)
+        assert main(["demo", "--steps", "5"]) == 0
+        assert seen == [1, 1, 1, 1, 1, 1]
+
     def test_deterministic_per_seed(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["demo", "--steps", "50", "--seed", "9", "--out", str(a)])
@@ -784,7 +799,11 @@ class TestInspect:
 
     @pytest.mark.parametrize(
         "obj",
-        [dict(KERNEL, rows=[[0.5, 0.5], [1.0]]), {"A": [[1.0]], "b": [0.0], "noise": [[1.0]], "copar_dim": "x"}],
+        [
+            dict(KERNEL, rows=[[0.5, 0.5], [1.0]]),
+            {"A": [[1.0]], "b": [0.0], "noise": [[1.0]], "copar_dim": "x"},
+            {"A": [[1.0]], "b": [0.0], "noise": [[1.0]], "copar_dim": 0.5},
+        ],
     )
     def test_malformed_numbers_exit_2(self, tmp_path, capsys, obj):
         model = write(tmp_path, "k.json", obj)

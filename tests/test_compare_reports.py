@@ -1,13 +1,17 @@
 """Tests for the comparison ``tools/compare_reports.py`` makes of two
-``verify`` runs, on hand-made report directories; nothing here exports a
-revision or starts a process."""
+``verify`` runs, on hand-made report directories, and of the commands it
+runs; nothing here exports a revision or starts a process."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import pathlib
 import subprocess
 
 import pytest
+
+from statgames import cli
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "compare_reports.py"
 
@@ -97,7 +101,8 @@ def test_each_seed_compares_both_certifications_and_the_demo(compare_reports, tm
         "verify-gaussian": ["verify", "--suite", "all", "--seed", "{}", "--instance", "gaussian"],
         "demo": ["demo", "--seed", "{}", "--out", "demo.csv"],
     }
-    assert calls == [
+    # the runs on the fixed models are checked by the test below
+    assert [call for call in calls if call[2][1] != "models"] == [
         (side, [a.format(seed) for a in args], (side, seed, name))
         for seed in ("0", "42")
         for name, args in commands.items()
@@ -110,4 +115,57 @@ def test_each_seed_compares_both_certifications_and_the_demo(compare_reports, tm
         "seed 42 verify: no difference",
         "seed 42 verify-gaussian: no difference",
         "seed 42 demo: demo.csv differs",
-    ]
+    ] + [f"models {name}: no difference" for name in MODEL_RUNS]
+
+
+#: the runs on the fixed models, in order, and the fields of each
+#: ``eval-loss --json`` output
+MODEL_RUNS = {
+    "eval-loss-discrete-kl": {"loss"},
+    "eval-loss-discrete-mle": {"loss"},
+    "eval-loss-discrete-fe": {"loss", "energy", "entropy"},
+    "inspect-discrete-lens": None,
+    "inspect-discrete-prior": None,
+    "eval-loss-gaussian-kl": {"loss"},
+    "eval-loss-gaussian-mle": {"loss"},
+    "eval-loss-gaussian-fe": {"loss", "energy", "entropy"},
+    "eval-loss-gaussian-lfe": {"loss", "energy", "entropy"},
+    "inspect-gaussian-lens": None,
+    "inspect-gaussian-prior": None,
+}
+
+
+def test_the_fixed_models_are_compared_once_per_revision(compare_reports, tmp_path, monkeypatch, capsys):
+    # the commands on the fixed models run in process here, at this revision:
+    # once per revision whatever the seeds, each exiting 0, and a loss that
+    # moves at one revision fails the comparison
+    workdir, runs = tmp_path / "work", []
+
+    def fake_run(root, args, report_dir):
+        side, (key, name) = pathlib.Path(root).name, pathlib.Path(report_dir).parts[-2:]
+        if key != "models":
+            return 0, []
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(args)
+        runs.append((side, name, rc, out.getvalue()))
+        if side == "change" and name == "eval-loss-gaussian-lfe":
+            return rc, [out.getvalue().replace('"loss": ', '"loss": 1')]
+        return rc, out.getvalue().splitlines()
+
+    monkeypatch.setattr(compare_reports, "export", lambda rev, dest: None)
+    monkeypatch.setattr(compare_reports, "run", fake_run)
+    argv = ["--parent", "p", "--change", "c", "--workdir", str(workdir), "--seeds", "0", "42"]
+    assert compare_reports.main(argv) == 1
+    assert [run[:3] for run in runs] == [(side, name, 0) for name in MODEL_RUNS for side in ("parent", "change")]
+    for _, name, _, text in runs:
+        fields = MODEL_RUNS[name]
+        if fields is None:
+            assert text.split("\n")[0] in ("lens bundle", "discrete state", "gaussian state")
+        else:
+            assert set(json.loads(text)) == fields
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("models ")]
+    assert [line.split(": ")[0] for line in lines] == [f"models {name}" for name in MODEL_RUNS]
+    for name, line in zip(MODEL_RUNS, lines):
+        moved = name == "eval-loss-gaussian-lfe"
+        assert line.startswith(f"models {name}: summary line 1: ") if moved else line.endswith("no difference")

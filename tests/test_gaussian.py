@@ -312,6 +312,25 @@ class TestStateValidation:
         with pytest.raises(ShapeError, match=f"{field} must hold finite numbers"):
             GaussChannel(A, b, noise)
 
+    @pytest.mark.parametrize(
+        "copar_dim, words",
+        [
+            (1.0, "copar_dim must be an integer, not 1.0"),
+            (0.5, "copar_dim must be an integer, not 0.5"),
+            (True, "copar_dim must be an integer, not True"),
+            ("x", "copar_dim must be an integer, not 'x'"),
+            (-1, "copar_dim must be >= 0, not -1"),
+        ],
+    )
+    def test_copar_dim_is_an_integer_in_the_codomain(self, copar_dim, words):
+        with pytest.raises(ShapeError) as caught:
+            GaussChannel(np.eye(2), np.zeros(2), np.eye(2), copar_dim=copar_dim)
+        assert str(caught.value) == words
+
+    def test_a_numpy_integer_copar_dim_is_accepted(self):
+        ch = GaussChannel(np.eye(2), np.zeros(2), np.eye(2), copar_dim=np.int64(1))
+        assert (ch.copar_dim, ch.out_dim) == (1, 1)
+
 
 class TestTensor:
     def test_tensor_groups_blocks(self):

@@ -156,6 +156,29 @@ class TestSuiteConfig:
         if instance == next(iter(SUITE_DEFAULTS[name])):
             assert SuiteConfig(name) == cfg
 
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("trials", 2.5, "an integer"),
+            ("trials", True, "an integer"),
+            ("seed", 1.0, "an integer"),
+            ("seed", "0", "an integer"),
+            ("max_dim", 3.5, "an integer"),
+            ("max_dim", False, "an integer"),
+            ("tolerance", "1e-9", "a real number"),
+            ("tolerance", True, "a real number"),
+        ],
+    )
+    def test_a_setting_of_the_wrong_type_is_refused(self, key, value, kind):
+        with pytest.raises(ShapeError) as caught:
+            SuiteConfig("buco", **{key: value})
+        assert str(caught.value) == f"{key} must be {kind}, not {value!r}"
+
+    def test_numpy_numbers_are_reported_as_json_numbers(self):
+        cfg = SuiteConfig("buco", trials=np.int64(2), seed=np.uint8(3), tolerance=np.float32(0.5))
+        config = json.loads(run_suite(cfg).to_json())["config"]
+        assert (config["trials"], config["seed"], config["tolerance"]) == (2, 3, 0.5)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ShapeError, match="seed"):
             SuiteConfig(suite="buco", seed=-1)

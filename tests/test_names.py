@@ -20,10 +20,11 @@ The Gaussian module and the loss models reach LAPACK one way, through the
 Gaussian module's helpers: neither calls a ``np.linalg`` function but
 ``eigh`` at its two sites, so new code cannot go back to the wrappers.
 
-The instance (discrete or Gaussian) is picked in one place: no module
-compares against an instance name or a backend object, or tests for an
-instance type, outside the backend selector, the suite registry, the
-command line's ``--instance`` choices and the size check of a random draw.
+The instance (discrete or Gaussian) is picked in one place, by
+``backend_of`` from its table of types: no module compares against an
+instance name or a backend object, tests for an instance type, or builds a
+dict keyed by a backend object (a second instance table), outside the size
+check of a random draw.
 """
 
 import ast
@@ -126,14 +127,8 @@ BACKEND_NAMES = {"DISCRETE", "GAUSSIAN"}
 INSTANCE_TYPES = {"CoparKernel", "FiniteKernel", "Dist", "GaussChannel", "GaussState", "FiniteSpace"}
 #: (module, top-level definition) where instances may be named or tested
 DISPATCH_POINTS = {
-    ("backend.py", "backend_of"),
-    ("backend.py", "_select"),
-    ("backend.py", "_TYPES"),
-    ("harness.py", "SUITE_DEFAULTS"),
-    ("harness.py", "SuiteConfig"),
     # a discrete draw over the size limit is refused before its labels are built
     ("harness.py", "_random_channel"),
-    ("cli.py", "build_parser"),
 }
 
 
@@ -153,8 +148,8 @@ def _names(node) -> list:
 
 def dispatch_sites(path: pathlib.Path) -> list:
     """``(top-level definition, line)`` of every comparison against an
-    instance name or a backend object and every ``isinstance`` on an
-    instance type."""
+    instance name or a backend object, every ``isinstance`` on an instance
+    type and every dict display with a backend object as a key."""
     sites = []
     for top in ast.parse(path.read_text()).body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
@@ -175,6 +170,10 @@ def dispatch_sites(path: pathlib.Path) -> list:
                 and node.func.id == "isinstance"
                 and len(node.args) == 2
                 and INSTANCE_TYPES & set(_names(node.args[1]))
+            ):
+                sites.append((scope, node.lineno))
+            elif isinstance(node, ast.Dict) and any(
+                BACKEND_NAMES & set(_names(k)) for k in node.keys if k is not None
             ):
                 sites.append((scope, node.lineno))
     return sites
@@ -201,8 +200,13 @@ def test_dispatch_checker_sees_nested_and_class_scopes(tmp_path):
         "    return isinstance(ch, dict) and ch.get('discrete') == 1\n"
         "def h(backend):\n"
         "    return backend is DISCRETE or backend != be.GAUSSIAN\n"
+        "MODELS = {DISCRETE: 1, be.GAUSSIAN: 2}\n"
+        "def k(models):\n"
+        "    return {**models, 'discrete': GAUSSIAN}, {GAUSSIAN: models}\n"
     )
-    assert dispatch_sites(src) == [("X", 1), ("f", 5), ("f", 4), ("C", 8), ("h", 12), ("h", 12)]
+    assert dispatch_sites(src) == [
+        ("X", 1), ("f", 5), ("f", 4), ("C", 8), ("h", 12), ("h", 12), ("MODELS", 13), ("k", 15)
+    ]
 
 
 # -- one route to LAPACK ------------------------------------------------------------

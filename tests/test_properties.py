@@ -565,7 +565,7 @@ def test_a_channel_remembers_its_gaussian_pushforward(case):
 @given(gauss_cases())
 def test_a_state_remembers_its_cholesky_factor(case):
     _, prior = case
-    nll = loss_module._models(prior).nll
+    nll = loss_module.backend_of(prior).models.nll
     p = gs.GaussState(prior.mean + 1.0, 2.0 * prior.cov)
     reads = [
         gs.g_entropy,
@@ -1092,7 +1092,7 @@ def test_an_unpickled_value_is_read_only():
         exact_lens(ch).bwd(pi)
         pushed = prior_pushforward(ch)(pi)
         if hasattr(pi, "cov"):
-            loss_module._models(pi).nll(pushed)
+            loss_module.backend_of(pi).models.nll(pushed)
             gs.g_entropy(pi)
             assert getattr(pushed, "_nll", None) is not None
         stack = (
@@ -1115,7 +1115,8 @@ def test_an_unpickled_value_is_read_only():
         assert clones[7] == labels and clones[7].size == 2
         assert same_state(prior_pushforward(clones[0])(clones[2]), pushed)
         if hasattr(pi, "cov"):
-            form, fresh = loss_module._models(pi).nll(clones[3]), loss_module._models(pi).nll(pushed)
+            nll = loss_module.backend_of(pi).models.nll
+            form, fresh = nll(clones[3]), nll(pushed)
             assert [np.asarray(x).tobytes() for x in form] == [np.asarray(x).tobytes() for x in fresh]
 
 

@@ -1,4 +1,4 @@
-"""Compare what ``statgames verify`` and ``statgames demo`` write at two revisions.
+"""Compare what ``statgames verify``, ``demo``, ``eval-loss`` and ``inspect`` write at two revisions.
 
 Usage (from the root of a git checkout)::
 
@@ -14,8 +14,17 @@ statgames.cli verify --suite all --seed <seed>``, the same with
 demo its trajectory, ``demo.csv``) there.  Every CSV report that is not
 byte-identical, every JSON report that is unequal once its ``wall_time_s``
 is removed, every summary line that is unequal once its ``time=`` field is
-removed, and a differing exit code is printed.  The exit code is 1 if
-anything differs, 0 otherwise.
+removed, and a differing exit code is printed.
+
+Once per revision, not per seed, each copy also reads the fixed models of
+``MODELS``, which are written into ``<workdir>/models``: a discrete lens
+bundle with a coparameter, a Gaussian one with ``copar_dim`` 1 (each with a
+tabulated, not exact, backward channel) and a prior for each.  It runs
+``eval-loss --json`` on each for every loss model its instance supports
+(with ``--decompose`` for ``fe`` and ``lfe``) and ``inspect`` on every
+file, in ``<workdir>/reports/<side>/models/<command>``, and their outputs
+are compared as above.  The exit code is 1 if anything differs, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -41,6 +50,70 @@ def commands(seed: int) -> dict:
         "verify-gaussian": [*verify, "--instance", "gaussian"],
         "demo": ["demo", "--seed", str(seed), "--out", "demo.csv"],
     }
+
+
+#: per instance: a lens bundle, a prior, an observation and the loss models
+#: ``eval-loss`` reads them with
+MODELS = {
+    "discrete": (
+        {
+            "fwd": {
+                "dom": ["x0", "x1"],
+                "copar": ["m0", "m1"],
+                "cod": ["y0", "y1", "y2"],
+                "rows": [[0.1, 0.2, 0.1, 0.2, 0.3, 0.1], [0.05, 0.15, 0.3, 0.25, 0.1, 0.15]],
+            },
+            "bwd": [
+                {
+                    "prior": {"space": ["x0", "x1"], "mass": [0.25, 0.75]},
+                    "channel": {
+                        "dom": ["y0", "y1", "y2"],
+                        "copar": ["m0", "m1"],
+                        "cod": ["x0", "x1"],
+                        "rows": [[0.25, 0.25, 0.25, 0.25], [0.1, 0.4, 0.3, 0.2], [0.4, 0.1, 0.2, 0.3]],
+                    },
+                }
+            ],
+        },
+        {"space": ["x0", "x1"], "mass": [0.25, 0.75]},
+        "y1",
+        ("kl", "mle", "fe"),
+    ),
+    "gaussian": (
+        {
+            "fwd": {"A": [[1.0], [0.5]], "b": [0.0, 0.25], "noise": [[1.0, 0.2], [0.2, 0.5]], "copar_dim": 1},
+            "bwd": [
+                {
+                    "prior": {"mean": [0.5], "cov": [[2.0]]},
+                    "channel": {"A": [[0.4], [0.3]], "b": [0.1, -0.2], "noise": [[0.5, 0.1], [0.1, 0.4]], "copar_dim": 1},
+                }
+            ],
+        },
+        {"mean": [0.5], "cov": [[2.0]]},
+        "0.75",
+        ("kl", "mle", "fe", "lfe"),
+    ),
+}
+
+
+def model_commands(folder: str) -> dict:
+    """Write the files of ``MODELS`` into the new directory ``folder``: the
+    commands compared on them, by name."""
+    os.makedirs(folder)
+    out = {}
+    for instance, (lens, prior, obs, losses) in MODELS.items():
+        paths = {}
+        for kind, obj in (("lens", lens), ("prior", prior)):
+            paths[kind] = os.path.abspath(os.path.join(folder, f"{instance}-{kind}.json"))
+            with open(paths[kind], "w") as fh:
+                json.dump(obj, fh, indent=1)
+        for loss in losses:
+            args = ["eval-loss", "--model", paths["lens"], "--prior", paths["prior"]]
+            args += ["--loss", loss, "--obs", obs, "--json"]
+            out[f"eval-loss-{instance}-{loss}"] = args + ["--decompose"] * (loss in ("fe", "lfe"))
+        for kind, path in paths.items():
+            out[f"inspect-{instance}-{kind}"] = ["inspect", "--model", path]
+    return out
 
 
 def run(root: str, args: list, report_dir: str) -> tuple[int, list]:
@@ -107,16 +180,18 @@ def main(argv=None) -> int:
     roots = {side: os.path.join(args.workdir, side) for side in SIDES}
     for side, rev in zip(SIDES, (args.parent, args.change)):
         export(rev, roots[side])
+    batches = [(f"seed {seed}", str(seed), commands(seed)) for seed in args.seeds]
+    batches.append(("models", "models", model_commands(os.path.join(args.workdir, "models"))))
     found = 0
-    for seed in args.seeds:
-        for name, command in commands(seed).items():
+    for label, key, batch in batches:
+        for name, command in batch.items():
             runs = []
             for side in SIDES:
-                folder = os.path.join(args.workdir, "reports", side, str(seed), name)
+                folder = os.path.join(args.workdir, "reports", side, key, name)
                 runs.append((*run(roots[side], command, folder), folder))
             diffs = differences(*runs)
             for line in diffs or ["no difference"]:
-                print(f"seed {seed} {name}: {line}", flush=True)
+                print(f"{label} {name}: {line}", flush=True)
             found += len(diffs)
     return 1 if found else 0
 
