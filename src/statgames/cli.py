@@ -233,12 +233,12 @@ def cmd_demo(args) -> int:
     # a step too long overflows; its objective is then +inf or NaN, which
     # is a rise like any other, so the overflow is expected and silent
     with sink as out, np.errstate(over="ignore", invalid="ignore"):
-        def write(step, *vals):  # one row, written as it is accepted
-            out.write(str(step) + "," + ",".join(repr(float(v)) for v in vals) + "\n")
+        def write(step, *vals):  # one row of Python floats, written as it is accepted
+            out.write(f"{step}," + ",".join(map(repr, vals)) + "\n")
 
         out.write("step,fe,kl_term,mle_term,gain,offset,logvar\n")
         fe, kl, grad = probed(params)
-        write(0, fe, kl, neg_log_evidence, *params)
+        write(0, fe, kl, neg_log_evidence, *params.tolist())
         for step in range(1, args.steps + 1):
             candidate = params - args.lr * grad
             cand_fe, cand_kl, cand_grad = probed(candidate)
@@ -253,7 +253,7 @@ def cmd_demo(args) -> int:
                 return 1
             # the accepted candidate's probes give the next gradient
             params, fe, kl, grad = candidate, cand_fe, cand_kl, cand_grad
-            write(step, fe, kl, neg_log_evidence, *params)
+            write(step, fe, kl, neg_log_evidence, *params.tolist())
 
     print(
         f"final fe={fe!r} kl_term={kl!r} mle_term={neg_log_evidence!r} "

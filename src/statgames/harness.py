@@ -94,12 +94,14 @@ class SuiteConfig:
         for key, default in rows[self.instance].items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, default)
-        # kept as a plain ``int`` or ``float``, which a report writes as a JSON number
         for key in ("trials", "seed", "max_dim", "tolerance"):
             value, real = getattr(self, key), key == "tolerance"
             if isinstance(value, bool) or not isinstance(value, numbers.Real if real else numbers.Integral):
                 raise ShapeError(f"{key} must be {'a real number' if real else 'an integer'}, not {value!r}")
-            object.__setattr__(self, key, float(value) if real else int(value))
+            try:  # kept as plain numbers, which a report writes as JSON
+                object.__setattr__(self, key, float(value) if real else int(value))
+            except OverflowError:  # an integer tolerance beyond every float
+                raise ShapeError("tolerance must be positive and finite") from None
         if self.trials < 1:
             raise ShapeError("trials must be >= 1")
         if self.seed < 0:

@@ -174,6 +174,10 @@ class TestSuiteConfig:
             SuiteConfig("buco", **{key: value})
         assert str(caught.value) == f"{key} must be {kind}, not {value!r}"
 
+    def test_a_tolerance_beyond_the_floats_is_refused(self):
+        with pytest.raises(ShapeError, match="tolerance must be positive and finite"):
+            SuiteConfig("buco", tolerance=10**400)
+
     def test_numpy_numbers_are_reported_as_json_numbers(self):
         cfg = SuiteConfig("buco", trials=np.int64(2), seed=np.uint8(3), tolerance=np.float32(0.5))
         config = json.loads(run_suite(cfg).to_json())["config"]
