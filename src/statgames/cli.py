@@ -178,14 +178,14 @@ DEMO_FD_STEP = 1e-5
 DEMO_MAX_REJECTS = 50
 
 
-def _demo_points(p: np.ndarray) -> np.ndarray:
-    """The point ``p`` = (gain, offset, logvar) and its central-difference
-    probes, up then down along each parameter in turn: seven rows."""
-    points = np.tile(p, (1 + 2 * p.size, 1))
-    axes = np.arange(p.size)
-    points[1 + 2 * axes, axes] += DEMO_FD_STEP
-    points[2 + 2 * axes, axes] -= DEMO_FD_STEP
-    return points
+#: the candidate's own row, then its central-difference probes, up then
+#: down along (gain, offset, logvar) in turn.  Every other entry is -0.0:
+#: adding it keeps any parameter's bits, -0.0 included, where +0.0 would
+#: turn -0.0 into +0.0; and ``x + (-h)`` is ``x - h`` bit for bit.
+_DEMO_OFFSETS = np.full((7, 3), -0.0)
+np.fill_diagonal(_DEMO_OFFSETS[1::2], DEMO_FD_STEP)
+np.fill_diagonal(_DEMO_OFFSETS[2::2], -DEMO_FD_STEP)
+_DEMO_OFFSETS.setflags(write=False)
 
 
 def _demo_kl(points: np.ndarray, exact: gs.GaussState) -> np.ndarray:
@@ -198,11 +198,15 @@ def _demo_kl(points: np.ndarray, exact: gs.GaussState) -> np.ndarray:
     # ``math.exp`` per entry: ``np.exp`` differs from it in the last bit on
     # some inputs, which would move the trajectory
     var = np.array([math.exp(v) for v in logvar.tolist()])
-    kl = np.full(len(points), math.inf)
-    ok = np.isfinite(mean) & np.isfinite(var)
-    if ok.any():
-        kl[ok] = gs.g_kl(gs.GaussState(mean[ok, None], var[ok, None, None]), exact)
-    return kl
+    try:  # the stack's constructor checks every entry: the one finiteness check
+        stack = gs.GaussState(mean[:, None], var[:, None, None])
+    except ShapeError:  # ``exp`` is never negative, so some entry is not finite
+        kl = np.full(len(points), math.inf)
+        ok = np.isfinite(mean) & np.isfinite(var)
+        if ok.any():
+            kl[ok] = gs.g_kl(gs.GaussState(mean[ok, None], var[ok, None, None]), exact)
+        return kl
+    return gs.g_kl(stack, exact)
 
 
 def cmd_demo(args) -> int:
@@ -224,7 +228,7 @@ def cmd_demo(args) -> int:
     def probed(p):
         """The free energy and the KL term at ``p``, and the free energy's
         gradient there by central differences, from one ``g_kl`` call."""
-        kl = _demo_kl(_demo_points(p), exact)
+        kl = _demo_kl(p + _DEMO_OFFSETS, exact)
         fe = kl + neg_log_evidence
         return float(fe[0]), float(kl[0]), (fe[1::2] - fe[2::2]) / (2 * DEMO_FD_STEP)
 

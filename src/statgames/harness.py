@@ -197,7 +197,7 @@ class SuiteReport:
 
 def _oracle_kl_rows(p: np.ndarray, q: np.ndarray) -> float:
     total = 0.0
-    for pi, qi in zip(p, q):
+    for pi, qi in zip(p.tolist(), q.tolist()):
         if pi > 0:
             if qi == 0:
                 return math.inf
@@ -205,38 +205,37 @@ def _oracle_kl_rows(p: np.ndarray, q: np.ndarray) -> float:
     return total
 
 
-def _oracle_pushforward(rows: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    out = np.zeros(rows.shape[1])
-    for a in range(rows.shape[0]):
-        for b in range(rows.shape[1]):
-            out[b] += mass[a] * rows[a, b]
+def _oracle_pushforward(rows: np.ndarray, mass: np.ndarray) -> list:
+    out = [0.0] * rows.shape[1]
+    for m, row in zip(mass.tolist(), rows.tolist()):
+        for b, r in enumerate(row):
+            out[b] += m * r
     return out
 
 
 def _oracle_mle_witness(c: BayesLens, d: BayesLens, pi: ds.Dist, z: int) -> float:
     """Expected inner code length under ``d``'s backward at the pushed
     prior: the MLE laxness witness, everything including the Bayes rule by
-    explicit loops."""
-    cr = c.fwd.rows
+    explicit loops over Python floats."""
     sy = c.fwd.out.size
     smd = c.fwd.copar.size
-    push_mid = _oracle_pushforward(cr, pi.mass)
-    mid_mass = np.zeros(sy)
+    push_mid = _oracle_pushforward(c.fwd.rows, pi.mass)
+    mid_mass = [0.0] * sy
     for b in range(sy):
         for m in range(smd):
             mid_mass[b] += push_mid[m * sy + b]
-    dr = d.fwd.rows
+    dr = d.fwd.rows.tolist()
     sn = d.fwd.copar.size
     szd = d.fwd.out.size
     evidence = 0.0
     for b in range(sy):
         for n in range(sn):
-            evidence += dr[b, n * szd + z] * mid_mass[b]
+            evidence += dr[b][n * szd + z] * mid_mass[b]
     want = 0.0
     for b in range(sy):
         wb = 0.0
         for n in range(sn):
-            wb += dr[b, n * szd + z] * mid_mass[b] / evidence
+            wb += dr[b][n * szd + z] * mid_mass[b] / evidence
         if wb > 0:
             want += wb * (-math.log(mid_mass[b]))
     return want

@@ -681,6 +681,47 @@ class TestDemo:
         assert rc == 1 and "rose for 50 consecutive steps" in capsys.readouterr().err
         assert len(seen) == calls
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.0, 0.0, 0.0],
+            [-0.0, -0.0, -0.0],  # a +0.0 offset anywhere would give +0.0 there
+            [5e-324, -5e-324, 0.0],
+            [1e300, -1e300, -0.0],
+            [1e-5, -1e-5, 2e-5],  # probes that land on zero
+            [0.027392337464290872, -0.04604265724722594, -0.09180529521276107],
+            [0.1, -0.0, 1e300],
+        ],
+    )
+    def test_the_offset_table_gives_the_tiled_probes_bit_for_bit(self, p):
+        p = np.array(p)
+        # the probes as built by tiling the candidate and stepping in place
+        tiled = np.tile(p, (7, 1))
+        axes = np.arange(3)
+        tiled[1 + 2 * axes, axes] += cli.DEMO_FD_STEP
+        tiled[2 + 2 * axes, axes] -= cli.DEMO_FD_STEP
+        assert (p + cli._DEMO_OFFSETS).tobytes() == tiled.tobytes()
+
+    def test_a_refused_stack_is_masked_row_by_row(self):
+        # a NaN gain, an infinite offset and an infinite logvar make the
+        # stack's constructor refuse it; those rows alone read +inf
+        exact = gs.GaussState([0.5], [[0.5]])
+        points = np.array(
+            [
+                [0.1, 0.2, -0.3],
+                [math.nan, 0.0, 0.0],
+                [0.5, -0.1, 0.2],
+                [0.2, math.inf, 0.0],
+                [-0.3, 0.4, 0.1],
+                [0.0, 0.1, math.inf],
+                [1.0, 2.0, -1.0],
+            ]
+        )
+        refused, finite = [1, 3, 5], [0, 2, 4, 6]
+        kl = cli._demo_kl(points, exact)
+        assert np.flatnonzero(np.isposinf(kl)).tolist() == refused
+        assert kl[finite].tobytes() == cli._demo_kl(points[finite], exact).tobytes()
+
 
 def per_probe_demo(seed: int, steps: int, lr: float) -> tuple[int, str, str]:
     """The demo's descent with one ``g_kl`` call per evaluation: the

@@ -7,14 +7,17 @@ Usage (from the root of a git checkout)::
 
 Both revisions are exported with ``git archive`` into ``<workdir>/parent``
 and ``<workdir>/change``, as ``tools/bench_pairs.py`` exports them.  At each
-seed, each copy runs three commands from its own ``src``: ``python3 -m
+seed, each copy runs four commands from its own ``src``: ``python3 -m
 statgames.cli verify --suite all --seed <seed>``, the same with
-``--instance gaussian``, and ``demo --seed <seed>``.  Each runs in
-``<workdir>/reports/<side>/<seed>/<command>`` and writes its reports (the
-demo its trajectory, ``demo.csv``) there.  Every CSV report that is not
-byte-identical, every JSON report that is unequal once its ``wall_time_s``
-is removed, every summary line that is unequal once its ``time=`` field is
-removed, and a differing exit code is printed.
+``--instance gaussian``, ``demo --seed <seed>``, and the same demo at
+``--lr 1e308 --steps 20``, which diverges (at seed 0 its first candidate's
+stack of posteriors is refused, so the demo's masked path runs).  Each runs
+in ``<workdir>/reports/<side>/<seed>/<command>`` and writes its reports
+(the demo its trajectory, ``demo.csv``) there.  Every CSV report that is
+not byte-identical, every JSON report that is unequal once its
+``wall_time_s`` is removed, every summary line that is unequal once its
+``time=`` field is removed, every unequal stderr line (the demo's
+``final`` or ``diverged:`` line) and a differing exit code is printed.
 
 Once per revision, not per seed, each copy also reads the fixed models of
 ``MODELS``, which are written into ``<workdir>/models``: a discrete lens
@@ -49,6 +52,7 @@ def commands(seed: int) -> dict:
         "verify": verify,
         "verify-gaussian": [*verify, "--instance", "gaussian"],
         "demo": ["demo", "--seed", str(seed), "--out", "demo.csv"],
+        "demo-diverging": ["demo", "--seed", str(seed), "--lr", "1e308", "--steps", "20", "--out", "demo.csv"],
     }
 
 
@@ -116,17 +120,17 @@ def model_commands(folder: str) -> dict:
     return out
 
 
-def run(root: str, args: list, report_dir: str) -> tuple[int, list]:
+def run(root: str, args: list, report_dir: str) -> tuple[int, list, list]:
     """The command-line ``args`` from the copy at ``root``, run in
-    ``report_dir``, where it writes its reports: its exit code and its
-    summary lines."""
+    ``report_dir``, where it writes its reports: its exit code, its
+    summary lines and its stderr lines."""
     report_dir = os.path.abspath(report_dir)
     os.makedirs(report_dir, exist_ok=True)
     src = os.path.join(os.path.abspath(root), "src")
     env = dict(os.environ, PYTHONPATH=src, STATGAMES_REPORT_DIR=report_dir)
     cmd = [sys.executable, "-m", "statgames.cli", *args]
     proc = subprocess.run(cmd, cwd=report_dir, env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout.splitlines()
+    return proc.returncode, proc.stdout.splitlines(), proc.stderr.splitlines()
 
 
 def _untimed_line(line: str) -> str:
@@ -153,13 +157,16 @@ def _names(folder: str) -> set:
 
 def differences(parent: tuple, change: tuple) -> list:
     """What differs between two runs, each ``(exit code, summary lines,
-    report directory)``, apart from their timings."""
-    (rc, lines, folder), (rc2, lines2, folder2) = parent, change
+    stderr lines, report directory)``, apart from their timings."""
+    (rc, lines, err, folder), (rc2, lines2, err2, folder2) = parent, change
     out = [f"exit code {rc} -> {rc2}"] if rc != rc2 else []
     untimed = zip_longest(map(_untimed_line, lines), map(_untimed_line, lines2))
     for i, (a, b) in enumerate(untimed, 1):
         if a != b:
             out.append(f"summary line {i}: {a!r} -> {b!r}")
+    for i, (a, b) in enumerate(zip_longest(err, err2), 1):
+        if a != b:
+            out.append(f"stderr line {i}: {a!r} -> {b!r}")
     for name in sorted(_names(folder) | _names(folder2)):
         a, b = _read(folder, name), _read(folder2, name)
         if a is None or b is None:
