@@ -178,10 +178,8 @@ DEMO_FD_STEP = 1e-5
 DEMO_MAX_REJECTS = 50
 
 
-#: the candidate's own row, then its central-difference probes, up then
-#: down along (gain, offset, logvar) in turn.  Every other entry is -0.0:
-#: adding it keeps any parameter's bits, -0.0 included, where +0.0 would
-#: turn -0.0 into +0.0; and ``x + (-h)`` is ``x - h`` bit for bit.
+#: the candidate's row, then +h and -h along (gain, offset, logvar) in turn;
+#: -0.0 elsewhere, as adding it keeps every bit (-0.0 + 0.0 is +0.0)
 _DEMO_OFFSETS = np.full((7, 3), -0.0)
 np.fill_diagonal(_DEMO_OFFSETS[1::2], DEMO_FD_STEP)
 np.fill_diagonal(_DEMO_OFFSETS[2::2], -DEMO_FD_STEP)
@@ -199,14 +197,13 @@ def _demo_kl(points: np.ndarray, exact: gs.GaussState) -> np.ndarray:
     # some inputs, which would move the trajectory
     var = np.array([math.exp(v) for v in logvar.tolist()])
     try:  # the stack's constructor checks every entry: the one finiteness check
-        stack = gs.GaussState(mean[:, None], var[:, None, None])
+        return gs.g_kl(gs.GaussState(mean[:, None], var[:, None, None]), exact)
     except ShapeError:  # ``exp`` is never negative, so some entry is not finite
         kl = np.full(len(points), math.inf)
         ok = np.isfinite(mean) & np.isfinite(var)
         if ok.any():
             kl[ok] = gs.g_kl(gs.GaussState(mean[ok, None], var[ok, None, None]), exact)
         return kl
-    return gs.g_kl(stack, exact)
 
 
 def cmd_demo(args) -> int:
