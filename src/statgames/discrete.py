@@ -21,6 +21,10 @@ Pickling rebuilds a space, a state, a channel or an effect through its
 constructor, which checks it again and leaves its arrays read-only; a
 channel's slots go with it, each value they hold rebuilt in the same way.
 
+An inversion's rows are a transposed view of its joint; ``_row_sums`` and
+``_sum_to_last`` sum them, evidences and discards in memory order, in one
+strided pass, with the bits of ``np.add.reduce``.
+
 A *stack* of ``P`` priors on one space is a ``Dist`` whose ``mass`` has
 shape ``(P, n)``; a single prior is the case with no leading axis.  The
 operations carry leading axes through, so inverting at a stack gives a
@@ -40,6 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+from numpy._core._multiarray_umath import c_einsum as _einsum
 
 from .errors import ShapeError, _which
 
@@ -180,6 +185,26 @@ _UNIT = unit_space()
 # ---------------------------------------------------------------------------
 
 
+def _row_sums(r: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(r, axis=-1)`` bit for bit.  Where a kept axis of
+    float64 rows is contiguous (an inversion's rows), numpy adds in memory
+    order, one short loop over it at a time, and ``c_einsum`` in one strided
+    pass; numpy sums the rest, contiguous rows pairwise, unlike einsum."""
+    s = r.strides
+    if s[-1] == 8 or 8 not in s or min(s) < 8 or r.shape[s.index(8)] < 2:
+        return np.add.reduce(r, axis=-1)
+    return _einsum("...j->...", r)
+
+
+def _sum_to_last(x: np.ndarray, spec: str, axes: tuple) -> np.ndarray:
+    """``np.add.reduce(x, axis=axes)`` bit for bit, for ``axes`` before the
+    last; ``spec`` is the same sum as an einsum, used where the last axis is
+    contiguous and kept, as in ``_row_sums``."""
+    if x.strides[-1] != 8 or x.shape[-1] < 2 or min(x.strides) < 8:
+        return np.add.reduce(x, axis=axes)
+    return _einsum(spec, x)
+
+
 def _check_rows(r: np.ndarray, what: str) -> None:
     """Raise unless every vector along the last axis of ``r`` is a
     probability vector; ``what`` is ``"distribution"`` or ``"row"``."""
@@ -187,7 +212,7 @@ def _check_rows(r: np.ndarray, what: str) -> None:
     # ufuncs reduce directly, as ``ndarray.min`` and ``sum`` add a call each
     if not np.minimum.reduce(r, axis=None) >= 0:
         raise ShapeError(f"{_which(~(r >= 0).all(axis=-1), what)} has a negative or NaN entry")
-    sums = np.add.reduce(r, axis=-1)
+    sums = _row_sums(r)
     if sums.ndim == 0:  # a single vector: one float compare
         if abs(float(sums) - 1.0) > NORMALIZATION_ATOL:
             raise ShapeError(f"{what} sums to {float(sums)!r}, not 1")
@@ -379,7 +404,8 @@ def check_entries(n: int, what: str) -> None:
 def discard_coparam(f: CoparKernel) -> FiniteKernel:
     """Marginalize the retained block, recovering an ordinary channel."""
     r = f._split()
-    return FiniteKernel(f.dom, f.out, r.sum(axis=-2 if f.copar_side == "left" else -1))
+    rows = _sum_to_last(r, "...cmz->...cz", (-2,)) if f.copar_side == "left" else _row_sums(r)
+    return FiniteKernel(f.dom, f.out, rows)
 
 
 def tensor(k1: FiniteKernel, k2: FiniteKernel) -> CoparKernel:
@@ -457,7 +483,7 @@ def bayes_invert(f: CoparKernel, pi: Dist) -> CoparKernel:
     lead = pi.mass.shape[:-1]
     k = len(lead)
     joint = f.rows.reshape(a, m, b) * pi.mass[..., :, None, None]  # (..., a, m, b)
-    evidence = joint.sum(axis=(k, k + 1))  # p(b)
+    evidence = _sum_to_last(joint, "...amb->...b", (k, k + 1))  # p(b)
     supported = evidence > 0
     # backward rows: (..., b, a, m)
     back = joint.transpose(*range(k), k + 2, k, k + 1).reshape(lead + (b, a * m))  # joint is ours to overwrite

@@ -153,7 +153,8 @@ class SuiteReport:
 
     @property
     def worst_abs_err(self) -> float:
-        return max((r["abs_err"] for r in self.records), default=0.0)
+        """The largest error; NaN if any record's is, wherever it stands."""
+        return max((r["abs_err"] for r in self.records), key=lambda e: (e != e, e), default=0.0)
 
     @property
     def passed(self) -> bool:
@@ -261,12 +262,13 @@ class Outcome(NamedTuple):
 
 
 def _worst_pair(pairs) -> tuple[float, float]:
-    """The ``(lhs, rhs)`` pair of largest ``|lhs - rhs|``; ties go to the
-    later pair."""
+    """The ``(lhs, rhs)`` pair of largest ``|lhs - rhs|``, NaN the largest but
+    for equal infinities (as in ``_run_trials``); ties go to the later pair."""
     worst, pair = 0.0, (0.0, 0.0)
     for lhs, rhs in pairs:
-        if abs(lhs - rhs) >= worst:
-            worst, pair = abs(lhs - rhs), (lhs, rhs)
+        diff = abs(lhs - rhs)
+        if diff >= worst or (diff != diff and lhs != rhs):
+            worst, pair = diff, (lhs, rhs)
     return pair
 
 

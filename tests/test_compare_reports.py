@@ -105,6 +105,7 @@ def test_each_seed_compares_both_certifications_and_the_demo(compare_reports, tm
     commands = {
         "verify": ["verify", "--suite", "all", "--seed", "{}"],
         "verify-gaussian": ["verify", "--suite", "all", "--seed", "{}", "--instance", "gaussian"],
+        "verify-wide": ["verify", "--suite", "all", "--seed", "{}", "--max-dim", "7", "--trials", "10"],
         "demo": ["demo", "--seed", "{}", "--out", "demo.csv"],
         "demo-diverging": ["demo", "--seed", "{}", "--lr", "1e308", "--steps", "20", "--out", "demo.csv"],
     }
@@ -118,10 +119,12 @@ def test_each_seed_compares_both_certifications_and_the_demo(compare_reports, tm
     assert capsys.readouterr().out.splitlines() == [
         "seed 0 verify: no difference",
         "seed 0 verify-gaussian: no difference",
+        "seed 0 verify-wide: no difference",
         "seed 0 demo: no difference",
         "seed 0 demo-diverging: stderr line 1: 'diverged: fe=0.25' -> 'diverged: fe=0.5'",
         "seed 42 verify: no difference",
         "seed 42 verify-gaussian: no difference",
+        "seed 42 verify-wide: no difference",
         "seed 42 demo: demo.csv differs",
         "seed 42 demo-diverging: no difference",
     ] + [f"models {name}: no difference" for name in MODEL_RUNS]

@@ -46,6 +46,8 @@ from statgames.discrete import (
     uniform,
     unit_space,
 )
+from statgames import discrete as ds
+from statgames.discrete import _row_sums, _sum_to_last
 from statgames.errors import ShapeError
 
 
@@ -453,6 +455,112 @@ class TestBayesInvert:
         inv = bayes_invert(f, Dist(X2, [0.25, 0.75]))
         assert np.allclose(inv.rows[0], [0.25, 0.75])  # the posterior at y0
         assert np.allclose(inv.rows[1], [0.5, 0.5])
+
+
+#: layouts of one array: the summing helpers must give numpy's bits on each
+VIEWS = {
+    "C": lambda x: x,
+    "fortran": np.asfortranarray,
+    "rows across memory": lambda x: np.ascontiguousarray(np.swapaxes(x, -1, -2)).swapaxes(-1, -2),
+    "transposed": lambda x: np.swapaxes(x, -1, -2),
+    "moved": lambda x: np.moveaxis(x, 0, -1),
+    "reversed rows": lambda x: x[..., ::-1, :],
+    "reversed columns": lambda x: np.asfortranarray(x)[..., ::-1],
+    "sliced": lambda x: np.swapaxes(x, -1, -2)[..., ::2, 1:],
+    "first row across memory": lambda x: VIEWS["rows across memory"](x)[..., :1, :],
+    "broadcast": lambda x: np.broadcast_to(x[..., :1, :], x.shape),
+    "broadcast columns": lambda x: np.broadcast_to(np.asfortranarray(x)[..., :1], x.shape),
+    "new axis": lambda x: np.swapaxes(x, -1, -2)[None],
+}
+SUM_SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+
+def spec_of(ndim, axes):
+    letters = "abcd"[:ndim]
+    return letters + "->" + "".join(c for i, c in enumerate(letters) if i not in axes)
+
+
+def same_array(got, want):
+    """The same bits in the same layout, so later operations agree too."""
+    return got.tobytes() == want.tobytes() and got.strides == want.strides and got.shape == want.shape
+
+
+def parent_invert_rows(f, pi):
+    """``bayes_invert``'s rows, written with numpy's own sums."""
+    a, m, b = f.dom.size, f.copar.size, f.out.size
+    lead = pi.mass.shape[:-1]
+    k = len(lead)
+    joint = f.rows.reshape(a, m, b) * pi.mass[..., :, None, None]
+    evidence = joint.sum(axis=(k, k + 1))
+    supported = evidence > 0
+    back = joint.transpose(*range(k), k + 2, k, k + 1).reshape(lead + (b, a * m))
+    back /= np.where(supported, evidence, 1.0)[..., None]
+    if np.count_nonzero(supported) < supported.size:
+        back[~supported] = 1.0 / (a * m)
+    return back
+
+
+def parent_discard_rows(f):
+    return f._split().sum(axis=-2 if f.copar_side == "left" else -1)
+
+
+class TestSummingHelpers:
+    """``_row_sums`` and ``_sum_to_last`` are ``np.add.reduce`` bit for bit,
+    so every inversion, evidence and discard keeps its bits."""
+
+    @SUM_SETTINGS
+    @given(
+        seed=st.integers(0, 2**16),
+        lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        n_rows=st.sampled_from([1, 2, 3, 7]),
+        n_cols=st.sampled_from([1, 2, 3, 5, 128, 300]),
+        view=st.sampled_from(sorted(VIEWS)),
+    )
+    def test_the_helpers_give_numpys_bits(self, seed, lead, n_rows, n_cols, view):
+        rng = rng_for(seed)
+        x = VIEWS[view](rng.gamma(1.0, size=lead + (n_rows, n_cols)) * 10.0 ** rng.integers(-3, 4))
+        assert same_array(_row_sums(x), np.add.reduce(x, axis=-1))
+        nd = x.ndim
+        for axes in {(nd - 2,), tuple(range(nd - 1)), tuple(range(len(lead) > 0, nd - 1))}:
+            assert same_array(_sum_to_last(x, spec_of(nd, axes), axes), np.add.reduce(x, axis=axes))
+
+    def test_an_inversion_is_summed_in_one_strided_pass(self, monkeypatch):
+        rng = rng_for(40)
+        f = random_copar(rng, labels("a", 4), labels("m", 3), labels("b", 5))
+        inv = bayes_invert(f, random_dist(rng, f.dom))
+        assert inv.rows.strides == (8, 8 * 5)  # the joint's transposed view
+        specs = []
+        monkeypatch.setattr(ds, "_einsum", lambda spec, x: specs.append(spec) or np.einsum(spec, x))
+        bayes_invert(f, random_dist(rng, f.dom))
+        discard_coparam(f), discard_coparam(inv)
+        # the evidence and the inversion's check; the forward's discard, whose
+        # C-ordered rows numpy checks; the inversion's discard and its check
+        assert specs == ["...amb->...b", "...j->...", "...cmz->...cz", "...j->...", "...j->..."]
+
+    def test_a_deep_chain_inverts_and_discards_bit_for_bit(self):
+        rng = rng_for(41)
+        spaces = [labels(f"s{i}_", 3) for i in range(6)]
+        copars = [labels(f"m{i}_", 2) for i in range(5)]
+        chain = random_copar(rng, spaces[0], copars[0], spaces[1])
+        for i in range(1, 5):
+            chain = copy_compose_copar(random_copar(rng, spaces[i], copars[i], spaces[i + 1]), chain)
+        assert chain.rows.shape == (3, 6**5)
+        single = random_dist(rng, spaces[0])
+        stack = Dist(spaces[0], np.stack([random_dist(rng, spaces[0]).mass for _ in range(4)]))
+        for pi in (single, stack):
+            inv = bayes_invert(chain, pi)
+            assert same_array(inv.rows, parent_invert_rows(chain, pi))
+            for f in (chain, inv):
+                assert same_array(discard_coparam(f).rows, parent_discard_rows(f))
+
+    def test_a_one_outcome_output_inverts_and_discards_bit_for_bit(self):
+        rng = rng_for(42)
+        f = random_copar(rng, labels("a", 6), labels("m", 40), space(["o"]))
+        for pi in (random_dist(rng, f.dom), Dist(f.dom, np.full((2, 6), 1.0 / 6))):
+            inv = bayes_invert(f, pi)
+            assert same_array(inv.rows, parent_invert_rows(f, pi))
+            for g in (f, inv):
+                assert same_array(discard_coparam(g).rows, parent_discard_rows(g))
 
 
 class TestEffects:

@@ -14,8 +14,12 @@ from statgames.games import laxness_witness
 from statgames.harness import (
     SUITE_DEFAULTS,
     SUITES,
+    Outcome,
     SuiteConfig,
+    SuiteReport,
     _rng,
+    _run_trials,
+    _worst_pair,
     run_suite,
 )
 from statgames.lens import buco_residual, exact_lens
@@ -327,3 +331,45 @@ class TestTrialInversionCounts:
         # inversion at the trial's prior
         counted = self.counted(monkeypatch, ds, "bayes_invert")
         assert 0 < self.most_per_trial(suite, counted) <= 1
+
+
+class TestNaNIsNeverHidden:
+    """A NaN side fails its trial and shows in the summary, wherever it
+    stands among the pairs or the records."""
+
+    @pytest.mark.parametrize("pairs", [
+        [(0.0, 0.0), (math.nan, 1.0)],
+        [(math.nan, 1.0), (0.0, 0.0)],
+        [(0.5, 0.0), (1.0, math.nan), (0.25, 0.0)],
+        [(math.inf, 0.0), (0.0, math.nan)],
+    ])
+    def test_a_nan_difference_is_the_worst_pair(self, pairs):
+        lhs, rhs = _worst_pair(pairs)
+        assert math.isnan(lhs - rhs)
+
+    def test_an_equal_pair_of_infinities_agrees(self):
+        assert _worst_pair([(0.5, 0.25), (math.inf, math.inf)]) == (0.5, 0.25)
+        assert _worst_pair([(-math.inf, -math.inf)]) == (0.0, 0.0)
+        assert _worst_pair([(math.inf, -math.inf), (1.0, 0.0)]) == (math.inf, -math.inf)
+
+    def test_a_trial_with_a_nan_pair_fails(self, monkeypatch):
+        def trial(rng, cfg):
+            return Outcome("d", *_worst_pair([(0.0, 0.0), (math.nan, 1.0)]))
+
+        records = _run_trials("buco", trial, SuiteConfig("buco", trials=1))
+        assert not records[0]["pass"] and math.isnan(records[0]["abs_err"])
+
+    @pytest.mark.parametrize("errs", [[0.1, math.nan], [math.nan, 0.1], [0.0, math.nan, 0.2]])
+    def test_worst_abs_err_is_nan_wherever_a_nan_record_stands(self, errs):
+        report = SuiteReport("buco", SuiteConfig("buco", trials=len(errs)))
+        report.records = [{"abs_err": e, "pass": e <= 1e-9} for e in errs]
+        assert math.isnan(report.worst_abs_err)
+        line = report.summary_line()
+        assert line.startswith("FAIL buco:") and "worst_abs_err=nan" in line
+
+    def test_worst_abs_err_without_nan_is_the_largest(self):
+        report = SuiteReport("buco", SuiteConfig("buco", trials=3))
+        report.records = [{"abs_err": e, "pass": True} for e in (0.1, math.inf, 0.2)]
+        assert report.worst_abs_err == math.inf
+        report.records = []
+        assert report.worst_abs_err == 0.0

@@ -20,6 +20,11 @@ The Gaussian module and the loss models reach LAPACK one way, through the
 Gaussian module's helpers: neither calls a ``np.linalg`` function but
 ``eigh`` at its two sites, so new code cannot go back to the wrappers.
 
+The discrete module sums a channel's rows, an evidence and a discarded
+coparameter one way, through its summing helpers, so ``bayes_invert``,
+``_check_rows`` and ``discard_coparam`` cannot go back to ``.sum`` or
+``np.add.reduce``.
+
 The instance (discrete or Gaussian) is picked in one place, by
 ``backend_of`` from its table of types: no module compares against an
 instance name or a backend object, tests for an instance type, or builds a
@@ -259,6 +264,52 @@ def test_linalg_checker_sees_calls_references_and_imports(tmp_path):
         "    return gs.solve(a, a), _umath_linalg.inv(a), scipy.linalg.inv(a)\n"
     )
     assert linalg_uses(src) == {("<module>", "slogdet"), ("f", "solve"), ("f", "eigh"), ("C", "inv")}
+
+
+# -- one route to the sums over a channel's rows --------------------------------
+
+#: each discrete function that sums over a channel's rows, with the summing
+#: helpers it calls: they give ``np.add.reduce``'s bits in one strided pass
+#: where numpy would loop over a short kept axis
+SUM_SITES = {
+    "bayes_invert": {"_sum_to_last"},
+    "_check_rows": {"_row_sums"},
+    "discard_coparam": {"_sum_to_last", "_row_sums"},
+}
+
+
+def sum_calls(path: pathlib.Path) -> dict:
+    """Per top-level function, the sums it calls: ``.sum`` methods,
+    ``np.sum``, ``np.add.reduce`` and the summing helpers, by name."""
+    calls = {}
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in ("_row_sums", "_sum_to_last"):
+                calls.setdefault(top.name, set()).add(func.id)
+            elif isinstance(func, ast.Attribute) and func.attr == "sum":
+                calls.setdefault(top.name, set()).add(".sum")
+            elif isinstance(func, ast.Attribute) and func.attr == "reduce" and _names(func.value) == ["add"]:
+                calls.setdefault(top.name, set()).add("add.reduce")
+    return calls
+
+
+def test_row_sums_are_reached_through_the_discrete_helpers():
+    calls = sum_calls(PACKAGE / "discrete.py")
+    assert {name: calls.get(name) for name in SUM_SITES} == SUM_SITES
+
+
+def test_sum_checker_sees_methods_functions_and_helpers(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "def f(r):\n"
+        "    return r.sum(axis=-1), np.sum(r), np.add.reduce(r, -1), add.reduce(r)\n"
+        "def g(r):\n"
+        "    return _row_sums(r), _sum_to_last(r, '...ab->...b', (0,)), np.minimum.reduce(r)\n"
+    )
+    assert sum_calls(src) == {"f": {".sum", "add.reduce"}, "g": {"_row_sums", "_sum_to_last"}}
 
 
 # -- the loss contract the tracer relies on -------------------------------------

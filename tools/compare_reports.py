@@ -7,9 +7,12 @@ Usage (from the root of a git checkout)::
 
 Both revisions are exported with ``git archive`` into ``<workdir>/parent``
 and ``<workdir>/change``, as ``tools/bench_pairs.py`` exports them.  At each
-seed, each copy runs four commands from its own ``src``: ``python3 -m
+seed, each copy runs five commands from its own ``src``: ``python3 -m
 statgames.cli verify --suite all --seed <seed>``, the same with
-``--instance gaussian``, ``demo --seed <seed>``, and the same demo at
+``--instance gaussian``, the same with ``--max-dim 7 --trials 10`` (whose
+composite inversions have rows of thousands of entries, where the default
+sizes stay below numpy's 128-entry pairwise block),
+``demo --seed <seed>``, and the same demo at
 ``--lr 1e308 --steps 20``, which diverges (at seed 0 its first candidate's
 stack of posteriors is refused, so the demo's masked path runs).  Each runs
 in ``<workdir>/reports/<side>/<seed>/<command>`` and writes its reports
@@ -51,6 +54,7 @@ def commands(seed: int) -> dict:
     return {
         "verify": verify,
         "verify-gaussian": [*verify, "--instance", "gaussian"],
+        "verify-wide": [*verify, "--max-dim", "7", "--trials", "10"],
         "demo": ["demo", "--seed", str(seed), "--out", "demo.csv"],
         "demo-diverging": ["demo", "--seed", str(seed), "--lr", "1e308", "--steps", "20", "--out", "demo.csv"],
     }
